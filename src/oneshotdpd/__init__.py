@@ -23,6 +23,7 @@ from .errors import (
     DegenerateVariance,
     InfeasibleDesign,
     NoInteriorData,
+    NumericalOverflow,
     OneShotError,
     ParseError,
     SingularInformation,
@@ -85,6 +86,7 @@ __all__ = [
     "ModelParams",
     "MultiOutcomeTable",
     "NoInteriorData",
+    "NumericalOverflow",
     "OneShotError",
     "ParseError",
     "ProbabilityVector",

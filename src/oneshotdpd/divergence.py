@@ -5,17 +5,26 @@ parameter ``beta >= 0``.  ``beta = 0`` is handled as an exact
 Kullback-Leibler / log-likelihood branch (not a small-beta limit), so the
 maximum likelihood fit is bit-stable.  All cell sums use numpy's pairwise
 summation.
+
+The per-cell objective terms (:func:`_dpd_terms`), the ``F^p + S^p``
+bracket (:func:`_bracket`) and the theta-coordinate cell sum
+(:func:`_theta_cell_sum`) are the one copy of that math; the solver, the
+estimating equations and the sandwich all call them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import FailureTable, ModelParams, cell_probs, cell_rates
+from .model import FailureTable, ModelParams, _plan_cells, cell_probs
 
 
-def _entries(p) -> np.ndarray:
-    return np.asarray(getattr(p, "entries", p), dtype=float)
+def _pair(p, q):
+    """Entry arrays of two probability vectors of the same length."""
+    p, q = (np.asarray(getattr(v, "entries", v), dtype=float) for v in (p, q))
+    if p.shape != q.shape:
+        raise ValueError("p and q must have the same length")
+    return p, q
 
 
 def _check_beta(beta: float) -> float:
@@ -31,10 +40,7 @@ def kl_divergence(p, q) -> float:
     Uses the 0 * log 0 = 0 convention.  Where q is zero but p is not, the
     divergence is +inf (returned, not raised).
     """
-    p = _entries(p)
-    q = _entries(q)
-    if p.shape != q.shape:
-        raise ValueError("p and q must have the same length")
+    p, q = _pair(p, q)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
     return float(np.sum(terms))
@@ -56,16 +62,48 @@ def dpd(p, q, beta: float) -> float:
     beta = _check_beta(beta)
     if beta == 0.0:
         return kl_divergence(p, q)
-    p = _entries(p)
-    q = _entries(q)
-    if p.shape != q.shape:
-        raise ValueError("p and q must have the same length")
+    p, q = _pair(p, q)
     terms = (
         q ** (beta + 1.0)
         - (1.0 + 1.0 / beta) * q**beta * p
         + p ** (beta + 1.0) / beta
     )
     return float(np.sum(terms))
+
+
+def _dpd_terms(r, F, S, lt, beta: float) -> np.ndarray:
+    """Per-cell terms of the estimation objective (see :func:`dpd_objective`).
+
+    ``r`` is the observed failure fraction and ``F``, ``S``, ``lt`` come
+    from :func:`oneshotdpd.model._cells`; the arrays broadcast, so a batch
+    of parameter points sums over its trailing cell axes.  At ``beta = 0``
+    the terms are Kullback-Leibler terms with log survival taken as
+    ``-lambda t`` exactly, so enormous rates stay finite.
+    """
+    with np.errstate(all="ignore"):
+        if beta == 0.0:
+            return (np.where(r > 0, r * (np.log(r) - np.log(F)), 0.0)
+                    + np.where(r < 1, (1 - r) * (np.log1p(-r) + lt), 0.0))
+        return (
+            F ** (beta + 1.0)
+            + S ** (beta + 1.0)
+            - (1.0 + beta) / beta * (r * F**beta + (1.0 - r) * S**beta)
+        )
+
+
+def _bracket(F, S, p: float):
+    """The ``F^p + S^p`` factor of the estimating equations and sandwich."""
+    return F**p + S**p
+
+
+def _theta_cell_sum(a, w) -> np.ndarray:
+    """``[[sum a, sum a w], [sum a w, sum a w^2]]`` over the cells.
+
+    This is the cell sum of ``a`` times the outer product of the gradient
+    ``(1, w)`` of ``log lambda`` in ``theta = (log alpha0, alpha1)``.
+    """
+    aw = np.sum(a * w)
+    return np.array([[np.sum(a), aw], [aw, np.sum(a * w**2)]])
 
 
 def log_likelihood(table: FailureTable, params: ModelParams) -> float:
@@ -77,15 +115,12 @@ def log_likelihood(table: FailureTable, params: ModelParams) -> float:
     evaluated exactly, so enormous rates give a finite, very negative value
     instead of overflowing through log(1 - F).
     """
-    F, S, _ = cell_probs(params, table.plan)
+    lt, F, _, _ = _plan_cells(params, table.plan)
     n = table.counts
     K = table.plan.devices
-    # log survival equals -lambda * t exactly; evaluate it on that path
-    # instead of log(exp(-lambda t)).
-    lam_t = cell_rates(params, table.plan) * table.plan.times[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         fail_terms = np.where(n > 0, n * np.log(F), 0.0)
-        surv_terms = np.where(n < K, -(K - n) * lam_t, 0.0)
+        surv_terms = np.where(n < K, -(K - n) * lt, 0.0)
     total = float(np.sum(fail_terms) + np.sum(surv_terms))
     return total if not np.isnan(total) else -np.inf
 
@@ -104,20 +139,9 @@ def dpd_objective(table: FailureTable, params: ModelParams, beta: float) -> floa
     minimizers.
     """
     beta = _check_beta(beta)
-    F, S, _ = cell_probs(params, table.plan)
-    r = table.frequencies
-    n_cells = table.plan.n_cells
-    if beta == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_fail = np.where(r > 0, r * (np.log(r) - np.log(F)), 0.0)
-            t_surv = np.where(r < 1, (1 - r) * (np.log1p(-r) - np.log(S)), 0.0)
-        return float(np.sum(t_fail + t_surv) / n_cells)
-    kernel = (
-        F ** (beta + 1.0)
-        + S ** (beta + 1.0)
-        - (1.0 + beta) / beta * (r * F**beta + (1.0 - r) * S**beta)
-    )
-    return float(np.sum(kernel) / n_cells)
+    lt, F, S, _ = _plan_cells(params, table.plan)
+    terms = _dpd_terms(table.frequencies, F, S, lt, beta)
+    return float(np.sum(terms) / table.plan.n_cells)
 
 
 def dpd_split(table: FailureTable, params: ModelParams, beta: float):
@@ -135,16 +159,5 @@ def dpd_split(table: FailureTable, params: ModelParams, beta: float):
     F, S, _ = cell_probs(params, table.plan)
     n_cells = table.plan.n_cells
     r = table.frequencies
-    qf = F / n_cells
-    qs = S / n_cells
-    pf = r / n_cells
-    ps = (1.0 - r) / n_cells
-    part_fail = np.sum(
-        qf ** (1.0 + beta) - (1.0 + 1.0 / beta) * qf**beta * pf
-        + pf ** (1.0 + beta) / beta
-    )
-    part_surv = np.sum(
-        qs ** (1.0 + beta) - (1.0 + 1.0 / beta) * qs**beta * ps
-        + ps ** (1.0 + beta) / beta
-    )
-    return float(part_fail), float(part_surv)
+    return (dpd(r / n_cells, F / n_cells, beta),
+            dpd((1.0 - r) / n_cells, S / n_cells, beta))

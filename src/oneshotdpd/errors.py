@@ -39,6 +39,12 @@ class InfeasibleDesign(OneShotError):
     code = "InfeasibleDesign"
 
 
+class NumericalOverflow(OneShotError, OverflowError):
+    """A model quantity at the requested point exceeds the double range."""
+
+    code = "NumericalOverflow"
+
+
 class ParseError(OneShotError):
     """A data file or option string could not be parsed."""
 

@@ -13,14 +13,15 @@ are each refined and disagreements are reported as a diagnostic.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inference
-from .divergence import _check_beta
+from .divergence import _bracket, _check_beta, _dpd_terms, _theta_cell_sum
 from .errors import NoInteriorData, SingularInformation
-from .model import FailureTable, ModelParams
+from .model import FailureTable, ModelParams, _cells
 
 _F_MIN = 1e-300
 _F_MAX = 1.0 - 1e-16
@@ -92,30 +93,17 @@ class _CellData:
         self.k_mean = plan.mean_devices
 
 
+def _theta_of(params: ModelParams) -> np.ndarray:
+    return np.array([np.log(params.alpha0), params.alpha1])
+
+
 def _cells_at(theta: np.ndarray, data: _CellData):
-    lam = np.exp(theta[0] + theta[1] * data.w)
-    lt = lam * data.t
-    S = np.exp(-lt)
-    F = -np.expm1(-lt)
-    f = lam * S
-    return lam, F, S, f
+    return _cells(np.exp(theta[0] + theta[1] * data.w), data.t)
 
 
 def _objective_theta(theta: np.ndarray, data: _CellData, beta: float) -> float:
-    lam, F, S, _ = _cells_at(theta, data)
-    r = data.r
-    with np.errstate(all="ignore"):
-        if beta == 0.0:
-            t_fail = np.where(r > 0, r * (np.log(r) - np.log(F)), 0.0)
-            t_surv = np.where(r < 1, (1 - r) * (np.log1p(-r) + lam * data.t), 0.0)
-            val = np.sum(t_fail + t_surv) / data.n_cells
-        else:
-            kernel = (
-                F ** (beta + 1.0)
-                + S ** (beta + 1.0)
-                - (1.0 + beta) / beta * (r * F**beta + (1.0 - r) * S**beta)
-            )
-            val = np.sum(kernel) / data.n_cells
+    lt, F, S, _ = _cells_at(theta, data)
+    val = np.sum(_dpd_terms(data.r, F, S, lt, beta)) / data.n_cells
     return float(val) if not np.isnan(val) else np.inf
 
 
@@ -126,31 +114,22 @@ def _grad_hess_theta(theta: np.ndarray, data: _CellData, beta: float):
     clamped into [1e-300, 1 - 1e-16] on that path and the clamping is
     reported so callers can flag the fit.
     """
-    lam, F, S, f = _cells_at(theta, data)
+    lt, F, S, f = _cells_at(theta, data)
     clamped = bool(np.any(F < _F_MIN) or np.any(F > _F_MAX))
     Fc = np.clip(F, _F_MIN, _F_MAX)
     Sc = np.clip(S, _F_MIN, _F_MAX)
     r = data.r
     b = beta
     with np.errstate(all="ignore"):
-        bracket = Fc ** (b - 1.0) + Sc ** (b - 1.0)
+        bracket = _bracket(Fc, Sc, b - 1.0)
         hp = (b + 1.0) * (F - r) * bracket
         hpp = (b + 1.0) * (
             bracket + (b - 1.0) * (F - r) * (Fc ** (b - 2.0) - Sc ** (b - 2.0))
         )
         tf = data.t * f
-        curv = tf * (1.0 - lam * data.t)
-        g0 = np.sum(hp * tf)
-        g1 = np.sum(hp * tf * data.w)
-        a = hpp * tf * tf + hp * curv
-        H = np.array(
-            [
-                [np.sum(a), np.sum(a * data.w)],
-                [np.sum(a * data.w), np.sum(a * data.w**2)],
-            ]
-        )
-    g = np.array([g0, g1]) / data.n_cells
-    H = H / data.n_cells
+        curv = tf * (1.0 - lt)
+        g = np.array([np.sum(hp * tf), np.sum(hp * tf * data.w)]) / data.n_cells
+        H = _theta_cell_sum(hpp * tf * tf + hp * curv, data.w) / data.n_cells
     return g, H, clamped
 
 
@@ -167,24 +146,17 @@ def estimating_equations(
         Kbar * (F - n/K) * f * t * [F^(b-1) + (1-F)^(b-1)]  (* w for p = 1)
 
     where Kbar is the mean cell size, so a balanced plan gives exactly
-    sum (K F - n) f t [...].  Both components vanish at the estimate.  The
+    sum (K F - n) f t [...].  This is the solver's theta gradient scaled by
+    ``IJ Kbar / (b+1)``, so both components vanish at the estimate.  The
     near-boundary exponents are evaluated with F clamped into
     [1e-300, 1 - 1e-16] and the results capped at 1e30 in magnitude; pass
     ``full_output=True`` to receive a dict with the ``clamped`` flag.
     """
     beta = _check_beta(beta)
     data = _CellData(table)
-    theta = np.array([np.log(params.alpha0), params.alpha1])
-    lam, F, S, f = _cells_at(theta, data)
-    clamped = bool(np.any(F < _F_MIN) or np.any(F > _F_MAX))
-    Fc = np.clip(F, _F_MIN, _F_MAX)
-    Sc = np.clip(S, _F_MIN, _F_MAX)
+    g, _, clamped = _grad_hess_theta(_theta_of(params), data, beta)
     with np.errstate(all="ignore"):
-        bracket = Fc ** (beta - 1.0) + Sc ** (beta - 1.0)
-        base = data.k_mean * (F - data.r) * f * data.t * bracket
-        eq0 = np.sum(base)
-        eq1 = np.sum(base * data.w)
-    vals = np.array([eq0, eq1])
+        vals = g * (data.k_mean * data.n_cells / (beta + 1.0))
     if np.any(np.abs(vals) > _EQ_CAP) or np.any(~np.isfinite(vals)):
         clamped = True
         vals = np.clip(np.nan_to_num(vals, nan=_EQ_CAP, posinf=_EQ_CAP,
@@ -200,23 +172,9 @@ def _grid_candidates(data: _CellData, beta: float, n_starts: int = 3):
     A0, A1 = np.meshgrid(_GRID_ALPHA0, _GRID_ALPHA1, indexing="ij")
     a0 = A0.ravel()
     a1 = A1.ravel()
-    lam = a0[:, None, None] * np.exp(a1[:, None, None] * data.w[None, :, :])
-    lt = lam * data.t[None, :, :]
-    S = np.exp(-lt)
-    F = -np.expm1(-lt)
-    r = data.r[None, :, :]
-    with np.errstate(all="ignore"):
-        if beta == 0.0:
-            t_fail = np.where(r > 0, r * (np.log(r) - np.log(F)), 0.0)
-            t_surv = np.where(r < 1, (1 - r) * (np.log1p(-r) + lt), 0.0)
-            vals = np.sum(t_fail + t_surv, axis=(1, 2))
-        else:
-            kernel = (
-                F ** (beta + 1.0)
-                + S ** (beta + 1.0)
-                - (1.0 + beta) / beta * (r * F**beta + (1.0 - r) * S**beta)
-            )
-            vals = np.sum(kernel, axis=(1, 2))
+    lam = a0[:, None, None] * np.exp(a1[:, None, None] * data.w)
+    lt, F, S, _ = _cells(lam, data.t)
+    vals = np.sum(_dpd_terms(data.r, F, S, lt, beta), axis=(1, 2))
     vals = np.where(np.isnan(vals), np.inf, vals)
     best = vals.min()
     if not np.isfinite(best):
@@ -291,15 +249,12 @@ def _newton(theta0: np.ndarray, data: _CellData, beta: float,
         moved = lam * np.max(np.abs(step))
         theta = trial
         fval = ftrial
-        if moved < config.step_tol:
+        # a stalled step or the last iteration: report the final gradient
+        if moved < config.step_tol or iterations == config.max_iters:
             g, _, clamped = _grad_hess_theta(theta, data, beta)
             clamped_any |= clamped
             grad_norm = float(np.max(np.abs(g)))
             break
-    else:
-        g, _, clamped = _grad_hess_theta(theta, data, beta)
-        clamped_any |= clamped
-        grad_norm = float(np.max(np.abs(g)))
     return theta, fval, grad_norm, iterations, clamped_any
 
 
@@ -322,33 +277,22 @@ def fit(table: FailureTable, beta: float, config: SolverConfig | None = None
             "degenerates toward a boundary and is not returned"
         )
     data = _CellData(table)
-    if config.grid_init:
-        starts = _grid_candidates(data, beta)
-        if config.init is not None:
-            starts.insert(
-                0, np.array([np.log(config.init.alpha0), config.init.alpha1])
-            )
-    else:
-        starts = [np.array([np.log(config.init.alpha0), config.init.alpha1])]
+    starts = _grid_candidates(data, beta) if config.grid_init else []
+    if config.init is not None:
+        starts.insert(0, _theta_of(config.init))
 
     runs = [_newton(s, data, beta, config) for s in starts]
-    finals = [r for r in runs if np.isfinite(r[1])]
-    if not finals:
-        finals = runs
+    finals = [r for r in runs if np.isfinite(r[1])] or runs
     # among objective values equal to rounding, prefer the best-polished run
     f_best = min(r[1] for r in finals)
     close = [r for r in finals
              if r[1] <= f_best + 1e-12 * max(1.0, abs(f_best))]
     best = min(close, key=lambda r: (r[2], r[0][0], r[0][1]))
     theta, fval, grad_norm, iterations, clamped = best
-    spread = 0.0
     converged_thetas = [r[0] for r in finals if r[2] <= config.grad_tol]
-    for i in range(len(converged_thetas)):
-        for j in range(i + 1, len(converged_thetas)):
-            spread = max(
-                spread,
-                float(np.max(np.abs(converged_thetas[i] - converged_thetas[j]))),
-            )
+    spread = max((float(np.max(np.abs(a - b)))
+                  for a, b in itertools.combinations(converged_thetas, 2)),
+                 default=0.0)
     params = ModelParams(float(np.exp(theta[0])), float(theta[1]))
     try:
         covariance = inference.sandwich(params, table.plan, beta)
@@ -383,13 +327,10 @@ def fit_path(table: FailureTable, betas, config: SolverConfig | None = None
         raise ValueError("betas must be sorted ascending")
     if config is None:
         config = SolverConfig()
-    results: list[FitResult] = []
-    for k, beta in enumerate(betas):
-        if k == 0:
-            results.append(fit(table, beta, config))
-        else:
-            warm = dataclasses.replace(
-                config, grid_init=False, init=results[-1].params
-            )
-            results.append(fit(table, beta, warm))
+    results = [fit(table, betas[0], config)]
+    for beta in betas[1:]:
+        warm = dataclasses.replace(
+            config, grid_init=False, init=results[-1].params
+        )
+        results.append(fit(table, beta, warm))
     return results

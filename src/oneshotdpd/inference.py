@@ -7,25 +7,39 @@ Unbalanced plans weight each cell's contribution by ``K_ij / Kbar`` (mean
 cell size) and use ``sqrt(Kbar)`` in the test normalization, which reduces
 exactly to the balanced formulas when all cells have the same size.
 
-Normal tail probabilities and quantiles come from scipy's ``ndtr``/``ndtri``
-(double precision rational approximations, error well below 1e-12).
+Normal tail probabilities and quantiles come from :func:`ndtr` (``math.erfc``)
+and :func:`ndtri` (``statistics.NormalDist``, Wichura's AS241); both agree
+with scipy's functions of the same names to a few units in the last place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from .divergence import _bracket, _theta_cell_sum
 from .errors import DegenerateVariance, InfeasibleDesign, SingularInformation
-from .model import ModelParams, TestPlan, cell_probs
+from .model import ModelParams, TestPlan, _plan_cells
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import FitResult
 
 _COND_LIMIT = 1e12
+_STD_NORMAL = NormalDist()
+
+
+def ndtr(x: float) -> float:
+    """Standard normal distribution function Phi(x)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def ndtri(p: float) -> float:
+    """Standard normal quantile function, the inverse of :func:`ndtr`."""
+    return _STD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -84,26 +98,16 @@ class ZTestResult:
         return bool(abs(self.statistic) > -ndtri(level / 2.0))
 
 
-def _stress_outer(alpha0: float, w: float) -> np.ndarray:
-    return np.array(
-        [[1.0 / alpha0**2, w / alpha0], [w / alpha0, w**2]]
-    )
-
-
-def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.T) / 2.0
-
-
-def _weighted_cell_sum(params: ModelParams, plan: TestPlan,
-                       factors: np.ndarray) -> np.ndarray:
-    """Sum of per-stress outer-product blocks times per-cell scalar factors."""
+def _alpha_cell_sum(params: ModelParams, plan: TestPlan, factor
+                    ) -> np.ndarray:
+    """Cell sum of ``(K_ij/Kbar) (t f)^2 factor(F, S)`` times the (1, w)
+    outer product, taken in theta = (log alpha0, alpha1) coordinates and
+    carried to (alpha0, alpha1) by the Jacobian diag(1/alpha0, 1)."""
+    _, F, S, f = _plan_cells(params, plan)
     weights = plan.devices / plan.mean_devices
-    total = np.zeros((2, 2))
-    for i, w in enumerate(plan.temps):
-        total += _stress_outer(params.alpha0, w) * float(
-            np.sum(weights[i] * factors[i])
-        )
-    return _symmetrized(total)
+    a = weights * ((plan.times * f) ** 2 * factor(F, S))
+    jac = np.array([1.0 / params.alpha0, 1.0])
+    return _theta_cell_sum(a, plan.temps[:, None]) * np.outer(jac, jac)
 
 
 def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
@@ -115,22 +119,16 @@ def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
 
     with cells weighted by K_ij / Kbar on unbalanced plans.
     """
-    F, S, f = cell_probs(params, plan)
-    factors = (plan.times[None, :] * f) ** 2 * (
-        F ** (beta - 1.0) + S ** (beta - 1.0)
-    )
-    return _weighted_cell_sum(params, plan, factors)
+    return _alpha_cell_sum(params, plan,
+                           lambda F, S: _bracket(F, S, beta - 1.0))
 
 
 def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
     """Score-variance matrix of the divergence fit (the sandwich "meat")."""
-    F, S, f = cell_probs(params, plan)
-    factors = (plan.times[None, :] * f) ** 2 * (
-        F ** (2.0 * beta - 1.0)
-        + S ** (2.0 * beta - 1.0)
-        - (F**beta - S**beta) ** 2
+    return _alpha_cell_sum(
+        params, plan,
+        lambda F, S: _bracket(F, S, 2.0 * beta - 1.0) - (F**beta - S**beta) ** 2,
     )
-    return _weighted_cell_sum(params, plan, factors)
 
 
 def fisher_information(params: ModelParams, plan: TestPlan) -> np.ndarray:
@@ -139,9 +137,7 @@ def fisher_information(params: ModelParams, plan: TestPlan) -> np.ndarray:
     Equals ``j_bar(params, plan, 0) / (I*J)`` for every plan (the cell
     weighting carries over on unbalanced plans).
     """
-    F, S, f = cell_probs(params, plan)
-    factors = (plan.times[None, :] * f) ** 2 / (F * S)
-    return _weighted_cell_sum(params, plan, factors) / plan.n_cells
+    return j_bar(params, plan, 0.0) / plan.n_cells
 
 
 def _inverse_2x2(mat: np.ndarray) -> np.ndarray:
@@ -172,10 +168,22 @@ def sandwich(params: ModelParams, plan: TestPlan, beta: float
     jb = j_bar(params, plan, beta)
     kb = k_bar(params, plan, beta)
     j_inv = _inverse_2x2(jb)
-    sigma = _symmetrized(j_inv @ kb @ j_inv)
+    sigma = j_inv @ kb @ j_inv
+    sigma = (sigma + sigma.T) / 2.0
     return SandwichCovariance(
         j_bar=jb, k_bar=kb, sigma=sigma, at_params=params, beta=float(beta)
     )
+
+
+def _tested_variance(params: ModelParams, plan: TestPlan, beta: float,
+                     hyp: LinearHypothesis) -> float:
+    """``m' Sigma m`` of the sandwich at ``params``; strictly positive."""
+    variance = float(hyp.m @ sandwich(params, plan, beta).sigma @ hyp.m)
+    if not np.isfinite(variance) or variance <= 0.0:
+        raise DegenerateVariance(
+            f"m' Sigma m = {variance!r} is not strictly positive"
+        )
+    return variance
 
 
 def z_statistic(fit: "FitResult", plan: TestPlan, hyp: LinearHypothesis
@@ -186,14 +194,9 @@ def z_statistic(fit: "FitResult", plan: TestPlan, hyp: LinearHypothesis
     the (mean) per-cell device count.  The two-sided p-value is
     2 (1 - Phi(|Z|)).
     """
-    cov = sandwich(fit.params, plan, fit.beta)
-    variance = float(hyp.m @ cov.sigma @ hyp.m)
-    if not np.isfinite(variance) or variance <= 0.0:
-        raise DegenerateVariance(
-            f"m' Sigma m = {variance!r} is not strictly positive"
-        )
+    variance = _tested_variance(fit.params, plan, fit.beta, hyp)
     z = np.sqrt(plan.mean_devices / variance) * hyp.effect(fit.params)
-    p = 2.0 * float(ndtr(-abs(z)))
+    p = 2.0 * ndtr(-abs(z))
     return ZTestResult(statistic=float(z), p_value=p, fit=fit)
 
 
@@ -220,18 +223,13 @@ def approximate_power(
         raise ValueError("level must be in (0, 1)")
     if devices < 1:
         raise ValueError("devices must be >= 1")
-    cov = sandwich(params_star, plan, beta)
-    variance = float(hyp.m @ cov.sigma @ hyp.m)
-    if variance <= 0.0:
-        raise DegenerateVariance(
-            f"m' Sigma m = {variance!r} is not strictly positive"
-        )
+    variance = _tested_variance(params_star, plan, beta, hyp)
     effect = hyp.effect(params_star)
     if abs_effect:
         effect = abs(effect)
     z_crit = -ndtri(level / 2.0)
     shift = np.sqrt(devices / variance) * effect
-    return min(2.0 * float(ndtr(-(z_crit - shift))), 1.0)
+    return min(2.0 * ndtr(-(z_crit - shift)), 1.0)
 
 
 def required_devices(
@@ -261,12 +259,7 @@ def required_devices(
             "m' alpha equals d at the design point; no device count can "
             "reach the target power"
         )
-    cov = sandwich(params_star, plan, beta)
-    variance = float(hyp.m @ cov.sigma @ hyp.m)
-    if variance <= 0.0:
-        raise DegenerateVariance(
-            f"m' Sigma m = {variance!r} is not strictly positive"
-        )
+    variance = _tested_variance(params_star, plan, beta, hyp)
     z_crit = -ndtri(level / 2.0)
     gap = z_crit - ndtri(1.0 - target_power / 2.0)
     k_real = variance * gap**2 / effect**2

@@ -25,6 +25,9 @@ from .estimator import FitResult
 from .inference import SandwichCovariance
 from .model import FailureTable, ModelParams, TestPlan
 
+# most points one start:step:stop item of a tuning-parameter list may expand to
+_MAX_GRID_POINTS = 10_000
+
 
 def _read_rows(path, columns):
     try:
@@ -159,7 +162,13 @@ def parse_betas(text: str) -> list[float]:
                 raise ParseError(
                     f"grid item {item!r} needs step > 0 and stop >= start"
                 )
-            count = int(round((stop - start) / step))
+            span = (stop - start) / step
+            # checked before the grid is built; a NaN or infinite span fails too
+            if not span < _MAX_GRID_POINTS - 0.5:
+                raise ParseError(
+                    f"grid item {item!r} has more than {_MAX_GRID_POINTS} points"
+                )
+            count = int(round(span))
             grid = [start + k * step for k in range(count + 1)]
             values.extend(v for v in grid if v <= stop + 1e-9)
         else:

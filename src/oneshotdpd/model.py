@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalOverflow
+
 
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -172,8 +174,18 @@ class ProbabilityVector:
 # ----------------------------------------------------------------------
 
 def hazard(params: ModelParams, w: float) -> float:
-    """Failure rate alpha0 * exp(alpha1 * w) at stress level ``w``."""
-    return params.alpha0 * math.exp(params.alpha1 * w)
+    """Failure rate alpha0 * exp(alpha1 * w) at stress level ``w``.
+
+    Raises :class:`~oneshotdpd.errors.NumericalOverflow` when the rate
+    exceeds the double range.
+    """
+    try:
+        rate = params.alpha0 * math.exp(params.alpha1 * w)
+    except OverflowError:
+        rate = math.inf
+    if math.isinf(rate):
+        raise NumericalOverflow(f"failure rate at stress {w!r} overflows")
+    return rate
 
 
 def cdf(params: ModelParams, w: float, t: float) -> float:
@@ -199,14 +211,34 @@ def reliability(params: ModelParams, w: float, t: float) -> float:
 
 
 def mean_lifetime(params: ModelParams, w: float) -> float:
-    """Expected lifetime 1 / lambda(w) at stress ``w``."""
-    return 1.0 / hazard(params, w)
+    """Expected lifetime 1 / lambda(w) at stress ``w``.
+
+    Raises :class:`~oneshotdpd.errors.NumericalOverflow` when the rate
+    underflows so far that its reciprocal exceeds the double range.
+    """
+    rate = hazard(params, w)
+    life = 1.0 / rate if rate != 0.0 else math.inf
+    if math.isinf(life):
+        raise NumericalOverflow(f"mean lifetime at stress {w!r} overflows")
+    return life
 
 
-def cell_rates(params: ModelParams, plan: TestPlan) -> np.ndarray:
-    """I x J array of failure rates, one per plan cell."""
-    rates = params.alpha0 * np.exp(params.alpha1 * plan.temps)
-    return np.repeat(rates[:, None], plan.times.size, axis=1)
+def _cells(lam, t):
+    """Per-cell ``(lambda t, F, S, f)`` for rates ``lam`` at times ``t``.
+
+    The inputs broadcast, so a leading batch axis passes straight through.
+    ``F`` and ``S = exp(-lambda t)`` each take their own exact path, and
+    ``f`` is the lifetime density at ``t``.
+    """
+    lt = lam * t
+    S = np.exp(-lt)
+    return lt, -np.expm1(-lt), S, lam * S
+
+
+def _plan_cells(params: ModelParams, plan: TestPlan):
+    """:func:`_cells` over the I x J plan grid at ``params``."""
+    lam = params.alpha0 * np.exp(params.alpha1 * plan.temps)[:, None]
+    return _cells(lam, plan.times)
 
 
 def cell_probs(params: ModelParams, plan: TestPlan):
@@ -219,12 +251,7 @@ def cell_probs(params: ModelParams, plan: TestPlan):
         ``S = 1 - F`` computed on its own exact path (``exp(-lambda t)``),
         and ``f`` the lifetime density at the inspection time.
     """
-    lam = params.alpha0 * np.exp(params.alpha1 * plan.temps)[:, None]
-    lt = lam * plan.times[None, :]
-    S = np.exp(-lt)
-    F = -np.expm1(-lt)
-    f = lam * S
-    return F, S, f
+    return _plan_cells(params, plan)[1:]
 
 
 def theoretical_probs(params: ModelParams, plan: TestPlan) -> ProbabilityVector:

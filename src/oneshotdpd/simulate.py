@@ -21,11 +21,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateVariance, NoInteriorData, SingularInformation
 from .estimator import SolverConfig, fit
-from .inference import LinearHypothesis, z_statistic
+from .inference import LinearHypothesis, ndtri, z_statistic
 from .model import FailureTable, ModelParams, TestPlan, cell_probs
 
 _MODES = ("none", "alpha0_shift", "alpha1_shift")
@@ -158,7 +157,8 @@ class SimulationReport:
                      "rejection_rate"):
             val = getattr(self, name)
             if val is not None:
-                out[name] = list(val)
+                # a beta without a usable fit has no value: null, not NaN
+                out[name] = [None if np.isnan(v) else v for v in val]
         return out
 
     def to_json(self) -> str:

@@ -128,6 +128,21 @@ class TestLogLikelihoodIdentity:
         bad = ModelParams(0.1, 0.1)
         assert log_likelihood(table1, good) > log_likelihood(table1, bad)
 
+    def test_kl_objective_matches_solver_objective(self):
+        # all-failure cells at a large rate: S underflows to 0 there, so
+        # log S is -inf while the exact log survival -lambda t stays finite
+        from oneshotdpd.estimator import _CellData, _objective_theta
+
+        plan = TestPlan(temps=[35, 45], times=[10, 20],
+                        devices=[[10, 10], [10, 10]])
+        table = FailureTable(plan=plan, counts=[[3, 10], [10, 10]])
+        params = ModelParams(5.0, 0.1)
+        value = dpd_objective(table, params, 0.0)
+        theta = np.array([np.log(params.alpha0), params.alpha1])
+        solver = _objective_theta(theta, _CellData(table), 0.0)
+        assert np.isfinite(value)
+        assert value == pytest.approx(solver, rel=1e-12, abs=0.0)
+
 
 class TestObjectiveRelations:
     def test_affine_relation_to_vector_dpd(self, table1):

@@ -215,6 +215,19 @@ class TestZStatistic:
         expected = 2.0 * (1.0 - ndtr(abs(test.statistic)))
         assert test.p_value == pytest.approx(expected, abs=1e-12)
 
+    def test_normal_functions_match_scipy(self):
+        from scipy import special
+
+        from oneshotdpd.inference import ndtr, ndtri
+
+        for x in np.linspace(-38.0, 8.0, 461):
+            assert ndtr(x) == pytest.approx(special.ndtr(x), abs=1e-15,
+                                            rel=1e-14)
+        for p in np.concatenate([np.geomspace(1e-300, 0.5, 300),
+                                 np.linspace(0.5, 1.0, 101)[1:-1]]):
+            assert ndtri(p) == pytest.approx(special.ndtri(p), rel=1e-14,
+                                             abs=1e-15)
+
     def test_hypothesis_validation(self):
         with pytest.raises(ValueError):
             LinearHypothesis(m=np.array([0.0, 0.0]), d=0.1)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oneshotdpd.io as io_module
 from oneshotdpd import ParseError, fit
 from oneshotdpd.cli import main
 from oneshotdpd.datasets import dataset_path
@@ -123,6 +128,22 @@ class TestBetaParsing:
             parse_betas("-0.5")
         with pytest.raises(ParseError):
             parse_betas("")
+
+    def test_grid_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(io_module, "_MAX_GRID_POINTS", 11)
+        assert len(parse_betas("0:0.1:1")) == 11
+        with pytest.raises(ParseError, match="more than 11 points"):
+            parse_betas("0:0.1:1.1")
+
+    @pytest.mark.parametrize("item", ["0:1e-9:1", "0:1e-320:1"])
+    def test_huge_grid_refused_before_it_is_built(self, item, monkeypatch):
+        def bounded_range(*args):
+            assert args[-1] <= io_module._MAX_GRID_POINTS, "grid was built"
+            return range(*args)
+
+        monkeypatch.setattr(io_module, "range", bounded_range, raising=False)
+        with pytest.raises(ParseError, match="more than"):
+            parse_betas(item)
 
 
 class TestJsonRoundTrip:
@@ -272,6 +293,56 @@ class TestCli:
         assert code == 3
         doc = json.loads(out)
         assert doc["errors"][0]["code"] == "NoInteriorData"
+
+    @pytest.mark.parametrize("params", ["0.005,1000", "0.005,-1000"])
+    def test_reliability_overflow_is_typed_error(self, params, capsys):
+        # the rate overflows (1000) or its reciprocal does (-1000)
+        code, out = self.run(["reliability", "--params", params, "--w0",
+                              "25", "--mission-times", "1"], capsys)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["errors"][0]["code"] == "NumericalOverflow"
+        assert doc["results"] == {}
+
+    def test_simulate_without_usable_fits_writes_null(self, tmp_path, capsys):
+        # one device per cell: no cell can lie strictly between 0 and K,
+        # so every fit is refused and no beta keeps a usable fit
+        spec = {
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 1},
+            "true_params": [1e-6, 0.01],
+            "betas": [0, 0.5],
+            "replications": 5,
+            "seed": 1,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "study.csv"
+        code, text = self.run(["simulate", "--spec", str(spec_path),
+                               "--output", str(out)], capsys)
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"bare {token} in JSON")
+
+        doc = json.loads(text, parse_constant=refuse)
+        report = doc["results"]["reports"][0]
+        assert report["used"] == [0, 0]
+        for name in ("rmse_alpha0", "rmse_alpha1", "rmse_combined"):
+            assert report[name] == [None, None]
+        # the CSV keeps its nan cells
+        assert out.read_text().splitlines()[1:] == [
+            "0.0,,nan,nan,nan,,0,5", "0.5,,nan,nan,nan,,0,5"]
+
+    def test_import_leaves_scipy_out(self):
+        # import this same checkout of the package in a fresh interpreter
+        src = str(Path(io_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, oneshotdpd; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_output_file_written(self, tmp_path, capsys):
         target = tmp_path / "fit.json"
