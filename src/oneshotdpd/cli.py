@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,7 +54,17 @@ def _parse_floats(text: str, expect: int | None = None) -> list[float]:
         raise ParseError(f"expected comma-separated numbers, got {text!r}") from None
     if expect is not None and len(values) != expect:
         raise ParseError(f"expected {expect} comma-separated numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"expected finite numbers, got {text!r}")
     return values
+
+
+def _check_finite_options(args) -> None:
+    """Refuse NaN and infinite values of the ``type=float`` options."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"--{name.replace('_', '-')} must be finite, "
+                             f"got {value!r}")
 
 
 def _hypothesis_from(args) -> LinearHypothesis:
@@ -259,7 +270,7 @@ def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:
             hypothesis=hypothesis,
             level=level,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad simulation spec: {exc}") from exc
     return spec, doc.get("study", "rmse"), doc.get("sweep"), generated
 
@@ -411,10 +422,13 @@ def _emit(payload: dict, args) -> None:
 
 
 def _config_echo(args) -> dict:
+    """The parsed options; a non-finite float is echoed as its text, since
+    JSON has no NaN or infinity."""
     skip = {"handler", "command"}
     return {
         "command": args.command,
-        **{k: v for k, v in sorted(vars(args).items()) if k not in skip},
+        **{k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+           for k, v in sorted(vars(args).items()) if k not in skip},
     }
 
 
@@ -424,6 +438,7 @@ def main(argv=None) -> int:
     payload = {"config": _config_echo(args), "results": {}, "diagnostics": {},
                "errors": []}
     try:
+        _check_finite_options(args)
         body = args.handler(args)
     except ParseError as exc:
         payload["errors"] = [{"code": exc.code, "message": str(exc)}]

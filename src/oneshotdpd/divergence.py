@@ -96,14 +96,26 @@ def _bracket(F, S, p: float):
     return F**p + S**p
 
 
-def _theta_cell_sum(a, w) -> np.ndarray:
+def _cell_sum(a) -> np.ndarray:
+    """Sum over the trailing (I, J) cell axes; leading row axes remain."""
+    return np.sum(a, axis=(-2, -1))
+
+
+def _w_powers(w) -> np.ndarray:
+    """``(1, w, w^2)`` stacked on a new leading axis."""
+    return np.stack([np.ones_like(w), w, w**2])
+
+
+def _theta_cell_sum(a, w_powers) -> np.ndarray:
     """``[[sum a, sum a w], [sum a w, sum a w^2]]`` over the cells.
 
     This is the cell sum of ``a`` times the outer product of the gradient
-    ``(1, w)`` of ``log lambda`` in ``theta = (log alpha0, alpha1)``.
+    ``(1, w)`` of ``log lambda`` in ``theta = (log alpha0, alpha1)``;
+    ``w_powers`` comes from :func:`_w_powers`.  ``a`` may carry leading row
+    axes; the result then has shape (..., 2, 2).
     """
-    aw = np.sum(a * w)
-    return np.array([[np.sum(a), aw], [aw, np.sum(a * w**2)]])
+    sums = _cell_sum(a[..., None, :, :] * w_powers)
+    return sums[..., [0, 1, 1, 2]].reshape(sums.shape[:-1] + (2, 2))
 
 
 def log_likelihood(table: FailureTable, params: ModelParams) -> float:

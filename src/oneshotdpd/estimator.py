@@ -8,6 +8,10 @@ and runs Newton steps safeguarded by a backtracking line search.  Cold
 starts scan a coarse log-spaced grid first; the estimating equations can be
 flat or multimodal under heavy contamination, so the top grid candidates
 are each refined and disagreements are reported as a diagnostic.
+
+The solver works on rows: a single fit refines all its starts as one
+batch, and the Monte-Carlo harness solves a whole block of tables at once,
+each row with its own iteration, line search and stopping rule.
 """
 
 from __future__ import annotations
@@ -19,16 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .divergence import _bracket, _check_beta, _dpd_terms, _theta_cell_sum
+from .divergence import (_bracket, _cell_sum, _check_beta, _dpd_terms,
+                         _theta_cell_sum, _w_powers)
 from .errors import NoInteriorData, SingularInformation
-from .model import FailureTable, ModelParams, _cells
+from .model import FailureTable, ModelParams, TestPlan, _cells
 
 _F_MIN = 1e-300
 _F_MAX = 1.0 - 1e-16
 _EQ_CAP = 1e30
 
-_GRID_ALPHA0 = np.geomspace(1e-6, 1.0, 41)
-_GRID_ALPHA1 = np.linspace(-1.0, 1.0, 41)
+# the axes of the 41 x 41 cold-start grid
+_GRID_A0 = np.geomspace(1e-6, 1.0, 41)
+_GRID_LOG_A0 = np.log(_GRID_A0)
+_GRID_A1 = np.linspace(-1.0, 1.0, 41)
 
 
 @dataclass(frozen=True)
@@ -82,13 +89,17 @@ class FitResult:
 
 
 class _CellData:
-    """Plan arrays unpacked once per fit."""
+    """Plan arrays unpacked once per fit or study.
 
-    def __init__(self, table: FailureTable):
-        plan = table.plan
+    The kernels below take the observed failure fractions ``r`` next to
+    this: shape (I, J) for one table with theta of shape (2,), or
+    (rows, I, J) for a block of tables with theta of shape (rows, 2).
+    """
+
+    def __init__(self, plan: TestPlan):
         self.w = plan.temps[:, None]
         self.t = plan.times[None, :]
-        self.r = table.frequencies
+        self.w_powers = _w_powers(self.w)
         self.n_cells = plan.n_cells
         self.k_mean = plan.mean_devices
 
@@ -98,27 +109,32 @@ def _theta_of(params: ModelParams) -> np.ndarray:
 
 
 def _cells_at(theta: np.ndarray, data: _CellData):
-    return _cells(np.exp(theta[0] + theta[1] * data.w), data.t)
+    theta = theta[..., None, None]
+    return _cells(np.exp(theta[..., 0, :, :] + theta[..., 1, :, :] * data.w),
+                  data.t)
 
 
-def _objective_theta(theta: np.ndarray, data: _CellData, beta: float) -> float:
+def _objective_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
+                     beta: float):
+    """Objective at theta (..., 2); NaN is reported as +inf."""
     lt, F, S, _ = _cells_at(theta, data)
-    val = np.sum(_dpd_terms(data.r, F, S, lt, beta)) / data.n_cells
-    return float(val) if not np.isnan(val) else np.inf
+    val = _cell_sum(_dpd_terms(r, F, S, lt, beta)) / data.n_cells
+    return np.where(np.isnan(val), np.inf, val)
 
 
-def _grad_hess_theta(theta: np.ndarray, data: _CellData, beta: float):
-    """Gradient and Hessian in theta coordinates, with boundary guards.
+def _grad_hess_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
+                     beta: float):
+    """Gradient (..., 2) and Hessian (..., 2, 2) in theta coordinates, with
+    boundary guards.
 
     Exponents like F^(beta-1) blow up as F -> 0 for beta < 1; F and S are
     clamped into [1e-300, 1 - 1e-16] on that path and the clamping is
-    reported so callers can flag the fit.
+    reported per row so callers can flag the fit.
     """
     lt, F, S, f = _cells_at(theta, data)
-    clamped = bool(np.any(F < _F_MIN) or np.any(F > _F_MAX))
+    clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=(-2, -1))
     Fc = np.clip(F, _F_MIN, _F_MAX)
     Sc = np.clip(S, _F_MIN, _F_MAX)
-    r = data.r
     b = beta
     with np.errstate(all="ignore"):
         bracket = _bracket(Fc, Sc, b - 1.0)
@@ -128,8 +144,10 @@ def _grad_hess_theta(theta: np.ndarray, data: _CellData, beta: float):
         )
         tf = data.t * f
         curv = tf * (1.0 - lt)
-        g = np.array([np.sum(hp * tf), np.sum(hp * tf * data.w)]) / data.n_cells
-        H = _theta_cell_sum(hpp * tf * tf + hp * curv, data.w) / data.n_cells
+        g = _cell_sum((hp * tf)[..., None, :, :] * data.w_powers[:2])
+        g /= data.n_cells
+        H = _theta_cell_sum(hpp * tf * tf + hp * curv, data.w_powers)
+        H /= data.n_cells
     return g, H, clamped
 
 
@@ -153,8 +171,10 @@ def estimating_equations(
     ``full_output=True`` to receive a dict with the ``clamped`` flag.
     """
     beta = _check_beta(beta)
-    data = _CellData(table)
-    g, _, clamped = _grad_hess_theta(_theta_of(params), data, beta)
+    data = _CellData(table.plan)
+    g, _, clamped = _grad_hess_theta(_theta_of(params), table.frequencies,
+                                     data, beta)
+    clamped = bool(clamped)
     with np.errstate(all="ignore"):
         vals = g * (data.k_mean * data.n_cells / (beta + 1.0))
     if np.any(np.abs(vals) > _EQ_CAP) or np.any(~np.isfinite(vals)):
@@ -167,95 +187,227 @@ def estimating_equations(
     return out
 
 
-def _grid_candidates(data: _CellData, beta: float, n_starts: int = 3):
-    """Best coarse-grid points, deduplicated by basin distance."""
-    A0, A1 = np.meshgrid(_GRID_ALPHA0, _GRID_ALPHA1, indexing="ij")
-    a0 = A0.ravel()
-    a1 = A1.ravel()
-    lam = a0[:, None, None] * np.exp(a1[:, None, None] * data.w)
-    lt, F, S, _ = _cells(lam, data.t)
-    vals = np.sum(_dpd_terms(data.r, F, S, lt, beta), axis=(1, 2))
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    best = vals.min()
-    if not np.isfinite(best):
-        return [np.array([np.log(1e-3), 0.0])]
-    # ties within 1e-12 break toward the smallest alpha0, then alpha1
-    tied = np.flatnonzero(vals <= best + 1e-12)
-    tied = tied[np.lexsort((a1[tied], a0[tied]))]
-    first = tied[0]
-    order = np.argsort(vals, kind="stable")
-    starts = [np.array([np.log(a0[first]), a1[first]])]
-    for idx in order:
-        if len(starts) >= n_starts:
-            break
-        cand = np.array([np.log(a0[idx]), a1[idx]])
-        if not np.isfinite(vals[idx]):
-            break
-        if all(np.max(np.abs(cand - s)) >= 1.0 for s in starts):
-            starts.append(cand)
+class _GridTable:
+    """The data-free part of the cold-start scan at one (plan, beta).
+
+    Each cell's objective term is affine in its observed fraction r:
+    ``r * fail + (1 - r) * surv``, plus a data-only term at beta = 0 that
+    moves every grid point alike.  The table holds ``fail`` and ``surv``
+    for every cell and grid point, so scoring a block of tables costs one
+    (rows, grid) product per cell.  Build it once per plan and beta.
+    """
+
+    def __init__(self, plan: TestPlan, beta: float):
+        a0 = np.repeat(_GRID_A0, _GRID_A1.size)[:, None, None]
+        a1 = np.tile(_GRID_A1, _GRID_A0.size)[:, None, None]
+        with np.errstate(all="ignore"):
+            lt, F, S, _ = _cells(a0 * np.exp(a1 * plan.temps[:, None]),
+                                 plan.times)
+            if beta == 0.0:
+                fail, surv = -np.log(F), lt
+            else:
+                both = F ** (beta + 1.0) + S ** (beta + 1.0)
+                k = (1.0 + beta) / beta
+                fail, surv = both - k * F**beta, both - k * S**beta
+        # one contiguous (grid,) row per cell
+        self.fail = fail.reshape(len(F), -1).T.copy()
+        self.surv = surv.reshape(len(F), -1).T.copy()
+        self.beta = beta
+
+    def values(self, r: np.ndarray) -> np.ndarray:
+        """Unscaled objective (rows, grid) of the tables with fractions r.
+
+        A side whose fraction is 0 contributes nothing, even where its
+        model term is infinite (0 log 0 = 0); NaN is reported as +inf.
+        """
+        r = r.reshape(len(r), -1)
+        vals = np.zeros((len(r), self.fail.shape[1]))
+        term = np.empty_like(vals)
+        with np.errstate(all="ignore"):
+            if self.beta == 0.0:
+                vals += np.sum(np.where(r > 0, r * np.log(r), 0.0)
+                               + np.where(r < 1, (1 - r) * np.log1p(-r), 0.0),
+                               axis=1, keepdims=True)
+            for c in range(r.shape[1]):
+                rc = r[:, c, None]
+                np.add(vals, np.multiply(rc, self.fail[c], out=term),
+                       out=vals, where=rc > 0)
+                np.add(vals, np.multiply(1 - rc, self.surv[c], out=term),
+                       out=vals, where=rc < 1)
+        vals[np.isnan(vals)] = np.inf
+        return vals
+
+
+def _grid_theta(index: np.ndarray) -> np.ndarray:
+    """Theta (..., 2) of flat grid indices (alpha0-major)."""
+    i0, i1 = np.divmod(index, _GRID_A1.size)
+    return np.stack([_GRID_LOG_A0[i0], _GRID_A1[i1]], -1)
+
+
+def _grid_starts(grid: _GridTable, r: np.ndarray, n_starts: int = 3
+                 ) -> list[list[np.ndarray]]:
+    """Best coarse-grid points of each table, deduplicated by basin distance.
+
+    Returns one list of theta starts per row of ``r``.
+    """
+    vals = grid.values(r)
+    rows = np.arange(len(vals))
+    best = vals.min(axis=1)
+    # ties within 1e-12 break toward the smallest alpha0, then alpha1: the
+    # grid is flattened alpha0-major, so that is the smallest index
+    picks = [np.argmax(vals <= best[:, None] + 1e-12, axis=1)]
+    for _ in range(n_starts - 1):
+        # each further start is the best point at max-abs theta distance
+        # >= 1 from every earlier one (ties: the smallest index)
+        last = _grid_theta(picks[-1])
+        near = ((np.abs(_GRID_LOG_A0 - last[:, 0, None]) < 1.0)[:, :, None]
+                & (np.abs(_GRID_A1 - last[:, 1, None]) < 1.0)[:, None, :])
+        vals[near.reshape(vals.shape)] = np.inf
+        pick = vals.argmin(axis=1)
+        picks.append(np.where(np.isfinite(vals[rows, pick]), pick, -1))
+    starts = []
+    for row in rows:
+        if not np.isfinite(best[row]):
+            starts.append([np.array([np.log(1e-3), 0.0])])
+            continue
+        found = [p[row] for p in picks]
+        found = found[:found.index(-1)] if -1 in found else found
+        starts.append(list(_grid_theta(np.array(found))))
     return starts
 
 
-def _newton(theta0: np.ndarray, data: _CellData, beta: float,
-            config: SolverConfig):
+def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
+            beta: float, config: SolverConfig):
+    """Safeguarded Newton from every row of theta0 (n, 2) at once.
+
+    Row k fits the fractions ``r[k]``.  Each row follows its own iteration:
+    a Newton direction only when the Hessian is finite and positive
+    definite (otherwise steepest descent), steps capped at 5, Armijo
+    backtracking down to 1e-13, and the ``grad_tol``, ``step_tol`` and
+    ``max_iters`` stops.  Finished rows are masked out.  Returns per-row
+    arrays (theta, objective, grad_norm, iterations, clamped).
+    """
+    n = len(theta0)
     theta = theta0.copy()
-    fval = _objective_theta(theta, data, beta)
-    clamped_any = False
-    iterations = 0
-    grad_norm = np.inf
-    for iterations in range(1, config.max_iters + 1):
-        g, H, clamped = _grad_hess_theta(theta, data, beta)
-        clamped_any |= clamped
-        grad_norm = float(np.max(np.abs(g)))
-        if not np.isfinite(grad_norm):
-            break
-        if grad_norm <= config.grad_tol:
-            break
-        step = None
-        # Newton direction only when the Hessian is safely positive definite
-        if np.all(np.isfinite(H)) and H[0, 0] > 0.0:
-            det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-            if det > 0.0:
-                step = np.array(
-                    [
-                        (-g[0] * H[1, 1] + g[1] * H[0, 1]) / det,
-                        (g[0] * H[1, 0] - g[1] * H[0, 0]) / det,
-                    ]
-                )
-        if step is None or not np.all(np.isfinite(step)):
-            step = -g
-        slope = float(np.dot(g, step))
-        if slope >= 0.0:
-            step = -g
-            slope = -float(np.dot(g, g))
-        size = np.max(np.abs(step))
-        if size > 5.0:
-            step = step * (5.0 / size)
-            slope = float(np.dot(g, step))
+    fval = _objective_theta(theta, r, data, beta)
+    grad_norm = np.full(n, np.inf)
+    iterations = np.zeros(n, dtype=int)
+    clamped = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for it in range(1, config.max_iters + 1):
+        ra = r[active]
+        g, H, cl = _grad_hess_theta(theta[active], ra, data, beta)
+        clamped[active] |= cl
+        iterations[active] = it
+        gn = np.abs(g).max(axis=1)
+        grad_norm[active] = gn
+        go = np.isfinite(gn) & (gn > config.grad_tol)
+        if not go.all():
+            active, g, H, ra = active[go], g[go], H[go], ra[go]
+            if active.size == 0:
+                break
+        step, slope = _direction(g, H)
+        th, f0 = theta[active], fval[active]
         # rounding allowance: near the optimum the true decrease drops below
         # double resolution of the objective; without it the search stalls
-        allowance = 4e-16 * max(1.0, abs(fval))
-        lam = 1.0
-        accepted = False
-        while lam >= 1e-13:
-            trial = theta + lam * step
-            ftrial = _objective_theta(trial, data, beta)
-            if ftrial <= fval + 1e-4 * lam * slope + allowance:
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            break
-        moved = lam * np.max(np.abs(step))
-        theta = trial
-        fval = ftrial
+        allowance = 4e-16 * np.maximum(1.0, np.abs(f0))
+        lam = np.ones(active.size)
+        accepted = np.zeros(active.size, dtype=bool)
+        pending = np.arange(active.size)
+        while pending.size:
+            trial = th[pending] + lam[pending, None] * step[pending]
+            ftrial = _objective_theta(trial, ra[pending], data, beta)
+            ok = ftrial <= (f0[pending] + 1e-4 * lam[pending] * slope[pending]
+                            + allowance[pending])
+            done = pending[ok]
+            accepted[done] = True
+            theta[active[done]] = trial[ok]
+            fval[active[done]] = ftrial[ok]
+            pending = pending[~ok]
+            lam[pending] *= 0.5
+            pending = pending[lam[pending] >= 1e-13]
+        moved = lam * np.abs(step).max(axis=1)
         # a stalled step or the last iteration: report the final gradient
-        if moved < config.step_tol or iterations == config.max_iters:
-            g, _, clamped = _grad_hess_theta(theta, data, beta)
-            clamped_any |= clamped
-            grad_norm = float(np.max(np.abs(g)))
+        final = accepted & ((moved < config.step_tol) | (it == config.max_iters))
+        if final.any():
+            rows = active[final]
+            g, _, cl = _grad_hess_theta(theta[rows], ra[final], data, beta)
+            clamped[rows] |= cl
+            grad_norm[rows] = np.abs(g).max(axis=1)
+        # a failed line search stops its row as well
+        active = active[accepted & ~final]
+        if active.size == 0:
             break
-    return theta, fval, grad_norm, iterations, clamped_any
+    return theta, fval, grad_norm, iterations, clamped
+
+
+def _direction(g: np.ndarray, H: np.ndarray):
+    """Per-row search direction and its slope g . step.
+
+    Newton only when the Hessian is finite and safely positive definite,
+    otherwise (or uphill) steepest descent; the step is capped at 5.
+    """
+    g0, g1 = g[:, 0], g[:, 1]
+    h00, h01, h10, h11 = H[:, 0, 0], H[:, 0, 1], H[:, 1, 0], H[:, 1, 1]
+    step = np.empty_like(g)
+    with np.errstate(all="ignore"):
+        det = h00 * h11 - h01 * h10
+        step[:, 0] = (-g0 * h11 + g1 * h01) / det
+        step[:, 1] = (g0 * h10 - g1 * h00) / det
+    newton = (np.isfinite(H).all(axis=(1, 2)) & (h00 > 0.0) & (det > 0.0)
+              & np.isfinite(step).all(axis=1))
+    if not newton.all():
+        step[~newton] = -g[~newton]
+    slope = _dot(g, step)
+    uphill = slope >= 0.0
+    if uphill.any():
+        step[uphill] = -g[uphill]
+        slope[uphill] = -_dot(g[uphill], g[uphill])
+    size = np.abs(step).max(axis=1)
+    big = size > 5.0
+    if big.any():
+        step[big] *= (5.0 / size[big])[:, None]
+        slope[big] = _dot(g[big], step[big])
+    return step, slope
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+
+
+def _solve(r: np.ndarray, data: _CellData, beta: float,
+           starts: list[list[np.ndarray]], config: SolverConfig):
+    """Refine every row's starts in one Newton batch; keep each row's best.
+
+    Row k of ``r`` (rows, I, J) is fitted from the thetas in ``starts[k]``.
+    Among runs with a finite objective, those within rounding of the least
+    objective compete and the best-polished one wins (smallest gradient,
+    then theta).  ``spread`` is the widest max-abs disagreement between a
+    row's converged runs.  Returns per-row arrays (theta, objective,
+    grad_norm, iterations, clamped, spread).
+    """
+    counts = np.array([len(s) for s in starts])
+    owner = np.repeat(np.arange(len(starts)), counts)
+    theta, fval, grad_norm, iterations, clamped = _newton(
+        np.array([s for row in starts for s in row]), r[owner], data, beta,
+        config)
+    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    best = first.copy()
+    spread = np.zeros(len(starts))
+    for row in np.flatnonzero(counts > 1):
+        runs = range(first[row], first[row] + counts[row])
+        finals = [k for k in runs if np.isfinite(fval[k])] or list(runs)
+        f_best = min(fval[k] for k in finals)
+        close = [k for k in finals
+                 if fval[k] <= f_best + 1e-12 * max(1.0, abs(f_best))]
+        best[row] = min(close, key=lambda k: (grad_norm[k], theta[k, 0],
+                                              theta[k, 1]))
+        done = theta[[k for k in finals if grad_norm[k] <= config.grad_tol]]
+        spread[row] = max((float(np.max(np.abs(a - b)))
+                           for a, b in itertools.combinations(done, 2)),
+                          default=0.0)
+    return (theta[best], fval[best], grad_norm[best], iterations[best],
+            clamped[best], spread)
 
 
 def fit(table: FailureTable, beta: float, config: SolverConfig | None = None
@@ -276,23 +428,12 @@ def fit(table: FailureTable, beta: float, config: SolverConfig | None = None
             "every cell is all-failure or all-survival; the estimate "
             "degenerates toward a boundary and is not returned"
         )
-    data = _CellData(table)
-    starts = _grid_candidates(data, beta) if config.grid_init else []
-    if config.init is not None:
-        starts.insert(0, _theta_of(config.init))
-
-    runs = [_newton(s, data, beta, config) for s in starts]
-    finals = [r for r in runs if np.isfinite(r[1])] or runs
-    # among objective values equal to rounding, prefer the best-polished run
-    f_best = min(r[1] for r in finals)
-    close = [r for r in finals
-             if r[1] <= f_best + 1e-12 * max(1.0, abs(f_best))]
-    best = min(close, key=lambda r: (r[2], r[0][0], r[0][1]))
-    theta, fval, grad_norm, iterations, clamped = best
-    converged_thetas = [r[0] for r in finals if r[2] <= config.grad_tol]
-    spread = max((float(np.max(np.abs(a - b)))
-                  for a, b in itertools.combinations(converged_thetas, 2)),
-                 default=0.0)
+    r = table.frequencies[None]
+    starts = [] if config.init is None else [_theta_of(config.init)]
+    if config.grid_init:
+        starts += _grid_starts(_GridTable(table.plan, beta), r)[0]
+    theta, fval, grad_norm, iterations, clamped, spread = (
+        v[0] for v in _solve(r, _CellData(table.plan), beta, [starts], config))
     params = ModelParams(float(np.exp(theta[0])), float(theta[1]))
     try:
         covariance = inference.sandwich(params, table.plan, beta)
@@ -301,13 +442,13 @@ def fit(table: FailureTable, beta: float, config: SolverConfig | None = None
     return FitResult(
         beta=beta,
         params=params,
-        objective=fval,
-        grad_norm=grad_norm,
-        iterations=iterations,
+        objective=float(fval),
+        grad_norm=float(grad_norm),
+        iterations=int(iterations),
         converged=bool(grad_norm <= config.grad_tol),
         covariance=covariance,
-        boundary_clamped=clamped,
-        multistart_spread=spread,
+        boundary_clamped=bool(clamped),
+        multistart_spread=float(spread),
     )
 
 

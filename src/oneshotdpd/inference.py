@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergence import _bracket, _theta_cell_sum
+from .divergence import _bracket, _theta_cell_sum, _w_powers
 from .errors import DegenerateVariance, InfeasibleDesign, SingularInformation
-from .model import ModelParams, TestPlan, _plan_cells
+from .model import ModelParams, TestPlan, _cells
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import FitResult
@@ -75,12 +75,14 @@ class LinearHypothesis:
             raise ValueError("m must be a length-2 vector")
         if not np.all(np.isfinite(m)) or np.all(m == 0.0):
             raise ValueError("m must be finite and non-zero")
+        if not np.isfinite(self.d):
+            raise ValueError(f"d must be finite, got {self.d!r}")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
     def effect(self, params: ModelParams) -> float:
         """Signed departure m' alpha - d at ``params``."""
-        return float(self.m @ params.as_array() - self.d)
+        return float(_effect(params.as_array(), self))
 
 
 @dataclass(frozen=True)
@@ -98,16 +100,31 @@ class ZTestResult:
         return bool(abs(self.statistic) > -ndtri(level / 2.0))
 
 
-def _alpha_cell_sum(params: ModelParams, plan: TestPlan, factor
+def _alpha_cell_sum(alpha: np.ndarray, plan: TestPlan, factor
                     ) -> np.ndarray:
     """Cell sum of ``(K_ij/Kbar) (t f)^2 factor(F, S)`` times the (1, w)
     outer product, taken in theta = (log alpha0, alpha1) coordinates and
-    carried to (alpha0, alpha1) by the Jacobian diag(1/alpha0, 1)."""
-    _, F, S, f = _plan_cells(params, plan)
+    carried to (alpha0, alpha1) by the Jacobian diag(1/alpha0, 1).
+
+    ``alpha`` holds (alpha0, alpha1) in its last axis; leading axes are
+    parameter rows, and the result has shape (..., 2, 2).
+    """
+    a0, a1 = alpha[..., 0, None, None], alpha[..., 1, None]
+    _, F, S, f = _cells(a0 * np.exp(a1 * plan.temps)[..., None], plan.times)
     weights = plan.devices / plan.mean_devices
     a = weights * ((plan.times * f) ** 2 * factor(F, S))
-    jac = np.array([1.0 / params.alpha0, 1.0])
-    return _theta_cell_sum(a, plan.temps[:, None]) * np.outer(jac, jac)
+    jac = np.stack([1.0 / alpha[..., 0], np.ones_like(alpha[..., 0])], -1)
+    return (_theta_cell_sum(a, _w_powers(plan.temps[:, None]))
+            * (jac[..., :, None] * jac[..., None, :]))
+
+
+def _j_factor(beta: float):
+    return lambda F, S: _bracket(F, S, beta - 1.0)
+
+
+def _k_factor(beta: float):
+    return lambda F, S: (_bracket(F, S, 2.0 * beta - 1.0)
+                         - (F**beta - S**beta) ** 2)
 
 
 def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
@@ -119,16 +136,12 @@ def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
 
     with cells weighted by K_ij / Kbar on unbalanced plans.
     """
-    return _alpha_cell_sum(params, plan,
-                           lambda F, S: _bracket(F, S, beta - 1.0))
+    return _alpha_cell_sum(params.as_array(), plan, _j_factor(beta))
 
 
 def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
     """Score-variance matrix of the divergence fit (the sandwich "meat")."""
-    return _alpha_cell_sum(
-        params, plan,
-        lambda F, S: _bracket(F, S, 2.0 * beta - 1.0) - (F**beta - S**beta) ** 2,
-    )
+    return _alpha_cell_sum(params.as_array(), plan, _k_factor(beta))
 
 
 def fisher_information(params: ModelParams, plan: TestPlan) -> np.ndarray:
@@ -140,21 +153,39 @@ def fisher_information(params: ModelParams, plan: TestPlan) -> np.ndarray:
     return j_bar(params, plan, 0.0) / plan.n_cells
 
 
-def _inverse_2x2(mat: np.ndarray) -> np.ndarray:
-    a, b, c = mat[0, 0], mat[0, 1], mat[1, 1]
-    if not np.all(np.isfinite(mat)):
-        raise SingularInformation("information matrix has non-finite entries")
+def _eigen_range(mat: np.ndarray):
+    """Smallest and largest eigenvalues of symmetric 2 x 2 matrices."""
+    a, b, c = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 1]
     half_trace = (a + c) / 2.0
     radius = np.hypot((a - c) / 2.0, b)
-    eig_min = half_trace - radius
-    eig_max = half_trace + radius
-    if eig_min <= 0.0 or eig_max / eig_min >= _COND_LIMIT:
-        raise SingularInformation(
-            f"information matrix is singular or ill-conditioned "
-            f"(eigenvalues {eig_min:.3e}, {eig_max:.3e})"
-        )
-    det = a * c - b * b
-    return np.array([[c, -b], [-b, a]]) / det
+    return half_trace - radius, half_trace + radius
+
+
+def _inverse_2x2(mat: np.ndarray):
+    """Inverses of the 2 x 2 matrices ``mat[..., :, :]``, and the mask of
+    those that may be inverted: finite, positive definite and with a
+    condition number below 1e12."""
+    a, b, c = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 1]
+    with np.errstate(all="ignore"):
+        eig_min, eig_max = _eigen_range(mat)
+        ok = (np.all(np.isfinite(mat), axis=(-2, -1)) & (eig_min > 0.0)
+              & (eig_max / eig_min < _COND_LIMIT))
+        inverse = (np.stack([np.stack([c, -b], -1), np.stack([-b, a], -1)], -2)
+                   / (a * c - b * b)[..., None, None])
+    return inverse, ok
+
+
+def _sandwich_rows(alpha: np.ndarray, plan: TestPlan, beta: float):
+    """``(j_bar, k_bar, sigma, ok)`` at each parameter row of ``alpha``
+    (n, 2); ``ok`` marks the rows whose ``j_bar`` passes the condition
+    guard of :func:`_inverse_2x2` (``sigma`` is meaningless elsewhere)."""
+    jb = _alpha_cell_sum(alpha, plan, _j_factor(beta))
+    kb = _alpha_cell_sum(alpha, plan, _k_factor(beta))
+    j_inv, ok = _inverse_2x2(jb)
+    with np.errstate(all="ignore"):
+        sigma = j_inv @ kb @ j_inv
+        sigma = (sigma + np.swapaxes(sigma, -1, -2)) / 2.0
+    return jb, kb, sigma, ok
 
 
 def sandwich(params: ModelParams, plan: TestPlan, beta: float
@@ -165,25 +196,57 @@ def sandwich(params: ModelParams, plan: TestPlan, beta: float
     sensitivity matrix cannot be inverted reliably (condition number at or
     above 1e12).
     """
-    jb = j_bar(params, plan, beta)
-    kb = k_bar(params, plan, beta)
-    j_inv = _inverse_2x2(jb)
-    sigma = j_inv @ kb @ j_inv
-    sigma = (sigma + sigma.T) / 2.0
+    jb, kb, sigma, ok = (v[0] for v in
+                         _sandwich_rows(params.as_array()[None], plan, beta))
+    if not np.all(np.isfinite(jb)):
+        raise SingularInformation("information matrix has non-finite entries")
+    if not ok:
+        eig_min, eig_max = _eigen_range(jb)
+        raise SingularInformation(
+            f"information matrix is singular or ill-conditioned "
+            f"(eigenvalues {eig_min:.3e}, {eig_max:.3e})"
+        )
     return SandwichCovariance(
         j_bar=jb, k_bar=kb, sigma=sigma, at_params=params, beta=float(beta)
     )
 
 
-def _tested_variance(params: ModelParams, plan: TestPlan, beta: float,
-                     hyp: LinearHypothesis) -> float:
+def _tested_variance(sigma: np.ndarray, hyp: LinearHypothesis):
+    """``m' Sigma m`` for each ``sigma[..., :, :]``, and the mask of the
+    values that are finite and strictly positive."""
+    m0, m1 = hyp.m
+    u = m0 * sigma[..., 0, :] + m1 * sigma[..., 1, :]
+    with np.errstate(all="ignore"):
+        variance = u[..., 0] * m0 + u[..., 1] * m1
+    return variance, np.isfinite(variance) & (variance > 0.0)
+
+
+def _checked_variance(params: ModelParams, plan: TestPlan, beta: float,
+                      hyp: LinearHypothesis) -> float:
     """``m' Sigma m`` of the sandwich at ``params``; strictly positive."""
-    variance = float(hyp.m @ sandwich(params, plan, beta).sigma @ hyp.m)
-    if not np.isfinite(variance) or variance <= 0.0:
+    variance, ok = _tested_variance(sandwich(params, plan, beta).sigma, hyp)
+    if not ok:
         raise DegenerateVariance(
-            f"m' Sigma m = {variance!r} is not strictly positive"
+            f"m' Sigma m = {float(variance)!r} is not strictly positive"
         )
-    return variance
+    return float(variance)
+
+
+def _effect(alpha: np.ndarray, hyp: LinearHypothesis) -> np.ndarray:
+    """Signed departure ``m' alpha - d`` at parameter rows ``alpha``."""
+    return hyp.m[0] * alpha[..., 0] + hyp.m[1] * alpha[..., 1] - hyp.d
+
+
+def _z_rows(alpha: np.ndarray, plan: TestPlan, beta: float,
+            hyp: LinearHypothesis) -> np.ndarray:
+    """Z statistics at parameter rows ``alpha`` (n, 2) with the sandwich
+    evaluated there; NaN where the sandwich is singular or ``m' Sigma m``
+    is not strictly positive."""
+    _, _, sigma, ok = _sandwich_rows(alpha, plan, beta)
+    variance, positive = _tested_variance(sigma, hyp)
+    with np.errstate(all="ignore"):
+        z = np.sqrt(plan.mean_devices / variance) * _effect(alpha, hyp)
+    return np.where(ok & positive, z, np.nan)
 
 
 def z_statistic(fit: "FitResult", plan: TestPlan, hyp: LinearHypothesis
@@ -194,7 +257,7 @@ def z_statistic(fit: "FitResult", plan: TestPlan, hyp: LinearHypothesis
     the (mean) per-cell device count.  The two-sided p-value is
     2 (1 - Phi(|Z|)).
     """
-    variance = _tested_variance(fit.params, plan, fit.beta, hyp)
+    variance = _checked_variance(fit.params, plan, fit.beta, hyp)
     z = np.sqrt(plan.mean_devices / variance) * hyp.effect(fit.params)
     p = 2.0 * ndtr(-abs(z))
     return ZTestResult(statistic=float(z), p_value=p, fit=fit)
@@ -223,7 +286,7 @@ def approximate_power(
         raise ValueError("level must be in (0, 1)")
     if devices < 1:
         raise ValueError("devices must be >= 1")
-    variance = _tested_variance(params_star, plan, beta, hyp)
+    variance = _checked_variance(params_star, plan, beta, hyp)
     effect = hyp.effect(params_star)
     if abs_effect:
         effect = abs(effect)
@@ -259,7 +322,7 @@ def required_devices(
             "m' alpha equals d at the design point; no device count can "
             "reach the target power"
         )
-    variance = _tested_variance(params_star, plan, beta, hyp)
+    variance = _checked_variance(params_star, plan, beta, hyp)
     z_crit = -ndtri(level / 2.0)
     gap = z_crit - ndtri(1.0 - target_power / 2.0)
     k_real = variance * gap**2 / effect**2

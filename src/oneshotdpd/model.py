@@ -15,6 +15,7 @@ between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,7 +105,7 @@ class TestPlan:
     def is_balanced(self) -> bool:
         return bool(np.all(self.devices == self.devices.flat[0]))
 
-    @property
+    @functools.cached_property
     def mean_devices(self) -> float:
         """Mean cell size; equals the common K for balanced plans."""
         return float(self.devices.mean())

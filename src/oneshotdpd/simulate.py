@@ -6,10 +6,20 @@ cell that the fitted model does not describe.  Studies report, per tuning
 parameter, either the root mean squared estimation error against the clean
 truth or the rejection proportion of the two-sided Z-type test.
 
+Studies are batched: replications are drawn and fitted in blocks of a
+fixed size, and each beta is one vectorised solve over the block.  Every
+row of a block still runs its own safeguarded Newton iteration from its own
+start: the last converged estimate of that replication along the beta path,
+or cold-start grid points (scored against a per-(plan, beta) table) when it
+has none.  The sandwich and the Z statistic are computed once per converged
+fit, and only for level/power studies.
+
 Reproducibility contract: every replication draws from its own
 Philox4x64-10 counter-based stream keyed by ``(seed, replication_index)``,
-and aggregation runs in replication order, so a report depends only on the
-specification and seed, never on the worker count.
+rows are solved independently of each other, and aggregation runs in
+replication order, so a report depends only on the specification and seed,
+never on the block size or the ``workers`` argument.  ``workers`` is kept
+for callers; studies run in the calling thread.
 """
 
 from __future__ import annotations
@@ -17,17 +27,24 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, NoInteriorData, SingularInformation
-from .estimator import SolverConfig, fit
-from .inference import LinearHypothesis, ndtri, z_statistic
+from .estimator import (SolverConfig, _CellData, _GridTable, _grid_starts,
+                        _solve)
+from .inference import LinearHypothesis, _z_rows, ndtri
 from .model import FailureTable, ModelParams, TestPlan, cell_probs
 
 _MODES = ("none", "alpha0_shift", "alpha1_shift")
+# replications solved together: bounds a study's memory whatever its size;
+# larger blocks ran faster but raised the peak memory of a study process
+_BLOCK = 64
+
+
+def _check_workers(workers: int) -> None:
+    if not workers >= 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +103,8 @@ class SimulationSpec:
         betas = tuple(float(b) for b in self.betas)
         if not betas:
             raise ValueError("betas must be non-empty")
-        if any(b < 0 for b in betas):
-            raise ValueError("betas must be >= 0")
+        if not all(np.isfinite(b) and b >= 0 for b in betas):
+            raise ValueError("betas must be finite and >= 0")
         object.__setattr__(self, "betas", betas)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
@@ -234,49 +251,51 @@ def generate_table(spec: SimulationSpec, replication_index: int
     return FailureTable(plan=spec.plan, counts=counts)
 
 
-def _fit_replication(spec: SimulationSpec, index: int):
-    """Per-beta estimates (and Z statistics) for one replication.
+def _replication_fits(spec: SimulationSpec, with_z: bool):
+    """Per-(replication, beta) estimates, and Z statistics when asked.
 
-    Returns a list aligned with spec.betas; entries are None for failed
-    fits (no interior data, non-convergence, or degenerate inference).
+    Returns ``alpha`` (replications, betas, 2) and ``stat`` (replications,
+    betas); NaN marks a dropped fit (no interior data, no convergence, or
+    degenerate inference).  Replications are solved in blocks of
+    ``_BLOCK``, but every row of a block runs its own solve, so no value
+    depends on the block size.
     """
-    table = generate_table(spec, index)
-    out = []
-    if not table.has_interior_cell():
-        return [None] * len(spec.betas)
-    warm = None
-    for beta in spec.betas:
-        if warm is None:
-            config = SolverConfig()
-        else:
-            config = SolverConfig(grid_init=False, init=warm)
-        try:
-            result = fit(table, beta, config)
-        except NoInteriorData:
-            out.append(None)
+    n_betas = len(spec.betas)
+    alpha = np.full((spec.replications, n_betas, 2), np.nan)
+    stat = np.full((spec.replications, n_betas), np.nan)
+    config = SolverConfig()
+    data = _CellData(spec.plan)
+    grids = {}
+    for lo in range(0, spec.replications, _BLOCK):
+        tables = [generate_table(spec, i)
+                  for i in range(lo, min(lo + _BLOCK, spec.replications))]
+        reps = lo + np.flatnonzero([t.has_interior_cell() for t in tables])
+        if reps.size == 0:
             continue
-        if not result.converged:
-            out.append(None)
-            continue
-        warm = result.params
-        entry = {"alpha0": result.params.alpha0, "alpha1": result.params.alpha1}
-        if spec.hypothesis is not None:
-            try:
-                z = z_statistic(result, spec.plan, spec.hypothesis)
-            except (SingularInformation, DegenerateVariance):
-                out.append(None)
-                continue
-            entry["statistic"] = z.statistic
-        out.append(entry)
-    return out
-
-
-def _run_replications(spec: SimulationSpec, workers: int):
-    indices = range(spec.replications)
-    if workers <= 1:
-        return [_fit_replication(spec, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: _fit_replication(spec, i), indices))
+        r = np.array([tables[i - lo].frequencies for i in reps])
+        # each row warm-starts from its last converged fit, if any
+        warm = np.full((len(reps), 2), np.nan)
+        for b, beta in enumerate(spec.betas):
+            cold = np.flatnonzero(np.isnan(warm[:, 0]))
+            starts = [[w] for w in warm]
+            if cold.size:
+                if beta not in grids:
+                    grids[beta] = _GridTable(spec.plan, beta)
+                for row, row_starts in zip(cold, _grid_starts(
+                        grids[beta], r[cold])):
+                    starts[row] = row_starts
+            theta, _, grad_norm, _, _, _ = _solve(r, data, beta, starts, config)
+            est = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
+            ok = ((grad_norm <= config.grad_tol) & np.isfinite(est[:, 0])
+                  & (est[:, 0] > 0.0))
+            warm[ok] = np.column_stack([np.log(est[ok, 0]), est[ok, 1]])
+            alpha[reps[ok], b] = est[ok]
+            if with_z:
+                stat[reps[ok], b] = _z_rows(est[ok], spec.plan, beta,
+                                            spec.hypothesis)
+    if with_z:
+        alpha[np.isnan(stat)] = np.nan
+    return alpha, stat
 
 
 def rmse_study(spec: SimulationSpec, workers: int = 1) -> SimulationReport:
@@ -285,21 +304,17 @@ def rmse_study(spec: SimulationSpec, workers: int = 1) -> SimulationReport:
     Contamination is treated as misspecification: errors are always
     measured against ``spec.true_params``.  Replications whose fit fails
     are dropped from the averages and counted in ``failed_fits``.
+    ``workers`` must be >= 1; it starts no threads (see the module notes).
     """
     if spec.hypothesis is not None:
         raise ValueError("rmse_study expects a spec without a hypothesis")
-    results = _run_replications(spec, workers)
+    _check_workers(workers)
+    alpha, _ = _replication_fits(spec, with_z=False)
     truth = spec.true_params.as_array()
     rmse0, rmse1, rmse_c, used, failed = [], [], [], [], []
     for b_idx in range(len(spec.betas)):
-        sq = np.array(
-            [
-                (np.array([rep[b_idx]["alpha0"], rep[b_idx]["alpha1"]]) - truth)
-                ** 2
-                for rep in results
-                if rep[b_idx] is not None
-            ]
-        )
+        est = alpha[:, b_idx]
+        sq = (est[~np.isnan(est[:, 0])] - truth) ** 2
         n_used = sq.shape[0]
         used.append(n_used)
         failed.append(spec.replications - n_used)
@@ -329,20 +344,16 @@ def level_power_study(spec: SimulationSpec, workers: int = 1
 
     With true parameters satisfying the null this estimates the empirical
     significance level; under an alternative it estimates power.
+    ``workers`` must be >= 1; it starts no threads (see the module notes).
     """
     if spec.hypothesis is None:
         raise ValueError("level_power_study requires a hypothesis in the spec")
+    _check_workers(workers)
     z_crit = -ndtri(spec.level / 2.0)
-    results = _run_replications(spec, workers)
+    _, stat = _replication_fits(spec, with_z=True)
     rates, used, failed = [], [], []
     for b_idx in range(len(spec.betas)):
-        stats = np.array(
-            [
-                rep[b_idx]["statistic"]
-                for rep in results
-                if rep[b_idx] is not None
-            ]
-        )
+        stats = stat[~np.isnan(stat[:, b_idx]), b_idx]
         n_used = stats.size
         used.append(n_used)
         failed.append(spec.replications - n_used)
@@ -370,6 +381,7 @@ def contamination_sweep(
     contaminated value (1 - s) * alpha0 (or alpha1, per the spec's mode).
     Strength 0 means no contamination.  Returns (reports, strengths).
     """
+    _check_workers(workers)
     base_mode = spec.contamination.mode
     if base_mode == "none":
         raise ValueError("sweep requires an alpha0_shift or alpha1_shift scheme")

@@ -139,7 +139,8 @@ class TestLogLikelihoodIdentity:
         params = ModelParams(5.0, 0.1)
         value = dpd_objective(table, params, 0.0)
         theta = np.array([np.log(params.alpha0), params.alpha1])
-        solver = _objective_theta(theta, _CellData(table), 0.0)
+        solver = float(_objective_theta(theta, table.frequencies,
+                                        _CellData(table.plan), 0.0))
         assert np.isfinite(value)
         assert value == pytest.approx(solver, rel=1e-12, abs=0.0)
 

@@ -193,6 +193,33 @@ class TestFit:
         assert result.covariance.at_params == result.params
 
 
+class TestColdStartGrid:
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_table_scores_match_objective_terms(self, beta):
+        # stresses where grid rates overflow (lambda t = inf, F = 1) or
+        # vanish (F = 0): a side with a zero fraction must add nothing
+        from oneshotdpd.divergence import _dpd_terms
+        from oneshotdpd.estimator import _GRID_A0, _GRID_A1, _GridTable
+        from oneshotdpd.model import _cells
+
+        plan = TestPlan(temps=[-800.0, 5.0, 900.0], times=[1e-3, 10.0, 1e5],
+                        devices=np.full((3, 3), 4))
+        r = np.random.default_rng(3).integers(0, 5, size=(20, 3, 3)) / 4.0
+        got = _GridTable(plan, beta).values(r)
+        # the grid flattened alpha0-major, as the table lays it out
+        a0 = np.repeat(_GRID_A0, _GRID_A1.size)[:, None, None]
+        a1 = np.tile(_GRID_A1, _GRID_A0.size)[:, None, None]
+        with np.errstate(all="ignore"):
+            lt, F, S, _ = _cells(a0 * np.exp(a1 * plan.temps[:, None]),
+                                 plan.times)
+            want = np.array([np.sum(_dpd_terms(row, F, S, lt, beta),
+                                    axis=(1, 2)) for row in r])
+        want[np.isnan(want)] = np.inf
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-14)
+
+
 class TestFitPath:
     def test_single_element_equals_fit(self, table1):
         path = fit_path(table1, [0.3])

@@ -159,6 +159,14 @@ class TestJsonRoundTrip:
                               result.covariance.sigma)
 
 
+def _strict_json(text):
+    """Parse JSON that must hold no bare NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestCli:
     def run(self, argv, capsys):
         code = main(argv)
@@ -333,6 +341,60 @@ class TestCli:
         # the CSV keeps its nan cells
         assert out.read_text().splitlines()[1:] == [
             "0.0,,nan,nan,nan,,0,5", "0.5,,nan,nan,nan,,0,5"]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--mission-times", "nan"), ("--w0", "nan"), ("--w0", "inf")])
+    def test_non_finite_option_refused(self, option, value, capsys):
+        options = {"--params": "0.005,0.05", "--w0": "25",
+                   "--mission-times": "10", option: value}
+        argv = ["reliability"] + [x for item in options.items() for x in item]
+        code, out = self.run(argv, capsys)
+        assert code == 2
+        doc = _strict_json(out)
+        assert doc["errors"][0]["code"] == "ParseError"
+        assert doc["results"] == {}
+
+    @pytest.mark.parametrize("field, value", [
+        ("hypothesis", {"m": [0.0, 1.0], "d": float("nan")}),
+        ("replications", float("inf")),
+        ("betas", [0.0, float("nan")]),
+    ])
+    def test_simulate_spec_non_finite_refused(self, field, value, tmp_path,
+                                              capsys):
+        spec = {
+            "study": "level_power" if field == "hypothesis" else "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05],
+            "betas": [0.0],
+            "replications": 3,
+            "seed": 1,
+            field: value,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))  # writes bare NaN / Infinity
+        out = tmp_path / "study.csv"
+        code, text = self.run(["simulate", "--spec", str(spec_path),
+                               "--output", str(out)], capsys)
+        assert code == 2
+        assert _strict_json(text)["errors"][0]["code"] == "ParseError"
+        assert not out.exists()
+
+    def test_simulate_workers_below_one_refused(self, tmp_path, capsys):
+        spec = {
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05],
+            "betas": [0.0],
+            "replications": 3,
+            "seed": 1,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, text = self.run(["simulate", "--spec", str(spec_path),
+                               "--output", str(tmp_path / "study.csv"),
+                               "--workers", "0"], capsys)
+        assert code == 2
+        assert _strict_json(text)["errors"][0]["code"] == "ParseError"
 
     def test_import_leaves_scipy_out(self):
         # import this same checkout of the package in a fresh interpreter

@@ -138,6 +138,15 @@ class TestPlanValidation:
             FailureTable(plan=plan, counts=[[6]])
 
 
+class TestPlanProperties:
+    def test_mean_devices_cached(self):
+        plan = TestPlan(temps=[35, 45], times=[10, 20, 30],
+                        devices=[[5, 6, 7], [8, 9, 11]])
+        assert plan.mean_devices == plan.devices.mean()
+        # computed once, then served from the instance
+        assert vars(plan)["mean_devices"] == plan.devices.mean()
+
+
 class TestProbabilityVectors:
     def test_single_cell_theoretical(self):
         plan = TestPlan(temps=[35], times=[10], devices=[[4]])

@@ -1,6 +1,11 @@
+import csv
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oneshotdpd import simulate
 from oneshotdpd import (
     ContaminationScheme,
     ModelParams,
@@ -13,10 +18,35 @@ from oneshotdpd import (
     LinearHypothesis,
     rmse_study,
 )
+from oneshotdpd.inference import ndtri
+from oneshotdpd.io import parse_betas
+
+# per-(replication, beta) alpha0, alpha1 and Z of GOLDEN_SPECS, recorded
+# from the serial one-fit-per-call solver that preceded the batched engine
+GOLDEN = Path(__file__).parent / "data" / "golden_replications.csv"
 
 
 def plan_with_k(plan, k):
     return TestPlan(plan.temps, plan.times, np.full(plan.shape, k))
+
+
+def golden_spec(study):
+    plan = TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                    np.full((3, 3), 50 if study == "level_power" else 2))
+    if study == "level_power":
+        # the benchmark's level/power design at seed 2017
+        return SimulationSpec(
+            plan=plan, true_params=ModelParams(0.004, 0.05),
+            contamination=ContaminationScheme("alpha0_shift", (0, 0), 0.001),
+            betas=tuple(parse_betas("0:0.2:1")),
+            replications=40, seed=2017,
+            hypothesis=LinearHypothesis(np.array([0.0, 1.0]), 0.05))
+    # two devices per cell: some tables have no interior cell, some fits
+    # fail to converge, and later betas then restart cold
+    return SimulationSpec(
+        plan=plan, true_params=ModelParams(0.004, 0.05),
+        contamination=ContaminationScheme(), betas=(0.0, 0.5, 1.0),
+        replications=40, seed=31)
 
 
 def base_spec(plan, betas=(0.0,), replications=50, seed=1234,
@@ -178,6 +208,59 @@ class TestStudies:
             level_power_study(base_spec(plan1))
         with pytest.raises(ValueError):
             rmse_study(base_spec(plan1, hypothesis=hyp))
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("study", ["level_power", "rmse"])
+    def test_matches_serial_solver(self, study):
+        spec = golden_spec(study)
+        with open(GOLDEN, newline="", encoding="utf-8") as handle:
+            rows = [r for r in csv.DictReader(handle) if r["study"] == study]
+        assert len(rows) == spec.replications * len(spec.betas)
+        alpha, stat = simulate._replication_fits(
+            spec, with_z=spec.hypothesis is not None)
+        z_crit = -ndtri(spec.level / 2.0)
+        used = [0] * len(spec.betas)
+        for row in rows:
+            i = int(row["replication"])
+            b = spec.betas.index(float(row["beta"]))
+            if row["alpha0"] == "":
+                assert np.isnan(alpha[i, b]).all(), (i, b)
+                continue
+            used[b] += 1
+            for got, want in ((alpha[i, b, 0], row["alpha0"]),
+                              (alpha[i, b, 1], row["alpha1"])):
+                assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+            if row["statistic"]:
+                want = float(row["statistic"])
+                assert stat[i, b] == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert (abs(stat[i, b]) > z_crit) == (abs(want) > z_crit)
+        runner = level_power_study if spec.hypothesis else rmse_study
+        report = runner(spec)
+        assert list(report.used) == used
+        assert list(report.failed_fits) == [spec.replications - u
+                                            for u in used]
+        if study == "rmse":
+            assert sum(report.failed_fits) > 0
+
+    def test_reports_do_not_depend_on_block_size(self, monkeypatch):
+        docs = []
+        for block in (simulate._BLOCK, 1, 7):
+            monkeypatch.setattr(simulate, "_BLOCK", block)
+            docs.append((rmse_study(golden_spec("rmse")).to_json(),
+                         level_power_study(golden_spec("level_power"))
+                         .to_json()))
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_workers_below_one_refused(self, plan1):
+        spec = base_spec(plan1, replications=2)
+        with pytest.raises(ValueError, match="workers"):
+            rmse_study(spec, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            contamination_sweep(dataclasses.replace(
+                spec, contamination=ContaminationScheme("alpha0_shift",
+                                                        value=0.002)),
+                [0.5], workers=0)
 
 
 class TestReportSerialization:
