@@ -9,14 +9,14 @@ starts scan a coarse log-spaced grid first; the estimating equations can be
 flat or multimodal under heavy contamination, so the top grid candidates
 are each refined and disagreements are reported as a diagnostic.
 
-The solver works on rows: a single fit refines all its starts as one
-batch, and the Monte-Carlo harness solves a whole block of tables at once,
-each row with its own iteration, line search and stopping rule.
+One path engine fits rows of tables along a sorted beta grid, each row
+from its last converged estimate or else from the grid, with its own
+iteration, line search and stopping rule: :func:`fit` is a one-beta path,
+and the Monte-Carlo harness runs it on whole blocks of tables.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -44,24 +44,18 @@ class SolverConfig:
 
     ``grad_tol`` applies to the max-abs gradient of the objective in the
     internal (log alpha0, alpha1) coordinates; ``step_tol`` to the max-abs
-    parameter change per iteration in the same coordinates.  When
-    ``grid_init`` is false the solver starts from ``init`` (or from the
-    previous solution in a warm-started path fit).
+    parameter change per iteration in the same coordinates.
     """
 
     max_iters: int = 200
     grad_tol: float = 1e-10
     step_tol: float = 1e-12
-    grid_init: bool = True
-    init: ModelParams | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.grad_tol > 0 and self.step_tol > 0):
             raise ValueError("tolerances must be > 0")
-        if not self.grid_init and self.init is None:
-            raise ValueError("grid_init=False requires an explicit init")
 
 
 @dataclass(frozen=True)
@@ -102,10 +96,6 @@ class _CellData:
         self.w_powers = _w_powers(self.w)
         self.n_cells = plan.n_cells
         self.k_mean = plan.mean_devices
-
-
-def _theta_of(params: ModelParams) -> np.ndarray:
-    return np.array([np.log(params.alpha0), params.alpha1])
 
 
 def _cells_at(theta: np.ndarray, data: _CellData):
@@ -172,8 +162,8 @@ def estimating_equations(
     """
     beta = _check_beta(beta)
     data = _CellData(table.plan)
-    g, _, clamped = _grad_hess_theta(_theta_of(params), table.frequencies,
-                                     data, beta)
+    theta = np.array([np.log(params.alpha0), params.alpha1])
+    g, _, clamped = _grad_hess_theta(theta, table.frequencies, data, beta)
     clamped = bool(clamped)
     with np.errstate(all="ignore"):
         vals = g * (data.k_mean * data.n_cells / (beta + 1.0))
@@ -244,11 +234,10 @@ def _grid_theta(index: np.ndarray) -> np.ndarray:
     return np.stack([_GRID_LOG_A0[i0], _GRID_A1[i1]], -1)
 
 
-def _grid_starts(grid: _GridTable, r: np.ndarray, n_starts: int = 3
-                 ) -> list[list[np.ndarray]]:
+def _grid_starts(grid: _GridTable, r: np.ndarray, n_starts: int = 3):
     """Best coarse-grid points of each table, deduplicated by basin distance.
 
-    Returns one list of theta starts per row of ``r``.
+    Returns the starts ``theta`` (n, 2) and their rows of ``r`` (n,).
     """
     vals = grid.values(r)
     rows = np.arange(len(vals))
@@ -265,15 +254,12 @@ def _grid_starts(grid: _GridTable, r: np.ndarray, n_starts: int = 3
         vals[near.reshape(vals.shape)] = np.inf
         pick = vals.argmin(axis=1)
         picks.append(np.where(np.isfinite(vals[rows, pick]), pick, -1))
-    starts = []
-    for row in rows:
-        if not np.isfinite(best[row]):
-            starts.append([np.array([np.log(1e-3), 0.0])])
-            continue
-        found = [p[row] for p in picks]
-        found = found[:found.index(-1)] if -1 in found else found
-        starts.append(list(_grid_theta(np.array(found))))
-    return starts
+    picks = np.stack(picks, 1)
+    theta = _grid_theta(picks)
+    # a table with no finite grid value starts from one fixed point
+    theta[~np.isfinite(best), 0] = (np.log(1e-3), 0.0)
+    found = picks >= 0
+    return theta[found], np.broadcast_to(rows[:, None], picks.shape)[found]
 
 
 def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
@@ -375,27 +361,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
 
 
-def _solve(r: np.ndarray, data: _CellData, beta: float,
-           starts: list[list[np.ndarray]], config: SolverConfig):
+def _solve(r: np.ndarray, data: _CellData, beta: float, theta0: np.ndarray,
+           owner: np.ndarray, config: SolverConfig):
     """Refine every row's starts in one Newton batch; keep each row's best.
 
-    Row k of ``r`` (rows, I, J) is fitted from the thetas in ``starts[k]``.
-    Among runs with a finite objective, those within rounding of the least
-    objective compete and the best-polished one wins (smallest gradient,
-    then theta).  ``spread`` is the widest max-abs disagreement between a
-    row's converged runs.  Returns per-row arrays (theta, objective,
-    grad_norm, iterations, clamped, spread).
+    Start k, ``theta0[k]``, fits row ``owner[k]`` of ``r`` (rows, I, J),
+    and every row has a start.  Among runs with a finite objective, those
+    within rounding of the least objective compete and the best-polished
+    one wins (smallest gradient, then theta).  ``spread`` is the widest
+    max-abs disagreement between a row's converged runs.  Returns per-row
+    arrays (theta, objective, grad_norm, iterations, clamped, spread).
     """
-    counts = np.array([len(s) for s in starts])
-    owner = np.repeat(np.arange(len(starts)), counts)
     theta, fval, grad_norm, iterations, clamped = _newton(
-        np.array([s for row in starts for s in row]), r[owner], data, beta,
-        config)
-    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    best = first.copy()
-    spread = np.zeros(len(starts))
-    for row in np.flatnonzero(counts > 1):
-        runs = range(first[row], first[row] + counts[row])
+        theta0, r[owner], data, beta, config)
+    best = np.empty(len(r), dtype=int)
+    best[owner] = np.arange(len(owner))
+    spread = np.zeros(len(r))
+    for row in np.flatnonzero(np.bincount(owner, minlength=len(r)) > 1):
+        runs = np.flatnonzero(owner == row)
         finals = [k for k in runs if np.isfinite(fval[k])] or list(runs)
         f_best = min(fval[k] for k in finals)
         close = [k for k in finals
@@ -410,6 +393,41 @@ def _solve(r: np.ndarray, data: _CellData, beta: float,
             clamped[best], spread)
 
 
+def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig,
+              grids: dict):
+    """Fit every table row of ``r`` (rows, I, J) along the sorted ``betas``.
+
+    A row starts from its last usable fit (converged, alpha0 = exp(theta0)
+    a positive finite double) or else from the grid; ``grids`` caches a
+    :class:`_GridTable` per beta of ``plan``.  Returns (row, beta) arrays:
+    ``alpha``, the other :func:`_solve` outputs, and the ``usable`` mask.
+    """
+    data = _CellData(plan)
+    warm = np.full((len(r), 2), np.nan)
+    path = []
+    for beta in betas:
+        hot = ~np.isnan(warm[:, 0])
+        theta0, owner = warm[hot], np.flatnonzero(hot)
+        if not hot.all():
+            if beta not in grids:
+                grids[beta] = _GridTable(plan, beta)
+            cold = np.flatnonzero(~hot)
+            theta, rows = _grid_starts(grids[beta], r[cold])
+            theta0 = np.concatenate([theta0, theta])
+            owner = np.concatenate([owner, cold[rows]])
+        theta, fval, grad_norm, iterations, clamped, spread = _solve(
+            r, data, beta, theta0, owner, config)
+        with np.errstate(over="ignore"):
+            alpha = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
+        usable = ((grad_norm <= config.grad_tol) & np.isfinite(alpha[:, 0])
+                  & (alpha[:, 0] > 0.0))
+        warm[usable] = np.column_stack([np.log(alpha[usable, 0]),
+                                        alpha[usable, 1]])
+        path.append((alpha, fval, grad_norm, iterations, clamped, spread,
+                     usable))
+    return [np.stack(v, 1) for v in zip(*path)]
+
+
 def fit(table: FailureTable, beta: float, config: SolverConfig | None = None
         ) -> FitResult:
     """Fit the rate-link parameters at tuning parameter ``beta``.
@@ -420,7 +438,23 @@ def fit(table: FailureTable, beta: float, config: SolverConfig | None = None
     When the iteration cap is hit the best iterate is returned with
     ``converged=False`` instead of raising.
     """
-    beta = _check_beta(beta)
+    return fit_path(table, [beta], config)[0]
+
+
+def fit_path(table: FailureTable, betas, config: SolverConfig | None = None
+             ) -> list[FitResult]:
+    """Fit a sorted grid of tuning parameters, warm-starting along the path.
+
+    Each entry starts from the last converged estimate on the path, or is
+    a cold fit when there is none, as in the Monte-Carlo studies.  Warm
+    starts land on the same optimum as independent cold fits, up to the
+    step tolerance.  Raises as :func:`fit` does.
+    """
+    betas = [_check_beta(b) for b in betas]
+    if not betas:
+        raise ValueError("betas must be non-empty")
+    if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError("betas must be sorted ascending")
     if config is None:
         config = SolverConfig()
     if not table.has_interior_cell():
@@ -428,50 +462,24 @@ def fit(table: FailureTable, beta: float, config: SolverConfig | None = None
             "every cell is all-failure or all-survival; the estimate "
             "degenerates toward a boundary and is not returned"
         )
-    r = table.frequencies[None]
-    starts = [] if config.init is None else [_theta_of(config.init)]
-    if config.grid_init:
-        starts += _grid_starts(_GridTable(table.plan, beta), r)[0]
-    theta, fval, grad_norm, iterations, clamped, spread = (
-        v[0] for v in _solve(r, _CellData(table.plan), beta, [starts], config))
-    params = ModelParams(float(np.exp(theta[0])), float(theta[1]))
-    try:
-        covariance = inference.sandwich(params, table.plan, beta)
-    except SingularInformation:
-        covariance = None
-    return FitResult(
-        beta=beta,
-        params=params,
-        objective=float(fval),
-        grad_norm=float(grad_norm),
-        iterations=int(iterations),
-        converged=bool(grad_norm <= config.grad_tol),
-        covariance=covariance,
-        boundary_clamped=bool(clamped),
-        multistart_spread=float(spread),
-    )
-
-
-def fit_path(table: FailureTable, betas, config: SolverConfig | None = None
-             ) -> list[FitResult]:
-    """Fit a sorted grid of tuning parameters, warm-starting along the path.
-
-    The first entry is fitted per ``config`` (grid initialization by
-    default); each later entry starts from the previous solution.  Warm
-    starts land on the same optimum as independent cold fits, up to the
-    step tolerance.
-    """
-    betas = [float(b) for b in betas]
-    if not betas:
-        raise ValueError("betas must be non-empty")
-    if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be sorted ascending")
-    if config is None:
-        config = SolverConfig()
-    results = [fit(table, betas[0], config)]
-    for beta in betas[1:]:
-        warm = dataclasses.replace(
-            config, grid_init=False, init=results[-1].params
-        )
-        results.append(fit(table, beta, warm))
+    path = _fit_rows(table.frequencies[None], table.plan, betas, config, {})
+    results = []
+    for beta, alpha, fval, grad_norm, iterations, clamped, spread, _ in zip(
+            betas, *(v[0] for v in path)):
+        params = ModelParams(float(alpha[0]), float(alpha[1]))
+        try:
+            covariance = inference.sandwich(params, table.plan, beta)
+        except SingularInformation:
+            covariance = None
+        results.append(FitResult(
+            beta=beta,
+            params=params,
+            objective=float(fval),
+            grad_norm=float(grad_norm),
+            iterations=int(iterations),
+            converged=bool(grad_norm <= config.grad_tol),
+            covariance=covariance,
+            boundary_clamped=bool(clamped),
+            multistart_spread=float(spread),
+        ))
     return results

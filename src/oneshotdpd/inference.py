@@ -110,9 +110,12 @@ def _alpha_cell_sum(alpha: np.ndarray, plan: TestPlan, factor
     parameter rows, and the result has shape (..., 2, 2).
     """
     a0, a1 = alpha[..., 0, None, None], alpha[..., 1, None]
-    _, F, S, f = _cells(a0 * np.exp(a1 * plan.temps)[..., None], plan.times)
     weights = plan.devices / plan.mean_devices
-    a = weights * ((plan.times * f) ** 2 * factor(F, S))
+    # F or S may underflow to 0, making F^(b-1) infinite; callers refuse it
+    with np.errstate(all="ignore"):
+        _, F, S, f = _cells(a0 * np.exp(a1 * plan.temps)[..., None],
+                            plan.times)
+        a = weights * ((plan.times * f) ** 2 * factor(F, S))
     jac = np.stack([1.0 / alpha[..., 0], np.ones_like(alpha[..., 0])], -1)
     return (_theta_cell_sum(a, _w_powers(plan.temps[:, None]))
             * (jac[..., :, None] * jac[..., None, :]))

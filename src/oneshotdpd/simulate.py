@@ -7,12 +7,10 @@ parameter, either the root mean squared estimation error against the clean
 truth or the rejection proportion of the two-sided Z-type test.
 
 Studies are batched: replications are drawn and fitted in blocks of a
-fixed size, and each beta is one vectorised solve over the block.  Every
-row of a block still runs its own safeguarded Newton iteration from its own
-start: the last converged estimate of that replication along the beta path,
-or cold-start grid points (scored against a per-(plan, beta) table) when it
-has none.  The sandwich and the Z statistic are computed once per converged
-fit, and only for level/power studies.
+fixed size, and each block is fitted along the beta path by the engine
+behind :func:`oneshotdpd.estimator.fit_path`, with the same start rule.
+The sandwich and the Z statistic are computed once per usable fit, and
+only for level/power studies.
 
 Reproducibility contract: every replication draws from its own
 Philox4x64-10 counter-based stream keyed by ``(seed, replication_index)``,
@@ -31,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (SolverConfig, _CellData, _GridTable, _grid_starts,
-                        _solve)
+from .estimator import SolverConfig, _fit_rows
 from .inference import LinearHypothesis, _z_rows, ndtri
 from .model import FailureTable, ModelParams, TestPlan, cell_probs
 
@@ -88,7 +85,12 @@ class ContaminationScheme:
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Complete description of one Monte-Carlo scenario."""
+    """Complete description of one Monte-Carlo scenario.
+
+    ``failure_probs`` (derived, read-only) holds each cell's failure
+    probability in a draw: the contaminated cell's under the shifted
+    parameters, every other cell's under the true ones.
+    """
 
     plan: TestPlan
     true_params: ModelParams
@@ -113,8 +115,13 @@ class SimulationSpec:
         i, j = self.contamination.cell
         if not (0 <= i < self.plan.shape[0] and 0 <= j < self.plan.shape[1]):
             raise ValueError("contaminated cell index outside the plan")
-        # validate the shift against the true parameters right away
-        self.contamination.contaminated_params(self.true_params)
+        # this validates the shift against the true parameters right away
+        shifted = self.contamination.contaminated_params(self.true_params)
+        F, _, _ = cell_probs(self.true_params, self.plan)
+        if self.contamination.mode != "none":
+            F[i, j] = cell_probs(shifted, self.plan)[0][i, j]
+        F.setflags(write=False)
+        object.__setattr__(self, "failure_probs", F)
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
 
@@ -231,24 +238,19 @@ def write_report_csv(path, reports, x_values=None) -> None:
                 writer.writerow({k: _csv_cell(row[k]) for k in REPORT_CSV_COLUMNS})
 
 
-def _replication_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _draw_counts(spec: SimulationSpec, index: int) -> np.ndarray:
+    """Failure counts of replication ``index``, drawn from its own Philox
+    stream keyed by ``(seed, index)``."""
+    key = np.array([spec.seed, index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.binomial(spec.plan.devices, spec.failure_probs)
 
 
 def generate_table(spec: SimulationSpec, replication_index: int
                    ) -> FailureTable:
     """Draw one table; deterministic given (seed, replication_index)."""
-    rng = _replication_rng(spec.seed, replication_index)
-    F, _, _ = cell_probs(spec.true_params, spec.plan)
-    if spec.contamination.mode != "none":
-        shifted = spec.contamination.contaminated_params(spec.true_params)
-        Fc, _, _ = cell_probs(shifted, spec.plan)
-        F = F.copy()
-        i, j = spec.contamination.cell
-        F[i, j] = Fc[i, j]
-    counts = rng.binomial(spec.plan.devices, F)
-    return FailureTable(plan=spec.plan, counts=counts)
+    return FailureTable(plan=spec.plan,
+                        counts=_draw_counts(spec, replication_index))
 
 
 def _replication_fits(spec: SimulationSpec, with_z: bool):
@@ -260,38 +262,24 @@ def _replication_fits(spec: SimulationSpec, with_z: bool):
     ``_BLOCK``, but every row of a block runs its own solve, so no value
     depends on the block size.
     """
-    n_betas = len(spec.betas)
-    alpha = np.full((spec.replications, n_betas, 2), np.nan)
-    stat = np.full((spec.replications, n_betas), np.nan)
-    config = SolverConfig()
-    data = _CellData(spec.plan)
+    alpha = np.full((spec.replications, len(spec.betas), 2), np.nan)
+    stat = np.full((spec.replications, len(spec.betas)), np.nan)
+    devices = spec.plan.devices
     grids = {}
     for lo in range(0, spec.replications, _BLOCK):
-        tables = [generate_table(spec, i)
-                  for i in range(lo, min(lo + _BLOCK, spec.replications))]
-        reps = lo + np.flatnonzero([t.has_interior_cell() for t in tables])
+        counts = np.array([_draw_counts(spec, i) for i in
+                           range(lo, min(lo + _BLOCK, spec.replications))])
+        interior = ((counts > 0) & (counts < devices)).any(axis=(1, 2))
+        reps = lo + np.flatnonzero(interior)
         if reps.size == 0:
             continue
-        r = np.array([tables[i - lo].frequencies for i in reps])
-        # each row warm-starts from its last converged fit, if any
-        warm = np.full((len(reps), 2), np.nan)
+        est, *_, usable = _fit_rows(counts[interior] / devices, spec.plan,
+                                    spec.betas, SolverConfig(), grids)
         for b, beta in enumerate(spec.betas):
-            cold = np.flatnonzero(np.isnan(warm[:, 0]))
-            starts = [[w] for w in warm]
-            if cold.size:
-                if beta not in grids:
-                    grids[beta] = _GridTable(spec.plan, beta)
-                for row, row_starts in zip(cold, _grid_starts(
-                        grids[beta], r[cold])):
-                    starts[row] = row_starts
-            theta, _, grad_norm, _, _, _ = _solve(r, data, beta, starts, config)
-            est = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
-            ok = ((grad_norm <= config.grad_tol) & np.isfinite(est[:, 0])
-                  & (est[:, 0] > 0.0))
-            warm[ok] = np.column_stack([np.log(est[ok, 0]), est[ok, 1]])
-            alpha[reps[ok], b] = est[ok]
+            ok = usable[:, b]
+            alpha[reps[ok], b] = est[ok, b]
             if with_z:
-                stat[reps[ok], b] = _z_rows(est[ok], spec.plan, beta,
+                stat[reps[ok], b] = _z_rows(est[ok, b], spec.plan, beta,
                                             spec.hypothesis)
     if with_z:
         alpha[np.isnan(stat)] = np.nan

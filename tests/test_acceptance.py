@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import least_squares, minimize_scalar
 
 import oneshotdpd as od
+from oneshotdpd import simulate
 
 # ----------------------------------------------------------------------
 # published reference table for the 3x3 experiment: per tuning parameter,
@@ -322,16 +323,17 @@ class TestCriterion4SandwichMonteCarlo:
             contamination=od.ContaminationScheme(),
             betas=(beta,), replications=2000, seed=1234,
         )
-        deviations = []
-        for i in range(spec.replications):
-            table = od.generate_table(spec, i)
-            result = od.fit(table, beta)
+        # the studies' batched fits; the first ones also one by one
+        alpha, _ = simulate._replication_fits(spec, with_z=False)
+        alpha = alpha[:, 0]
+        for i in range(25):
+            result = od.fit(od.generate_table(spec, i), beta)
             if result.converged:
-                deviations.append(
-                    np.sqrt(100.0)
-                    * (result.params.as_array() - truth.as_array())
-                )
-        deviations = np.array(deviations)
+                assert np.array_equal(result.params.as_array(), alpha[i])
+            else:
+                assert np.isnan(alpha[i]).all()
+        usable = alpha[~np.isnan(alpha[:, 0])]
+        deviations = np.sqrt(100.0) * (usable - truth.as_array())
         centred = deviations - deviations.mean(axis=0)
         empirical = centred.T @ centred / (len(deviations) - 1)
         sigma = od.sandwich(truth, plan, beta).sigma

@@ -13,6 +13,7 @@ from oneshotdpd import (
     fit,
     fit_path,
 )
+from oneshotdpd.io import parse_betas
 
 from conftest import random_params, random_plan, random_table
 
@@ -112,10 +113,14 @@ class TestFit:
         assert a.iterations == b.iterations
 
     def test_objective_not_above_start(self, table1):
+        from oneshotdpd.estimator import _CellData, _solve
+
         start = ModelParams(0.02, 0.01)
-        config = SolverConfig(grid_init=False, init=start)
-        result = fit(table1, 0.5, config)
-        assert result.objective <= dpd_objective(table1, start, 0.5) + 1e-12
+        theta0 = np.array([[np.log(start.alpha0), start.alpha1]])
+        _, objective, *_ = _solve(table1.frequencies[None],
+                                  _CellData(table1.plan), 0.5, theta0,
+                                  np.array([0]), SolverConfig())
+        assert objective[0] <= dpd_objective(table1, start, 0.5) + 1e-12
 
     def test_no_interior_data_all_zero(self):
         plan = TestPlan(temps=[35, 45], times=[10, 20],
@@ -226,6 +231,20 @@ class TestFitPath:
         single = fit(table1, 0.3)
         assert path[0].params == single.params
 
+    def test_no_warm_start_from_unconverged_fit(self, table1):
+        # three iterations leave every cold fit but beta = 4 unconverged, so
+        # each entry of the path starts cold, exactly as a single fit does
+        config = SolverConfig(max_iters=3)
+        path = fit_path(table1, parse_betas("0:0.1:1,2,3,4"), config)
+        assert not path[0].converged
+        for entry in path:
+            cold = fit(table1, entry.beta, config)
+            assert (entry.params, entry.objective, entry.grad_norm,
+                    entry.iterations, entry.converged,
+                    entry.multistart_spread) == (
+                cold.params, cold.objective, cold.grad_norm,
+                cold.iterations, cold.converged, cold.multistart_spread)
+
     def test_warm_equals_cold(self, table1):
         path = fit_path(table1, [0.0, 0.1, 0.2, 0.3, 0.4])
         cold = fit(table1, 0.4)
@@ -247,5 +266,3 @@ class TestSolverConfig:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(grid_init=False)

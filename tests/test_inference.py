@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oneshotdpd import (
     DegenerateVariance,
+    FailureTable,
     InfeasibleDesign,
     LinearHypothesis,
     ModelParams,
@@ -167,6 +170,16 @@ class TestSandwich:
         plan = TestPlan(temps=[35.0], times=[10.0, 20.0], devices=[[5, 5]])
         with pytest.raises(SingularInformation):
             sandwich(ModelParams(0.005, 0.05), plan, 0.5)
+
+    def test_underflowed_cell_gives_no_numpy_warning(self, plan1):
+        # at this estimate S underflows to 0 in the high-stress cells, so
+        # S^(beta-1) is infinite: the fit reports no covariance, silently
+        plan = TestPlan(plan1.temps, plan1.times, np.full((3, 3), 3))
+        table = FailureTable(plan, [[0, 0, 0], [0, 1, 2], [3, 2, 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit(table, 0.8)
+        assert result.covariance is None
 
     def test_alpha_covariance_scaling(self, plan1):
         cov = sandwich(ModelParams(0.005, 0.05), plan1, 0.3)

@@ -12,6 +12,7 @@ from oneshotdpd import (
     SimulationSpec,
     TestPlan,
     cdf,
+    cell_probs,
     contamination_sweep,
     generate_table,
     level_power_study,
@@ -101,6 +102,22 @@ class TestGenerateTable:
         p = cdf(ModelParams(0.004, 0.05), 35.0, 10.0)
         se = np.sqrt(p * (1 - p) * 20 / 100000)
         assert abs(means[0] - means[1]) < 3 * np.sqrt(2) * se
+
+    @pytest.mark.parametrize("replications", [1, 150])
+    def test_cell_probabilities_computed_once_per_spec(
+            self, plan1, monkeypatch, replications):
+        calls = []
+
+        def counted(params, plan):
+            calls.append(params)
+            return cell_probs(params, plan)
+
+        monkeypatch.setattr(simulate, "cell_probs", counted)
+        spec = base_spec(plan_with_k(plan1, 20), replications=replications,
+                         contamination=ContaminationScheme("alpha0_shift",
+                                                           value=0.002))
+        rmse_study(spec)
+        assert len(calls) <= 2
 
     def test_contaminated_cell_rate_shifts(self, plan1):
         plan = plan_with_k(plan1, 50)
