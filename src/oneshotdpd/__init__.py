@@ -17,6 +17,7 @@ from .competing import (
     cause_table,
     combined_mean_lifetime,
     fit_cause,
+    fit_causes,
 )
 from .divergence import dpd, dpd_objective, dpd_split, kl_divergence, log_likelihood
 from .errors import (
@@ -110,6 +111,7 @@ __all__ = [
     "fisher_information",
     "fit",
     "fit_cause",
+    "fit_causes",
     "fit_path",
     "generate_table",
     "hazard",

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .competing import Cause, combined_mean_lifetime, fit_cause
+from .competing import Cause, combined_mean_lifetime, fit_causes
 from .errors import OneShotError, ParseError
 from .estimator import fit, fit_path
 from .inference import (
@@ -197,33 +197,33 @@ def _cmd_competing_fit(args) -> dict:
     wanted = []
     for name in args.causes.split(","):
         name = name.strip().lower()
-        if name == "natural":
-            wanted.append(Cause.NATURAL)
-        elif name == "tumour":
-            wanted.append(Cause.TUMOUR)
-        else:
+        cause = {"natural": Cause.NATURAL, "tumour": Cause.TUMOUR}.get(name)
+        if cause is None:
             raise ParseError(f"unknown cause {name!r} (use natural, tumour)")
+        if cause in wanted:
+            raise ParseError(f"cause {name!r} is listed more than once")
+        wanted.append(cause)
+    path = fit_causes(data, betas, wanted)
     rows = []
-    for beta in betas:
-        entry = {"beta": beta, "causes": {}}
-        cause_fits = []
-        for cause in wanted:
-            cf = fit_cause(data, cause, beta)
-            cause_fits.append(cf)
-            entry["causes"][cause.name.lower()] = {
+    for beta, cause_fits in zip(betas, path):
+        entry = {"beta": beta, "causes": {
+            cf.cause.name.lower(): {
                 "fit": fit_result_to_dict(cf.fit),
                 "mean_lifetimes": {
                     repr(float(w)): float(m)
                     for w, m in zip(data.plan.temps, cf.mean_lifetimes)
                 },
             }
+            for cf in cause_fits
+        }}
         if len(cause_fits) > 1:
             entry["combined_mean_lifetimes"] = {
                 repr(float(w)): combined_mean_lifetime(cause_fits, float(w))
                 for w in data.plan.temps
             }
         rows.append(entry)
-    return {"results": {"fits": rows}, "diagnostics": {}}
+    converged = all(cf.fit.converged for step in path for cf in step)
+    return {"results": {"fits": rows}, "diagnostics": {"converged": converged}}
 
 
 def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:

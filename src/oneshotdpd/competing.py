@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import FitResult, SolverConfig, fit
-from .model import FailureTable, TestPlan, hazard, mean_lifetime
+from .estimator import FitResult, SolverConfig, _fit_tables
+from .model import (FailureTable, TestPlan, _frozen_array, hazard,
+                    mean_lifetime)
 
 
 class Cause(enum.Enum):
@@ -88,6 +89,32 @@ def cause_table(data: MultiOutcomeTable, cause: Cause) -> FailureTable:
     return FailureTable(plan=data.plan, counts=counts)
 
 
+def fit_causes(
+    data: MultiOutcomeTable,
+    betas,
+    causes=(Cause.NATURAL, Cause.TUMOUR),
+    config: SolverConfig | None = None,
+) -> list[list[CauseFit]]:
+    """Fit the ``causes`` marginally along the sorted ``betas``.
+
+    The causes share ``data.plan``, so they are fitted together as the rows
+    of one warm-started path (see :func:`~oneshotdpd.estimator.fit_path`).
+    Returns, per beta, one :class:`CauseFit` per cause in ``causes`` order.
+    Raises :class:`~oneshotdpd.errors.NoInteriorData` when a cause has no
+    cell with a count strictly between 0 and its size.
+    """
+    causes = list(causes)
+    if not causes:
+        raise ValueError("at least one cause is required")
+    paths = _fit_tables([cause_table(data, c) for c in causes], betas, config)
+    return [
+        [CauseFit(cause=cause, fit=result, mean_lifetimes=_frozen_array(
+            [mean_lifetime(result.params, w) for w in data.plan.temps], float))
+         for cause, result in zip(causes, step)]
+        for step in zip(*paths)
+    ]
+
+
 def fit_cause(
     data: MultiOutcomeTable,
     cause: Cause,
@@ -95,12 +122,7 @@ def fit_cause(
     config: SolverConfig | None = None,
 ) -> CauseFit:
     """Fit one cause marginally at tuning parameter ``beta``."""
-    result = fit(cause_table(data, cause), beta, config)
-    lifetimes = np.array(
-        [mean_lifetime(result.params, w) for w in data.plan.temps]
-    )
-    lifetimes.setflags(write=False)
-    return CauseFit(cause=cause, fit=result, mean_lifetimes=lifetimes)
+    return fit_causes(data, [beta], [cause], config)[0][0]
 
 
 def combined_mean_lifetime(fits, w: float) -> float:

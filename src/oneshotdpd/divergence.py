@@ -91,9 +91,24 @@ def _dpd_terms(r, F, S, lt, beta: float) -> np.ndarray:
         )
 
 
-def _bracket(F, S, p: float):
-    """The ``F^p + S^p`` factor of the estimating equations and sandwich."""
-    return F**p + S**p
+def _power(x, p):
+    """``x ** p`` for a scalar ``p`` or one exponent per row of ``x``,
+    shaped (n, 1, 1).  Rows sharing an exponent are raised by it as a
+    scalar, so each keeps the bits of its own scalar evaluation (numpy
+    takes exact paths, such as sqrt at 0.5, only for scalar exponents)."""
+    if np.ndim(p) == 0:
+        return x**p
+    p = np.ravel(p)
+    out = np.empty(x.shape)
+    for value in np.unique(p):
+        out[p == value] = x[p == value] ** value
+    return out
+
+
+def _bracket(F, S, p):
+    """The ``F^p + S^p`` factor of the estimating equations and sandwich;
+    ``p`` is a scalar or per-row (see :func:`_power`)."""
+    return _power(F, p) + _power(S, p)
 
 
 def _cell_sum(a) -> np.ndarray:

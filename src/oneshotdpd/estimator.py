@@ -12,7 +12,8 @@ are each refined and disagreements are reported as a diagnostic.
 One path engine fits rows of tables along a sorted beta grid, each row
 from its last converged estimate or else from the grid, with its own
 iteration, line search and stopping rule: :func:`fit` is a one-beta path,
-and the Monte-Carlo harness runs it on whole blocks of tables.
+the causes of a two-cause study are the rows of one path, and the
+Monte-Carlo harness runs it on whole blocks of tables.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import inference
 from .divergence import (_bracket, _cell_sum, _check_beta, _dpd_terms,
                          _theta_cell_sum, _w_powers)
-from .errors import NoInteriorData, SingularInformation
+from .errors import NoInteriorData
 from .model import FailureTable, ModelParams, TestPlan, _cells
 
 _F_MIN = 1e-300
@@ -99,9 +100,12 @@ class _CellData:
 
 
 def _cells_at(theta: np.ndarray, data: _CellData):
+    """:func:`_cells` at theta (..., 2); a rate that overflows gives
+    infinite or NaN cells, which the objective reports as +inf."""
     theta = theta[..., None, None]
-    return _cells(np.exp(theta[..., 0, :, :] + theta[..., 1, :, :] * data.w),
-                  data.t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cells(np.exp(theta[..., 0, :, :]
+                             + theta[..., 1, :, :] * data.w), data.t)
 
 
 def _objective_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
@@ -450,6 +454,17 @@ def fit_path(table: FailureTable, betas, config: SolverConfig | None = None
     starts land on the same optimum as independent cold fits, up to the
     step tolerance.  Raises as :func:`fit` does.
     """
+    return _fit_tables([table], betas, config)[0]
+
+
+def _fit_tables(tables, betas, config: SolverConfig | None
+                ) -> list[list[FitResult]]:
+    """:func:`fit_path` of every table in ``tables``, which share one plan.
+
+    The tables are the rows of one :func:`_fit_rows` call, and one
+    per-row-beta sandwich call covers every (table, beta) estimate.
+    Returns one list of :class:`FitResult` per table.
+    """
     betas = [_check_beta(b) for b in betas]
     if not betas:
         raise ValueError("betas must be non-empty")
@@ -457,29 +472,34 @@ def fit_path(table: FailureTable, betas, config: SolverConfig | None = None
         raise ValueError("betas must be sorted ascending")
     if config is None:
         config = SolverConfig()
-    if not table.has_interior_cell():
+    if not all(table.has_interior_cell() for table in tables):
         raise NoInteriorData(
             "every cell is all-failure or all-survival; the estimate "
             "degenerates toward a boundary and is not returned"
         )
-    path = _fit_rows(table.frequencies[None], table.plan, betas, config, {})
+    plan = tables[0].plan
+    r = np.stack([table.frequencies for table in tables])
+    alpha, *path, _ = _fit_rows(r, plan, betas, config, {})
+    alpha = alpha.reshape(-1, 2)
+    # ModelParams refuses an overflowed alpha0 before the sandwich sees it
+    params = [ModelParams(float(a0), float(a1)) for a0, a1 in alpha]
+    beta = np.tile(betas, len(tables))
+    covariances = zip(*inference._sandwich_rows(alpha, plan, beta))
     results = []
-    for beta, alpha, fval, grad_norm, iterations, clamped, spread, _ in zip(
-            betas, *(v[0] for v in path)):
-        params = ModelParams(float(alpha[0]), float(alpha[1]))
-        try:
-            covariance = inference.sandwich(params, table.plan, beta)
-        except SingularInformation:
-            covariance = None
+    for b, p, (jb, kb, sigma, ok), fval, grad_norm, iterations, clamped, \
+            spread in zip(beta, params, covariances, *(v.ravel() for v in path)):
         results.append(FitResult(
-            beta=beta,
-            params=params,
+            beta=float(b),
+            params=p,
             objective=float(fval),
             grad_norm=float(grad_norm),
             iterations=int(iterations),
             converged=bool(grad_norm <= config.grad_tol),
-            covariance=covariance,
+            covariance=inference.SandwichCovariance(
+                j_bar=jb, k_bar=kb, sigma=sigma, at_params=p, beta=float(b)
+            ) if ok else None,
             boundary_clamped=bool(clamped),
             multistart_spread=float(spread),
         ))
-    return results
+    n = len(betas)
+    return [results[k:k + n] for k in range(0, len(results), n)]

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergence import _bracket, _theta_cell_sum, _w_powers
+from .divergence import _bracket, _power, _theta_cell_sum, _w_powers
 from .errors import DegenerateVariance, InfeasibleDesign, SingularInformation
 from .model import ModelParams, TestPlan, _cells
 
@@ -100,14 +100,14 @@ class ZTestResult:
         return bool(abs(self.statistic) > -ndtri(level / 2.0))
 
 
-def _alpha_cell_sum(alpha: np.ndarray, plan: TestPlan, factor
-                    ) -> np.ndarray:
-    """Cell sum of ``(K_ij/Kbar) (t f)^2 factor(F, S)`` times the (1, w)
-    outer product, taken in theta = (log alpha0, alpha1) coordinates and
-    carried to (alpha0, alpha1) by the Jacobian diag(1/alpha0, 1).
+def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta):
+    """``(j_bar, k_bar)`` at the parameter rows ``alpha`` (..., 2).
 
-    ``alpha`` holds (alpha0, alpha1) in its last axis; leading axes are
-    parameter rows, and the result has shape (..., 2, 2).
+    Each is the cell sum of ``(K_ij/Kbar) (t f)^2`` times its factor of
+    (F, S) and the (1, w) outer product, taken in theta = (log alpha0,
+    alpha1) coordinates and carried to (alpha0, alpha1) by the Jacobian
+    diag(1/alpha0, 1); shape (..., 2, 2).  ``beta`` is a scalar or holds
+    one tuning parameter per row, shaped (n, 1, 1).
     """
     a0, a1 = alpha[..., 0, None, None], alpha[..., 1, None]
     weights = plan.devices / plan.mean_devices
@@ -115,19 +115,15 @@ def _alpha_cell_sum(alpha: np.ndarray, plan: TestPlan, factor
     with np.errstate(all="ignore"):
         _, F, S, f = _cells(a0 * np.exp(a1 * plan.temps)[..., None],
                             plan.times)
-        a = weights * ((plan.times * f) ** 2 * factor(F, S))
+        tf2 = (plan.times * f) ** 2
+        j = weights * (tf2 * _bracket(F, S, beta - 1.0))
+        k = weights * (tf2 * (_bracket(F, S, 2.0 * beta - 1.0)
+                              - (_power(F, beta) - _power(S, beta)) ** 2))
     jac = np.stack([1.0 / alpha[..., 0], np.ones_like(alpha[..., 0])], -1)
-    return (_theta_cell_sum(a, _w_powers(plan.temps[:, None]))
-            * (jac[..., :, None] * jac[..., None, :]))
-
-
-def _j_factor(beta: float):
-    return lambda F, S: _bracket(F, S, beta - 1.0)
-
-
-def _k_factor(beta: float):
-    return lambda F, S: (_bracket(F, S, 2.0 * beta - 1.0)
-                         - (F**beta - S**beta) ** 2)
+    outer = jac[..., :, None] * jac[..., None, :]
+    w_powers = _w_powers(plan.temps[:, None])
+    return (_theta_cell_sum(j, w_powers) * outer,
+            _theta_cell_sum(k, w_powers) * outer)
 
 
 def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
@@ -139,12 +135,12 @@ def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
 
     with cells weighted by K_ij / Kbar on unbalanced plans.
     """
-    return _alpha_cell_sum(params.as_array(), plan, _j_factor(beta))
+    return _alpha_cell_sums(params.as_array(), plan, beta)[0]
 
 
 def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
     """Score-variance matrix of the divergence fit (the sandwich "meat")."""
-    return _alpha_cell_sum(params.as_array(), plan, _k_factor(beta))
+    return _alpha_cell_sums(params.as_array(), plan, beta)[1]
 
 
 def fisher_information(params: ModelParams, plan: TestPlan) -> np.ndarray:
@@ -178,12 +174,14 @@ def _inverse_2x2(mat: np.ndarray):
     return inverse, ok
 
 
-def _sandwich_rows(alpha: np.ndarray, plan: TestPlan, beta: float):
+def _sandwich_rows(alpha: np.ndarray, plan: TestPlan, beta):
     """``(j_bar, k_bar, sigma, ok)`` at each parameter row of ``alpha``
-    (n, 2); ``ok`` marks the rows whose ``j_bar`` passes the condition
-    guard of :func:`_inverse_2x2` (``sigma`` is meaningless elsewhere)."""
-    jb = _alpha_cell_sum(alpha, plan, _j_factor(beta))
-    kb = _alpha_cell_sum(alpha, plan, _k_factor(beta))
+    (n, 2), at one tuning parameter ``beta`` or at per-row ``beta`` (n,);
+    ``ok`` marks the rows whose ``j_bar`` passes the condition guard of
+    :func:`_inverse_2x2` (``sigma`` is meaningless elsewhere)."""
+    if np.ndim(beta):
+        beta = np.asarray(beta, dtype=float)[:, None, None]
+    jb, kb = _alpha_cell_sums(alpha, plan, beta)
     j_inv, ok = _inverse_2x2(jb)
     with np.errstate(all="ignore"):
         sigma = j_inv @ kb @ j_inv

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from oneshotdpd import (
@@ -7,9 +8,12 @@ from oneshotdpd import (
     cause_table,
     combined_mean_lifetime,
     fit_cause,
+    fit_causes,
+    fit_path,
     hazard,
     mean_lifetime,
 )
+from oneshotdpd.io import parse_betas
 
 # frozen regression values for the bundled studies (minimum divergence fits
 # under the marginal per-cause convention, verified against an independent
@@ -101,6 +105,8 @@ class TestFitCause:
         )
         with pytest.raises(NoInteriorData):
             fit_cause(data, Cause.TUMOUR, 0.5)
+        with pytest.raises(NoInteriorData):
+            fit_causes(data, [0.0, 0.5])
 
     def test_cause_fits_satisfy_optimality(self, ed01):
         from oneshotdpd import cause_table, estimating_equations
@@ -123,6 +129,56 @@ class TestFitCause:
             assert combined_mean_lifetime(both, 1.0) > combined_mean_lifetime(
                 both, 2.0
             )
+
+
+class TestFitCauses:
+    BETAS = parse_betas("0:0.1:1,2,3,4")
+
+    @pytest.mark.parametrize("name", ["ed01", "benzidine"])
+    def test_equals_per_cause_fit_path(self, name, request):
+        data = request.getfixturevalue(name)
+        path = fit_causes(data, self.BETAS)
+        assert len(path) == len(self.BETAS)
+        for k, cause in enumerate(Cause):
+            alone = fit_path(cause_table(data, cause), self.BETAS)
+            for step, want in zip(path, alone):
+                got = step[k].fit
+                assert step[k].cause is cause
+                assert (got.beta, got.params, got.objective, got.grad_norm,
+                        got.iterations, got.converged, got.boundary_clamped,
+                        got.multistart_spread) == (
+                    want.beta, want.params, want.objective, want.grad_norm,
+                    want.iterations, want.converged, want.boundary_clamped,
+                    want.multistart_spread)
+                for field in ("j_bar", "k_bar", "sigma"):
+                    assert np.array_equal(getattr(got.covariance, field),
+                                          getattr(want.covariance, field))
+
+    @pytest.mark.parametrize("name", ["ed01", "benzidine"])
+    def test_warm_path_matches_cold_fits(self, name, request):
+        # the path warm-starts every beta after the first; independent cold
+        # fits land on the same optimum up to the step tolerance
+        data = request.getfixturevalue(name)
+        for step in fit_causes(data, self.BETAS):
+            for cf in step:
+                cold = fit_cause(data, cf.cause, cf.fit.beta)
+                assert cf.fit.converged and cold.fit.converged
+                theta = np.log(cf.fit.params.alpha0), cf.fit.params.alpha1
+                want = np.log(cold.fit.params.alpha0), cold.fit.params.alpha1
+                assert np.max(np.abs(np.subtract(theta, want))) < 1e-7
+                assert np.array_equal(
+                    cf.mean_lifetimes,
+                    [mean_lifetime(cf.fit.params, w) for w in data.plan.temps])
+
+    def test_causes_in_requested_order(self, ed01):
+        (step,) = fit_causes(ed01, [0.2], causes=[Cause.TUMOUR])
+        assert [cf.cause for cf in step] == [Cause.TUMOUR]
+        (step,) = fit_causes(ed01, [0.2], causes=[Cause.TUMOUR, Cause.NATURAL])
+        assert [cf.cause for cf in step] == [Cause.TUMOUR, Cause.NATURAL]
+
+    def test_no_causes_rejected(self, ed01):
+        with pytest.raises(ValueError):
+            fit_causes(ed01, [0.0], causes=[])
 
 
 class TestCombinedMeanLifetime:

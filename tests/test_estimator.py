@@ -191,6 +191,21 @@ class TestFit:
             base_fit.params.alpha1, abs=1e-10
         )
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_stress_scale_equivariance(self, table1, beta):
+        # stress x100: trial points whose rates overflow are rejected by the
+        # line search without a numpy warning (the suite makes any escaping
+        # RuntimeWarning an error), and alpha1 scales by 1/100
+        plan = table1.plan
+        scaled = FailureTable(TestPlan(plan.temps * 100.0, plan.times,
+                                       plan.devices), table1.counts)
+        base_fit = fit(table1, beta)
+        scaled_fit = fit(scaled, beta)
+        assert scaled_fit.params.alpha1 * 100.0 == pytest.approx(
+            base_fit.params.alpha1, rel=1e-9)
+        assert scaled_fit.params.alpha0 == pytest.approx(
+            base_fit.params.alpha0, rel=1e-9)
+
     def test_covariance_attached(self, table1):
         result = fit(table1, 0.5)
         assert result.covariance is not None

@@ -15,12 +15,15 @@ from oneshotdpd import (
     cell_probs,
     fisher_information,
     fit,
+    fit_path,
     j_bar,
     k_bar,
     required_devices,
     sandwich,
     z_statistic,
 )
+
+from oneshotdpd.io import parse_betas
 
 from conftest import random_params, random_plan
 
@@ -184,6 +187,40 @@ class TestSandwich:
     def test_alpha_covariance_scaling(self, plan1):
         cov = sandwich(ModelParams(0.005, 0.05), plan1, 0.3)
         assert np.allclose(cov.alpha_covariance(25.0), cov.sigma / 25.0)
+
+    def test_per_row_beta_matches_scalar_sandwich(self, table1):
+        # numpy raises by a scalar exponent of -1, 0.5 or 2 exactly
+        # (reciprocal, sqrt, square); the betas 0, 0.5 and 1.5 use them.
+        # Every published beta plus 1.5, rows in shuffled order, each at
+        # its own path estimate:
+        from oneshotdpd.inference import _sandwich_rows
+
+        betas = parse_betas("0:0.1:1,1.5,2,3,4")
+        fits = fit_path(table1, betas)
+        order = np.random.default_rng(5).permutation(2 * len(fits))
+        rows = [fits[k % len(fits)] for k in order]
+        alpha = np.array([r.params.as_array() for r in rows])
+        jb, kb, sigma, ok = _sandwich_rows(alpha, table1.plan,
+                                           np.array([r.beta for r in rows]))
+        assert ok.all()
+        for k, r in enumerate(rows):
+            cov = sandwich(r.params, table1.plan, r.beta)
+            for got, want in ((jb[k], cov.j_bar), (kb[k], cov.k_bar),
+                              (sigma[k], cov.sigma),
+                              (r.covariance.sigma, cov.sigma)):
+                assert np.array_equal(got, want)
+        # random rows, where plain pow by an exponent array differs from
+        # those exact paths in a few percent of the elements:
+        rng = np.random.default_rng(6)
+        alpha = np.column_stack([np.exp(rng.uniform(-9.0, -3.0, 300)),
+                                 rng.uniform(-0.08, 0.08, 300)])
+        beta = rng.choice([0.0, 0.3, 0.5, 1.5], 300)
+        got = _sandwich_rows(alpha, table1.plan, beta)
+        for b in np.unique(beta):
+            at = beta == b
+            want = _sandwich_rows(alpha[at], table1.plan, float(b))
+            for g, w in zip(got, want):
+                assert np.array_equal(g[at], w, equal_nan=True)
 
 
 class TestZStatistic:

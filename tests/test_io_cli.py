@@ -233,6 +233,28 @@ class TestCli:
             0.09355, rel=0.02
         )
         assert "combined_mean_lifetimes" in entry
+        assert doc["diagnostics"]["converged"] is True
+
+    def test_competing_fit_repeated_cause_refused(self, capsys):
+        code, out = self.run(
+            ["competing-fit", "--input", str(dataset_path("ed01")),
+             "--betas", "0", "--causes", "natural, Natural"],
+            capsys,
+        )
+        assert code == 2
+        doc = _strict_json(out)
+        assert doc["errors"][0]["code"] == "ParseError"
+        assert doc["results"] == {}
+
+    def test_competing_fit_no_interior_cause_exit_code(self, tmp_path, capsys):
+        # no tumour deaths anywhere: that cause has no interior cell
+        data = tmp_path / "no_tumour.csv"
+        data.write_text("w,t,n_sac,n_nat,n_tum\n0,1,5,1,0\n0,2,5,2,0\n"
+                        "1,1,5,1,0\n1,2,5,0,0\n")
+        code, out = self.run(["competing-fit", "--input", str(data),
+                              "--betas", "0,0.5"], capsys)
+        assert code == 3
+        assert _strict_json(out)["errors"][0]["code"] == "NoInteriorData"
 
     def test_simulate_command_deterministic(self, tmp_path, capsys):
         spec = {
