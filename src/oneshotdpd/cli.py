@@ -266,7 +266,7 @@ def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:
             contamination=contamination,
             betas=tuple(betas),
             replications=int(doc["replications"]),
-            seed=int(seed),
+            seed=seed,
             hypothesis=hypothesis,
             level=level,
         )

@@ -13,12 +13,11 @@ One path engine fits rows of tables along a sorted beta grid, each row
 from its last converged estimate or else from the grid, with its own
 iteration, line search and stopping rule: :func:`fit` is a one-beta path,
 the causes of a two-cause study are the rows of one path, and the
-Monte-Carlo harness runs it on whole blocks of tables.
+Monte-Carlo harness runs it on whole batches of tables.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,15 @@ _EQ_CAP = 1e30
 _GRID_A0 = np.geomspace(1e-6, 1.0, 41)
 _GRID_LOG_A0 = np.log(_GRID_A0)
 _GRID_A1 = np.linspace(-1.0, 1.0, 41)
+# theta of every grid point, flattened alpha0-major
+_GRID_THETA = np.stack([np.repeat(_GRID_LOG_A0, _GRID_A1.size),
+                        np.tile(_GRID_A1, _GRID_A0.size)], -1)
+_GRID_THETA.setflags(write=False)
+# refined grid candidates per cold fit
+_N_STARTS = 3
+# cold rows scored against the grid at once: the score is a (rows, 1681)
+# array, so this bounds its memory however many rows a solve batch holds
+_GRID_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -232,16 +240,11 @@ class _GridTable:
         return vals
 
 
-def _grid_theta(index: np.ndarray) -> np.ndarray:
-    """Theta (..., 2) of flat grid indices (alpha0-major)."""
-    i0, i1 = np.divmod(index, _GRID_A1.size)
-    return np.stack([_GRID_LOG_A0[i0], _GRID_A1[i1]], -1)
-
-
-def _grid_starts(grid: _GridTable, r: np.ndarray, n_starts: int = 3):
+def _grid_starts(grid: _GridTable, r: np.ndarray):
     """Best coarse-grid points of each table, deduplicated by basin distance.
 
-    Returns the starts ``theta`` (n, 2) and their rows of ``r`` (n,).
+    Returns the starts ``theta`` (rows, _N_STARTS, 2) in rank order; a row
+    with fewer distinct finite grid points has NaN in its later slots.
     """
     vals = grid.values(r)
     rows = np.arange(len(vals))
@@ -249,21 +252,21 @@ def _grid_starts(grid: _GridTable, r: np.ndarray, n_starts: int = 3):
     # ties within 1e-12 break toward the smallest alpha0, then alpha1: the
     # grid is flattened alpha0-major, so that is the smallest index
     picks = [np.argmax(vals <= best[:, None] + 1e-12, axis=1)]
-    for _ in range(n_starts - 1):
+    for _ in range(_N_STARTS - 1):
         # each further start is the best point at max-abs theta distance
         # >= 1 from every earlier one (ties: the smallest index)
-        last = _grid_theta(picks[-1])
+        last = _GRID_THETA[picks[-1]]
         near = ((np.abs(_GRID_LOG_A0 - last[:, 0, None]) < 1.0)[:, :, None]
                 & (np.abs(_GRID_A1 - last[:, 1, None]) < 1.0)[:, None, :])
         vals[near.reshape(vals.shape)] = np.inf
         pick = vals.argmin(axis=1)
         picks.append(np.where(np.isfinite(vals[rows, pick]), pick, -1))
     picks = np.stack(picks, 1)
-    theta = _grid_theta(picks)
+    theta = _GRID_THETA[picks]
+    theta[picks < 0] = np.nan
     # a table with no finite grid value starts from one fixed point
     theta[~np.isfinite(best), 0] = (np.log(1e-3), 0.0)
-    found = picks >= 0
-    return theta[found], np.broadcast_to(rows[:, None], picks.shape)[found]
+    return theta
 
 
 def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
@@ -366,35 +369,60 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve(r: np.ndarray, data: _CellData, beta: float, theta0: np.ndarray,
-           owner: np.ndarray, config: SolverConfig):
+           config: SolverConfig):
     """Refine every row's starts in one Newton batch; keep each row's best.
 
-    Start k, ``theta0[k]``, fits row ``owner[k]`` of ``r`` (rows, I, J),
-    and every row has a start.  Among runs with a finite objective, those
-    within rounding of the least objective compete and the best-polished
-    one wins (smallest gradient, then theta).  ``spread`` is the widest
-    max-abs disagreement between a row's converged runs.  Returns per-row
-    arrays (theta, objective, grad_norm, iterations, clamped, spread).
+    ``theta0`` (rows, starts, 2) holds the starts of each row of ``r``
+    (rows, I, J) in rank order, NaN for a missing start; every row has a
+    first start.  Returns per-row arrays (theta, objective, grad_norm,
+    iterations, clamped, spread) of the run that :func:`_pick` selects.
     """
-    theta, fval, grad_norm, iterations, clamped = _newton(
-        theta0, r[owner], data, beta, config)
-    best = np.empty(len(r), dtype=int)
-    best[owner] = np.arange(len(owner))
-    spread = np.zeros(len(r))
-    for row in np.flatnonzero(np.bincount(owner, minlength=len(r)) > 1):
-        runs = np.flatnonzero(owner == row)
-        finals = [k for k in runs if np.isfinite(fval[k])] or list(runs)
-        f_best = min(fval[k] for k in finals)
-        close = [k for k in finals
-                 if fval[k] <= f_best + 1e-12 * max(1.0, abs(f_best))]
-        best[row] = min(close, key=lambda k: (grad_norm[k], theta[k, 0],
-                                              theta[k, 1]))
-        done = theta[[k for k in finals if grad_norm[k] <= config.grad_tol]]
-        spread[row] = max((float(np.max(np.abs(a - b)))
-                           for a, b in itertools.combinations(done, 2)),
-                          default=0.0)
-    return (theta[best], fval[best], grad_norm[best], iterations[best],
-            clamped[best], spread)
+    valid = ~np.isnan(theta0[..., 0])
+    runs = _newton(theta0[valid], r[np.nonzero(valid)[0]], data, beta, config)
+    dense = [np.zeros(theta0.shape[:2] + v.shape[1:], v.dtype) for v in runs]
+    for d, v in zip(dense, runs):
+        d[valid] = v
+    theta, fval, grad_norm, _, _ = dense
+    best, spread = _pick(fval, grad_norm, theta, valid, config.grad_tol)
+    rows = np.arange(len(r))
+    return (*(v[rows, best] for v in dense), spread)
+
+
+def _pick(fval: np.ndarray, grad_norm: np.ndarray, theta: np.ndarray,
+          valid: np.ndarray, grad_tol: float):
+    """Winning run and multistart spread of each row of (rows, 1) or
+    (rows, _N_STARTS) runs.
+
+    A row's finals are its runs with a finite objective, or all of its
+    runs when none is.  Finals within 1e-12 (relative, at least absolute)
+    of the least objective are close.  The winner is what Python's ``min``
+    picks by the key (grad_norm, theta0, theta1): scanning the close runs
+    in order, a run replaces the current one when its key is smaller as a
+    tuple, NaN included.  ``spread`` is the largest max-abs theta distance
+    between two converged finals, 0 without such a pair.
+    """
+    n, starts = fval.shape
+    if starts == 1:
+        return np.zeros(n, dtype=int), np.zeros(n)
+    rows = np.arange(n)
+    finite = valid & np.isfinite(fval)
+    finals = np.where(finite.any(axis=1, keepdims=True), finite, valid)
+    f_best = np.where(finals, fval, np.inf).min(axis=1, keepdims=True)
+    close = finals & (fval <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best)))
+    # less[:, j, k]: key j < key k as tuples, where the first component
+    # that is not equal decides (NaN never is, and is never less)
+    key = np.concatenate([grad_norm[..., None], theta], axis=2)
+    a, b = key[:, :, None], key[:, None]
+    less = ((a < b) & (np.cumsum(a != b, axis=-1) == 1)).any(axis=-1)
+    best = close.argmax(axis=1)
+    for s in range(1, starts):
+        best = np.where(close[:, s] & less[rows, s, best], s, best)
+    # max-abs theta distances over the pairs of converged finals; a run
+    # paired with itself adds 0, and every distance is at least 0
+    done = finals & (grad_norm <= grad_tol)
+    both = done[:, :, None] & done[:, None]
+    dist = np.abs(a[..., 1:] - b[..., 1:]).max(axis=-1)
+    return best, np.where(both, dist, 0.0).max(axis=(1, 2))
 
 
 def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig,
@@ -411,16 +439,20 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig,
     path = []
     for beta in betas:
         hot = ~np.isnan(warm[:, 0])
-        theta0, owner = warm[hot], np.flatnonzero(hot)
-        if not hot.all():
+        if hot.all():
+            theta0 = warm[:, None]
+        else:
             if beta not in grids:
                 grids[beta] = _GridTable(plan, beta)
+            # a cold row's warm start is NaN, which its grid starts replace
+            theta0 = np.full((len(r), _N_STARTS, 2), np.nan)
+            theta0[:, 0] = warm
             cold = np.flatnonzero(~hot)
-            theta, rows = _grid_starts(grids[beta], r[cold])
-            theta0 = np.concatenate([theta0, theta])
-            owner = np.concatenate([owner, cold[rows]])
+            for lo in range(0, cold.size, _GRID_CHUNK):
+                rows = cold[lo:lo + _GRID_CHUNK]
+                theta0[rows] = _grid_starts(grids[beta], r[rows])
         theta, fval, grad_norm, iterations, clamped, spread = _solve(
-            r, data, beta, theta0, owner, config)
+            r, data, beta, theta0, config)
         with np.errstate(over="ignore"):
             alpha = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
         usable = ((grad_norm <= config.grad_tol) & np.isfinite(alpha[:, 0])
@@ -429,7 +461,8 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig,
                                         alpha[usable, 1]])
         path.append((alpha, fval, grad_norm, iterations, clamped, spread,
                      usable))
-    return [np.stack(v, 1) for v in zip(*path)]
+    # (beta, row, ...) arrays viewed as (row, beta, ...)
+    return [np.array(v).swapaxes(0, 1) for v in zip(*path)]
 
 
 def fit(table: FailureTable, beta: float, config: SolverConfig | None = None

@@ -6,18 +6,20 @@ cell that the fitted model does not describe.  Studies report, per tuning
 parameter, either the root mean squared estimation error against the clean
 truth or the rejection proportion of the two-sided Z-type test.
 
-Studies are batched: replications are drawn and fitted in blocks of a
-fixed size, and each block is fitted along the beta path by the engine
-behind :func:`oneshotdpd.estimator.fit_path`, with the same start rule.
-The sandwich and the Z statistic are computed once per usable fit, and
-only for level/power studies.
+Studies are batched: replications are drawn and fitted in solve batches
+of up to 256, so a study of that size makes one Newton, sandwich and Z
+call per beta.  Each batch is fitted along the beta path by the engine
+behind :func:`oneshotdpd.estimator.fit_path`, with the same start rule;
+that engine scores cold rows against the start grid in chunks of its own,
+which bound a study's memory.  The sandwich and the Z statistic are
+computed once per usable fit, and only for level/power studies.
 
 Reproducibility contract: every replication draws from its own
 Philox4x64-10 counter-based stream keyed by ``(seed, replication_index)``,
 rows are solved independently of each other, and aggregation runs in
 replication order, so a report depends only on the specification and seed,
-never on the block size or the ``workers`` argument.  ``workers`` is kept
-for callers; studies run in the calling thread.
+never on the batch or chunk size or the ``workers`` argument.  ``workers``
+is kept for callers; studies run in the calling thread.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from .inference import LinearHypothesis, _z_rows, ndtri
 from .model import FailureTable, ModelParams, TestPlan, cell_probs
 
 _MODES = ("none", "alpha0_shift", "alpha1_shift")
-# replications solved together: bounds a study's memory whatever its size;
-# larger blocks ran faster but raised the peak memory of a study process
-_BLOCK = 64
+# replications solved together, one Newton, sandwich and Z call per beta;
+# the grid-score memory is bounded separately by estimator._GRID_CHUNK, and
+# a 1,024-row batch raised a study's peak memory by 3.4 MB
+_BLOCK = 256
 
 
 def _check_workers(workers: int) -> None:
@@ -110,8 +113,17 @@ class SimulationSpec:
         object.__setattr__(self, "betas", betas)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
+        try:
+            seed = int(self.seed)
+            integral = (seed == self.seed
+                        and not isinstance(self.seed, (bool, np.bool_)))
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        object.__setattr__(self, "seed", seed)
         i, j = self.contamination.cell
         if not (0 <= i < self.plan.shape[0] and 0 <= j < self.plan.shape[1]):
             raise ValueError("contaminated cell index outside the plan")
@@ -238,19 +250,34 @@ def write_report_csv(path, reports, x_values=None) -> None:
                 writer.writerow({k: _csv_cell(row[k]) for k in REPORT_CSV_COLUMNS})
 
 
-def _draw_counts(spec: SimulationSpec, index: int) -> np.ndarray:
-    """Failure counts of replication ``index``, drawn from its own Philox
-    stream keyed by ``(seed, index)``."""
-    key = np.array([spec.seed, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.binomial(spec.plan.devices, spec.failure_probs)
+def _draw_counts(spec: SimulationSpec, indices, rng: np.random.Generator
+                 ) -> np.ndarray:
+    """Failure counts (len(indices), I, J) of the replications ``indices``.
+
+    ``rng``, a Philox generator, is re-keyed for each replication i to the
+    state of a fresh ``Philox(key=[seed, i])``, so nothing one draw
+    leaves behind reaches the next.
+    """
+    # a fresh Philox4x64-10 stream: counter 0, empty buffer
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    counts = np.empty((len(indices),) + spec.plan.shape, dtype=np.int64)
+    for row, index in enumerate(indices):
+        state["state"]["key"] = np.array([spec.seed, index], dtype=np.uint64)
+        rng.bit_generator.state = state
+        counts[row] = rng.binomial(spec.plan.devices, spec.failure_probs)
+    return counts
 
 
 def generate_table(spec: SimulationSpec, replication_index: int
                    ) -> FailureTable:
-    """Draw one table; deterministic given (seed, replication_index)."""
-    return FailureTable(plan=spec.plan,
-                        counts=_draw_counts(spec, replication_index))
+    """Draw one table from the Philox stream keyed by (seed,
+    replication_index)."""
+    rng = np.random.Generator(np.random.Philox(0))
+    return FailureTable(spec.plan,
+                        _draw_counts(spec, [replication_index], rng)[0])
 
 
 def _replication_fits(spec: SimulationSpec, with_z: bool):
@@ -258,17 +285,19 @@ def _replication_fits(spec: SimulationSpec, with_z: bool):
 
     Returns ``alpha`` (replications, betas, 2) and ``stat`` (replications,
     betas); NaN marks a dropped fit (no interior data, no convergence, or
-    degenerate inference).  Replications are solved in blocks of
-    ``_BLOCK``, but every row of a block runs its own solve, so no value
-    depends on the block size.
+    degenerate inference).  Replications are solved in batches of
+    ``_BLOCK`` from one re-keyed generator, but every row of a batch runs
+    its own solve, so no value depends on the batch size.
     """
     alpha = np.full((spec.replications, len(spec.betas), 2), np.nan)
     stat = np.full((spec.replications, len(spec.betas)), np.nan)
     devices = spec.plan.devices
     grids = {}
+    # its seed does not matter: _draw_counts re-keys it for every draw
+    rng = np.random.Generator(np.random.Philox(0))
     for lo in range(0, spec.replications, _BLOCK):
-        counts = np.array([_draw_counts(spec, i) for i in
-                           range(lo, min(lo + _BLOCK, spec.replications))])
+        counts = _draw_counts(
+            spec, range(lo, min(lo + _BLOCK, spec.replications)), rng)
         interior = ((counts > 0) & (counts < devices)).any(axis=(1, 2))
         reps = lo + np.flatnonzero(interior)
         if reps.size == 0:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -116,10 +118,10 @@ class TestFit:
         from oneshotdpd.estimator import _CellData, _solve
 
         start = ModelParams(0.02, 0.01)
-        theta0 = np.array([[np.log(start.alpha0), start.alpha1]])
+        theta0 = np.array([[[np.log(start.alpha0), start.alpha1]]])
         _, objective, *_ = _solve(table1.frequencies[None],
                                   _CellData(table1.plan), 0.5, theta0,
-                                  np.array([0]), SolverConfig())
+                                  SolverConfig())
         assert objective[0] <= dpd_objective(table1, start, 0.5) + 1e-12
 
     def test_no_interior_data_all_zero(self):
@@ -281,3 +283,167 @@ class TestSolverConfig:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
+
+
+def reference_pick(fval, grad_norm, theta, owner, n_rows, grad_tol):
+    """The per-row selection loop the array-wise ``_pick`` replaced: runs
+    are flat, run k fitting row ``owner[k]``; returns each row's winning
+    run and its multistart spread."""
+    import itertools
+
+    best = np.empty(n_rows, dtype=int)
+    best[owner] = np.arange(len(owner))
+    spread = np.zeros(n_rows)
+    for row in np.flatnonzero(np.bincount(owner, minlength=n_rows) > 1):
+        runs = np.flatnonzero(owner == row)
+        finals = [k for k in runs if np.isfinite(fval[k])] or list(runs)
+        f_best = min(fval[k] for k in finals)
+        close = [k for k in finals
+                 if fval[k] <= f_best + 1e-12 * max(1.0, abs(f_best))]
+        best[row] = min(close, key=lambda k: (grad_norm[k], theta[k, 0],
+                                              theta[k, 1]))
+        done = theta[[k for k in finals if grad_norm[k] <= grad_tol]]
+        spread[row] = max((float(np.max(np.abs(a - b)))
+                           for a, b in itertools.combinations(done, 2)),
+                          default=0.0)
+    return best, spread
+
+
+def assert_pick_matches_reference(fval, grad_norm, theta, valid,
+                                  grad_tol=1e-10):
+    """``_pick`` on the (rows, starts) layout picks, row by row, the same
+    run as the reference loop on the flat runs, and the same spread bit
+    for bit."""
+    from oneshotdpd.estimator import _pick
+
+    owner = np.nonzero(valid)[0]
+    run = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
+    want_best, want_spread = reference_pick(
+        fval[valid], grad_norm[valid], theta[valid], owner, len(valid),
+        grad_tol)
+    best, spread = _pick(fval, grad_norm, theta, valid, grad_tol)
+    assert valid[np.arange(len(best)), best].all()
+    np.testing.assert_array_equal(run[np.arange(len(best)), best], want_best)
+    assert spread.tobytes() == want_spread.tobytes()
+
+
+def dense_runs(rows):
+    """(rows, 3) arrays from rows of runs given as (fval, grad_norm,
+    theta0, theta1) tuples; missing starts are NaN and not valid."""
+    shape = (len(rows), 3)
+    fval, grad_norm = np.full(shape, np.nan), np.full(shape, np.nan)
+    theta = np.full(shape + (2,), np.nan)
+    valid = np.zeros(shape, dtype=bool)
+    for i, runs in enumerate(rows):
+        for s, (f, g, t0, t1) in enumerate(runs):
+            fval[i, s], grad_norm[i, s] = f, g
+            theta[i, s] = t0, t1
+            valid[i, s] = True
+    return fval, grad_norm, theta, valid
+
+
+class TestMultistartSelection:
+    nan, inf = float("nan"), float("inf")
+    CASES = {
+        # a later run inside the 1e-12 band with a smaller gradient wins
+        "tie_inside_band": [[(1.0, 5e-11, 0.0, 0.0),
+                             (1.0 + 9e-13, 1e-12, 1.0, 0.0),
+                             (2.0, 0.0, 2.0, 0.0)]],
+        # just outside the band the least objective wins whatever its
+        # gradient
+        "tie_outside_band": [[(1.0, 5e-11, 0.0, 0.0),
+                              (1.0 + 2e-12, 1e-12, 1.0, 0.0)]],
+        "relative_band": [[(1e6, 5e-11, 0.0, 0.0),
+                           (1e6 + 1e-7, 1e-12, 1.0, 0.0),
+                           (1e6 + 1e-5, 0.0, 2.0, 0.0)]],
+        "all_non_finite": [[(inf, 3.0, 0.0, 0.0), (inf, 1.0, 1.0, 0.0),
+                            (inf, 2.0, 2.0, 0.0)]],
+        "one_finite": [[(inf, 0.0, 0.0, 0.0), (2.0, 9.0, 1.0, 0.0),
+                        (inf, 0.0, 2.0, 0.0)]],
+        "nan_gradient_first": [[(1.0, nan, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0),
+                                (1.0, 0.0, 2.0, 0.0)]],
+        "nan_gradient_later": [[(1.0, 1e-11, 0.0, 0.0),
+                                (1.0, nan, 1.0, 0.0),
+                                (1.0, 0.0, 2.0, 0.0)]],
+        "nan_gradient_all": [[(1.0, nan, 0.0, 0.0), (1.0, nan, -1.0, 0.0)]],
+        "theta0_breaks_tie": [[(1.0, 1e-11, 2.0, 0.0),
+                               (1.0, 1e-11, -1.0, 5.0),
+                               (1.0, 1e-11, 0.5, -5.0)]],
+        "theta1_breaks_tie": [[(1.0, 1e-11, 2.0, 3.0),
+                               (1.0, 1e-11, 2.0, -1.0),
+                               (1.0, 1e-11, 2.0, 0.0)]],
+        "exact_tie_first_wins": [[(1.0, 1e-11, 2.0, 3.0),
+                                  (1.0, 1e-11, 2.0, 3.0)]],
+        # spread: only converged finals count, so a NaN gradient keeps a
+        # run out of it
+        "spread_converged_only": [[(1.0, 1e-11, 0.0, 0.0),
+                                   (1.5, 1e-11, 3.0, 0.0),
+                                   (inf, 1e-3, 9.0, 9.0)]],
+        "spread_nan_gradient": [[(1.0, nan, 9.0, 0.0),
+                                 (1.0, 1e-11, 1.0, 0.0),
+                                 (1.0, 1e-11, 4.0, 0.0)]],
+        "spread_one_converged": [[(1.0, 1e-11, 0.0, 0.0),
+                                  (1.0, nan, 5.0, 0.0),
+                                  (1.0, 1e-3, 9.0, 0.0)]],
+        "one_two_three_starts": [[(1.0, 0.0, 0.0, 0.0)],
+                                 [(1.0, 1e-11, 0.0, 0.0),
+                                  (1.0, 1e-12, 0.5, 0.0)],
+                                 [(1.0, 1e-11, 0.0, 0.0),
+                                  (1.0, 1e-12, 0.5, 0.0),
+                                  (0.5, 1e-9, 0.7, 0.1)]],
+        # warm rows (one start) interleaved with cold rows
+        "warm_and_cold": [[(1.0, 0.0, 0.0, 0.0)],
+                          [(inf, 0.0, 0.0, 0.0), (inf, 1.0, 0.0, 0.0),
+                           (3.0, 1e-3, 1.0, 1.0)],
+                          [(inf, nan, 1.0, 0.0)],
+                          [(2.0, 1e-12, 0.0, 0.0), (2.0, 1e-12, 0.0, 0.0),
+                           (2.0, 1e-13, 0.1, 0.0)],
+                          [(0.5, 1e-3, 4.0, 0.0)]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constructed_cases(self, case):
+        assert_pick_matches_reference(*dense_runs(self.CASES[case]))
+
+    def test_random_rows(self):
+        # 2,000 rows drawn from small value sets, so that ties, near ties,
+        # infinite objectives and NaN gradients are frequent; a run's theta
+        # is always finite
+        rng = np.random.default_rng(7)
+        shape = (2000, 3)
+        base = rng.choice([0.0, 1.0, 1e6, -2.0], size=(2000, 1))
+        fval = base + rng.choice([0.0, 5e-13, 2e-12, 1e-7, 1.0],
+                                 size=shape) * np.maximum(1.0, abs(base))
+        fval[rng.random(shape) < 0.2] = np.inf
+        grad_norm = rng.choice([0.0, 1e-12, 1e-10, 2e-10, 1.0, np.inf,
+                                np.nan], size=shape)
+        theta = rng.choice([-1.0, 0.0, 0.5, 2.0], size=shape + (2,))
+        # each row has its first 1, 2 or 3 starts, as in the dense layout
+        valid = np.arange(3) < rng.integers(1, 4, size=(2000, 1))
+        assert_pick_matches_reference(fval, grad_norm, theta, valid)
+
+    def test_solve_matches_reference_on_grid_starts(self):
+        # real grid starts: three-device cells at extreme stresses give
+        # flat and multimodal objectives, and 20 iterations leave many
+        # runs unconverged; every third row keeps one start, as a warm
+        # row does
+        from oneshotdpd.estimator import (_CellData, _GridTable, _newton,
+                                          _grid_starts, _solve)
+
+        plan = TestPlan([-800.0, 5.0, 900.0], [1e-3, 10.0, 1e5],
+                        np.full((3, 3), 3))
+        rng = np.random.default_rng(11)
+        r = rng.integers(0, 4, size=(300, 3, 3)) / 3.0
+        config = SolverConfig(max_iters=20)
+        data = _CellData(plan)
+        for beta in (0.0, 0.5):
+            theta0 = _grid_starts(_GridTable(plan, beta), r)
+            theta0[::3, 1:] = np.nan
+            valid = ~np.isnan(theta0[..., 0])
+            owner = np.nonzero(valid)[0]
+            runs = _newton(theta0[valid], r[owner], data, beta, config)
+            best, spread = reference_pick(runs[1], runs[2], runs[0], owner,
+                                          len(r), config.grad_tol)
+            got = _solve(r, data, beta, theta0, config)
+            for g, w in zip(got, [v[best] for v in runs] + [spread]):
+                assert g.tobytes() == w.tobytes()

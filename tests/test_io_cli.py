@@ -401,6 +401,28 @@ class TestCli:
         assert _strict_json(text)["errors"][0]["code"] == "ParseError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [7.9, True, "7"])
+    def test_simulate_non_integral_seed_refused(self, seed, tmp_path,
+                                                capsys):
+        spec = {
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05],
+            "betas": [0.0],
+            "replications": 3,
+            "seed": seed,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "study.csv"
+        code, text = self.run(["simulate", "--spec", str(spec_path),
+                               "--output", str(out)], capsys)
+        assert code == 2
+        error = _strict_json(text)["errors"][0]
+        assert error["code"] == "ParseError"
+        assert "seed" in error["message"]
+        assert not out.exists()
+
     def test_simulate_workers_below_one_refused(self, tmp_path, capsys):
         spec = {
             "study": "rmse",

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshotdpd import simulate
+from oneshotdpd import estimator, simulate
 from oneshotdpd import (
     ContaminationScheme,
     ModelParams,
@@ -50,6 +50,17 @@ def golden_spec(study):
         replications=40, seed=31)
 
 
+def k3_spec():
+    """300 replications, more than one solve batch, of three-device
+    cells: some fits fail, and later betas restart them cold."""
+    plan = TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                    np.full((3, 3), 3))
+    return SimulationSpec(
+        plan=plan, true_params=ModelParams(0.004, 0.05),
+        contamination=ContaminationScheme(), betas=(0.0, 0.5, 1.0),
+        replications=300, seed=3)
+
+
 def base_spec(plan, betas=(0.0,), replications=50, seed=1234,
               contamination=None, hypothesis=None, params=(0.004, 0.05)):
     return SimulationSpec(
@@ -71,6 +82,25 @@ class TestGenerateTable:
         assert np.array_equal(a.counts, b.counts)
         c = generate_table(spec, 4)
         assert not np.array_equal(a.counts, c.counts)
+
+    @pytest.mark.parametrize("seed", [0, 2017, 2**64 - 1])
+    def test_rekeyed_draws_equal_fresh_streams(self, plan1, seed):
+        # one generator re-keyed for each replication, visited in shuffled
+        # order, draws what a fresh Philox(key=[seed, i]) draws, so no
+        # state carries over from the previous replication
+        spec = base_spec(plan_with_k(plan1, 20), seed=seed,
+                         contamination=ContaminationScheme("alpha0_shift",
+                                                           value=0.002))
+        order = np.random.default_rng(seed % 97).permutation(2000)
+        rng = np.random.Generator(np.random.Philox(1))
+        rng.random(5)  # a generator part-way through a stream
+        got = simulate._draw_counts(spec, order, rng)
+        want = [np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64))).binomial(
+                spec.plan.devices, spec.failure_probs) for i in order]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            got[:50], [generate_table(spec, i).counts for i in order[:50]])
 
     def test_binomial_mean_matches_model(self, plan1):
         # cell (w=35, t=10) frequency converges to the model probability
@@ -261,13 +291,55 @@ class TestBatchedEngine:
             assert sum(report.failed_fits) > 0
 
     def test_reports_do_not_depend_on_block_size(self, monkeypatch):
+        # a chunk of at least the block size scores all cold rows of a
+        # block at once, so such pairs would repeat an earlier run
+        runs = {(block, min(chunk, block))
+                for block in (simulate._BLOCK, 1, 7, 64)
+                for chunk in (estimator._GRID_CHUNK, 1, 7)}
+        assert len(runs) == 9
         docs = []
-        for block in (simulate._BLOCK, 1, 7):
+        for block, chunk in sorted(runs):
             monkeypatch.setattr(simulate, "_BLOCK", block)
+            monkeypatch.setattr(estimator, "_GRID_CHUNK", chunk)
             docs.append((rmse_study(golden_spec("rmse")).to_json(),
                          level_power_study(golden_spec("level_power"))
-                         .to_json()))
-        assert docs[0] == docs[1] == docs[2]
+                         .to_json(),
+                         rmse_study(k3_spec()).to_json()))
+        assert all(doc == docs[0] for doc in docs)
+
+    def test_grid_chunk_bounds_scored_rows(self, monkeypatch):
+        # the solve batch holds every replication, but no grid score is
+        # ever taller than _GRID_CHUNK rows
+        scored = []
+        values = estimator._GridTable.values
+
+        def spy(grid, r):
+            scored.append((grid.beta, len(r)))
+            return values(grid, r)
+
+        monkeypatch.setattr(estimator._GridTable, "values", spy)
+        spec = k3_spec()
+        assert spec.replications > simulate._BLOCK
+        report = rmse_study(spec)
+        assert sum(report.failed_fits) > 0
+        assert max(rows for _, rows in scored) <= estimator._GRID_CHUNK
+        # cold restarts happen after the first beta
+        assert {beta for beta, _ in scored} > {spec.betas[0]}
+
+    def test_one_newton_batch_per_beta(self, monkeypatch):
+        calls = []
+        newton = estimator._newton
+
+        def spy(theta0, *args):
+            calls.append(len(theta0))
+            return newton(theta0, *args)
+
+        monkeypatch.setattr(estimator, "_newton", spy)
+        spec = dataclasses.replace(golden_spec("level_power"),
+                                   replications=150)
+        assert len(spec.betas) == 6
+        level_power_study(spec)
+        assert len(calls) == 6
 
     def test_workers_below_one_refused(self, plan1):
         spec = base_spec(plan1, replications=2)
@@ -278,6 +350,29 @@ class TestBatchedEngine:
                 spec, contamination=ContaminationScheme("alpha0_shift",
                                                         value=0.002)),
                 [0.5], workers=0)
+
+
+class TestSpecSeed:
+    @pytest.mark.parametrize("seed", [7.9, True, np.bool_(True), "7",
+                                      float("nan"), float("inf"), None],
+                             ids=["7.9", "True", "bool_", "str", "nan",
+                                  "inf", "None"])
+    def test_non_integral_seed_refused(self, plan1, seed):
+        with pytest.raises(ValueError, match="seed"):
+            base_spec(plan1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [7, 7.0, np.uint64(7), np.float64(7)],
+                             ids=["int", "float", "uint64", "float64"])
+    def test_integral_seed_stored_as_int(self, plan1, seed):
+        spec = base_spec(plan1, replications=3, seed=seed)
+        assert type(spec.seed) is int and spec.seed == 7
+        assert rmse_study(spec).to_json() == rmse_study(
+            base_spec(plan1, replications=3, seed=7)).to_json()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, plan1, seed):
+        with pytest.raises(ValueError, match="64 bits"):
+            base_spec(plan1, seed=seed)
 
 
 class TestReportSerialization:
