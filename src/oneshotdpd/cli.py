@@ -33,7 +33,8 @@ from .io import (
     read_failure_csv,
     read_multioutcome_csv,
 )
-from .model import ModelParams, TestPlan, mean_lifetime, reliability
+from .model import (ModelParams, TestPlan, _integral, mean_lifetime,
+                    reliability)
 from .simulate import (
     ContaminationScheme,
     SimulationSpec,
@@ -233,7 +234,7 @@ def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:
         temps = plan_doc["temps"]
         times = plan_doc["times"]
         if np.isscalar(devices):
-            devices = np.full((len(temps), len(times)), int(devices))
+            devices = np.full((len(temps), len(times)), devices)
         plan = TestPlan(temps=temps, times=times, devices=devices)
         true_params = ModelParams(*doc["true_params"])
         cont_doc = doc.get("contamination") or {"mode": "none"}
@@ -265,7 +266,7 @@ def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:
             true_params=true_params,
             contamination=contamination,
             betas=tuple(betas),
-            replications=int(doc["replications"]),
+            replications=doc["replications"],
             seed=seed,
             hypothesis=hypothesis,
             level=level,
@@ -303,12 +304,13 @@ def _cmd_simulate(args) -> dict:
         elif parameter == "devices":
             reports, xs = [], []
             for k in values:
-                devices = np.full(spec.plan.shape, int(k))
+                k = _integral(k, "devices")
+                devices = np.full(spec.plan.shape, k)
                 plan = TestPlan(spec.plan.temps, spec.plan.times, devices)
                 variant = dataclasses.replace(spec, plan=plan)
                 runner = rmse_study if study == "rmse" else level_power_study
                 reports.append(runner(variant, workers=args.workers))
-                xs.append(int(k))
+                xs.append(k)
         else:
             raise ParseError(
                 f"sweep parameter must be strength or devices, got {parameter!r}"

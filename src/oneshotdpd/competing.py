@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import FitResult, SolverConfig, _fit_tables
-from .model import (FailureTable, TestPlan, _frozen_array, hazard,
-                    mean_lifetime)
+from .model import (FailureTable, TestPlan, _frozen_array, _int_array,
+                    hazard, mean_lifetime)
 
 
 class Cause(enum.Enum):
@@ -43,12 +43,11 @@ class MultiOutcomeTable:
 
     def __post_init__(self):
         for name in ("sacrificed", "died_natural", "died_tumour"):
-            arr = np.array(getattr(self, name), dtype=int)
+            arr = _int_array(getattr(self, name), name)
             if arr.shape != self.plan.shape:
                 raise ValueError(f"{name} must have shape {self.plan.shape}")
             if np.any(arr < 0):
                 raise ValueError(f"{name} must be non-negative")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         totals = self.sacrificed + self.died_natural + self.died_tumour
         if not np.array_equal(totals, self.plan.devices):
@@ -59,9 +58,9 @@ class MultiOutcomeTable:
     @classmethod
     def from_counts(cls, temps, times, sacrificed, died_natural, died_tumour
                     ) -> "MultiOutcomeTable":
-        sacrificed = np.array(sacrificed, dtype=int)
-        died_natural = np.array(died_natural, dtype=int)
-        died_tumour = np.array(died_tumour, dtype=int)
+        sacrificed = _int_array(sacrificed, "sacrificed")
+        died_natural = _int_array(died_natural, "died_natural")
+        died_tumour = _int_array(died_tumour, "died_tumour")
         plan = TestPlan(
             temps=temps,
             times=times,

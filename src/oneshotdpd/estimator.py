@@ -5,12 +5,12 @@ The estimate for tuning parameter ``beta`` minimizes
 likelihood estimate.  The solver works internally in ``theta = (log alpha0,
 alpha1)`` coordinates, which keeps ``alpha0`` positive without constraints,
 and runs Newton steps safeguarded by a backtracking line search.  Cold
-starts scan a coarse log-spaced grid first; the estimating equations can be
-flat or multimodal under heavy contamination, so the top grid candidates
-are each refined and disagreements are reported as a diagnostic.
+starts are lines fitted to the data's linear form in theta; the
+estimating equations can be flat or multimodal under heavy contamination,
+so each start is refined and disagreements are reported as a diagnostic.
 
 One path engine fits rows of tables along a sorted beta grid, each row
-from its last converged estimate or else from the grid, with its own
+from its last converged estimate or else cold, with its own
 iteration, line search and stopping rule: :func:`fit` is a one-beta path,
 the causes of a two-cause study are the rows of one path, and the
 Monte-Carlo harness runs it on whole batches of tables.
@@ -32,19 +32,8 @@ _F_MIN = 1e-300
 _F_MAX = 1.0 - 1e-16
 _EQ_CAP = 1e30
 
-# the axes of the 41 x 41 cold-start grid
-_GRID_A0 = np.geomspace(1e-6, 1.0, 41)
-_GRID_LOG_A0 = np.log(_GRID_A0)
-_GRID_A1 = np.linspace(-1.0, 1.0, 41)
-# theta of every grid point, flattened alpha0-major
-_GRID_THETA = np.stack([np.repeat(_GRID_LOG_A0, _GRID_A1.size),
-                        np.tile(_GRID_A1, _GRID_A0.size)], -1)
-_GRID_THETA.setflags(write=False)
-# refined grid candidates per cold fit
+# refined starts per cold fit
 _N_STARTS = 3
-# cold rows scored against the grid at once: the score is a (rows, 1681)
-# array, so this bounds its memory however many rows a solve batch holds
-_GRID_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -74,7 +63,7 @@ class FitResult:
     ``grad_norm`` is the max-abs objective gradient in the internal
     coordinates at ``params``; ``converged`` is true exactly when it is at
     or below the configured tolerance.  ``multistart_spread`` is the widest
-    disagreement (same coordinates) between refined grid candidates; values
+    disagreement (same coordinates) between refined cold starts; values
     above ~1e-6 hint at a flat or multimodal objective.  ``covariance`` is
     the model-based sandwich evaluated at the estimate, or None when the
     information matrix was too ill-conditioned.
@@ -189,83 +178,45 @@ def estimating_equations(
     return out
 
 
-class _GridTable:
-    """The data-free part of the cold-start scan at one (plan, beta).
+def _data_starts(r: np.ndarray, plan: TestPlan) -> np.ndarray:
+    """Cold starts ``theta`` (rows, _N_STARTS, 2) of the tables with
+    fractions ``r`` (rows, I, J), fitted to the model's linear form.
 
-    Each cell's objective term is affine in its observed fraction r:
-    ``r * fail + (1 - r) * surv``, plus a data-only term at beta = 0 that
-    moves every grid point alike.  The table holds ``fail`` and ``surv``
-    for every cell and grid point, so scoring a block of tables costs one
-    (rows, grid) product per cell.  Build it once per plan and beta.
+    Each cell gives ``z = log(-log(1 - q)) - log t = log alpha0 + alpha1 w``
+    with ``q = (n + 1/2) / (K + 1)``, so cells at 0 or K stay finite.  The
+    starts are the device-weighted least-squares line, a Theil-Sen line
+    (Sen 1968) through the per-stress medians of z, which one outlying cell
+    cannot drag, and the first line with its rate times e.  A one-stress
+    plan gets slope 0.
     """
-
-    def __init__(self, plan: TestPlan, beta: float):
-        a0 = np.repeat(_GRID_A0, _GRID_A1.size)[:, None, None]
-        a1 = np.tile(_GRID_A1, _GRID_A0.size)[:, None, None]
+    K = plan.devices
+    w = plan.temps
+    z = np.log(-np.log1p(-(r * K + 0.5) / (K + 1))) - np.log(plan.times)
+    weight = K / K.sum()
+    z_mean = np.sum(weight * z, axis=(1, 2))
+    m = np.median(z, axis=2)
+    theta = np.zeros((len(r), _N_STARTS, 2))
+    if len(w) > 1:
+        w_mean = weight.sum(axis=1) @ w
+        dw = (w - w_mean)[:, None]
+        i, k = np.triu_indices(len(w), 1)
         with np.errstate(all="ignore"):
-            lt, F, S, _ = _cells(a0 * np.exp(a1 * plan.temps[:, None]),
-                                 plan.times)
-            if beta == 0.0:
-                fail, surv = -np.log(F), lt
-            else:
-                both = F ** (beta + 1.0) + S ** (beta + 1.0)
-                k = (1.0 + beta) / beta
-                fail, surv = both - k * F**beta, both - k * S**beta
-        # one contiguous (grid,) row per cell
-        self.fail = fail.reshape(len(F), -1).T.copy()
-        self.surv = surv.reshape(len(F), -1).T.copy()
-        self.beta = beta
-
-    def values(self, r: np.ndarray) -> np.ndarray:
-        """Unscaled objective (rows, grid) of the tables with fractions r.
-
-        A side whose fraction is 0 contributes nothing, even where its
-        model term is infinite (0 log 0 = 0); NaN is reported as +inf.
-        """
-        r = r.reshape(len(r), -1)
-        vals = np.zeros((len(r), self.fail.shape[1]))
-        term = np.empty_like(vals)
-        with np.errstate(all="ignore"):
-            if self.beta == 0.0:
-                vals += np.sum(np.where(r > 0, r * np.log(r), 0.0)
-                               + np.where(r < 1, (1 - r) * np.log1p(-r), 0.0),
-                               axis=1, keepdims=True)
-            for c in range(r.shape[1]):
-                rc = r[:, c, None]
-                np.add(vals, np.multiply(rc, self.fail[c], out=term),
-                       out=vals, where=rc > 0)
-                np.add(vals, np.multiply(1 - rc, self.surv[c], out=term),
-                       out=vals, where=rc < 1)
-        vals[np.isnan(vals)] = np.inf
-        return vals
-
-
-def _grid_starts(grid: _GridTable, r: np.ndarray):
-    """Best coarse-grid points of each table, deduplicated by basin distance.
-
-    Returns the starts ``theta`` (rows, _N_STARTS, 2) in rank order; a row
-    with fewer distinct finite grid points has NaN in its later slots.
-    """
-    vals = grid.values(r)
-    rows = np.arange(len(vals))
-    best = vals.min(axis=1)
-    # ties within 1e-12 break toward the smallest alpha0, then alpha1: the
-    # grid is flattened alpha0-major, so that is the smallest index
-    picks = [np.argmax(vals <= best[:, None] + 1e-12, axis=1)]
-    for _ in range(_N_STARTS - 1):
-        # each further start is the best point at max-abs theta distance
-        # >= 1 from every earlier one (ties: the smallest index)
-        last = _GRID_THETA[picks[-1]]
-        near = ((np.abs(_GRID_LOG_A0 - last[:, 0, None]) < 1.0)[:, :, None]
-                & (np.abs(_GRID_A1 - last[:, 1, None]) < 1.0)[:, None, :])
-        vals[near.reshape(vals.shape)] = np.inf
-        pick = vals.argmin(axis=1)
-        picks.append(np.where(np.isfinite(vals[rows, pick]), pick, -1))
-    picks = np.stack(picks, 1)
-    theta = _GRID_THETA[picks]
-    theta[picks < 0] = np.nan
-    # a table with no finite grid value starts from one fixed point
-    theta[~np.isfinite(best), 0] = (np.log(1e-3), 0.0)
+            # least squares, centred at the weighted means
+            dz = z - z_mean[:, None, None]
+            theta[:, 0, 1] = (np.sum(weight * dw * dz, axis=(1, 2))
+                              / np.sum(weight * dw * dw))
+            theta[:, 0, 0] = -theta[:, 0, 1] * w_mean
+            # Theil-Sen: the median pairwise slope, then the median of the
+            # intercepts it leaves
+            theta[:, 1, 1] = np.median((m[:, k] - m[:, i]) / (w[k] - w[i]),
+                                       axis=1)
+            m = m - theta[:, 1, 1, None] * w
+    theta[:, 0, 0] += z_mean
+    theta[:, 1, 0] = np.median(m, axis=1)
+    # stresses too close or too far apart for doubles: the flat line
+    rows, line = np.nonzero(~np.isfinite(theta[:, :2]).all(axis=2))
+    theta[rows, line] = np.column_stack([z_mean[rows], np.zeros(rows.size)])
+    theta[:, 2] = theta[:, 0] + (1.0, 0.0)
     return theta
 
 
@@ -425,16 +376,16 @@ def _pick(fval: np.ndarray, grad_norm: np.ndarray, theta: np.ndarray,
     return best, np.where(both, dist, 0.0).max(axis=(1, 2))
 
 
-def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig,
-              grids: dict):
+def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig):
     """Fit every table row of ``r`` (rows, I, J) along the sorted ``betas``.
 
     A row starts from its last usable fit (converged, alpha0 = exp(theta0)
-    a positive finite double) or else from the grid; ``grids`` caches a
-    :class:`_GridTable` per beta of ``plan``.  Returns (row, beta) arrays:
-    ``alpha``, the other :func:`_solve` outputs, and the ``usable`` mask.
+    a positive finite double) or else from :func:`_data_starts`.  Returns
+    (row, beta) arrays: ``alpha``, the other :func:`_solve` outputs, and
+    the ``usable`` mask.
     """
     data = _CellData(plan)
+    starts = _data_starts(r, plan)
     warm = np.full((len(r), 2), np.nan)
     path = []
     for beta in betas:
@@ -442,15 +393,9 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig,
         if hot.all():
             theta0 = warm[:, None]
         else:
-            if beta not in grids:
-                grids[beta] = _GridTable(plan, beta)
-            # a cold row's warm start is NaN, which its grid starts replace
-            theta0 = np.full((len(r), _N_STARTS, 2), np.nan)
-            theta0[:, 0] = warm
-            cold = np.flatnonzero(~hot)
-            for lo in range(0, cold.size, _GRID_CHUNK):
-                rows = cold[lo:lo + _GRID_CHUNK]
-                theta0[rows] = _grid_starts(grids[beta], r[rows])
+            theta0 = starts.copy()
+            theta0[hot] = np.nan
+            theta0[hot, 0] = warm[hot]
         theta, fval, grad_norm, iterations, clamped, spread = _solve(
             r, data, beta, theta0, config)
         with np.errstate(over="ignore"):
@@ -512,7 +457,7 @@ def _fit_tables(tables, betas, config: SolverConfig | None
         )
     plan = tables[0].plan
     r = np.stack([table.frequencies for table in tables])
-    alpha, *path, _ = _fit_rows(r, plan, betas, config, {})
+    alpha, *path, _ = _fit_rows(r, plan, betas, config)
     alpha = alpha.reshape(-1, 2)
     # ModelParams refuses an overflowed alpha0 before the sandwich sees it
     params = [ModelParams(float(a0), float(a1)) for a0, a1 in alpha]

@@ -26,7 +26,7 @@ from .inference import SandwichCovariance
 from .model import FailureTable, ModelParams, TestPlan
 
 # most points one start:step:stop item of a tuning-parameter list may expand to
-_MAX_GRID_POINTS = 10_000
+_MAX_BETA_POINTS = 10_000
 
 
 def _read_rows(path, columns):
@@ -164,9 +164,9 @@ def parse_betas(text: str) -> list[float]:
                 )
             span = (stop - start) / step
             # checked before the grid is built; a NaN or infinite span fails too
-            if not span < _MAX_GRID_POINTS - 0.5:
+            if not span < _MAX_BETA_POINTS - 0.5:
                 raise ParseError(
-                    f"grid item {item!r} has more than {_MAX_GRID_POINTS} points"
+                    f"grid item {item!r} has more than {_MAX_BETA_POINTS} points"
                 )
             count = int(round(span))
             grid = [start + k * step for k in range(count + 1)]

@@ -24,10 +24,32 @@ import numpy as np
 from .errors import NumericalOverflow
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int; a bool, a string or a number that is not whole
+    is refused with ValueError instead of being truncated or coerced."""
+    try:
+        out = int(value)
+        ok = out == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    """:func:`_frozen_array` of ints, each entry checked by
+    :func:`_integral`; an integer array needs no check."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        for value in np.ravel(np.array(values, dtype=object)):
+            _integral(value, name)
+    return _frozen_array(values, int)
 
 
 @dataclass(frozen=True)
@@ -71,7 +93,7 @@ class TestPlan:
     def __post_init__(self):
         temps = _frozen_array(self.temps, float)
         times = _frozen_array(self.times, float)
-        devices = _frozen_array(self.devices, int)
+        devices = _int_array(self.devices, "devices")
         if temps.ndim != 1 or temps.size < 1:
             raise ValueError("temps must be a non-empty 1-d sequence")
         if times.ndim != 1 or times.size < 1:
@@ -119,7 +141,7 @@ class FailureTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = _frozen_array(self.counts, int)
+        counts = _int_array(self.counts, "counts")
         if counts.shape != self.plan.shape:
             raise ValueError(
                 f"counts must have shape {self.plan.shape}, got {counts.shape}"

@@ -9,16 +9,15 @@ truth or the rejection proportion of the two-sided Z-type test.
 Studies are batched: replications are drawn and fitted in solve batches
 of up to 256, so a study of that size makes one Newton, sandwich and Z
 call per beta.  Each batch is fitted along the beta path by the engine
-behind :func:`oneshotdpd.estimator.fit_path`, with the same start rule;
-that engine scores cold rows against the start grid in chunks of its own,
-which bound a study's memory.  The sandwich and the Z statistic are
-computed once per usable fit, and only for level/power studies.
+behind :func:`oneshotdpd.estimator.fit_path`, with the same start rule.
+The sandwich and the Z statistic are computed once per usable fit, and
+only for level/power studies.
 
 Reproducibility contract: every replication draws from its own
 Philox4x64-10 counter-based stream keyed by ``(seed, replication_index)``,
 rows are solved independently of each other, and aggregation runs in
 replication order, so a report depends only on the specification and seed,
-never on the batch or chunk size or the ``workers`` argument.  ``workers``
+never on the batch size or the ``workers`` argument.  ``workers``
 is kept for callers; studies run in the calling thread.
 """
 
@@ -33,12 +32,12 @@ import numpy as np
 
 from .estimator import SolverConfig, _fit_rows
 from .inference import LinearHypothesis, _z_rows, ndtri
-from .model import FailureTable, ModelParams, TestPlan, cell_probs
+from .model import FailureTable, ModelParams, TestPlan, _integral, cell_probs
 
 _MODES = ("none", "alpha0_shift", "alpha1_shift")
 # replications solved together, one Newton, sandwich and Z call per beta;
-# the grid-score memory is bounded separately by estimator._GRID_CHUNK, and
-# a 1,024-row batch raised a study's peak memory by 3.4 MB
+# a batch's arrays grow with its rows, and a 1,024-row batch raised a
+# study's peak memory by 3.4 MB
 _BLOCK = 256
 
 
@@ -66,7 +65,8 @@ class ContaminationScheme:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.mode != "none" and self.value is None:
             raise ValueError(f"mode {self.mode!r} requires a value")
-        object.__setattr__(self, "cell", (int(self.cell[0]), int(self.cell[1])))
+        i, j = (_integral(c, "cell index") for c in self.cell)
+        object.__setattr__(self, "cell", (i, j))
 
     def contaminated_params(self, true_params: ModelParams) -> ModelParams:
         if self.mode == "alpha0_shift":
@@ -111,16 +111,11 @@ class SimulationSpec:
         if not all(np.isfinite(b) and b >= 0 for b in betas):
             raise ValueError("betas must be finite and >= 0")
         object.__setattr__(self, "betas", betas)
-        if self.replications < 1:
+        replications = _integral(self.replications, "replications")
+        if replications < 1:
             raise ValueError("replications must be >= 1")
-        try:
-            seed = int(self.seed)
-            integral = (seed == self.seed
-                        and not isinstance(self.seed, (bool, np.bool_)))
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "replications", replications)
+        seed = _integral(self.seed, "seed")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "seed", seed)
@@ -292,7 +287,6 @@ def _replication_fits(spec: SimulationSpec, with_z: bool):
     alpha = np.full((spec.replications, len(spec.betas), 2), np.nan)
     stat = np.full((spec.replications, len(spec.betas)), np.nan)
     devices = spec.plan.devices
-    grids = {}
     # its seed does not matter: _draw_counts re-keys it for every draw
     rng = np.random.Generator(np.random.Philox(0))
     for lo in range(0, spec.replications, _BLOCK):
@@ -303,7 +297,7 @@ def _replication_fits(spec: SimulationSpec, with_z: bool):
         if reps.size == 0:
             continue
         est, *_, usable = _fit_rows(counts[interior] / devices, spec.plan,
-                                    spec.betas, SolverConfig(), grids)
+                                    spec.betas, SolverConfig())
         for b, beta in enumerate(spec.betas):
             ok = usable[:, b]
             alpha[reps[ok], b] = est[ok, b]

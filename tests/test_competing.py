@@ -57,6 +57,13 @@ class TestCauseTable:
                 sacrificed=[[-1]], died_natural=[[2]], died_tumour=[[1]],
             )
 
+    def test_non_integral_counts_refused(self):
+        with pytest.raises(ValueError, match="died_tumour must be an integer"):
+            MultiOutcomeTable.from_counts(
+                temps=[0.0], times=[1.0],
+                sacrificed=[[1]], died_natural=[[2]], died_tumour=[[1.5]],
+            )
+
 
 class TestFitCause:
     def test_ed01_beta0_regression(self, ed01):
@@ -118,6 +125,14 @@ class TestFitCause:
                 cf = fit_cause(ed01, cause, beta)
                 eq = estimating_equations(tab, cf.fit.params, beta)
                 assert max(abs(eq[0]), abs(eq[1])) < bound
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_ed01_tumour_cold_fit_converges_fast(self, ed01, beta):
+        # the tumour cause's optimum lies far from alpha1 = 0; a cold start
+        # fitted to the data begins close to it
+        fit = fit_cause(ed01, Cause.TUMOUR, beta).fit
+        assert fit.converged
+        assert fit.iterations <= 10
 
     def test_benzidine_fits_converge(self, benzidine):
         for beta in (0.0, 0.5, 1.0):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from oneshotdpd import (
@@ -15,6 +16,7 @@ from oneshotdpd import (
     fit,
     fit_path,
 )
+from oneshotdpd.estimator import _data_starts
 from oneshotdpd.io import parse_betas
 
 from conftest import random_params, random_plan, random_table
@@ -173,25 +175,25 @@ class TestFit:
 
     def test_time_scale_equivariance(self, table1):
         # scaling every inspection time by c and alpha0 by 1/c leaves the
-        # cell probabilities and objective values unchanged
-        c = 10.0
+        # cell probabilities and objective values unchanged; a cold fit
+        # must follow however far c moves alpha0 from 1
         plan = table1.plan
-        scaled_plan = TestPlan(plan.temps, plan.times * c, plan.devices)
-        scaled = FailureTable(plan=scaled_plan, counts=table1.counts)
-        beta = 0.5
-        for params in (ModelParams(0.004, 0.05), ModelParams(0.01, 0.02)):
-            scaled_params = ModelParams(params.alpha0 / c, params.alpha1)
-            assert dpd_objective(table1, params, beta) == pytest.approx(
-                dpd_objective(scaled, scaled_params, beta), rel=1e-14
-            )
-        base_fit = fit(table1, beta)
-        scaled_fit = fit(scaled, beta)
-        assert scaled_fit.params.alpha0 * c == pytest.approx(
-            base_fit.params.alpha0, rel=1e-8
-        )
-        assert scaled_fit.params.alpha1 == pytest.approx(
-            base_fit.params.alpha1, abs=1e-10
-        )
+        for c, beta in itertools.product([10.0, 1e9, 1e-6], [0.0, 0.5, 1.0]):
+            scaled_plan = TestPlan(plan.temps, plan.times * c, plan.devices)
+            scaled = FailureTable(plan=scaled_plan, counts=table1.counts)
+            for params in (ModelParams(0.004, 0.05), ModelParams(0.01, 0.02)):
+                scaled_params = ModelParams(params.alpha0 / c, params.alpha1)
+                assert dpd_objective(table1, params, beta) == pytest.approx(
+                    dpd_objective(scaled, scaled_params, beta), rel=1e-14
+                )
+            base_fit = fit(table1, beta)
+            scaled_fit = fit(scaled, beta)
+            assert scaled_fit.params.alpha0 * c == pytest.approx(
+                base_fit.params.alpha0, rel=1e-8
+            ), (c, beta)
+            assert scaled_fit.params.alpha1 == pytest.approx(
+                base_fit.params.alpha1, abs=1e-10
+            ), (c, beta)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_stress_scale_equivariance(self, table1, beta):
@@ -215,31 +217,79 @@ class TestFit:
         assert result.covariance.at_params == result.params
 
 
-class TestColdStartGrid:
-    @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_table_scores_match_objective_terms(self, beta):
-        # stresses where grid rates overflow (lambda t = inf, F = 1) or
-        # vanish (F = 0): a side with a zero fraction must add nothing
-        from oneshotdpd.divergence import _dpd_terms
-        from oneshotdpd.estimator import _GRID_A0, _GRID_A1, _GridTable
-        from oneshotdpd.model import _cells
+@st.composite
+def start_inputs(draw, temps, times):
+    """(plan, r): 1 to 4 distinct stresses and 1 to 4 times from the given
+    strategies, 1 to 100 devices per cell and 1 to 3 rows of fractions in
+    [0, 1], all-0 and all-1 tables included."""
+    w = draw(st.lists(temps, min_size=1, max_size=4, unique=True))
+    t = draw(st.lists(times, min_size=1, max_size=4))
+    cells = len(w) * len(t)
+    devices = draw(st.lists(st.integers(1, 100), min_size=cells,
+                            max_size=cells))
+    size = draw(st.integers(1, 3)) * cells
+    fill = draw(st.sampled_from([None, 0.0, 1.0]))
+    if fill is None:
+        r = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    else:
+        r = [fill] * size
+    shape = (len(w), len(t))
+    return (TestPlan(w, t, np.reshape(devices, shape)),
+            np.reshape(r, (-1,) + shape))
 
-        plan = TestPlan(temps=[-800.0, 5.0, 900.0], times=[1e-3, 10.0, 1e5],
-                        devices=np.full((3, 3), 4))
-        r = np.random.default_rng(3).integers(0, 5, size=(20, 3, 3)) / 4.0
-        got = _GridTable(plan, beta).values(r)
-        # the grid flattened alpha0-major, as the table lays it out
-        a0 = np.repeat(_GRID_A0, _GRID_A1.size)[:, None, None]
-        a1 = np.tile(_GRID_A1, _GRID_A0.size)[:, None, None]
-        with np.errstate(all="ignore"):
-            lt, F, S, _ = _cells(a0 * np.exp(a1 * plan.temps[:, None]),
-                                 plan.times)
-            want = np.array([np.sum(_dpd_terms(row, F, S, lt, beta),
-                                    axis=(1, 2)) for row in r])
-        want[np.isnan(want)] = np.inf
-        assert np.array_equal(np.isinf(got), np.isinf(want))
-        finite = np.isfinite(want)
-        assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=1e-14)
+
+# the equivariance properties hold exactly in real arithmetic; with
+# integer stresses in [-20, 20], times in [1e-3, 1e3], |a| in [0.5, 4] and
+# |b| <= 50 every term stays below about 2e4, so 1e-9 absolute leaves a
+# margin of about 100 times the rounding of the largest term
+EQUIVARIANCE_TOL = 1e-9
+MODERATE = start_inputs(st.integers(-20, 20).map(float),
+                        st.floats(1e-3, 1e3))
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+class TestDataStarts:
+    @PROPERTY
+    @given(start_inputs(st.floats(-1e300, 1e300), st.floats(1e-300, 1e300)))
+    # stresses whose gap or spread no double resolves
+    @example((TestPlan([0.0, 5e-324], [1.0], [[3], [3]]),
+              np.array([[[1 / 3], [2 / 3]]])))
+    @example((TestPlan([-1e308, 1e308], [1.0], [[3], [3]]),
+              np.array([[[1 / 3], [2 / 3]]])))
+    def test_finite_for_any_fractions(self, inputs):
+        plan, r = inputs
+        theta = _data_starts(r, plan)
+        assert theta.shape == (len(r), 3, 2)
+        assert np.isfinite(theta).all()
+        if plan.shape[0] == 1:
+            assert (theta[..., 1] == 0.0).all()
+
+    @PROPERTY
+    @given(MODERATE, st.floats(-9.0, 9.0).map(lambda e: 10.0**e))
+    def test_time_scaling_shifts_log_rate(self, inputs, c):
+        plan, r = inputs
+        scaled = TestPlan(plan.temps, plan.times * c, plan.devices)
+        want = _data_starts(r, plan) - (np.log(c), 0.0)
+        got = _data_starts(r, scaled)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=EQUIVARIANCE_TOL)
+
+    @PROPERTY
+    @given(MODERATE, st.floats(0.5, 4.0), st.sampled_from([-1.0, 1.0]),
+           st.floats(-50.0, 50.0))
+    def test_affine_stress_recoding_maps_by_jacobian(self, inputs, size,
+                                                     sign, b):
+        # w' = a w + b: alpha1' = alpha1 / a, log alpha0' = log alpha0 -
+        # alpha1 b / a
+        plan, r = inputs
+        a = sign * size
+        recoded = TestPlan(a * plan.temps + b, plan.times, plan.devices)
+        theta = _data_starts(r, plan)
+        want = np.stack([theta[..., 0] - theta[..., 1] * b / a,
+                         theta[..., 1] / a], axis=-1)
+        got = _data_starts(r, recoded)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=EQUIVARIANCE_TOL)
 
 
 class TestFitPath:
@@ -249,9 +299,9 @@ class TestFitPath:
         assert path[0].params == single.params
 
     def test_no_warm_start_from_unconverged_fit(self, table1):
-        # three iterations leave every cold fit but beta = 4 unconverged, so
-        # each entry of the path starts cold, exactly as a single fit does
-        config = SolverConfig(max_iters=3)
+        # two iterations leave the cold fits unconverged, so each entry of
+        # the path starts cold, exactly as a single fit does
+        config = SolverConfig(max_iters=2)
         path = fit_path(table1, parse_betas("0:0.1:1,2,3,4"), config)
         assert not path[0].converged
         for entry in path:
@@ -422,13 +472,13 @@ class TestMultistartSelection:
         valid = np.arange(3) < rng.integers(1, 4, size=(2000, 1))
         assert_pick_matches_reference(fval, grad_norm, theta, valid)
 
-    def test_solve_matches_reference_on_grid_starts(self):
-        # real grid starts: three-device cells at extreme stresses give
+    def test_solve_matches_reference_on_data_starts(self):
+        # real cold starts: three-device cells at extreme stresses give
         # flat and multimodal objectives, and 20 iterations leave many
         # runs unconverged; every third row keeps one start, as a warm
         # row does
-        from oneshotdpd.estimator import (_CellData, _GridTable, _newton,
-                                          _grid_starts, _solve)
+        from oneshotdpd.estimator import (_CellData, _data_starts, _newton,
+                                          _solve)
 
         plan = TestPlan([-800.0, 5.0, 900.0], [1e-3, 10.0, 1e5],
                         np.full((3, 3), 3))
@@ -437,7 +487,7 @@ class TestMultistartSelection:
         config = SolverConfig(max_iters=20)
         data = _CellData(plan)
         for beta in (0.0, 0.5):
-            theta0 = _grid_starts(_GridTable(plan, beta), r)
+            theta0 = _data_starts(r, plan)
             theta0[::3, 1:] = np.nan
             valid = ~np.isnan(theta0[..., 0])
             owner = np.nonzero(valid)[0]

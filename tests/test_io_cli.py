@@ -130,7 +130,7 @@ class TestBetaParsing:
             parse_betas("")
 
     def test_grid_cap_boundary(self, monkeypatch):
-        monkeypatch.setattr(io_module, "_MAX_GRID_POINTS", 11)
+        monkeypatch.setattr(io_module, "_MAX_BETA_POINTS", 11)
         assert len(parse_betas("0:0.1:1")) == 11
         with pytest.raises(ParseError, match="more than 11 points"):
             parse_betas("0:0.1:1.1")
@@ -138,7 +138,7 @@ class TestBetaParsing:
     @pytest.mark.parametrize("item", ["0:1e-9:1", "0:1e-320:1"])
     def test_huge_grid_refused_before_it_is_built(self, item, monkeypatch):
         def bounded_range(*args):
-            assert args[-1] <= io_module._MAX_GRID_POINTS, "grid was built"
+            assert args[-1] <= io_module._MAX_BETA_POINTS, "grid was built"
             return range(*args)
 
         monkeypatch.setattr(io_module, "range", bounded_range, raising=False)
@@ -421,6 +421,36 @@ class TestCli:
         error = _strict_json(text)["errors"][0]
         assert error["code"] == "ParseError"
         assert "seed" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 2.7),
+        ("plan", {"temps": [35, 45], "times": [10, 20], "devices": 10.7}),
+        ("contamination", {"mode": "alpha0_shift", "cell": [0.9, 0],
+                           "value": 0.001}),
+        ("sweep", {"parameter": "devices", "values": [10, 10.5]}),
+    ])
+    def test_simulate_non_integral_field_refused(self, field, value,
+                                                 tmp_path, capsys):
+        # before, these ran a study on the truncated values and exited 0
+        spec = {
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05],
+            "betas": [0.0],
+            "replications": 3,
+            "seed": 1,
+            field: value,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "study.csv"
+        code, text = self.run(["simulate", "--spec", str(spec_path),
+                               "--output", str(out)], capsys)
+        assert code == 2
+        error = _strict_json(text)["errors"][0]
+        assert error["code"] == "ParseError"
+        assert "must be an integer" in error["message"]
         assert not out.exists()
 
     def test_simulate_workers_below_one_refused(self, tmp_path, capsys):

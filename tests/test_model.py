@@ -137,6 +137,21 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             FailureTable(plan=plan, counts=[[6]])
 
+    @pytest.mark.parametrize("value", [2.9, 1.5, True, "3", float("nan")])
+    def test_non_integral_counts_refused(self, value):
+        # a cast to int would truncate or coerce these
+        with pytest.raises(ValueError, match="devices must be an integer"):
+            TestPlan([1.0, 2.0], [1.0], [[10], [value]])
+        plan = TestPlan([1.0, 2.0], [1.0], [[10], [5]])
+        with pytest.raises(ValueError, match="counts must be an integer"):
+            FailureTable(plan, [[2], [value]])
+
+    def test_integral_floats_accepted(self):
+        plan = TestPlan([1.0, 2.0], [1.0], [[10.0], [np.float64(5)]])
+        table = FailureTable(plan, np.array([[2.0], [5.0]]))
+        assert plan.devices.dtype == table.counts.dtype == int
+        assert table.counts.tolist() == [[2], [5]]
+
 
 class TestPlanProperties:
     def test_mean_devices_cached(self):

@@ -22,8 +22,9 @@ from oneshotdpd import (
 from oneshotdpd.inference import ndtri
 from oneshotdpd.io import parse_betas
 
-# per-(replication, beta) alpha0, alpha1 and Z of GOLDEN_SPECS, recorded
-# from the serial one-fit-per-call solver that preceded the batched engine
+# per-(replication, beta) alpha0, alpha1 and Z of the golden specs,
+# recorded one replication at a time through the public API: fit_path of
+# generate_table's table, then z_statistic of each converged fit
 GOLDEN = Path(__file__).parent / "data" / "golden_replications.csv"
 
 
@@ -291,40 +292,14 @@ class TestBatchedEngine:
             assert sum(report.failed_fits) > 0
 
     def test_reports_do_not_depend_on_block_size(self, monkeypatch):
-        # a chunk of at least the block size scores all cold rows of a
-        # block at once, so such pairs would repeat an earlier run
-        runs = {(block, min(chunk, block))
-                for block in (simulate._BLOCK, 1, 7, 64)
-                for chunk in (estimator._GRID_CHUNK, 1, 7)}
-        assert len(runs) == 9
         docs = []
-        for block, chunk in sorted(runs):
+        for block in (simulate._BLOCK, 1, 7, 64):
             monkeypatch.setattr(simulate, "_BLOCK", block)
-            monkeypatch.setattr(estimator, "_GRID_CHUNK", chunk)
             docs.append((rmse_study(golden_spec("rmse")).to_json(),
                          level_power_study(golden_spec("level_power"))
                          .to_json(),
                          rmse_study(k3_spec()).to_json()))
         assert all(doc == docs[0] for doc in docs)
-
-    def test_grid_chunk_bounds_scored_rows(self, monkeypatch):
-        # the solve batch holds every replication, but no grid score is
-        # ever taller than _GRID_CHUNK rows
-        scored = []
-        values = estimator._GridTable.values
-
-        def spy(grid, r):
-            scored.append((grid.beta, len(r)))
-            return values(grid, r)
-
-        monkeypatch.setattr(estimator._GridTable, "values", spy)
-        spec = k3_spec()
-        assert spec.replications > simulate._BLOCK
-        report = rmse_study(spec)
-        assert sum(report.failed_fits) > 0
-        assert max(rows for _, rows in scored) <= estimator._GRID_CHUNK
-        # cold restarts happen after the first beta
-        assert {beta for beta, _ in scored} > {spec.betas[0]}
 
     def test_one_newton_batch_per_beta(self, monkeypatch):
         calls = []
@@ -373,6 +348,29 @@ class TestSpecSeed:
     def test_seed_outside_64_bits_refused(self, plan1, seed):
         with pytest.raises(ValueError, match="64 bits"):
             base_spec(plan1, seed=seed)
+
+
+class TestSpecIntegers:
+    @pytest.mark.parametrize("replications", [2.5, True, "3", None])
+    def test_non_integral_replications_refused(self, plan1, replications):
+        with pytest.raises(ValueError, match="replications must be an int"):
+            base_spec(plan1, replications=replications)
+
+    def test_integral_replications_stored_as_int(self, plan1):
+        spec = base_spec(plan1, replications=3.0)
+        assert type(spec.replications) is int and spec.replications == 3
+
+    @pytest.mark.parametrize("cell", [(0.9, 0), (0, True), ("1", 0),
+                                      (0, 1, 2)])
+    def test_bad_cell_refused(self, cell):
+        with pytest.raises(ValueError):
+            ContaminationScheme("alpha0_shift", cell, 0.001)
+
+    def test_integral_cell_stored_as_ints(self):
+        scheme = ContaminationScheme("alpha0_shift", (1.0, np.int64(2)),
+                                     0.001)
+        assert scheme.cell == (1, 2)
+        assert all(type(c) is int for c in scheme.cell)
 
 
 class TestReportSerialization:
