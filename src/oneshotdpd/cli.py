@@ -331,8 +331,19 @@ def _cmd_simulate(args) -> dict:
     }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as :class:`ParseError` once the usual usage
+    lines are on stderr, so that :func:`main` writes its JSON document;
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="oneshotdpd",
         description="Robust estimation and testing for one-shot device data",
     )
@@ -435,8 +446,14 @@ def _config_echo(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except ParseError as exc:
+        # usage errors: the raw arguments stand in for the argument echo
+        _emit({"config": {"argv": argv}, "results": {}, "diagnostics": {},
+               "errors": [{"code": exc.code, "message": str(exc)}]}, None)
+        return _PARSE_EXIT
     payload = {"config": _config_echo(args), "results": {}, "diagnostics": {},
                "errors": []}
     try:

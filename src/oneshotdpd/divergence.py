@@ -7,9 +7,14 @@ maximum likelihood fit is bit-stable.  All cell sums use numpy's pairwise
 summation.
 
 The per-cell objective terms (:func:`_dpd_terms`), the ``F^p + S^p``
-bracket (:func:`_bracket`) and the theta-coordinate cell sum
-(:func:`_theta_cell_sum`) are the one copy of that math; the solver, the
-estimating equations and the sandwich all call them.
+bracket (:func:`_bracket`), the plan's cell columns
+(:func:`_plan_columns`) and the cell sum (:func:`_cell_sums`) are the one
+copy of that math; the solver, the estimating equations and the sandwich
+all call them.  Those three work cell-major: a per-cell array is (C, rows)
+for the C = I J cells of a plan in row-major (stress, time) order, so the
+table rows are contiguous and each elementwise step is one numpy call over
+every row.  :func:`_cell_sums` lays the cells contiguous again for the sum,
+so each row keeps the pairwise summation order of a (rows, I, J) table.
 """
 
 from __future__ import annotations
@@ -92,45 +97,44 @@ def _dpd_terms(r, F, S, lt, beta: float) -> np.ndarray:
 
 
 def _power(x, p):
-    """``x ** p`` for a scalar ``p`` or one exponent per row of ``x``,
-    shaped (n, 1, 1).  Rows sharing an exponent are raised by it as a
-    scalar, so each keeps the bits of its own scalar evaluation (numpy
-    takes exact paths, such as sqrt at 0.5, only for scalar exponents)."""
-    if np.ndim(p) == 0:
+    """``x ** p`` for a scalar ``p`` or one exponent per column of the
+    cell-major ``x`` (C, rows), shaped (rows,).  Columns sharing an
+    exponent are raised by it as a scalar, so each keeps the bits of its
+    own scalar evaluation (numpy takes exact paths, such as sqrt at 0.5,
+    only for scalar exponents)."""
+    if getattr(p, "ndim", 0) == 0:
         return x**p
-    p = np.ravel(p)
     out = np.empty(x.shape)
     for value in np.unique(p):
-        out[p == value] = x[p == value] ** value
+        out[:, p == value] = x[:, p == value] ** value
     return out
 
 
 def _bracket(F, S, p):
     """The ``F^p + S^p`` factor of the estimating equations and sandwich;
-    ``p`` is a scalar or per-row (see :func:`_power`)."""
+    ``p`` is a scalar or per-column (see :func:`_power`)."""
     return _power(F, p) + _power(S, p)
 
 
-def _cell_sum(a) -> np.ndarray:
-    """Sum over the trailing (I, J) cell axes; leading row axes remain."""
-    return np.sum(a, axis=(-2, -1))
+def _plan_columns(plan):
+    """Stress ``w``, its square and time ``t`` of every cell of ``plan``,
+    as (C, 1) columns in row-major (stress, time) order.  A square that
+    overflows is infinite; the kernels then report non-finite sums."""
+    w = np.repeat(plan.temps, plan.times.size)[:, None]
+    with np.errstate(over="ignore"):
+        w2 = w * w
+    return w, w2, np.tile(plan.times, plan.temps.size)[:, None]
 
 
-def _w_powers(w) -> np.ndarray:
-    """``(1, w, w^2)`` stacked on a new leading axis."""
-    return np.stack([np.ones_like(w), w, w**2])
+def _cell_sums(terms) -> np.ndarray:
+    """Cell sums (k, rows) of the k cell-major arrays ``terms``, each
+    (C, rows).
 
-
-def _theta_cell_sum(a, w_powers) -> np.ndarray:
-    """``[[sum a, sum a w], [sum a w, sum a w^2]]`` over the cells.
-
-    This is the cell sum of ``a`` times the outer product of the gradient
-    ``(1, w)`` of ``log lambda`` in ``theta = (log alpha0, alpha1)``;
-    ``w_powers`` comes from :func:`_w_powers`.  ``a`` may carry leading row
-    axes; the result then has shape (..., 2, 2).
+    One copy lays the stacked terms out as (k, rows, C), so each row's
+    cells are contiguous and numpy's pairwise ``sum`` adds them in the
+    order it adds a (rows, I, J) table over its cell axes.
     """
-    sums = _cell_sum(a[..., None, :, :] * w_powers)
-    return sums[..., [0, 1, 1, 2]].reshape(sums.shape[:-1] + (2, 2))
+    return np.array(terms).transpose(0, 2, 1).copy().sum(-1)
 
 
 def log_likelihood(table: FailureTable, params: ModelParams) -> float:

@@ -13,7 +13,10 @@ One path engine fits rows of tables along a sorted beta grid, each row
 from its last converged estimate or else cold, with its own
 iteration, line search and stopping rule: :func:`fit` is a one-beta path,
 the causes of a two-cause study are the rows of one path, and the
-Monte-Carlo harness runs it on whole batches of tables.
+Monte-Carlo harness runs it on whole batches of tables.  The solver
+kernels are cell-major (see :mod:`oneshotdpd.divergence`): theta is
+(2, rows), and every per-cell array is (C, rows) with the table rows
+contiguous, so each step is one numpy call over all rows of a batch.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .divergence import (_bracket, _cell_sum, _check_beta, _dpd_terms,
-                         _theta_cell_sum, _w_powers)
+from .divergence import (_bracket, _cell_sums, _check_beta, _dpd_terms,
+                         _plan_columns)
 from .errors import NoInteriorData
 from .model import FailureTable, ModelParams, TestPlan, _cells
 
@@ -81,65 +84,66 @@ class FitResult:
 
 
 class _CellData:
-    """Plan arrays unpacked once per fit or study.
+    """Plan columns unpacked once per fit or study.
 
-    The kernels below take the observed failure fractions ``r`` next to
-    this: shape (I, J) for one table with theta of shape (2,), or
-    (rows, I, J) for a block of tables with theta of shape (rows, 2).
+    ``w``, ``w2`` (the stress squared) and ``t`` are (C, 1) columns over
+    the C = I J cells in row-major (stress, time) order.  The kernels
+    below take theta as (2, rows) and the observed failure fractions ``r``
+    as (C, rows), one column per table, and return per-row values.
     """
 
     def __init__(self, plan: TestPlan):
-        self.w = plan.temps[:, None]
-        self.t = plan.times[None, :]
-        self.w_powers = _w_powers(self.w)
+        self.w, self.w2, self.t = _plan_columns(plan)
         self.n_cells = plan.n_cells
         self.k_mean = plan.mean_devices
 
 
 def _cells_at(theta: np.ndarray, data: _CellData):
-    """:func:`_cells` at theta (..., 2); a rate that overflows gives
-    infinite or NaN cells, which the objective reports as +inf."""
-    theta = theta[..., None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _cells(np.exp(theta[..., 0, :, :]
-                             + theta[..., 1, :, :] * data.w), data.t)
+    """:func:`_cells` (C, rows) at theta (2, rows).  A rate that overflows
+    gives infinite or NaN cells, which the objective reports as +inf;
+    callers evaluate this under ``np.errstate``."""
+    return _cells(np.exp(theta[0] + theta[1] * data.w), data.t)
 
 
 def _objective_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
                      beta: float):
-    """Objective at theta (..., 2); NaN is reported as +inf."""
-    lt, F, S, _ = _cells_at(theta, data)
-    val = _cell_sum(_dpd_terms(r, F, S, lt, beta)) / data.n_cells
+    """Objective (rows,) at theta (2, rows); NaN is reported as +inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lt, F, S, _ = _cells_at(theta, data)
+    val = _cell_sums([_dpd_terms(r, F, S, lt, beta)])[0] / data.n_cells
     return np.where(np.isnan(val), np.inf, val)
 
 
 def _grad_hess_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
                      beta: float):
-    """Gradient (..., 2) and Hessian (..., 2, 2) in theta coordinates, with
-    boundary guards.
+    """Gradient and Hessian in theta coordinates at theta (2, rows), with
+    boundary guards: a (5, rows) array of ``g0, g1, h00, h01, h11`` and the
+    per-row clamping flags.
 
     Exponents like F^(beta-1) blow up as F -> 0 for beta < 1; F and S are
     clamped into [1e-300, 1 - 1e-16] on that path and the clamping is
     reported per row so callers can flag the fit.
     """
-    lt, F, S, f = _cells_at(theta, data)
-    clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=(-2, -1))
-    Fc = np.clip(F, _F_MIN, _F_MAX)
-    Sc = np.clip(S, _F_MIN, _F_MAX)
     b = beta
     with np.errstate(all="ignore"):
+        lt, F, S, f = _cells_at(theta, data)
+        clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=0)
+        Fc = np.clip(F, _F_MIN, _F_MAX)
+        Sc = np.clip(S, _F_MIN, _F_MAX)
         bracket = _bracket(Fc, Sc, b - 1.0)
-        hp = (b + 1.0) * (F - r) * bracket
+        resid = F - r
+        hp = (b + 1.0) * resid * bracket
         hpp = (b + 1.0) * (
-            bracket + (b - 1.0) * (F - r) * (Fc ** (b - 2.0) - Sc ** (b - 2.0))
+            bracket + (b - 1.0) * resid * (Fc ** (b - 2.0) - Sc ** (b - 2.0))
         )
         tf = data.t * f
         curv = tf * (1.0 - lt)
-        g = _cell_sum((hp * tf)[..., None, :, :] * data.w_powers[:2])
-        g /= data.n_cells
-        H = _theta_cell_sum(hpp * tf * tf + hp * curv, data.w_powers)
-        H /= data.n_cells
-    return g, H, clamped
+        g = hp * tf
+        h = hpp * tf * tf + hp * curv
+        w = data.w
+        gh = _cell_sums([g, g * w, h, h * w, h * data.w2])
+        gh /= data.n_cells
+    return gh, clamped
 
 
 def estimating_equations(
@@ -163,9 +167,11 @@ def estimating_equations(
     """
     beta = _check_beta(beta)
     data = _CellData(table.plan)
-    theta = np.array([np.log(params.alpha0), params.alpha1])
-    g, _, clamped = _grad_hess_theta(theta, table.frequencies, data, beta)
-    clamped = bool(clamped)
+    theta = np.array([[np.log(params.alpha0)], [params.alpha1]])
+    gh, clamped = _grad_hess_theta(theta, table.frequencies.reshape(-1, 1),
+                                   data, beta)
+    g = gh[:2, 0]
+    clamped = bool(clamped[0])
     with np.errstate(all="ignore"):
         vals = g * (data.k_mean * data.n_cells / (beta + 1.0))
     if np.any(np.abs(vals) > _EQ_CAP) or np.any(~np.isfinite(vals)):
@@ -224,99 +230,113 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
             beta: float, config: SolverConfig):
     """Safeguarded Newton from every row of theta0 (n, 2) at once.
 
-    Row k fits the fractions ``r[k]``.  Each row follows its own iteration:
-    a Newton direction only when the Hessian is finite and positive
-    definite (otherwise steepest descent), steps capped at 5, Armijo
-    backtracking down to 1e-13, and the ``grad_tol``, ``step_tol`` and
-    ``max_iters`` stops.  Finished rows are masked out.  Returns per-row
-    arrays (theta, objective, grad_norm, iterations, clamped).
+    Row k fits the fractions ``r[k]`` (n, I, J).  Each row follows its own
+    iteration: a Newton direction only when the Hessian is finite and
+    positive definite (otherwise steepest descent), steps capped at 5,
+    Armijo backtracking down to 1e-13, and the ``grad_tol``, ``step_tol``
+    and ``max_iters`` stops.  Finished rows are masked out.  The rows are
+    solved cell-major, theta as (2, n) and the fractions as (C, n).
+    Returns per-row arrays (theta (n, 2), objective, grad_norm, iterations,
+    clamped).
     """
     n = len(theta0)
-    theta = theta0.copy()
+    theta = theta0.T.copy()
+    r = r.reshape(n, -1).T.copy()
     fval = _objective_theta(theta, r, data, beta)
     grad_norm = np.full(n, np.inf)
     iterations = np.zeros(n, dtype=int)
     clamped = np.zeros(n, dtype=bool)
     active = np.arange(n)
+    # the columns of the active rows are gathered with take and compress,
+    # several times faster than fancy indexing on arrays this small
     for it in range(1, config.max_iters + 1):
-        ra = r[active]
-        g, H, cl = _grad_hess_theta(theta[active], ra, data, beta)
-        clamped[active] |= cl
+        th, ra = theta.take(active, axis=1), r.take(active, axis=1)
+        gh, cl = _grad_hess_theta(th, ra, data, beta)
+        clamped[active[cl]] = True
         iterations[active] = it
-        gn = np.abs(g).max(axis=1)
+        gn = np.abs(gh[:2]).max(axis=0)
         grad_norm[active] = gn
         go = np.isfinite(gn) & (gn > config.grad_tol)
         if not go.all():
-            active, g, H, ra = active[go], g[go], H[go], ra[go]
+            active = active[go]
+            gh, th, ra = (v.compress(go, axis=1) for v in (gh, th, ra))
             if active.size == 0:
                 break
-        step, slope = _direction(g, H)
-        th, f0 = theta[active], fval[active]
+        step, slope = _direction(gh)
+        f0 = fval[active]
         # rounding allowance: near the optimum the true decrease drops below
         # double resolution of the objective; without it the search stalls
         allowance = 4e-16 * np.maximum(1.0, np.abs(f0))
+        # Armijo backtracking; ``lam`` keeps each accepted step length
         lam = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
-        pending = np.arange(active.size)
-        while pending.size:
-            trial = th[pending] + lam[pending, None] * step[pending]
-            ftrial = _objective_theta(trial, ra[pending], data, beta)
-            ok = ftrial <= (f0[pending] + 1e-4 * lam[pending] * slope[pending]
-                            + allowance[pending])
-            done = pending[ok]
-            accepted[done] = True
-            theta[active[done]] = trial[ok]
-            fval[active[done]] = ftrial[ok]
-            pending = pending[~ok]
-            lam[pending] *= 0.5
-            pending = pending[lam[pending] >= 1e-13]
-        moved = lam * np.abs(step).max(axis=1)
+        # the rows still searching, their step lengths and their columns of
+        # the search data, compacted only when a row leaves the search
+        search = [np.arange(active.size), np.ones(active.size), th, step, ra,
+                  f0, slope, allowance]
+        while True:
+            pending, lam_p, th_p, step_p, ra_p, f0_p, slope_p, allowance_p = \
+                search
+            trial = th_p + lam_p * step_p
+            ftrial = _objective_theta(trial, ra_p, data, beta)
+            ok = ftrial <= f0_p + 1e-4 * lam_p * slope_p + allowance_p
+            if ok.any():
+                done = pending[ok]
+                accepted[done] = True
+                lam[done] = lam_p[ok]
+                theta[:, active[done]] = trial.compress(ok, axis=1)
+                fval[active[done]] = ftrial[ok]
+            # a row that failed tries half its step, down to 1e-13
+            search[1] = lam_p = lam_p * 0.5
+            retry = ~ok & (lam_p >= 1e-13)
+            if not retry.any():
+                break
+            if not retry.all():
+                search = [v.compress(retry, axis=-1) for v in search]
+        moved = lam * np.abs(step).max(axis=0)
         # a stalled step or the last iteration: report the final gradient
         final = accepted & ((moved < config.step_tol) | (it == config.max_iters))
         if final.any():
             rows = active[final]
-            g, _, cl = _grad_hess_theta(theta[rows], ra[final], data, beta)
-            clamped[rows] |= cl
-            grad_norm[rows] = np.abs(g).max(axis=1)
+            gh, cl = _grad_hess_theta(theta.take(rows, axis=1),
+                                      ra.compress(final, axis=1), data, beta)
+            clamped[rows[cl]] = True
+            grad_norm[rows] = np.abs(gh[:2]).max(axis=0)
         # a failed line search stops its row as well
         active = active[accepted & ~final]
         if active.size == 0:
             break
-    return theta, fval, grad_norm, iterations, clamped
+    return theta.T, fval, grad_norm, iterations, clamped
 
 
-def _direction(g: np.ndarray, H: np.ndarray):
-    """Per-row search direction and its slope g . step.
+def _direction(gh: np.ndarray):
+    """Per-row search direction (2, n) and its slope g . step, from the
+    rows ``g0, g1, h00, h01, h11`` of :func:`_grad_hess_theta`.
 
     Newton only when the Hessian is finite and safely positive definite,
     otherwise (or uphill) steepest descent; the step is capped at 5.
     """
-    g0, g1 = g[:, 0], g[:, 1]
-    h00, h01, h10, h11 = H[:, 0, 0], H[:, 0, 1], H[:, 1, 0], H[:, 1, 1]
-    step = np.empty_like(g)
+    g0, g1, h00, h01, h11 = gh
+    # an ill-scaled plan (stresses near 1e308) can overflow any product
     with np.errstate(all="ignore"):
-        det = h00 * h11 - h01 * h10
-        step[:, 0] = (-g0 * h11 + g1 * h01) / det
-        step[:, 1] = (g0 * h10 - g1 * h00) / det
-    newton = (np.isfinite(H).all(axis=(1, 2)) & (h00 > 0.0) & (det > 0.0)
-              & np.isfinite(step).all(axis=1))
-    if not newton.all():
-        step[~newton] = -g[~newton]
-    slope = _dot(g, step)
-    uphill = slope >= 0.0
-    if uphill.any():
-        step[uphill] = -g[uphill]
-        slope[uphill] = -_dot(g[uphill], g[uphill])
-    size = np.abs(step).max(axis=1)
-    big = size > 5.0
-    if big.any():
-        step[big] *= (5.0 / size[big])[:, None]
-        slope[big] = _dot(g[big], step[big])
+        det = h00 * h11 - h01 * h01
+        step = np.array([-g0 * h11 + g1 * h01, g0 * h01 - g1 * h00]) / det
+        newton = (np.isfinite(gh[2:]).all(axis=0) & (h00 > 0.0) & (det > 0.0)
+                  & np.isfinite(step).all(axis=0))
+        if not newton.all():
+            step[:, ~newton] = -gh[:2, ~newton]
+        slope = g0 * step[0] + g1 * step[1]
+        uphill = slope >= 0.0
+        if uphill.any():
+            g = gh[:2, uphill]
+            step[:, uphill] = -g
+            slope[uphill] = -(g[0] * g[0] + g[1] * g[1])
+        size = np.abs(step).max(axis=0)
+        big = size > 5.0
+        if big.any():
+            step[:, big] *= 5.0 / size[big]
+            slope[big] = g0[big] * step[0, big] + g1[big] * step[1, big]
     return step, slope
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
 
 
 def _solve(r: np.ndarray, data: _CellData, beta: float, theta0: np.ndarray,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergence import _bracket, _power, _theta_cell_sum, _w_powers
+from .divergence import _bracket, _cell_sums, _plan_columns, _power
 from .errors import DegenerateVariance, InfeasibleDesign, SingularInformation
 from .model import ModelParams, TestPlan, _cells
 
@@ -101,29 +101,31 @@ class ZTestResult:
 
 
 def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta):
-    """``(j_bar, k_bar)`` at the parameter rows ``alpha`` (..., 2).
+    """``(j_bar, k_bar)`` at the parameter rows ``alpha`` (n, 2).
 
     Each is the cell sum of ``(K_ij/Kbar) (t f)^2`` times its factor of
     (F, S) and the (1, w) outer product, taken in theta = (log alpha0,
     alpha1) coordinates and carried to (alpha0, alpha1) by the Jacobian
-    diag(1/alpha0, 1); shape (..., 2, 2).  ``beta`` is a scalar or holds
-    one tuning parameter per row, shaped (n, 1, 1).
+    diag(1/alpha0, 1); each has shape (n, 2, 2).  ``beta`` is a scalar or
+    holds one tuning parameter per row, shaped (n,).  The cells are
+    evaluated cell-major, (C, n), as in the solver.
     """
-    a0, a1 = alpha[..., 0, None, None], alpha[..., 1, None]
-    weights = plan.devices / plan.mean_devices
-    # F or S may underflow to 0, making F^(b-1) infinite; callers refuse it
+    w, w2, t = _plan_columns(plan)
+    weights = (plan.devices / plan.mean_devices).reshape(-1, 1)
+    # F or S may underflow to 0, making F^(b-1) infinite, and 1/alpha0
+    # squared may overflow; callers refuse the non-finite matrices
     with np.errstate(all="ignore"):
-        _, F, S, f = _cells(a0 * np.exp(a1 * plan.temps)[..., None],
-                            plan.times)
-        tf2 = (plan.times * f) ** 2
+        _, F, S, f = _cells(alpha[:, 0] * np.exp(alpha[:, 1] * w), t)
+        tf2 = (t * f) ** 2
         j = weights * (tf2 * _bracket(F, S, beta - 1.0))
         k = weights * (tf2 * (_bracket(F, S, 2.0 * beta - 1.0)
                               - (_power(F, beta) - _power(S, beta)) ** 2))
-    jac = np.stack([1.0 / alpha[..., 0], np.ones_like(alpha[..., 0])], -1)
-    outer = jac[..., :, None] * jac[..., None, :]
-    w_powers = _w_powers(plan.temps[:, None])
-    return (_theta_cell_sum(j, w_powers) * outer,
-            _theta_cell_sum(k, w_powers) * outer)
+        sums = _cell_sums([j, j * w, j * w2, k, k * w, k * w2])
+        inv = 1.0 / alpha[:, 0]
+        # rows (j, k) of the (0,0), (0,1), (1,0) and (1,1) entries
+        out = np.stack([sums[0::3] * (inv * inv), sums[1::3] * inv,
+                        sums[1::3] * inv, sums[2::3]], -1)
+    return out.reshape(2, len(alpha), 2, 2)
 
 
 def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
@@ -135,12 +137,12 @@ def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
 
     with cells weighted by K_ij / Kbar on unbalanced plans.
     """
-    return _alpha_cell_sums(params.as_array(), plan, beta)[0]
+    return _alpha_cell_sums(params.as_array()[None], plan, beta)[0, 0]
 
 
 def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
     """Score-variance matrix of the divergence fit (the sandwich "meat")."""
-    return _alpha_cell_sums(params.as_array(), plan, beta)[1]
+    return _alpha_cell_sums(params.as_array()[None], plan, beta)[1, 0]
 
 
 def fisher_information(params: ModelParams, plan: TestPlan) -> np.ndarray:
@@ -180,7 +182,7 @@ def _sandwich_rows(alpha: np.ndarray, plan: TestPlan, beta):
     ``ok`` marks the rows whose ``j_bar`` passes the condition guard of
     :func:`_inverse_2x2` (``sigma`` is meaningless elsewhere)."""
     if np.ndim(beta):
-        beta = np.asarray(beta, dtype=float)[:, None, None]
+        beta = np.asarray(beta, dtype=float)
     jb, kb = _alpha_cell_sums(alpha, plan, beta)
     j_inv, ok = _inverse_2x2(jb)
     with np.errstate(all="ignore"):

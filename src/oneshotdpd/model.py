@@ -249,13 +249,14 @@ def mean_lifetime(params: ModelParams, w: float) -> float:
 def _cells(lam, t):
     """Per-cell ``(lambda t, F, S, f)`` for rates ``lam`` at times ``t``.
 
-    The inputs broadcast, so a leading batch axis passes straight through.
-    ``F`` and ``S = exp(-lambda t)`` each take their own exact path, and
-    ``f`` is the lifetime density at ``t``.
+    The inputs broadcast, so batch axes pass straight through.  ``F`` and
+    ``S = exp(-lambda t)`` each take their own exact path, and ``f`` is the
+    lifetime density at ``t``.
     """
     lt = lam * t
-    S = np.exp(-lt)
-    return lt, -np.expm1(-lt), S, lam * S
+    neg = -lt
+    S = np.exp(neg)
+    return lt, -np.expm1(neg), S, lam * S
 
 
 def _plan_cells(params: ModelParams, plan: TestPlan):

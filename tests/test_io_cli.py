@@ -313,6 +313,42 @@ class TestCli:
         doc = json.loads(out)
         assert doc["errors"][0]["code"] == "ParseError"
 
+    def usage_error(self, argv, capsys):
+        """Run an argv that argparse refuses; returns the error document."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("usage: oneshotdpd")
+        doc = _strict_json(captured.out)
+        assert doc["config"] == {"argv": argv}
+        assert doc["results"] == {} and doc["diagnostics"] == {}
+        assert doc["errors"][0]["code"] == "ParseError"
+        return doc
+
+    def test_usage_error_bad_option_value(self, capsys):
+        argv = ["power", "--input", str(dataset_path("table1")),
+                "--alpha-star", "0.004,0.02", "--beta", "0", "--m", "0,1",
+                "--d", "0.05", "--devices", "1e3"]
+        doc = self.usage_error(argv, capsys)
+        assert "--devices" in doc["errors"][0]["message"]
+
+    def test_usage_error_missing_option(self, capsys):
+        doc = self.usage_error(["fit", "--input", str(dataset_path("table1"))],
+                               capsys)
+        assert "--beta" in doc["errors"][0]["message"]
+
+    def test_usage_error_unknown_option(self, capsys):
+        doc = self.usage_error(["fit", "--input", str(dataset_path("table1")),
+                                "--beta", "0", "--bogus"], capsys)
+        assert "--bogus" in doc["errors"][0]["message"]
+
+    @pytest.mark.parametrize("argv", [["--version"], ["fit", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     def test_computation_error_exit_code(self, tmp_path, capsys):
         degenerate = tmp_path / "zeros.csv"
         degenerate.write_text(
