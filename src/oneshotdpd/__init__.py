@@ -31,7 +31,6 @@ from .errors import (
 )
 from .estimator import (
     FitResult,
-    SolverConfig,
     estimating_equations,
     fit,
     fit_path,
@@ -95,7 +94,6 @@ __all__ = [
     "SimulationReport",
     "SimulationSpec",
     "SingularInformation",
-    "SolverConfig",
     "TestPlan",
     "ZTestResult",
     "approximate_power",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -295,11 +296,18 @@ def _cmd_simulate(args) -> dict:
         print(f"generated seed: {spec.seed}", file=sys.stderr)
 
     if sweep is not None:
+        if not isinstance(sweep, dict):
+            raise ParseError(f"sweep must be an object, got {sweep!r}")
         parameter = sweep.get("parameter", "strength")
         values = sweep.get("values")
-        if not values:
+        if not (isinstance(values, list) and values):
             raise ParseError("sweep requires a non-empty values list")
         if parameter == "strength":
+            try:
+                values = [float(v) for v in values]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"sweep strengths must be numbers: {exc}"
+                                 ) from None
             reports, xs = contamination_sweep(spec, values, workers=args.workers)
         elif parameter == "devices":
             reports, xs = [], []
@@ -342,7 +350,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged,
+    so calls on several threads may share it."""
     parser = _ArgumentParser(
         prog="oneshotdpd",
         description="Robust estimation and testing for one-shot device data",

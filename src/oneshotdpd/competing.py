@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import FitResult, SolverConfig, _fit_tables
+from .estimator import FitResult, _fit_tables
 from .model import (FailureTable, TestPlan, _frozen_array, _int_array,
                     hazard, mean_lifetime)
 
@@ -92,7 +92,6 @@ def fit_causes(
     data: MultiOutcomeTable,
     betas,
     causes=(Cause.NATURAL, Cause.TUMOUR),
-    config: SolverConfig | None = None,
 ) -> list[list[CauseFit]]:
     """Fit the ``causes`` marginally along the sorted ``betas``.
 
@@ -100,12 +99,13 @@ def fit_causes(
     of one warm-started path (see :func:`~oneshotdpd.estimator.fit_path`).
     Returns, per beta, one :class:`CauseFit` per cause in ``causes`` order.
     Raises :class:`~oneshotdpd.errors.NoInteriorData` when a cause has no
-    cell with a count strictly between 0 and its size.
+    cell with a count strictly between 0 and its size, and otherwise as
+    :func:`~oneshotdpd.estimator.fit` does.
     """
     causes = list(causes)
     if not causes:
         raise ValueError("at least one cause is required")
-    paths = _fit_tables([cause_table(data, c) for c in causes], betas, config)
+    paths = _fit_tables([cause_table(data, c) for c in causes], betas)
     return [
         [CauseFit(cause=cause, fit=result, mean_lifetimes=_frozen_array(
             [mean_lifetime(result.params, w) for w in data.plan.temps], float))
@@ -114,14 +114,9 @@ def fit_causes(
     ]
 
 
-def fit_cause(
-    data: MultiOutcomeTable,
-    cause: Cause,
-    beta: float,
-    config: SolverConfig | None = None,
-) -> CauseFit:
+def fit_cause(data: MultiOutcomeTable, cause: Cause, beta: float) -> CauseFit:
     """Fit one cause marginally at tuning parameter ``beta``."""
-    return fit_causes(data, [beta], [cause], config)[0][0]
+    return fit_causes(data, [beta], [cause])[0][0]
 
 
 def combined_mean_lifetime(fits, w: float) -> float:

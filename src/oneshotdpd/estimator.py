@@ -28,7 +28,7 @@ import numpy as np
 from . import inference
 from .divergence import (_bracket, _cell_sums, _check_beta, _dpd_terms,
                          _plan_columns)
-from .errors import NoInteriorData
+from .errors import NoInteriorData, NumericalOverflow
 from .model import FailureTable, ModelParams, TestPlan, _cells
 
 _F_MIN = 1e-300
@@ -38,25 +38,12 @@ _EQ_CAP = 1e30
 # refined starts per cold fit
 _N_STARTS = 3
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver knobs.
-
-    ``grad_tol`` applies to the max-abs gradient of the objective in the
-    internal (log alpha0, alpha1) coordinates; ``step_tol`` to the max-abs
-    parameter change per iteration in the same coordinates.
-    """
-
-    max_iters: int = 200
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (self.grad_tol > 0 and self.step_tol > 0):
-            raise ValueError("tolerances must be > 0")
+# Newton stops: the iteration cap, the max-abs gradient and the max-abs
+# step, both in (log alpha0, alpha1); a fit converged when its final
+# gradient is within _GRAD_TOL
+_MAX_ITERS = 200
+_GRAD_TOL = 1e-10
+_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,7 +52,7 @@ class FitResult:
 
     ``grad_norm`` is the max-abs objective gradient in the internal
     coordinates at ``params``; ``converged`` is true exactly when it is at
-    or below the configured tolerance.  ``multistart_spread`` is the widest
+    or below the fixed tolerance 1e-10.  ``multistart_spread`` is the widest
     disagreement (same coordinates) between refined cold starts; values
     above ~1e-6 hint at a flat or multimodal objective.  ``covariance`` is
     the model-based sandwich evaluated at the estimate, or None when the
@@ -227,14 +214,14 @@ def _data_starts(r: np.ndarray, plan: TestPlan) -> np.ndarray:
 
 
 def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
-            beta: float, config: SolverConfig):
+            beta: float):
     """Safeguarded Newton from every row of theta0 (n, 2) at once.
 
     Row k fits the fractions ``r[k]`` (n, I, J).  Each row follows its own
     iteration: a Newton direction only when the Hessian is finite and
     positive definite (otherwise steepest descent), steps capped at 5,
-    Armijo backtracking down to 1e-13, and the ``grad_tol``, ``step_tol``
-    and ``max_iters`` stops.  Finished rows are masked out.  The rows are
+    Armijo backtracking down to 1e-13, and the ``_GRAD_TOL``, ``_STEP_TOL``
+    and ``_MAX_ITERS`` stops.  Finished rows are masked out.  The rows are
     solved cell-major, theta as (2, n) and the fractions as (C, n).
     Returns per-row arrays (theta (n, 2), objective, grad_norm, iterations,
     clamped).
@@ -249,14 +236,14 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     active = np.arange(n)
     # the columns of the active rows are gathered with take and compress,
     # several times faster than fancy indexing on arrays this small
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         th, ra = theta.take(active, axis=1), r.take(active, axis=1)
         gh, cl = _grad_hess_theta(th, ra, data, beta)
         clamped[active[cl]] = True
         iterations[active] = it
         gn = np.abs(gh[:2]).max(axis=0)
         grad_norm[active] = gn
-        go = np.isfinite(gn) & (gn > config.grad_tol)
+        go = np.isfinite(gn) & (gn > _GRAD_TOL)
         if not go.all():
             active = active[go]
             gh, th, ra = (v.compress(go, axis=1) for v in (gh, th, ra))
@@ -295,7 +282,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
                 search = [v.compress(retry, axis=-1) for v in search]
         moved = lam * np.abs(step).max(axis=0)
         # a stalled step or the last iteration: report the final gradient
-        final = accepted & ((moved < config.step_tol) | (it == config.max_iters))
+        final = accepted & ((moved < _STEP_TOL) | (it == _MAX_ITERS))
         if final.any():
             rows = active[final]
             gh, cl = _grad_hess_theta(theta.take(rows, axis=1),
@@ -339,8 +326,7 @@ def _direction(gh: np.ndarray):
     return step, slope
 
 
-def _solve(r: np.ndarray, data: _CellData, beta: float, theta0: np.ndarray,
-           config: SolverConfig):
+def _solve(r: np.ndarray, data: _CellData, beta: float, theta0: np.ndarray):
     """Refine every row's starts in one Newton batch; keep each row's best.
 
     ``theta0`` (rows, starts, 2) holds the starts of each row of ``r``
@@ -349,18 +335,18 @@ def _solve(r: np.ndarray, data: _CellData, beta: float, theta0: np.ndarray,
     iterations, clamped, spread) of the run that :func:`_pick` selects.
     """
     valid = ~np.isnan(theta0[..., 0])
-    runs = _newton(theta0[valid], r[np.nonzero(valid)[0]], data, beta, config)
+    runs = _newton(theta0[valid], r[np.nonzero(valid)[0]], data, beta)
     dense = [np.zeros(theta0.shape[:2] + v.shape[1:], v.dtype) for v in runs]
     for d, v in zip(dense, runs):
         d[valid] = v
     theta, fval, grad_norm, _, _ = dense
-    best, spread = _pick(fval, grad_norm, theta, valid, config.grad_tol)
+    best, spread = _pick(fval, grad_norm, theta, valid)
     rows = np.arange(len(r))
     return (*(v[rows, best] for v in dense), spread)
 
 
 def _pick(fval: np.ndarray, grad_norm: np.ndarray, theta: np.ndarray,
-          valid: np.ndarray, grad_tol: float):
+          valid: np.ndarray):
     """Winning run and multistart spread of each row of (rows, 1) or
     (rows, _N_STARTS) runs.
 
@@ -390,13 +376,13 @@ def _pick(fval: np.ndarray, grad_norm: np.ndarray, theta: np.ndarray,
         best = np.where(close[:, s] & less[rows, s, best], s, best)
     # max-abs theta distances over the pairs of converged finals; a run
     # paired with itself adds 0, and every distance is at least 0
-    done = finals & (grad_norm <= grad_tol)
+    done = finals & (grad_norm <= _GRAD_TOL)
     both = done[:, :, None] & done[:, None]
     dist = np.abs(a[..., 1:] - b[..., 1:]).max(axis=-1)
     return best, np.where(both, dist, 0.0).max(axis=(1, 2))
 
 
-def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig):
+def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
     """Fit every table row of ``r`` (rows, I, J) along the sorted ``betas``.
 
     A row starts from its last usable fit (converged, alpha0 = exp(theta0)
@@ -417,10 +403,10 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig):
             theta0[hot] = np.nan
             theta0[hot, 0] = warm[hot]
         theta, fval, grad_norm, iterations, clamped, spread = _solve(
-            r, data, beta, theta0, config)
+            r, data, beta, theta0)
         with np.errstate(over="ignore"):
             alpha = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
-        usable = ((grad_norm <= config.grad_tol) & np.isfinite(alpha[:, 0])
+        usable = ((grad_norm <= _GRAD_TOL) & np.isfinite(alpha[:, 0])
                   & (alpha[:, 0] > 0.0))
         warm[usable] = np.column_stack([np.log(alpha[usable, 0]),
                                         alpha[usable, 1]])
@@ -430,21 +416,23 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas, config: SolverConfig):
     return [np.array(v).swapaxes(0, 1) for v in zip(*path)]
 
 
-def fit(table: FailureTable, beta: float, config: SolverConfig | None = None
-        ) -> FitResult:
+def fit(table: FailureTable, beta: float) -> FitResult:
     """Fit the rate-link parameters at tuning parameter ``beta``.
 
-    Deterministic given inputs and configuration.  Raises
+    Deterministic given its inputs.  The solver's stops are fixed: a fit
+    converged when its max-abs gradient in (log alpha0, alpha1) is within
+    1e-10, and it also stops on a step below 1e-12 in the same
+    coordinates or after 200 iterations, returning the best iterate with
+    ``converged=False`` instead of raising.  Raises
     :class:`~oneshotdpd.errors.NoInteriorData` when no cell has a failure
-    count strictly between 0 and its size (the minimizer then degenerates).
-    When the iteration cap is hit the best iterate is returned with
-    ``converged=False`` instead of raising.
+    count strictly between 0 and its size (the minimizer then degenerates),
+    and :class:`~oneshotdpd.errors.NumericalOverflow` when the fitted
+    ``alpha0`` is not a positive finite double.
     """
-    return fit_path(table, [beta], config)[0]
+    return fit_path(table, [beta])[0]
 
 
-def fit_path(table: FailureTable, betas, config: SolverConfig | None = None
-             ) -> list[FitResult]:
+def fit_path(table: FailureTable, betas) -> list[FitResult]:
     """Fit a sorted grid of tuning parameters, warm-starting along the path.
 
     Each entry starts from the last converged estimate on the path, or is
@@ -452,11 +440,10 @@ def fit_path(table: FailureTable, betas, config: SolverConfig | None = None
     starts land on the same optimum as independent cold fits, up to the
     step tolerance.  Raises as :func:`fit` does.
     """
-    return _fit_tables([table], betas, config)[0]
+    return _fit_tables([table], betas)[0]
 
 
-def _fit_tables(tables, betas, config: SolverConfig | None
-                ) -> list[list[FitResult]]:
+def _fit_tables(tables, betas) -> list[list[FitResult]]:
     """:func:`fit_path` of every table in ``tables``, which share one plan.
 
     The tables are the rows of one :func:`_fit_rows` call, and one
@@ -468,8 +455,6 @@ def _fit_tables(tables, betas, config: SolverConfig | None
         raise ValueError("betas must be non-empty")
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("betas must be sorted ascending")
-    if config is None:
-        config = SolverConfig()
     if not all(table.has_interior_cell() for table in tables):
         raise NoInteriorData(
             "every cell is all-failure or all-survival; the estimate "
@@ -477,9 +462,13 @@ def _fit_tables(tables, betas, config: SolverConfig | None
         )
     plan = tables[0].plan
     r = np.stack([table.frequencies for table in tables])
-    alpha, *path, _ = _fit_rows(r, plan, betas, config)
+    alpha, *path, _ = _fit_rows(r, plan, betas)
     alpha = alpha.reshape(-1, 2)
-    # ModelParams refuses an overflowed alpha0 before the sandwich sees it
+    # exp(log alpha0) leaves the double range on plans such as subnormal
+    # inspection times
+    if not (np.isfinite(alpha[:, 0]) & (alpha[:, 0] > 0.0)).all():
+        raise NumericalOverflow(
+            "the fitted alpha0 is not a positive finite double")
     params = [ModelParams(float(a0), float(a1)) for a0, a1 in alpha]
     beta = np.tile(betas, len(tables))
     covariances = zip(*inference._sandwich_rows(alpha, plan, beta))
@@ -492,7 +481,7 @@ def _fit_tables(tables, betas, config: SolverConfig | None
             objective=float(fval),
             grad_norm=float(grad_norm),
             iterations=int(iterations),
-            converged=bool(grad_norm <= config.grad_tol),
+            converged=bool(grad_norm <= _GRAD_TOL),
             covariance=inference.SandwichCovariance(
                 j_bar=jb, k_bar=kb, sigma=sigma, at_params=p, beta=float(b)
             ) if ok else None,

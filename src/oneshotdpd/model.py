@@ -260,9 +260,18 @@ def _cells(lam, t):
 
 
 def _plan_cells(params: ModelParams, plan: TestPlan):
-    """:func:`_cells` over the I x J plan grid at ``params``."""
-    lam = params.alpha0 * np.exp(params.alpha1 * plan.temps)[:, None]
-    return _cells(lam, plan.times)
+    """:func:`_cells` over the I x J plan grid at ``params``.
+
+    Raises :class:`~oneshotdpd.errors.NumericalOverflow`, as :func:`hazard`
+    does, when a rate exceeds the double range.  A finite rate whose
+    ``lambda t`` overflows gives F = 1, S = 0 and f = 0.
+    """
+    with np.errstate(over="ignore"):
+        lam = params.alpha0 * np.exp(params.alpha1 * plan.temps)[:, None]
+        if not np.isfinite(lam).all():
+            w = float(plan.temps[np.argmin(np.isfinite(lam[:, 0]))])
+            raise NumericalOverflow(f"failure rate at stress {w!r} overflows")
+        return _cells(lam, plan.times)
 
 
 def cell_probs(params: ModelParams, plan: TestPlan):
@@ -274,6 +283,9 @@ def cell_probs(params: ModelParams, plan: TestPlan):
         ``F`` is the failure probability by the cell's inspection time,
         ``S = 1 - F`` computed on its own exact path (``exp(-lambda t)``),
         and ``f`` the lifetime density at the inspection time.
+
+    Raises :class:`~oneshotdpd.errors.NumericalOverflow` when a rate
+    exceeds the double range.
     """
     return _plan_cells(params, plan)[1:]
 

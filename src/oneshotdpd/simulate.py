@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import SolverConfig, _fit_rows
+from .estimator import _fit_rows
 from .inference import LinearHypothesis, _z_rows, ndtri
 from .model import FailureTable, ModelParams, TestPlan, _integral, cell_probs
 
@@ -297,7 +297,7 @@ def _replication_fits(spec: SimulationSpec, with_z: bool):
         if reps.size == 0:
             continue
         est, *_, usable = _fit_rows(counts[interior] / devices, spec.plan,
-                                    spec.betas, SolverConfig())
+                                    spec.betas)
         for b, beta in enumerate(spec.betas):
             ok = usable[:, b]
             alpha[reps[ok], b] = est[ok, b]

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import random_plan, random_table
-from oneshotdpd import FailureTable, TestPlan, fit
+from oneshotdpd import FailureTable, TestPlan, estimator, fit
 from oneshotdpd.divergence import _dpd_terms
-from oneshotdpd.estimator import (SolverConfig, _CellData, _data_starts,
-                                  _fit_rows, _grad_hess_theta,
-                                  _objective_theta)
+from oneshotdpd.estimator import (_CellData, _data_starts, _fit_rows,
+                                  _grad_hess_theta, _objective_theta)
 from oneshotdpd.inference import _alpha_cell_sums, _sandwich_rows
 
 BETAS = (0.0, 0.3, 0.5, 1.0, 2.0)
@@ -167,17 +166,17 @@ class TestKernelsMatchReference:
 
 
 class TestRowsAreIndependent:
-    def test_stacked_tables_match_each_table_alone(self):
+    def test_stacked_tables_match_each_table_alone(self, monkeypatch):
         # one-stress and one-time plans are where a transposed layout
         # would mix rows; the iteration cap leaves rows unconverged, so
         # that later betas mix warm and cold rows
-        config = SolverConfig(max_iters=40)
+        monkeypatch.setattr(estimator, "_MAX_ITERS", 40)
         shapes = set()
         for _, plan, r in random_cases(29, 16):
             shapes.add(plan.shape)
-            stacked = _fit_rows(r, plan, BETAS, config)
+            stacked = _fit_rows(r, plan, BETAS)
             for k in range(len(r)):
-                alone = _fit_rows(r[k:k + 1], plan, BETAS, config)
+                alone = _fit_rows(r[k:k + 1], plan, BETAS)
                 for got, want in zip(stacked, alone):
                     same_bytes(got[k:k + 1], want)
             alpha = stacked[0].reshape(-1, 2)

@@ -5,6 +5,7 @@ from oneshotdpd import (
     Cause,
     MultiOutcomeTable,
     NoInteriorData,
+    NumericalOverflow,
     cause_table,
     combined_mean_lifetime,
     fit_cause,
@@ -113,6 +114,15 @@ class TestFitCause:
         with pytest.raises(NoInteriorData):
             fit_cause(data, Cause.TUMOUR, 0.5)
         with pytest.raises(NoInteriorData):
+            fit_causes(data, [0.0, 0.5])
+
+    def test_overflowing_alpha0_is_typed_error(self):
+        # subnormal inspection times put alpha0 near 1e320, beyond doubles
+        data = MultiOutcomeTable.from_counts(
+            temps=[1.0, 2.0], times=[1e-320],
+            sacrificed=[[7], [4]], died_natural=[[3], [6]],
+            died_tumour=[[2], [5]])
+        with pytest.raises(NumericalOverflow):
             fit_causes(data, [0.0, 0.5])
 
     def test_cause_fits_satisfy_optimality(self, ed01):

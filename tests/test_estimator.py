@@ -9,10 +9,11 @@ from oneshotdpd import (
     FailureTable,
     ModelParams,
     NoInteriorData,
-    SolverConfig,
+    NumericalOverflow,
     TestPlan,
     dpd_objective,
     estimating_equations,
+    estimator,
     fit,
     fit_path,
 )
@@ -122,8 +123,7 @@ class TestFit:
         start = ModelParams(0.02, 0.01)
         theta0 = np.array([[[np.log(start.alpha0), start.alpha1]]])
         _, objective, *_ = _solve(table1.frequencies[None],
-                                  _CellData(table1.plan), 0.5, theta0,
-                                  SolverConfig())
+                                  _CellData(table1.plan), 0.5, theta0)
         assert objective[0] <= dpd_objective(table1, start, 0.5) + 1e-12
 
     def test_no_interior_data_all_zero(self):
@@ -139,6 +139,14 @@ class TestFit:
         table = FailureTable(plan=plan, counts=np.full((2, 2), 5))
         with pytest.raises(NoInteriorData):
             fit(table, 1.0)
+
+    def test_overflowing_alpha0_is_typed_error(self):
+        # subnormal inspection times put alpha0 near 1e320, beyond doubles
+        plan = TestPlan(temps=[1.0, 2.0], times=[1e-320],
+                        devices=[[10], [10]])
+        table = FailureTable(plan=plan, counts=[[3], [6]])
+        with pytest.raises(NumericalOverflow):
+            fit(table, 0.5)
 
     def test_reparameterization_invariance(self, table1):
         # a bounded solver working directly in (alpha0, alpha1) must land on
@@ -298,14 +306,14 @@ class TestFitPath:
         single = fit(table1, 0.3)
         assert path[0].params == single.params
 
-    def test_no_warm_start_from_unconverged_fit(self, table1):
+    def test_no_warm_start_from_unconverged_fit(self, table1, monkeypatch):
         # two iterations leave the cold fits unconverged, so each entry of
         # the path starts cold, exactly as a single fit does
-        config = SolverConfig(max_iters=2)
-        path = fit_path(table1, parse_betas("0:0.1:1,2,3,4"), config)
+        monkeypatch.setattr(estimator, "_MAX_ITERS", 2)
+        path = fit_path(table1, parse_betas("0:0.1:1,2,3,4"))
         assert not path[0].converged
         for entry in path:
-            cold = fit(table1, entry.beta, config)
+            cold = fit(table1, entry.beta)
             assert (entry.params, entry.objective, entry.grad_norm,
                     entry.iterations, entry.converged,
                     entry.multistart_spread) == (
@@ -325,14 +333,6 @@ class TestFitPath:
     def test_empty_rejected(self, table1):
         with pytest.raises(ValueError):
             fit_path(table1, [])
-
-
-class TestSolverConfig:
-    def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(grad_tol=0.0)
 
 
 def reference_pick(fval, grad_norm, theta, owner, n_rows, grad_tol):
@@ -359,8 +359,7 @@ def reference_pick(fval, grad_norm, theta, owner, n_rows, grad_tol):
     return best, spread
 
 
-def assert_pick_matches_reference(fval, grad_norm, theta, valid,
-                                  grad_tol=1e-10):
+def assert_pick_matches_reference(fval, grad_norm, theta, valid):
     """``_pick`` on the (rows, starts) layout picks, row by row, the same
     run as the reference loop on the flat runs, and the same spread bit
     for bit."""
@@ -370,8 +369,8 @@ def assert_pick_matches_reference(fval, grad_norm, theta, valid,
     run = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
     want_best, want_spread = reference_pick(
         fval[valid], grad_norm[valid], theta[valid], owner, len(valid),
-        grad_tol)
-    best, spread = _pick(fval, grad_norm, theta, valid, grad_tol)
+        estimator._GRAD_TOL)
+    best, spread = _pick(fval, grad_norm, theta, valid)
     assert valid[np.arange(len(best)), best].all()
     np.testing.assert_array_equal(run[np.arange(len(best)), best], want_best)
     assert spread.tobytes() == want_spread.tobytes()
@@ -472,7 +471,7 @@ class TestMultistartSelection:
         valid = np.arange(3) < rng.integers(1, 4, size=(2000, 1))
         assert_pick_matches_reference(fval, grad_norm, theta, valid)
 
-    def test_solve_matches_reference_on_data_starts(self):
+    def test_solve_matches_reference_on_data_starts(self, monkeypatch):
         # real cold starts: three-device cells at extreme stresses give
         # flat and multimodal objectives, and 20 iterations leave many
         # runs unconverged; every third row keeps one start, as a warm
@@ -484,16 +483,16 @@ class TestMultistartSelection:
                         np.full((3, 3), 3))
         rng = np.random.default_rng(11)
         r = rng.integers(0, 4, size=(300, 3, 3)) / 3.0
-        config = SolverConfig(max_iters=20)
+        monkeypatch.setattr(estimator, "_MAX_ITERS", 20)
         data = _CellData(plan)
         for beta in (0.0, 0.5):
             theta0 = _data_starts(r, plan)
             theta0[::3, 1:] = np.nan
             valid = ~np.isnan(theta0[..., 0])
             owner = np.nonzero(valid)[0]
-            runs = _newton(theta0[valid], r[owner], data, beta, config)
+            runs = _newton(theta0[valid], r[owner], data, beta)
             best, spread = reference_pick(runs[1], runs[2], runs[0], owner,
-                                          len(r), config.grad_tol)
-            got = _solve(r, data, beta, theta0, config)
+                                          len(r), estimator._GRAD_TOL)
+            got = _solve(r, data, beta, theta0)
             for g, w in zip(got, [v[best] for v in runs] + [spread]):
                 assert g.tobytes() == w.tobytes()

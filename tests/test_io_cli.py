@@ -304,6 +304,29 @@ class TestCli:
         assert lines[1].split(",")[1] == "0.0"
         assert lines[2].split(",")[1] == "0.5"
 
+    @pytest.mark.parametrize("values", [[None], [[0.5]]])
+    def test_simulate_sweep_strength_not_number_refused(self, values,
+                                                        tmp_path, capsys):
+        spec = {
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05],
+            "contamination": {"mode": "alpha0_shift", "cell": [0, 0],
+                              "value": 0.002},
+            "betas": [0.0],
+            "replications": 3,
+            "seed": 1,
+            "sweep": {"parameter": "strength", "values": values},
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "study.csv"
+        code, text = self.run(["simulate", "--spec", str(spec_path),
+                               "--output", str(out)], capsys)
+        assert code == 2
+        assert _strict_json(text)["errors"][0]["code"] == "ParseError"
+        assert not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("w,t,K,n\n35,10,10,12\n")
@@ -359,6 +382,17 @@ class TestCli:
         assert code == 3
         doc = json.loads(out)
         assert doc["errors"][0]["code"] == "NoInteriorData"
+
+    def test_fit_overflowing_alpha0_is_typed_error(self, tmp_path, capsys):
+        # subnormal inspection times put alpha0 near 1e320, beyond doubles
+        data = tmp_path / "subnormal.csv"
+        data.write_text("w,t,K,n\n1,1e-320,10,3\n2,1e-320,10,6\n")
+        code, out = self.run(["fit", "--input", str(data), "--beta", "0.5"],
+                             capsys)
+        assert code == 3
+        doc = _strict_json(out)
+        assert doc["errors"][0]["code"] == "NumericalOverflow"
+        assert doc["results"] == {}
 
     @pytest.mark.parametrize("params", ["0.005,1000", "0.005,-1000"])
     def test_reliability_overflow_is_typed_error(self, params, capsys):
@@ -416,6 +450,11 @@ class TestCli:
         ("hypothesis", {"m": [0.0, 1.0], "d": float("nan")}),
         ("replications", float("inf")),
         ("betas", [0.0, float("nan")]),
+        # the rate at stress 45 overflows
+        ("true_params", [0.004, 400.0]),
+        # malformed sweeps
+        ("sweep", [1]),
+        ("sweep", {"parameter": "devices", "values": 5}),
     ])
     def test_simulate_spec_non_finite_refused(self, field, value, tmp_path,
                                               capsys):

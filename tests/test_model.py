@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from oneshotdpd import (
+    ContaminationScheme,
     FailureTable,
     ModelParams,
+    NumericalOverflow,
     ProbabilityVector,
+    SimulationSpec,
     TestPlan,
     cdf,
+    cell_probs,
+    dpd_objective,
     hazard,
+    log_likelihood,
     mean_lifetime,
     observed_probs,
     pdf,
@@ -101,6 +107,35 @@ class TestMeanLifetime:
 
     def test_unit_rate(self):
         assert mean_lifetime(ModelParams(1.0, 0.0), 17.0) == 1.0
+
+
+class TestCellOverflow:
+    """Rates beyond the double range raise a typed error, as hazard does;
+    a finite rate whose lambda t overflows gives F = 1, S = 0, f = 0.
+    Either way no numpy warning escapes (warnings fail the suite)."""
+
+    plan = TestPlan(temps=[1.0, 2.0], times=[10.0, 20.0],
+                    devices=[[5, 5], [5, 5]])
+
+    def test_overflowing_rate_raises(self):
+        params = ModelParams(0.1, 400.0)
+        table = FailureTable(self.plan, [[1, 2], [3, 4]])
+        with pytest.raises(NumericalOverflow, match="stress 2.0"):
+            cell_probs(params, self.plan)
+        with pytest.raises(NumericalOverflow):
+            log_likelihood(table, params)
+        with pytest.raises(NumericalOverflow):
+            dpd_objective(table, params, 0.5)
+        with pytest.raises(NumericalOverflow):
+            SimulationSpec(plan=self.plan, true_params=params,
+                           contamination=ContaminationScheme(),
+                           betas=(0.0,), replications=1, seed=1)
+
+    def test_overflowing_lambda_t_saturates(self):
+        plan = TestPlan(temps=[1.0, 2.0], times=[1e300, 1e308],
+                        devices=[[5, 5], [5, 5]])
+        F, S, f = cell_probs(ModelParams(1e10, 1.0), plan)
+        assert (F == 1.0).all() and (S == 0.0).all() and (f == 0.0).all()
 
 
 class TestParamsValidation:
