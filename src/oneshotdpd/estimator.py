@@ -4,10 +4,11 @@ The estimate for tuning parameter ``beta`` minimizes
 :func:`oneshotdpd.divergence.dpd_objective`; ``beta = 0`` gives the maximum
 likelihood estimate.  The solver works internally in ``theta = (log alpha0,
 alpha1)`` coordinates, which keeps ``alpha0`` positive without constraints,
-and runs Newton steps safeguarded by a backtracking line search.  Cold
-starts are lines fitted to the data's linear form in theta; the
-estimating equations can be flat or multimodal under heavy contamination,
-so each start is refined and disagreements are reported as a diagnostic.
+and runs Newton steps safeguarded by a backtracking line search.  A cold
+fit is one Newton run from the least-squares line through the data's
+linear form in theta; at ``beta = 0`` the objective is a binomial
+complementary log-log likelihood, concave in theta, so one start reaches
+its minimizer.
 
 One path engine fits rows of tables along a sorted beta grid, each row
 from its last converged estimate or else cold, with its own
@@ -35,9 +36,6 @@ _F_MIN = 1e-300
 _F_MAX = 1.0 - 1e-16
 _EQ_CAP = 1e30
 
-# refined starts per cold fit
-_N_STARTS = 3
-
 # Newton stops: the iteration cap, the max-abs gradient and the max-abs
 # step, both in (log alpha0, alpha1); a fit converged when its final
 # gradient is within _GRAD_TOL
@@ -52,11 +50,11 @@ class FitResult:
 
     ``grad_norm`` is the max-abs objective gradient in the internal
     coordinates at ``params``; ``converged`` is true exactly when it is at
-    or below the fixed tolerance 1e-10.  ``multistart_spread`` is the widest
-    disagreement (same coordinates) between refined cold starts; values
-    above ~1e-6 hint at a flat or multimodal objective.  ``covariance`` is
-    the model-based sandwich evaluated at the estimate, or None when the
-    information matrix was too ill-conditioned.
+    or below the fixed tolerance 1e-10, and ``iterations`` counts the
+    iterations of its one Newton run, the polish step included (see
+    :func:`fit`).  ``covariance`` is the model-based sandwich evaluated at
+    the estimate, or None when the information matrix was too
+    ill-conditioned.
     """
 
     beta: float
@@ -67,7 +65,6 @@ class FitResult:
     converged: bool
     covariance: "inference.SandwichCovariance | None" = None
     boundary_clamped: bool = False
-    multistart_spread: float = 0.0
 
 
 class _CellData:
@@ -172,44 +169,33 @@ def estimating_equations(
 
 
 def _data_starts(r: np.ndarray, plan: TestPlan) -> np.ndarray:
-    """Cold starts ``theta`` (rows, _N_STARTS, 2) of the tables with
-    fractions ``r`` (rows, I, J), fitted to the model's linear form.
+    """The cold start ``theta`` (rows, 2) of each table with fractions
+    ``r`` (rows, I, J), fitted to the model's linear form.
 
     Each cell gives ``z = log(-log(1 - q)) - log t = log alpha0 + alpha1 w``
     with ``q = (n + 1/2) / (K + 1)``, so cells at 0 or K stay finite.  The
-    starts are the device-weighted least-squares line, a Theil-Sen line
-    (Sen 1968) through the per-stress medians of z, which one outlying cell
-    cannot drag, and the first line with its rate times e.  A one-stress
-    plan gets slope 0.
+    start is the device-weighted least-squares line through the cells'
+    z, centred at the weighted means of stress and z.  A one-stress plan
+    gets slope 0.
     """
     K = plan.devices
     w = plan.temps
     z = np.log(-np.log1p(-(r * K + 0.5) / (K + 1))) - np.log(plan.times)
     weight = K / K.sum()
     z_mean = np.sum(weight * z, axis=(1, 2))
-    m = np.median(z, axis=2)
-    theta = np.zeros((len(r), _N_STARTS, 2))
+    theta = np.zeros((len(r), 2))
     if len(w) > 1:
         w_mean = weight.sum(axis=1) @ w
         dw = (w - w_mean)[:, None]
-        i, k = np.triu_indices(len(w), 1)
         with np.errstate(all="ignore"):
-            # least squares, centred at the weighted means
             dz = z - z_mean[:, None, None]
-            theta[:, 0, 1] = (np.sum(weight * dw * dz, axis=(1, 2))
-                              / np.sum(weight * dw * dw))
-            theta[:, 0, 0] = -theta[:, 0, 1] * w_mean
-            # Theil-Sen: the median pairwise slope, then the median of the
-            # intercepts it leaves
-            theta[:, 1, 1] = np.median((m[:, k] - m[:, i]) / (w[k] - w[i]),
-                                       axis=1)
-            m = m - theta[:, 1, 1, None] * w
-    theta[:, 0, 0] += z_mean
-    theta[:, 1, 0] = np.median(m, axis=1)
+            theta[:, 1] = (np.sum(weight * dw * dz, axis=(1, 2))
+                           / np.sum(weight * dw * dw))
+            theta[:, 0] = -theta[:, 1] * w_mean
+    theta[:, 0] += z_mean
     # stresses too close or too far apart for doubles: the flat line
-    rows, line = np.nonzero(~np.isfinite(theta[:, :2]).all(axis=2))
-    theta[rows, line] = np.column_stack([z_mean[rows], np.zeros(rows.size)])
-    theta[:, 2] = theta[:, 0] + (1.0, 0.0)
+    rows = np.flatnonzero(~np.isfinite(theta).all(axis=1))
+    theta[rows] = np.column_stack([z_mean[rows], np.zeros(rows.size)])
     return theta
 
 
@@ -221,10 +207,12 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     iteration: a Newton direction only when the Hessian is finite and
     positive definite (otherwise steepest descent), steps capped at 5,
     Armijo backtracking down to 1e-13, and the ``_GRAD_TOL``, ``_STEP_TOL``
-    and ``_MAX_ITERS`` stops.  Finished rows are masked out.  The rows are
-    solved cell-major, theta as (2, n) and the fractions as (C, n).
-    Returns per-row arrays (theta (n, 2), objective, grad_norm, iterations,
-    clamped).
+    and ``_MAX_ITERS`` stops.  A row whose gradient is first within
+    ``_GRAD_TOL`` takes one more step and stops at the iterate it reaches,
+    or where it is when that line search fails.  Finished rows are masked
+    out.  The rows are solved cell-major, theta as (2, n) and the
+    fractions as (C, n).  Returns per-row arrays (theta (n, 2), objective,
+    grad_norm, iterations, clamped).
     """
     n = len(theta0)
     theta = theta0.T.copy()
@@ -233,6 +221,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     grad_norm = np.full(n, np.inf)
     iterations = np.zeros(n, dtype=int)
     clamped = np.zeros(n, dtype=bool)
+    reached = np.zeros(n, dtype=bool)
     active = np.arange(n)
     # the columns of the active rows are gathered with take and compress,
     # several times faster than fancy indexing on arrays this small
@@ -243,7 +232,10 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
         iterations[active] = it
         gn = np.abs(gh[:2]).max(axis=0)
         grad_norm[active] = gn
-        go = np.isfinite(gn) & (gn > _GRAD_TOL)
+        # a row first within _GRAD_TOL takes one more step, which polishes
+        # the last digits, and stops at the iterate it reaches
+        go = np.isfinite(gn) & ~reached[active]
+        reached[active[gn <= _GRAD_TOL]] = True
         if not go.all():
             active = active[go]
             gh, th, ra = (v.compress(go, axis=1) for v in (gh, th, ra))
@@ -326,92 +318,29 @@ def _direction(gh: np.ndarray):
     return step, slope
 
 
-def _solve(r: np.ndarray, data: _CellData, beta: float, theta0: np.ndarray):
-    """Refine every row's starts in one Newton batch; keep each row's best.
-
-    ``theta0`` (rows, starts, 2) holds the starts of each row of ``r``
-    (rows, I, J) in rank order, NaN for a missing start; every row has a
-    first start.  Returns per-row arrays (theta, objective, grad_norm,
-    iterations, clamped, spread) of the run that :func:`_pick` selects.
-    """
-    valid = ~np.isnan(theta0[..., 0])
-    runs = _newton(theta0[valid], r[np.nonzero(valid)[0]], data, beta)
-    dense = [np.zeros(theta0.shape[:2] + v.shape[1:], v.dtype) for v in runs]
-    for d, v in zip(dense, runs):
-        d[valid] = v
-    theta, fval, grad_norm, _, _ = dense
-    best, spread = _pick(fval, grad_norm, theta, valid)
-    rows = np.arange(len(r))
-    return (*(v[rows, best] for v in dense), spread)
-
-
-def _pick(fval: np.ndarray, grad_norm: np.ndarray, theta: np.ndarray,
-          valid: np.ndarray):
-    """Winning run and multistart spread of each row of (rows, 1) or
-    (rows, _N_STARTS) runs.
-
-    A row's finals are its runs with a finite objective, or all of its
-    runs when none is.  Finals within 1e-12 (relative, at least absolute)
-    of the least objective are close.  The winner is what Python's ``min``
-    picks by the key (grad_norm, theta0, theta1): scanning the close runs
-    in order, a run replaces the current one when its key is smaller as a
-    tuple, NaN included.  ``spread`` is the largest max-abs theta distance
-    between two converged finals, 0 without such a pair.
-    """
-    n, starts = fval.shape
-    if starts == 1:
-        return np.zeros(n, dtype=int), np.zeros(n)
-    rows = np.arange(n)
-    finite = valid & np.isfinite(fval)
-    finals = np.where(finite.any(axis=1, keepdims=True), finite, valid)
-    f_best = np.where(finals, fval, np.inf).min(axis=1, keepdims=True)
-    close = finals & (fval <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best)))
-    # less[:, j, k]: key j < key k as tuples, where the first component
-    # that is not equal decides (NaN never is, and is never less)
-    key = np.concatenate([grad_norm[..., None], theta], axis=2)
-    a, b = key[:, :, None], key[:, None]
-    less = ((a < b) & (np.cumsum(a != b, axis=-1) == 1)).any(axis=-1)
-    best = close.argmax(axis=1)
-    for s in range(1, starts):
-        best = np.where(close[:, s] & less[rows, s, best], s, best)
-    # max-abs theta distances over the pairs of converged finals; a run
-    # paired with itself adds 0, and every distance is at least 0
-    done = finals & (grad_norm <= _GRAD_TOL)
-    both = done[:, :, None] & done[:, None]
-    dist = np.abs(a[..., 1:] - b[..., 1:]).max(axis=-1)
-    return best, np.where(both, dist, 0.0).max(axis=(1, 2))
-
-
 def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
     """Fit every table row of ``r`` (rows, I, J) along the sorted ``betas``.
 
     A row starts from its last usable fit (converged, alpha0 = exp(theta0)
-    a positive finite double) or else from :func:`_data_starts`.  Returns
-    (row, beta) arrays: ``alpha``, the other :func:`_solve` outputs, and
-    the ``usable`` mask.
+    a positive finite double) or else from :func:`_data_starts`, and every
+    beta is one :func:`_newton` call over all rows.  Returns (row, beta)
+    arrays: ``alpha``, the other :func:`_newton` outputs, and the
+    ``usable`` mask.
     """
     data = _CellData(plan)
     starts = _data_starts(r, plan)
     warm = np.full((len(r), 2), np.nan)
     path = []
     for beta in betas:
-        hot = ~np.isnan(warm[:, 0])
-        if hot.all():
-            theta0 = warm[:, None]
-        else:
-            theta0 = starts.copy()
-            theta0[hot] = np.nan
-            theta0[hot, 0] = warm[hot]
-        theta, fval, grad_norm, iterations, clamped, spread = _solve(
-            r, data, beta, theta0)
+        theta, fval, grad_norm, iterations, clamped = _newton(
+            np.where(np.isnan(warm), starts, warm), r, data, beta)
         with np.errstate(over="ignore"):
             alpha = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
         usable = ((grad_norm <= _GRAD_TOL) & np.isfinite(alpha[:, 0])
                   & (alpha[:, 0] > 0.0))
         warm[usable] = np.column_stack([np.log(alpha[usable, 0]),
                                         alpha[usable, 1]])
-        path.append((alpha, fval, grad_norm, iterations, clamped, spread,
-                     usable))
+        path.append((alpha, fval, grad_norm, iterations, clamped, usable))
     # (beta, row, ...) arrays viewed as (row, beta, ...)
     return [np.array(v).swapaxes(0, 1) for v in zip(*path)]
 
@@ -419,11 +348,13 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
 def fit(table: FailureTable, beta: float) -> FitResult:
     """Fit the rate-link parameters at tuning parameter ``beta``.
 
-    Deterministic given its inputs.  The solver's stops are fixed: a fit
-    converged when its max-abs gradient in (log alpha0, alpha1) is within
-    1e-10, and it also stops on a step below 1e-12 in the same
-    coordinates or after 200 iterations, returning the best iterate with
-    ``converged=False`` instead of raising.  Raises
+    Deterministic given its inputs.  One safeguarded Newton run starts
+    from the least-squares line through the data's linear form.  Its
+    stops are fixed: a fit converged when its max-abs gradient in
+    (log alpha0, alpha1) is within 1e-10, after which the run takes one
+    more step to polish the last digits; it also stops on a step below
+    1e-12 in the same coordinates or after 200 iterations, returning the
+    best iterate with ``converged=False`` instead of raising.  Raises
     :class:`~oneshotdpd.errors.NoInteriorData` when no cell has a failure
     count strictly between 0 and its size (the minimizer then degenerates),
     and :class:`~oneshotdpd.errors.NumericalOverflow` when the fitted
@@ -473,8 +404,8 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
     beta = np.tile(betas, len(tables))
     covariances = zip(*inference._sandwich_rows(alpha, plan, beta))
     results = []
-    for b, p, (jb, kb, sigma, ok), fval, grad_norm, iterations, clamped, \
-            spread in zip(beta, params, covariances, *(v.ravel() for v in path)):
+    for b, p, (jb, kb, sigma, ok), fval, grad_norm, iterations, clamped \
+            in zip(beta, params, covariances, *(v.ravel() for v in path)):
         results.append(FitResult(
             beta=float(b),
             params=p,
@@ -486,7 +417,6 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
                 j_bar=jb, k_bar=kb, sigma=sigma, at_params=p, beta=float(b)
             ) if ok else None,
             boundary_clamped=bool(clamped),
-            multistart_spread=float(spread),
         ))
     n = len(betas)
     return [results[k:k + n] for k in range(0, len(results), n)]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .divergence import _bracket, _cell_sums, _plan_columns, _power
 from .errors import DegenerateVariance, InfeasibleDesign, SingularInformation
-from .model import ModelParams, TestPlan, _cells
+from .model import ModelParams, TestPlan, _cells, _plan_rates
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import FitResult
@@ -195,10 +195,13 @@ def sandwich(params: ModelParams, plan: TestPlan, beta: float
              ) -> SandwichCovariance:
     """Sandwich covariance ``j_bar^-1 k_bar j_bar^-1`` at ``params``.
 
-    Raises :class:`~oneshotdpd.errors.SingularInformation` when the
-    sensitivity matrix cannot be inverted reliably (condition number at or
-    above 1e12).
+    Raises :class:`~oneshotdpd.errors.NumericalOverflow` when a rate at a
+    plan stress exceeds the double range, and
+    :class:`~oneshotdpd.errors.SingularInformation` when the sensitivity
+    matrix cannot be inverted reliably (condition number at or above
+    1e12).
     """
+    _plan_rates(params, plan)
     jb, kb, sigma, ok = (v[0] for v in
                          _sandwich_rows(params.as_array()[None], plan, beta))
     if not np.all(np.isfinite(jb)):

@@ -212,7 +212,6 @@ def fit_result_to_dict(result: FitResult) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "boundary_clamped": result.boundary_clamped,
-        "multistart_spread": result.multistart_spread,
         "covariance": covariance_to_dict(result.covariance),
     }
 
@@ -239,5 +238,4 @@ def fit_result_from_dict(data: dict) -> FitResult:
         converged=data["converged"],
         covariance=cov,
         boundary_clamped=data.get("boundary_clamped", False),
-        multistart_spread=data.get("multistart_spread", 0.0),
     )

@@ -259,19 +259,28 @@ def _cells(lam, t):
     return lt, -np.expm1(neg), S, lam * S
 
 
-def _plan_cells(params: ModelParams, plan: TestPlan):
-    """:func:`_cells` over the I x J plan grid at ``params``.
+def _plan_rates(params: ModelParams, plan: TestPlan) -> np.ndarray:
+    """Failure rates (I, 1) at the plan's stresses.
 
     Raises :class:`~oneshotdpd.errors.NumericalOverflow`, as :func:`hazard`
-    does, when a rate exceeds the double range.  A finite rate whose
-    ``lambda t`` overflows gives F = 1, S = 0 and f = 0.
+    does, when a rate exceeds the double range.
     """
     with np.errstate(over="ignore"):
         lam = params.alpha0 * np.exp(params.alpha1 * plan.temps)[:, None]
-        if not np.isfinite(lam).all():
-            w = float(plan.temps[np.argmin(np.isfinite(lam[:, 0]))])
-            raise NumericalOverflow(f"failure rate at stress {w!r} overflows")
-        return _cells(lam, plan.times)
+    if not np.isfinite(lam).all():
+        w = float(plan.temps[np.argmin(np.isfinite(lam[:, 0]))])
+        raise NumericalOverflow(f"failure rate at stress {w!r} overflows")
+    return lam
+
+
+def _plan_cells(params: ModelParams, plan: TestPlan):
+    """:func:`_cells` over the I x J plan grid at ``params``.
+
+    Raises as :func:`_plan_rates` does.  A finite rate whose ``lambda t``
+    overflows gives F = 1, S = 0 and f = 0.
+    """
+    with np.errstate(over="ignore"):
+        return _cells(_plan_rates(params, plan), plan.times)
 
 
 def cell_probs(params: ModelParams, plan: TestPlan):

@@ -170,11 +170,10 @@ class TestFitCauses:
                 got = step[k].fit
                 assert step[k].cause is cause
                 assert (got.beta, got.params, got.objective, got.grad_norm,
-                        got.iterations, got.converged, got.boundary_clamped,
-                        got.multistart_spread) == (
+                        got.iterations, got.converged,
+                        got.boundary_clamped) == (
                     want.beta, want.params, want.objective, want.grad_norm,
-                    want.iterations, want.converged, want.boundary_clamped,
-                    want.multistart_spread)
+                    want.iterations, want.converged, want.boundary_clamped)
                 for field in ("j_bar", "k_bar", "sigma"):
                     assert np.array_equal(getattr(got.covariance, field),
                                           getattr(want.covariance, field))

@@ -6,15 +6,18 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from oneshotdpd import (
+    Cause,
     FailureTable,
     ModelParams,
     NoInteriorData,
     NumericalOverflow,
     TestPlan,
+    cause_table,
     dpd_objective,
     estimating_equations,
     estimator,
     fit,
+    fit_cause,
     fit_path,
 )
 from oneshotdpd.estimator import _data_starts
@@ -118,12 +121,12 @@ class TestFit:
         assert a.iterations == b.iterations
 
     def test_objective_not_above_start(self, table1):
-        from oneshotdpd.estimator import _CellData, _solve
+        from oneshotdpd.estimator import _CellData, _newton
 
         start = ModelParams(0.02, 0.01)
-        theta0 = np.array([[[np.log(start.alpha0), start.alpha1]]])
-        _, objective, *_ = _solve(table1.frequencies[None],
-                                  _CellData(table1.plan), 0.5, theta0)
+        theta0 = np.array([[np.log(start.alpha0), start.alpha1]])
+        _, objective, *_ = _newton(theta0, table1.frequencies[None],
+                                   _CellData(table1.plan), 0.5)
         assert objective[0] <= dpd_objective(table1, start, 0.5) + 1e-12
 
     def test_no_interior_data_all_zero(self):
@@ -267,7 +270,7 @@ class TestDataStarts:
     def test_finite_for_any_fractions(self, inputs):
         plan, r = inputs
         theta = _data_starts(r, plan)
-        assert theta.shape == (len(r), 3, 2)
+        assert theta.shape == (len(r), 2)
         assert np.isfinite(theta).all()
         if plan.shape[0] == 1:
             assert (theta[..., 1] == 0.0).all()
@@ -315,10 +318,9 @@ class TestFitPath:
         for entry in path:
             cold = fit(table1, entry.beta)
             assert (entry.params, entry.objective, entry.grad_norm,
-                    entry.iterations, entry.converged,
-                    entry.multistart_spread) == (
+                    entry.iterations, entry.converged) == (
                 cold.params, cold.objective, cold.grad_norm,
-                cold.iterations, cold.converged, cold.multistart_spread)
+                cold.iterations, cold.converged)
 
     def test_warm_equals_cold(self, table1):
         path = fit_path(table1, [0.0, 0.1, 0.2, 0.3, 0.4])
@@ -335,164 +337,80 @@ class TestFitPath:
             fit_path(table1, [])
 
 
-def reference_pick(fval, grad_norm, theta, owner, n_rows, grad_tol):
-    """The per-row selection loop the array-wise ``_pick`` replaced: runs
-    are flat, run k fitting row ``owner[k]``; returns each row's winning
-    run and its multistart spread."""
-    import itertools
+def mp_minimizer(table, beta, theta, mp):
+    """The objective's minimizer in theta = (log alpha0, alpha1), by Newton
+    in 40-digit arithmetic from ``theta``.  Each cell term h(F) has
+    h'(F) = (b+1) (F - r) (F^(b-1) + S^(b-1)) at every beta, and the rate
+    exp(u), u = theta0 + theta1 w, gives dF/du = x S and d2F/du2 =
+    x S (1 - x) with x = exp(u) t.  The result is checked against numerical
+    derivatives of the objective itself."""
+    plan = table.plan
+    cells = [(mp.mpf(float(plan.temps[i])), mp.mpf(float(plan.times[j])),
+              mp.mpf(int(table.counts[i, j])) / int(plan.devices[i, j]))
+             for i, j in np.ndindex(plan.shape)]
+    b = mp.mpf(beta)
 
-    best = np.empty(n_rows, dtype=int)
-    best[owner] = np.arange(len(owner))
-    spread = np.zeros(n_rows)
-    for row in np.flatnonzero(np.bincount(owner, minlength=n_rows) > 1):
-        runs = np.flatnonzero(owner == row)
-        finals = [k for k in runs if np.isfinite(fval[k])] or list(runs)
-        f_best = min(fval[k] for k in finals)
-        close = [k for k in finals
-                 if fval[k] <= f_best + 1e-12 * max(1.0, abs(f_best))]
-        best[row] = min(close, key=lambda k: (grad_norm[k], theta[k, 0],
-                                              theta[k, 1]))
-        done = theta[[k for k in finals if grad_norm[k] <= grad_tol]]
-        spread[row] = max((float(np.max(np.abs(a - b)))
-                           for a, b in itertools.combinations(done, 2)),
-                          default=0.0)
-    return best, spread
+    def cell(t0, t1, w, t):
+        x = mp.exp(t0 + t1 * w) * t
+        return x, -mp.expm1(-x), mp.exp(-x)
 
+    def objective(t0, t1):
+        total = 0
+        for w, t, r in cells:
+            x, F, S = cell(t0, t1, w, t)
+            if beta == 0.0:
+                total += -(r * mp.log(F) if r > 0 else 0) + (1 - r) * x
+            else:
+                total += (F ** (b + 1) + S ** (b + 1)
+                          - (1 + b) / b * (r * F**b + (1 - r) * S**b))
+        return total / len(cells)
 
-def assert_pick_matches_reference(fval, grad_norm, theta, valid):
-    """``_pick`` on the (rows, starts) layout picks, row by row, the same
-    run as the reference loop on the flat runs, and the same spread bit
-    for bit."""
-    from oneshotdpd.estimator import _pick
-
-    owner = np.nonzero(valid)[0]
-    run = np.cumsum(valid.ravel()).reshape(valid.shape) - 1
-    want_best, want_spread = reference_pick(
-        fval[valid], grad_norm[valid], theta[valid], owner, len(valid),
-        estimator._GRAD_TOL)
-    best, spread = _pick(fval, grad_norm, theta, valid)
-    assert valid[np.arange(len(best)), best].all()
-    np.testing.assert_array_equal(run[np.arange(len(best)), best], want_best)
-    assert spread.tobytes() == want_spread.tobytes()
-
-
-def dense_runs(rows):
-    """(rows, 3) arrays from rows of runs given as (fval, grad_norm,
-    theta0, theta1) tuples; missing starts are NaN and not valid."""
-    shape = (len(rows), 3)
-    fval, grad_norm = np.full(shape, np.nan), np.full(shape, np.nan)
-    theta = np.full(shape + (2,), np.nan)
-    valid = np.zeros(shape, dtype=bool)
-    for i, runs in enumerate(rows):
-        for s, (f, g, t0, t1) in enumerate(runs):
-            fval[i, s], grad_norm[i, s] = f, g
-            theta[i, s] = t0, t1
-            valid[i, s] = True
-    return fval, grad_norm, theta, valid
+    t0, t1 = (mp.mpf(float(v)) for v in theta)
+    for _ in range(30):
+        g = [0, 0]
+        h = [0, 0, 0]
+        for w, t, r in cells:
+            x, F, S = cell(t0, t1, w, t)
+            d1 = (b + 1) * (F - r) * (F ** (b - 1) + S ** (b - 1))
+            d2 = (b + 1) * (F ** (b - 1) + S ** (b - 1) + (b - 1) * (F - r)
+                            * (F ** (b - 2) - S ** (b - 2)))
+            g1 = d1 * x * S
+            g2 = d2 * (x * S) ** 2 + d1 * x * S * (1 - x)
+            g = [g[0] + g1, g[1] + g1 * w]
+            h = [h[0] + g2, h[1] + g2 * w, h[2] + g2 * w * w]
+        det = h[0] * h[2] - h[1] * h[1]
+        step = ((-g[0] * h[2] + g[1] * h[1]) / det,
+                (g[0] * h[1] - g[1] * h[0]) / det)
+        t0, t1 = t0 + step[0], t1 + step[1]
+        if max(abs(s) for s in step) < mp.mpf(10) ** -35:
+            break
+    for order in ((1, 0), (0, 1)):
+        assert abs(mp.diff(objective, (t0, t1), order)) < 1e-25
+    return mp.exp(t0), t1
 
 
-class TestMultistartSelection:
-    nan, inf = float("nan"), float("inf")
-    CASES = {
-        # a later run inside the 1e-12 band with a smaller gradient wins
-        "tie_inside_band": [[(1.0, 5e-11, 0.0, 0.0),
-                             (1.0 + 9e-13, 1e-12, 1.0, 0.0),
-                             (2.0, 0.0, 2.0, 0.0)]],
-        # just outside the band the least objective wins whatever its
-        # gradient
-        "tie_outside_band": [[(1.0, 5e-11, 0.0, 0.0),
-                              (1.0 + 2e-12, 1e-12, 1.0, 0.0)]],
-        "relative_band": [[(1e6, 5e-11, 0.0, 0.0),
-                           (1e6 + 1e-7, 1e-12, 1.0, 0.0),
-                           (1e6 + 1e-5, 0.0, 2.0, 0.0)]],
-        "all_non_finite": [[(inf, 3.0, 0.0, 0.0), (inf, 1.0, 1.0, 0.0),
-                            (inf, 2.0, 2.0, 0.0)]],
-        "one_finite": [[(inf, 0.0, 0.0, 0.0), (2.0, 9.0, 1.0, 0.0),
-                        (inf, 0.0, 2.0, 0.0)]],
-        "nan_gradient_first": [[(1.0, nan, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0),
-                                (1.0, 0.0, 2.0, 0.0)]],
-        "nan_gradient_later": [[(1.0, 1e-11, 0.0, 0.0),
-                                (1.0, nan, 1.0, 0.0),
-                                (1.0, 0.0, 2.0, 0.0)]],
-        "nan_gradient_all": [[(1.0, nan, 0.0, 0.0), (1.0, nan, -1.0, 0.0)]],
-        "theta0_breaks_tie": [[(1.0, 1e-11, 2.0, 0.0),
-                               (1.0, 1e-11, -1.0, 5.0),
-                               (1.0, 1e-11, 0.5, -5.0)]],
-        "theta1_breaks_tie": [[(1.0, 1e-11, 2.0, 3.0),
-                               (1.0, 1e-11, 2.0, -1.0),
-                               (1.0, 1e-11, 2.0, 0.0)]],
-        "exact_tie_first_wins": [[(1.0, 1e-11, 2.0, 3.0),
-                                  (1.0, 1e-11, 2.0, 3.0)]],
-        # spread: only converged finals count, so a NaN gradient keeps a
-        # run out of it
-        "spread_converged_only": [[(1.0, 1e-11, 0.0, 0.0),
-                                   (1.5, 1e-11, 3.0, 0.0),
-                                   (inf, 1e-3, 9.0, 9.0)]],
-        "spread_nan_gradient": [[(1.0, nan, 9.0, 0.0),
-                                 (1.0, 1e-11, 1.0, 0.0),
-                                 (1.0, 1e-11, 4.0, 0.0)]],
-        "spread_one_converged": [[(1.0, 1e-11, 0.0, 0.0),
-                                  (1.0, nan, 5.0, 0.0),
-                                  (1.0, 1e-3, 9.0, 0.0)]],
-        "one_two_three_starts": [[(1.0, 0.0, 0.0, 0.0)],
-                                 [(1.0, 1e-11, 0.0, 0.0),
-                                  (1.0, 1e-12, 0.5, 0.0)],
-                                 [(1.0, 1e-11, 0.0, 0.0),
-                                  (1.0, 1e-12, 0.5, 0.0),
-                                  (0.5, 1e-9, 0.7, 0.1)]],
-        # warm rows (one start) interleaved with cold rows
-        "warm_and_cold": [[(1.0, 0.0, 0.0, 0.0)],
-                          [(inf, 0.0, 0.0, 0.0), (inf, 1.0, 0.0, 0.0),
-                           (3.0, 1e-3, 1.0, 1.0)],
-                          [(inf, nan, 1.0, 0.0)],
-                          [(2.0, 1e-12, 0.0, 0.0), (2.0, 1e-12, 0.0, 0.0),
-                           (2.0, 1e-13, 0.1, 0.0)],
-                          [(0.5, 1e-3, 4.0, 0.0)]],
-    }
+class TestMpmathOracle:
+    """Every bundled fit is the objective's minimizer to about the last
+    digits of a double: within 1e-13 relative, per parameter, of a
+    40-digit Newton minimizer started at the fit."""
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_constructed_cases(self, case):
-        assert_pick_matches_reference(*dense_runs(self.CASES[case]))
-
-    def test_random_rows(self):
-        # 2,000 rows drawn from small value sets, so that ties, near ties,
-        # infinite objectives and NaN gradients are frequent; a run's theta
-        # is always finite
-        rng = np.random.default_rng(7)
-        shape = (2000, 3)
-        base = rng.choice([0.0, 1.0, 1e6, -2.0], size=(2000, 1))
-        fval = base + rng.choice([0.0, 5e-13, 2e-12, 1e-7, 1.0],
-                                 size=shape) * np.maximum(1.0, abs(base))
-        fval[rng.random(shape) < 0.2] = np.inf
-        grad_norm = rng.choice([0.0, 1e-12, 1e-10, 2e-10, 1.0, np.inf,
-                                np.nan], size=shape)
-        theta = rng.choice([-1.0, 0.0, 0.5, 2.0], size=shape + (2,))
-        # each row has its first 1, 2 or 3 starts, as in the dense layout
-        valid = np.arange(3) < rng.integers(1, 4, size=(2000, 1))
-        assert_pick_matches_reference(fval, grad_norm, theta, valid)
-
-    def test_solve_matches_reference_on_data_starts(self, monkeypatch):
-        # real cold starts: three-device cells at extreme stresses give
-        # flat and multimodal objectives, and 20 iterations leave many
-        # runs unconverged; every third row keeps one start, as a warm
-        # row does
-        from oneshotdpd.estimator import (_CellData, _data_starts, _newton,
-                                          _solve)
-
-        plan = TestPlan([-800.0, 5.0, 900.0], [1e-3, 10.0, 1e5],
-                        np.full((3, 3), 3))
-        rng = np.random.default_rng(11)
-        r = rng.integers(0, 4, size=(300, 3, 3)) / 3.0
-        monkeypatch.setattr(estimator, "_MAX_ITERS", 20)
-        data = _CellData(plan)
-        for beta in (0.0, 0.5):
-            theta0 = _data_starts(r, plan)
-            theta0[::3, 1:] = np.nan
-            valid = ~np.isnan(theta0[..., 0])
-            owner = np.nonzero(valid)[0]
-            runs = _newton(theta0[valid], r[owner], data, beta)
-            best, spread = reference_pick(runs[1], runs[2], runs[0], owner,
-                                          len(r), estimator._GRAD_TOL)
-            got = _solve(r, data, beta, theta0)
-            for g, w in zip(got, [v[best] for v in runs] + [spread]):
-                assert g.tobytes() == w.tobytes()
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name,cause", [
+        ("table1", None), ("ed01", Cause.NATURAL), ("ed01", Cause.TUMOUR),
+        ("benzidine", Cause.NATURAL), ("benzidine", Cause.TUMOUR)])
+    def test_bundled_fits(self, name, cause, beta, request):
+        mp = pytest.importorskip("mpmath")
+        data = request.getfixturevalue(name)
+        if cause is None:
+            table, result = data, fit(data, beta)
+        else:
+            table, result = (cause_table(data, cause),
+                             fit_cause(data, cause, beta).fit)
+        assert result.converged
+        with mp.workdps(40):
+            alpha0, alpha1 = mp_minimizer(
+                table, beta, (np.log(result.params.alpha0),
+                              result.params.alpha1), mp)
+            for got, want in ((result.params.alpha0, alpha0),
+                              (result.params.alpha1, alpha1)):
+                assert abs((got - want) / want) <= 1e-13, (got, want)

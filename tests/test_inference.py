@@ -9,6 +9,7 @@ from oneshotdpd import (
     InfeasibleDesign,
     LinearHypothesis,
     ModelParams,
+    NumericalOverflow,
     SingularInformation,
     TestPlan,
     approximate_power,
@@ -173,6 +174,18 @@ class TestSandwich:
         plan = TestPlan(temps=[35.0], times=[10.0, 20.0], devices=[[5, 5]])
         with pytest.raises(SingularInformation):
             sandwich(ModelParams(0.005, 0.05), plan, 0.5)
+
+    def test_overflowing_rate_is_typed_error(self, plan1):
+        # alpha1 = 400 puts the rate at stress 35 near e^14000, beyond
+        # doubles, as hazard and cell_probs report it
+        params = ModelParams(0.004, 400.0)
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
+        with pytest.raises(NumericalOverflow):
+            sandwich(params, plan1, 0.5)
+        with pytest.raises(NumericalOverflow):
+            approximate_power(params, plan1, 0.5, hyp, 50, 0.05)
+        with pytest.raises(NumericalOverflow):
+            required_devices(params, plan1, 0.5, hyp, 0.8, 0.05)
 
     def test_underflowed_cell_gives_no_numpy_warning(self, plan1):
         # at this estimate S underflows to 0 in the high-stress cells, so

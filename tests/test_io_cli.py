@@ -394,6 +394,20 @@ class TestCli:
         assert doc["errors"][0]["code"] == "NumericalOverflow"
         assert doc["results"] == {}
 
+    @pytest.mark.parametrize("command", [["power", "--devices", "50"],
+                                         ["samplesize", "--target-power",
+                                          "0.8"]])
+    def test_design_overflow_is_typed_error(self, command, capsys):
+        # the alternative's rate overflows at every stress of the plan
+        code, out = self.run(command[:1] + [
+            "--input", str(dataset_path("table1")), "--alpha-star",
+            "0.004,400", "--beta", "0.5", "--m", "0,1", "--d", "0.05"]
+            + command[1:], capsys)
+        assert code == 3
+        doc = _strict_json(out)
+        assert doc["errors"][0]["code"] == "NumericalOverflow"
+        assert doc["results"] == {}
+
     @pytest.mark.parametrize("params", ["0.005,1000", "0.005,-1000"])
     def test_reliability_overflow_is_typed_error(self, params, capsys):
         # the rate overflows (1000) or its reciprocal does (-1000)
