@@ -39,9 +39,8 @@ from .model import (ModelParams, TestPlan, _integral, mean_lifetime,
 from .simulate import (
     ContaminationScheme,
     SimulationSpec,
+    _study,
     contamination_sweep,
-    level_power_study,
-    rmse_study,
     write_report_csv,
 )
 
@@ -102,19 +101,8 @@ def _fit_entry(result, w0, mission_times) -> dict:
     return entry
 
 
-def _cmd_fit(args) -> dict:
-    table = read_failure_csv(args.input)
-    mission = _parse_floats(args.mission_times) if args.mission_times else []
-    result = fit(table, args.beta)
-    return {
-        "results": {"fits": [_fit_entry(result, args.w0, mission)]},
-        "diagnostics": {"converged": result.converged},
-    }
-
-
-def _cmd_fit_path(args) -> dict:
-    table = read_failure_csv(args.input)
-    betas = parse_betas(args.betas)
+def _fits_document(args, table, betas) -> dict:
+    """The ``fit-path`` document; ``fit`` is the path of its one beta."""
     mission = _parse_floats(args.mission_times) if args.mission_times else []
     results = fit_path(table, betas)
     return {
@@ -123,6 +111,15 @@ def _cmd_fit_path(args) -> dict:
         },
         "diagnostics": {"converged": all(r.converged for r in results)},
     }
+
+
+def _cmd_fit(args) -> dict:
+    return _fits_document(args, read_failure_csv(args.input), [args.beta])
+
+
+def _cmd_fit_path(args) -> dict:
+    return _fits_document(args, read_failure_csv(args.input),
+                          parse_betas(args.betas))
 
 
 def _cmd_reliability(args) -> dict:
@@ -313,19 +310,20 @@ def _cmd_simulate(args) -> dict:
             reports, xs = [], []
             for k in values:
                 k = _integral(k, "devices")
-                devices = np.full(spec.plan.shape, k)
-                plan = TestPlan(spec.plan.temps, spec.plan.times, devices)
-                variant = dataclasses.replace(spec, plan=plan)
-                runner = rmse_study if study == "rmse" else level_power_study
-                reports.append(runner(variant, workers=args.workers))
+                try:
+                    plan = TestPlan(spec.plan.temps, spec.plan.times,
+                                    np.full(spec.plan.shape, k))
+                except OverflowError as exc:
+                    raise ParseError(f"bad simulation spec: {exc}") from exc
+                reports.append(_study(dataclasses.replace(spec, plan=plan),
+                                      args.workers))
                 xs.append(k)
         else:
             raise ParseError(
                 f"sweep parameter must be strength or devices, got {parameter!r}"
             )
     else:
-        runner = rmse_study if study == "rmse" else level_power_study
-        reports = [runner(spec, workers=args.workers)]
+        reports = [_study(spec, args.workers)]
         xs = [None]
 
     write_report_csv(args.output, reports, xs)

@@ -1,12 +1,13 @@
 """Minimum divergence estimation of the rate-link parameters.
 
 The estimate for tuning parameter ``beta`` minimizes
-:func:`oneshotdpd.divergence.dpd_objective`; ``beta = 0`` gives the maximum
-likelihood estimate.  The solver works internally in ``theta = (log alpha0,
-alpha1)`` coordinates, which keeps ``alpha0`` positive without constraints,
-and runs Newton steps safeguarded by a backtracking line search.  A cold
-fit is one Newton run from the least-squares line through the data's
-linear form in theta; at ``beta = 0`` the objective is a binomial
+:func:`oneshotdpd.divergence.dpd_objective`, which weights cells equally;
+``beta = 0`` gives the maximum likelihood estimate on a balanced plan
+only.  The solver works internally in ``theta = (log alpha0, alpha1)``
+coordinates, which keeps ``alpha0`` positive without constraints, and runs
+Newton steps safeguarded by a backtracking line search.  A cold fit is one
+Newton run from the least-squares line through the data's linear form in
+theta; at ``beta = 0`` the objective is a cell-weighted binomial
 complementary log-log likelihood, concave in theta, so one start reaches
 its minimizer.
 

@@ -5,7 +5,9 @@ The divergence estimate is asymptotically normal with sandwich covariance
 parameter 0 both matrices collapse to IJ times the Fisher information.
 Unbalanced plans weight each cell's contribution by ``K_ij / Kbar`` (mean
 cell size) and use ``sqrt(Kbar)`` in the test normalization, which reduces
-exactly to the balanced formulas when all cells have the same size.
+exactly to the balanced formulas when all cells have the same size.  That
+is the sandwich of a ``K_ij``-weighted objective, but the estimator weights
+cells equally, so on unbalanced plans it understates the variance.
 
 Normal tail probabilities and quantiles come from :func:`ndtr` (``math.erfc``)
 and :func:`ndtri` (``statistics.NormalDist``, Wichura's AS241); both agree
@@ -22,7 +24,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .divergence import _bracket, _cell_sums, _plan_columns, _power
-from .errors import DegenerateVariance, InfeasibleDesign, SingularInformation
+from .errors import (DegenerateVariance, InfeasibleDesign, NumericalOverflow,
+                     SingularInformation)
 from .model import ModelParams, TestPlan, _cells, _plan_rates
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -314,7 +317,8 @@ def required_devices(
     Computed as floor(m' Sigma m (z_{level/2} - Phi^-1(1 - target/2))^2 /
     (m' alpha - d)^2) + 1; the squared denominator is what inverting the
     power approximation requires.  Round trip:
-    ``approximate_power(K) >= target > approximate_power(K - 1)``.
+    ``approximate_power(K) >= target > approximate_power(K - 1)`` for
+    moderate K; rounding breaks it at some K above 1e13 on ``table1``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -332,4 +336,6 @@ def required_devices(
     z_crit = -ndtri(level / 2.0)
     gap = z_crit - ndtri(1.0 - target_power / 2.0)
     k_real = variance * gap**2 / effect**2
+    if not np.isfinite(k_real):
+        raise NumericalOverflow("required device count overflows")
     return max(int(np.floor(k_real)) + 1, 1)

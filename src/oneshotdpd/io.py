@@ -66,7 +66,9 @@ def _read_rows(path, columns):
 
 
 def _int_field(path, line_no, name, value):
-    if value < 0 or value != int(value):
+    # the range test comes first: int() refuses NaN and infinity, and the
+    # count grids hold int64
+    if not (0 <= value < 2**63 and value == int(value)):
         raise ParseError(
             f"{path} row {line_no}: column {name!r} must be a non-negative "
             f"integer, got {value}"

@@ -158,6 +158,11 @@ class SimulationSpec:
         }
 
 
+# per-beta value fields of a report; a study fills the ones of its kind
+_VALUE_FIELDS = ("rmse_alpha0", "rmse_alpha1", "rmse_combined",
+                 "rejection_rate")
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """Aggregated study output; see ``to_rows`` for the flat CSV layout."""
@@ -184,8 +189,7 @@ class SimulationReport:
             "used": list(self.used),
             "failed_fits": list(self.failed_fits),
         }
-        for name in ("rmse_alpha0", "rmse_alpha1", "rmse_combined",
-                     "rejection_rate"):
+        for name in _VALUE_FIELDS:
             val = getattr(self, name)
             if val is not None:
                 # a beta without a usable fit has no value: null, not NaN
@@ -199,29 +203,16 @@ class SimulationReport:
         """One flat dict per tuning parameter, ready for CSV writing."""
         rows = []
         for idx, beta in enumerate(self.betas):
-            row = {
-                "beta": beta,
-                "x": x_value,
-                "rmse_alpha0": None,
-                "rmse_alpha1": None,
-                "rmse_combined": None,
-                "rejection_rate": None,
-                "used": self.used[idx],
-                "failed_fits": self.failed_fits[idx],
-            }
-            for name in ("rmse_alpha0", "rmse_alpha1", "rmse_combined",
-                         "rejection_rate"):
+            row = {"beta": beta, "x": x_value}
+            for name in _VALUE_FIELDS:
                 val = getattr(self, name)
-                if val is not None:
-                    row[name] = val[idx]
+                row[name] = None if val is None else val[idx]
+            row.update(used=self.used[idx], failed_fits=self.failed_fits[idx])
             rows.append(row)
         return rows
 
 
-REPORT_CSV_COLUMNS = (
-    "beta", "x", "rmse_alpha0", "rmse_alpha1", "rmse_combined",
-    "rejection_rate", "used", "failed_fits",
-)
+REPORT_CSV_COLUMNS = ("beta", "x", *_VALUE_FIELDS, "used", "failed_fits")
 
 
 def _csv_cell(value) -> str:
@@ -275,8 +266,8 @@ def generate_table(spec: SimulationSpec, replication_index: int
                         _draw_counts(spec, [replication_index], rng)[0])
 
 
-def _replication_fits(spec: SimulationSpec, with_z: bool):
-    """Per-(replication, beta) estimates, and Z statistics when asked.
+def _replication_fits(spec: SimulationSpec):
+    """Per-(replication, beta) estimates, and Z statistics under a hypothesis.
 
     Returns ``alpha`` (replications, betas, 2) and ``stat`` (replications,
     betas); NaN marks a dropped fit (no interior data, no convergence, or
@@ -301,12 +292,44 @@ def _replication_fits(spec: SimulationSpec, with_z: bool):
         for b, beta in enumerate(spec.betas):
             ok = usable[:, b]
             alpha[reps[ok], b] = est[ok, b]
-            if with_z:
+            if spec.hypothesis is not None:
                 stat[reps[ok], b] = _z_rows(est[ok, b], spec.plan, beta,
                                             spec.hypothesis)
-    if with_z:
+    if spec.hypothesis is not None:
         alpha[np.isnan(stat)] = np.nan
     return alpha, stat
+
+
+def _study(spec: SimulationSpec, workers: int) -> SimulationReport:
+    """The engine of both studies: the rejection rates of the Z test when
+    the spec carries a hypothesis, else the RMSEs against the truth."""
+    _check_workers(workers)
+    alpha, stat = _replication_fits(spec)
+    testing = spec.hypothesis is not None
+    truth = spec.true_params.as_array()
+    z_crit = -ndtri(spec.level / 2.0)
+    names = _VALUE_FIELDS[3:] if testing else _VALUE_FIELDS[:3]
+    used, values = [], []
+    for b_idx in range(len(spec.betas)):
+        kept = ~np.isnan(alpha[:, b_idx, 0])
+        used.append(int(np.count_nonzero(kept)))
+        if not used[-1]:
+            values.append((float("nan"),) * len(names))
+        elif testing:
+            values.append(
+                (float(np.mean(np.abs(stat[kept, b_idx]) > z_crit)),))
+        else:
+            sq = (alpha[kept, b_idx] - truth) ** 2
+            values.append(tuple(float(np.sqrt(np.mean(v)))
+                                for v in (sq[:, 0], sq[:, 1], sq.sum(axis=1))))
+    return SimulationReport(
+        kind="level_power" if testing else "rmse",
+        spec=spec,
+        betas=spec.betas,
+        used=tuple(used),
+        failed_fits=tuple(spec.replications - n for n in used),
+        **dict(zip(names, zip(*values))),
+    )
 
 
 def rmse_study(spec: SimulationSpec, workers: int = 1) -> SimulationReport:
@@ -319,34 +342,7 @@ def rmse_study(spec: SimulationSpec, workers: int = 1) -> SimulationReport:
     """
     if spec.hypothesis is not None:
         raise ValueError("rmse_study expects a spec without a hypothesis")
-    _check_workers(workers)
-    alpha, _ = _replication_fits(spec, with_z=False)
-    truth = spec.true_params.as_array()
-    rmse0, rmse1, rmse_c, used, failed = [], [], [], [], []
-    for b_idx in range(len(spec.betas)):
-        est = alpha[:, b_idx]
-        sq = (est[~np.isnan(est[:, 0])] - truth) ** 2
-        n_used = sq.shape[0]
-        used.append(n_used)
-        failed.append(spec.replications - n_used)
-        if n_used == 0:
-            rmse0.append(float("nan"))
-            rmse1.append(float("nan"))
-            rmse_c.append(float("nan"))
-        else:
-            rmse0.append(float(np.sqrt(np.mean(sq[:, 0]))))
-            rmse1.append(float(np.sqrt(np.mean(sq[:, 1]))))
-            rmse_c.append(float(np.sqrt(np.mean(sq.sum(axis=1)))))
-    return SimulationReport(
-        kind="rmse",
-        spec=spec,
-        betas=spec.betas,
-        used=tuple(used),
-        failed_fits=tuple(failed),
-        rmse_alpha0=tuple(rmse0),
-        rmse_alpha1=tuple(rmse1),
-        rmse_combined=tuple(rmse_c),
-    )
+    return _study(spec, workers)
 
 
 def level_power_study(spec: SimulationSpec, workers: int = 1
@@ -359,26 +355,7 @@ def level_power_study(spec: SimulationSpec, workers: int = 1
     """
     if spec.hypothesis is None:
         raise ValueError("level_power_study requires a hypothesis in the spec")
-    _check_workers(workers)
-    z_crit = -ndtri(spec.level / 2.0)
-    _, stat = _replication_fits(spec, with_z=True)
-    rates, used, failed = [], [], []
-    for b_idx in range(len(spec.betas)):
-        stats = stat[~np.isnan(stat[:, b_idx]), b_idx]
-        n_used = stats.size
-        used.append(n_used)
-        failed.append(spec.replications - n_used)
-        rates.append(
-            float(np.mean(np.abs(stats) > z_crit)) if n_used else float("nan")
-        )
-    return SimulationReport(
-        kind="level_power",
-        spec=spec,
-        betas=spec.betas,
-        used=tuple(used),
-        failed_fits=tuple(failed),
-        rejection_rate=tuple(rates),
-    )
+    return _study(spec, workers)
 
 
 def contamination_sweep(
@@ -386,7 +363,8 @@ def contamination_sweep(
     strengths,
     workers: int = 1,
 ):
-    """Run the matching study across contamination strengths.
+    """Run the spec's study, level/power with a hypothesis and rmse
+    without, across contamination strengths.
 
     ``strengths`` are relative reductions s in [0, 1): strength s maps to a
     contaminated value (1 - s) * alpha0 (or alpha1, per the spec's mode).
@@ -412,9 +390,6 @@ def contamination_sweep(
                 cell=spec.contamination.cell,
                 value=(1.0 - s) * reference,
             )
-        variant = dataclasses.replace(spec, contamination=scheme)
-        if spec.hypothesis is None:
-            reports.append(rmse_study(variant, workers=workers))
-        else:
-            reports.append(level_power_study(variant, workers=workers))
+        reports.append(_study(
+            dataclasses.replace(spec, contamination=scheme), workers))
     return reports, strengths

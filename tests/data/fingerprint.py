@@ -1,0 +1,202 @@
+"""Print a SHA-256 fingerprint of the package's outputs, one line each.
+
+Each line reads ``<sha256>  <name>``.  The names cover:
+
+* ``cli/...``: in-process ``cli.main`` calls of every command, both
+  ``simulate`` sweep kinds and the usual exit 2 and 3 refusals; a digest
+  covers the exit code, the stdout document and, for ``simulate``, the
+  CSV it writes;
+* ``study/...``: ``rmse_study``, ``level_power_study`` and
+  ``contamination_sweep`` reports, clean and contaminated, on 50-device
+  and 3-device cells; a digest covers ``to_json`` and ``to_rows``.
+
+The calls run in a temporary directory that holds copies of the bundled
+CSVs and the spec files, so the ``--input`` and ``--spec`` paths echoed in
+``config`` do not depend on where the package lives.  Two source trees
+that print the same lines give byte-identical outputs on these calls:
+
+    PYTHONPATH=src python tests/data/fingerprint.py > after.txt
+    diff before.txt after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import tempfile
+
+import numpy as np
+
+from oneshotdpd import (ContaminationScheme, LinearHypothesis, ModelParams,
+                        SimulationSpec, TestPlan, contamination_sweep,
+                        level_power_study, rmse_study)
+from oneshotdpd.cli import main
+from oneshotdpd.datasets import dataset_path
+
+FIT = ["--input", "table1.csv"]
+TEST = ["--m", "0,1", "--d", "0.05"]
+UNBALANCED = ("w,t,K,n\n35,10,20,4\n35,20,200,61\n35,30,20,9\n"
+              "45,10,200,55\n45,20,20,10\n45,30,200,140\n"
+              "55,10,20,8\n55,20,200,150\n55,30,20,18\n")
+PLAN = {"temps": [35, 45, 55], "times": [10, 20, 30], "devices": 30}
+HYPOTHESIS = {"m": [0, 1], "d": 0.05, "level": 0.05}
+SPECS = {
+    "rmse.json": {"study": "rmse", "plan": PLAN,
+                  "true_params": [0.004, 0.05], "betas": "0:0.5:1",
+                  "replications": 30, "seed": 5},
+    "rmse_devices.json": {"study": "rmse", "plan": PLAN,
+                          "true_params": [0.004, 0.05], "betas": [0, 0.8],
+                          "replications": 20, "seed": 6,
+                          "sweep": {"parameter": "devices",
+                                    "values": [3, 20]}},
+    "lp_strength.json": {"study": "level_power", "plan": PLAN,
+                         "true_params": [0.004, 0.05],
+                         "contamination": {"mode": "alpha0_shift",
+                                           "cell": [0, 0], "value": 0.001},
+                         "betas": "0:0.5:1", "replications": 30, "seed": 7,
+                         "hypothesis": HYPOTHESIS,
+                         "sweep": {"values": [0, 0.5]}},
+    "lp_devices.json": {"study": "level_power", "plan": PLAN,
+                        "true_params": [0.004, 0.05], "betas": [0.3],
+                        "replications": 20, "seed": 8,
+                        "hypothesis": HYPOTHESIS,
+                        "sweep": {"parameter": "devices", "values": [4, 40]}},
+    "rmse_hypothesis.json": {"study": "rmse", "plan": PLAN,
+                             "true_params": [0.004, 0.05], "betas": [0],
+                             "replications": 5, "seed": 1,
+                             "hypothesis": HYPOTHESIS},
+    "lp_no_hypothesis.json": {"study": "level_power", "plan": PLAN,
+                              "true_params": [0.004, 0.05], "betas": [0],
+                              "replications": 5, "seed": 1},
+    "bad_study.json": {"study": "power", "plan": PLAN,
+                       "true_params": [0.004, 0.05], "betas": [0],
+                       "replications": 5, "seed": 1},
+}
+CALLS = {
+    "fit": ["fit", *FIT, "--beta", "0.5"],
+    "fit_beta0_predictions": ["fit", *FIT, "--beta", "0", "--w0", "25",
+                              "--mission-times", "10,20"],
+    "fit_unbalanced": ["fit", "--input", "unbalanced.csv", "--beta", "0.3"],
+    "fit_path": ["fit-path", *FIT, "--betas", "0:0.1:1,2", "--w0", "25",
+                 "--mission-times", "5,10"],
+    "fit_path_unbalanced": ["fit-path", "--input", "unbalanced.csv",
+                            "--betas", "0,0.5,1"],
+    "reliability": ["reliability", "--params", "0.004,0.05", "--w0", "25",
+                    "--mission-times", "10,20,30"],
+    "ztest": ["ztest", *FIT, "--beta", "0.5", *TEST],
+    "power": ["power", *FIT, "--alpha-star", "0.004,0.06", "--beta", "0.5",
+              *TEST, "--devices", "50", "--abs-effect"],
+    "samplesize": ["samplesize", *FIT, "--alpha-star", "0.004,0.06",
+                   "--beta", "0.5", *TEST, "--target-power", "0.8"],
+    "competing_fit_ed01": ["competing-fit", "--input", "ed01.csv",
+                           "--betas", "0,0.5,1"],
+    "competing_fit_benzidine": ["competing-fit", "--input", "benzidine.csv",
+                                "--betas", "0.25", "--causes", "tumour"],
+    "simulate_rmse": ["simulate", "--spec", "rmse.json", "--output",
+                      "out.csv"],
+    "simulate_rmse_devices": ["simulate", "--spec", "rmse_devices.json",
+                              "--output", "out.csv", "--workers", "2"],
+    "simulate_lp_strength": ["simulate", "--spec", "lp_strength.json",
+                             "--output", "out.csv"],
+    "simulate_lp_devices": ["simulate", "--spec", "lp_devices.json",
+                            "--output", "out.csv", "--seed", "9"],
+    # refusals, exit 2
+    "usage_error": ["fit", *FIT],
+    "fit_negative_beta": ["fit", *FIT, "--beta", "-1"],
+    "fit_nan_beta": ["fit", *FIT, "--beta", "nan"],
+    "fit_missing_input_bad_mission": ["fit", "--input", "missing.csv",
+                                      "--beta", "0.5",
+                                      "--mission-times", "x"],
+    "fit_bad_mission": ["fit", *FIT, "--beta", "0.5", "--mission-times",
+                        "10,inf"],
+    "fit_path_bad_betas_and_mission": ["fit-path", *FIT, "--betas", "1:0:2",
+                                       "--mission-times", "x"],
+    "ztest_bad_m": ["ztest", *FIT, "--beta", "0.5", "--m", "1", "--d", "0"],
+    "simulate_rmse_with_hypothesis": ["simulate", "--spec",
+                                      "rmse_hypothesis.json", "--output",
+                                      "out.csv"],
+    "simulate_lp_without_hypothesis": ["simulate", "--spec",
+                                       "lp_no_hypothesis.json", "--output",
+                                       "out.csv"],
+    "simulate_bad_study": ["simulate", "--spec", "bad_study.json",
+                           "--output", "out.csv"],
+    # computation errors, exit 3
+    "power_overflow": ["power", *FIT, "--alpha-star", "0.004,400", "--beta",
+                       "0.5", *TEST, "--devices", "50"],
+    "samplesize_zero_effect": ["samplesize", *FIT, "--alpha-star",
+                               "0.004,0.05", "--beta", "0.5", *TEST,
+                               "--target-power", "0.8"],
+}
+
+
+def cli_digest(argv) -> str:
+    if os.path.exists("out.csv"):
+        os.remove("out.csv")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    data = f"exit {code}\n{stdout.getvalue()}"
+    if argv[0] == "simulate" and os.path.exists("out.csv"):
+        with open("out.csv", encoding="utf-8") as handle:
+            data += handle.read()
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def study_specs():
+    plan = TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                    np.full((3, 3), 50))
+    small = TestPlan(plan.temps, plan.times, np.full((3, 3), 3))
+    truth = ModelParams(0.004, 0.05)
+    hyp = LinearHypothesis(np.array([0.0, 1.0]), 0.05)
+    shifts = {"clean": ContaminationScheme(),
+              "alpha0": ContaminationScheme("alpha0_shift", (0, 0), 0.001),
+              "alpha1": ContaminationScheme("alpha1_shift", (2, 2), 0.02)}
+    for name, scheme in shifts.items():
+        for kind, hypothesis in (("rmse", None), ("level_power", hyp)):
+            yield f"{kind}_{name}", SimulationSpec(
+                plan, truth, scheme, (0.0, 0.4, 1.0), 60, 11, hypothesis)
+    for kind, hypothesis in (("rmse", None), ("level_power", hyp)):
+        yield f"{kind}_k3", SimulationSpec(
+            small, truth, ContaminationScheme(), (0.0, 0.5, 1.0), 120, 3,
+            hypothesis)
+
+
+def report_digest(report) -> str:
+    data = report.to_json() + repr(report.to_rows(x_value=0.5))
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def main_fingerprint():
+    lines = []
+    for name, spec in study_specs():
+        study = rmse_study if spec.hypothesis is None else level_power_study
+        lines.append((report_digest(study(spec)), f"study/{name}"))
+        if spec.contamination.mode != "none":
+            reports, strengths = contamination_sweep(spec, [0.0, 0.3, 0.9])
+            for report, s in zip(reports, strengths):
+                lines.append((report_digest(report),
+                              f"study/{name}_sweep_{s}"))
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name in ("table1", "ed01", "benzidine"):
+                shutil.copyfile(dataset_path(name), f"{name}.csv")
+            with open("unbalanced.csv", "w", encoding="utf-8") as handle:
+                handle.write(UNBALANCED)
+            for name, doc in SPECS.items():
+                with open(name, "w", encoding="utf-8") as handle:
+                    json.dump(doc, handle)
+            for name, argv in CALLS.items():
+                lines.append((cli_digest(argv), f"cli/{name}"))
+        finally:
+            os.chdir(cwd)
+    for digest, name in lines:
+        print(f"{digest}  {name}")
+
+
+if __name__ == "__main__":
+    main_fingerprint()

@@ -324,7 +324,7 @@ class TestCriterion4SandwichMonteCarlo:
             betas=(beta,), replications=2000, seed=1234,
         )
         # the studies' batched fits; the first ones also one by one
-        alpha, _ = simulate._replication_fits(spec, with_z=False)
+        alpha, _ = simulate._replication_fits(spec)
         alpha = alpha[:, 0]
         for i in range(25):
             result = od.fit(od.generate_table(spec, i), beta)

@@ -384,6 +384,14 @@ class TestRequiredDevices:
             required_devices(ModelParams(0.004, 0.05), plan1, 0.0, hyp,
                              0.8, 0.05)
 
+    def test_count_beyond_double_range_is_typed_error(self, plan1):
+        # the squared effect, 1e-320, is subnormal and the count infinite,
+        # which int() refuses with a bare OverflowError
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.0)
+        with pytest.raises(NumericalOverflow, match="device count"):
+            required_devices(ModelParams(0.004, 1e-160), plan1, 0.5, hyp,
+                             0.8, 0.05)
+
     def test_target_at_most_level_rejected(self, plan1):
         hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
         with pytest.raises(InfeasibleDesign):

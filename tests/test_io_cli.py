@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import oneshotdpd.io as io_module
-from oneshotdpd import ParseError, fit
-from oneshotdpd.cli import main
+from oneshotdpd import (ContaminationScheme, LinearHypothesis, ModelParams,
+                        ParseError, SimulationSpec, TestPlan, fit,
+                        level_power_study, rmse_study)
+from oneshotdpd.cli import _build_parser, _cmd_simulate, main
 from oneshotdpd.datasets import dataset_path
 from oneshotdpd.io import (
     fit_result_from_dict,
@@ -86,6 +89,18 @@ class TestFailureCsv:
         with pytest.raises(ParseError, match="row 2.*column 'K'"):
             read_failure_csv(path)
 
+    # int() refuses NaN and infinity, and the int64 count grid refuses
+    # 1e30: each raised a bare ValueError or OverflowError
+    @pytest.mark.parametrize("row", ["35,10,inf,3", "35,10,1e400,3",
+                                     "35,10,nan,3", "35,10,1e30,3",
+                                     "35,10,10,inf"])
+    def test_count_outside_int64_named(self, row, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"w,t,K,n\n{row}\n45,10,10,5\n")
+        with pytest.raises(ParseError, match=r"huge\.csv row 2: column "
+                           "'[Kn]' must be a non-negative integer"):
+            read_failure_csv(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("stress,time,K,n\n35,10,10,3\n")
@@ -98,6 +113,13 @@ class TestMultiOutcomeCsv:
         path = tmp_path / "neg.csv"
         path.write_text("w,t,n_sac,n_nat,n_tum\n0,12,5,-1,2\n")
         with pytest.raises(ParseError, match="non-negative"):
+            read_multioutcome_csv(path)
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+    def test_count_outside_int64_named(self, value, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"w,t,n_sac,n_nat,n_tum\n0,12,5,{value},2\n")
+        with pytest.raises(ParseError, match="row 2: column 'n_nat'"):
             read_multioutcome_csv(path)
 
     def test_round_trip_of_bundled_file(self, ed01):
@@ -186,6 +208,22 @@ class TestCli:
         assert first["alpha0"] == pytest.approx(0.00487, abs=5e-5)
         assert first["alpha1"] == pytest.approx(0.04732, abs=5e-5)
         assert "reliability" in first and "mean_lifetime" in first
+
+    @pytest.mark.parametrize("beta", ["0", "0.5"])
+    @pytest.mark.parametrize("predictions", [
+        [], ["--w0", "25", "--mission-times", "10,20"]])
+    def test_fit_document_is_one_beta_fit_path(self, beta, predictions,
+                                               capsys):
+        docs = []
+        for option in (["fit", "--beta"], ["fit-path", "--betas"]):
+            code, out = self.run(
+                [option[0], "--input", str(dataset_path("table1")),
+                 option[1], beta, *predictions], capsys)
+            assert code == 0
+            doc = _strict_json(out)
+            del doc["config"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["fit", "--input", str(dataset_path("table1")),
@@ -303,6 +341,85 @@ class TestCli:
         assert len(lines) == 3  # header + one row per strength
         assert lines[1].split(",")[1] == "0.0"
         assert lines[2].split(",")[1] == "0.5"
+
+    @pytest.mark.parametrize("study", ["rmse", "level_power"])
+    def test_devices_sweep_reports_equal_in_process_studies(
+            self, study, tmp_path, capsys):
+        hypothesis = {"m": [0, 1], "d": 0.05, "level": 0.1}
+        spec = {
+            "study": study,
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05],
+            "betas": [0, 0.5],
+            "replications": 20,
+            "seed": 4,
+            "hypothesis": hypothesis if study == "level_power" else None,
+            "sweep": {"parameter": "devices", "values": [3, 40]},
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out = self.run(["simulate", "--spec", str(spec_path),
+                              "--output", str(tmp_path / "sweep.csv")],
+                             capsys)
+        assert code == 0
+        reports = _strict_json(out)["results"]["reports"]
+        assert len(reports) == 2
+        runner = rmse_study if study == "rmse" else level_power_study
+        for k, report in zip((3, 40), reports):
+            direct = runner(SimulationSpec(
+                plan=TestPlan([35, 45], [10, 20], np.full((2, 2), k)),
+                true_params=ModelParams(0.004, 0.05),
+                contamination=ContaminationScheme(), betas=(0.0, 0.5),
+                replications=20, seed=4,
+                hypothesis=None if study == "rmse" else LinearHypothesis(
+                    np.array([0.0, 1.0]), 0.05),
+                level=0.1 if study == "level_power" else 0.05))
+            assert report == json.loads(direct.to_json())
+
+    def test_devices_sweep_value_beyond_int64_refused(self, tmp_path,
+                                                      capsys):
+        # the plan's int64 devices array refused it with a bare
+        # OverflowError
+        spec = {
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05],
+            "betas": [0.0],
+            "replications": 3,
+            "seed": 1,
+            "sweep": {"parameter": "devices", "values": [10**29]},
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["simulate", "--spec", str(spec_path), "--output",
+                str(tmp_path / "study.csv")]
+        with pytest.raises(ParseError, match="bad simulation spec"):
+            _cmd_simulate(_build_parser().parse_args(argv))
+        code, text = self.run(argv, capsys)
+        assert code == 2
+        assert _strict_json(text)["errors"][0]["code"] == "ParseError"
+        assert not (tmp_path / "study.csv").exists()
+
+    @pytest.mark.parametrize("count", ["inf", "1e400", "nan"])
+    def test_count_outside_int64_exit_code(self, count, tmp_path, capsys):
+        data = tmp_path / "k.csv"
+        data.write_text(f"w,t,K,n\n35,10,{count},3\n45,10,10,5\n")
+        code, out = self.run(["fit", "--input", str(data), "--beta", "0.5"],
+                             capsys)
+        assert code == 2
+        error = _strict_json(out)["errors"][0]
+        assert error["code"] == "ParseError"
+        assert "row 2: column 'K'" in error["message"]
+
+    def test_samplesize_beyond_double_range_is_typed_error(self, capsys):
+        code, out = self.run(
+            ["samplesize", "--input", str(dataset_path("table1")),
+             "--alpha-star", "0.004,1e-160", "--beta", "0.5", "--m", "0,1",
+             "--d", "0", "--target-power", "0.8"], capsys)
+        assert code == 3
+        doc = _strict_json(out)
+        assert doc["errors"][0]["code"] == "NumericalOverflow"
+        assert doc["results"] == {}
 
     @pytest.mark.parametrize("values", [[None], [[0.5]]])
     def test_simulate_sweep_strength_not_number_refused(self, values,
@@ -568,6 +685,20 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_fingerprint_tool_prints_named_digests(self):
+        src = str(Path(io_module.__file__).resolve().parents[1])
+        script = Path(__file__).resolve().parent / "data" / "fingerprint.py"
+        proc = subprocess.run([sys.executable, str(script)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True,
+                              timeout=60)
+        lines = proc.stdout.splitlines()
+        assert len(lines) > 40
+        assert all(re.fullmatch(r"[0-9a-f]{64}  [\w/.]+", line)
+                   for line in lines)
+        names = [line.split("  ")[1] for line in lines]
+        assert len(set(names)) == len(names)
 
     def test_output_file_written(self, tmp_path, capsys):
         target = tmp_path / "fit.json"

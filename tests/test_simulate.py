@@ -266,8 +266,7 @@ class TestBatchedEngine:
         with open(GOLDEN, newline="", encoding="utf-8") as handle:
             rows = [r for r in csv.DictReader(handle) if r["study"] == study]
         assert len(rows) == spec.replications * len(spec.betas)
-        alpha, stat = simulate._replication_fits(
-            spec, with_z=spec.hypothesis is not None)
+        alpha, stat = simulate._replication_fits(spec)
         z_crit = -ndtri(spec.level / 2.0)
         used = [0] * len(spec.betas)
         for row in rows:
@@ -316,6 +315,22 @@ class TestBatchedEngine:
         assert len(spec.betas) == 6
         level_power_study(spec)
         assert calls == [150] * 6
+
+    @pytest.mark.parametrize("study", ["rmse", "level_power"])
+    def test_sweep_reports_equal_direct_studies(self, plan1, study):
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
+        spec = base_spec(
+            plan1, betas=(0.0, 0.5), replications=30,
+            contamination=ContaminationScheme("alpha1_shift", (1, 2), 0.02),
+            hypothesis=hyp if study == "level_power" else None)
+        runner = level_power_study if study == "level_power" else rmse_study
+        reports, strengths = contamination_sweep(spec, [0.0, 0.3, 0.7])
+        for report, s in zip(reports, strengths):
+            scheme = ContaminationScheme() if s == 0.0 else \
+                ContaminationScheme("alpha1_shift", (1, 2), (1.0 - s) * 0.05)
+            direct = runner(dataclasses.replace(spec, contamination=scheme))
+            assert report.kind == study
+            assert report.to_json() == direct.to_json()
 
     def test_workers_below_one_refused(self, plan1):
         spec = base_spec(plan1, replications=2)
