@@ -39,6 +39,16 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _check_betas(betas) -> tuple[float, ...]:
+    """Path betas: non-empty, finite, >= 0 and ascending (repeats allowed)."""
+    betas = tuple(_check_beta(b) for b in betas)
+    if not betas:
+        raise ValueError("betas must be non-empty")
+    if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError("betas must be sorted ascending")
+    return betas
+
+
 def kl_divergence(p, q) -> float:
     """Kullback-Leibler divergence sum(p * log(p / q)).
 

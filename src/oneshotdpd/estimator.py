@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .divergence import (_bracket, _cell_sums, _check_beta, _dpd_terms,
-                         _plan_columns)
+from .divergence import (_bracket, _cell_sums, _check_beta, _check_betas,
+                         _dpd_terms, _plan_columns)
 from .errors import NoInteriorData, NumericalOverflow
 from .model import FailureTable, ModelParams, TestPlan, _cells
 
@@ -208,12 +208,15 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     iteration: a Newton direction only when the Hessian is finite and
     positive definite (otherwise steepest descent), steps capped at 5,
     Armijo backtracking down to 1e-13, and the ``_GRAD_TOL``, ``_STEP_TOL``
-    and ``_MAX_ITERS`` stops.  A row whose gradient is first within
-    ``_GRAD_TOL`` takes one more step and stops at the iterate it reaches,
-    or where it is when that line search fails.  Finished rows are masked
-    out.  The rows are solved cell-major, theta as (2, n) and the
-    fractions as (C, n).  Returns per-row arrays (theta (n, 2), objective,
-    grad_norm, iterations, clamped).
+    and ``_MAX_ITERS`` stops.  A pass evaluates every gradient in one
+    :func:`_grad_hess_theta` call over the (2, rows) cell-major columns,
+    and a row leaves at one of two places.  One is that call: on a
+    non-finite gradient, a pass after its gradient was first within
+    ``_GRAD_TOL`` (that pass's step polishes the last digits), or once an
+    accepted step below ``_STEP_TOL`` or at pass ``_MAX_ITERS`` settled it
+    (the call then counts no iteration).  The other is a failed line
+    search, which leaves the row where it is.  Returns per-row arrays
+    (theta (n, 2), objective, grad_norm, iterations, clamped).
     """
     n = len(theta0)
     theta = theta0.T.copy()
@@ -223,19 +226,18 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     iterations = np.zeros(n, dtype=int)
     clamped = np.zeros(n, dtype=bool)
     reached = np.zeros(n, dtype=bool)
+    settled = np.zeros(n, dtype=bool)
     active = np.arange(n)
     # the columns of the active rows are gathered with take and compress,
     # several times faster than fancy indexing on arrays this small
-    for it in range(1, _MAX_ITERS + 1):
+    for it in range(1, _MAX_ITERS + 2):
         th, ra = theta.take(active, axis=1), r.take(active, axis=1)
         gh, cl = _grad_hess_theta(th, ra, data, beta)
         clamped[active[cl]] = True
-        iterations[active] = it
+        iterations[active[~settled[active]]] = it
         gn = np.abs(gh[:2]).max(axis=0)
         grad_norm[active] = gn
-        # a row first within _GRAD_TOL takes one more step, which polishes
-        # the last digits, and stops at the iterate it reaches
-        go = np.isfinite(gn) & ~reached[active]
+        go = np.isfinite(gn) & ~reached[active] & ~settled[active]
         reached[active[gn <= _GRAD_TOL]] = True
         if not go.all():
             active = active[go]
@@ -247,43 +249,31 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
         # rounding allowance: near the optimum the true decrease drops below
         # double resolution of the objective; without it the search stalls
         allowance = 4e-16 * np.maximum(1.0, np.abs(f0))
-        # Armijo backtracking; ``lam`` keeps each accepted step length
+        # Armijo backtracking on the pending rows; lam keeps accepted steps
         lam = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
-        # the rows still searching, their step lengths and their columns of
-        # the search data, compacted only when a row leaves the search
-        search = [np.arange(active.size), np.ones(active.size), th, step, ra,
-                  f0, slope, allowance]
-        while True:
-            pending, lam_p, th_p, step_p, ra_p, f0_p, slope_p, allowance_p = \
-                search
-            trial = th_p + lam_p * step_p
-            ftrial = _objective_theta(trial, ra_p, data, beta)
-            ok = ftrial <= f0_p + 1e-4 * lam_p * slope_p + allowance_p
-            if ok.any():
-                done = pending[ok]
-                accepted[done] = True
-                lam[done] = lam_p[ok]
-                theta[:, active[done]] = trial.compress(ok, axis=1)
-                fval[active[done]] = ftrial[ok]
+        pending = np.arange(active.size)
+        while pending.size:
+            lam_p = lam[pending]
+            trial = (th.take(pending, axis=1)
+                     + lam_p * step.take(pending, axis=1))
+            ftrial = _objective_theta(trial, ra.take(pending, axis=1), data,
+                                      beta)
+            ok = (ftrial <= f0[pending] + 1e-4 * lam_p * slope[pending]
+                  + allowance[pending])
+            done = pending[ok]
+            accepted[done] = True
+            theta[:, active[done]] = trial.compress(ok, axis=1)
+            fval[active[done]] = ftrial[ok]
             # a row that failed tries half its step, down to 1e-13
-            search[1] = lam_p = lam_p * 0.5
-            retry = ~ok & (lam_p >= 1e-13)
-            if not retry.any():
-                break
-            if not retry.all():
-                search = [v.compress(retry, axis=-1) for v in search]
+            pending = pending[~ok]
+            lam[pending] *= 0.5
+            pending = pending[lam[pending] >= 1e-13]
+        # a stalled or last step settles its row; a failed search stops it
         moved = lam * np.abs(step).max(axis=0)
-        # a stalled step or the last iteration: report the final gradient
-        final = accepted & ((moved < _STEP_TOL) | (it == _MAX_ITERS))
-        if final.any():
-            rows = active[final]
-            gh, cl = _grad_hess_theta(theta.take(rows, axis=1),
-                                      ra.compress(final, axis=1), data, beta)
-            clamped[rows[cl]] = True
-            grad_norm[rows] = np.abs(gh[:2]).max(axis=0)
-        # a failed line search stops its row as well
-        active = active[accepted & ~final]
+        settled[active[accepted & ((moved < _STEP_TOL)
+                                   | (it == _MAX_ITERS))]] = True
+        active = active[accepted]
         if active.size == 0:
             break
     return theta.T, fval, grad_norm, iterations, clamped
@@ -293,29 +283,23 @@ def _direction(gh: np.ndarray):
     """Per-row search direction (2, n) and its slope g . step, from the
     rows ``g0, g1, h00, h01, h11`` of :func:`_grad_hess_theta`.
 
-    Newton only when the Hessian is finite and safely positive definite,
-    otherwise (or uphill) steepest descent; the step is capped at 5.
+    Newton when the Hessian is finite and safely positive definite and the
+    step is not uphill, else steepest descent; steps are capped at 5.
     """
     g0, g1, h00, h01, h11 = gh
-    # an ill-scaled plan (stresses near 1e308) can overflow any product
+    # an ill-scaled plan (stresses near 1e308) can overflow any product;
+    # a NaN slope (inf - inf) keeps its Newton step
     with np.errstate(all="ignore"):
         det = h00 * h11 - h01 * h01
         step = np.array([-g0 * h11 + g1 * h01, g0 * h01 - g1 * h00]) / det
         newton = (np.isfinite(gh[2:]).all(axis=0) & (h00 > 0.0) & (det > 0.0)
-                  & np.isfinite(step).all(axis=0))
-        if not newton.all():
-            step[:, ~newton] = -gh[:2, ~newton]
-        slope = g0 * step[0] + g1 * step[1]
-        uphill = slope >= 0.0
-        if uphill.any():
-            g = gh[:2, uphill]
-            step[:, uphill] = -g
-            slope[uphill] = -(g[0] * g[0] + g[1] * g[1])
+                  & np.isfinite(step).all(axis=0)
+                  & ~(g0 * step[0] + g1 * step[1] >= 0.0))
+        step[:, ~newton] = -gh[:2, ~newton]
         size = np.abs(step).max(axis=0)
         big = size > 5.0
-        if big.any():
-            step[:, big] *= 5.0 / size[big]
-            slope[big] = g0[big] * step[0, big] + g1[big] * step[1, big]
+        step[:, big] *= 5.0 / size[big]
+        slope = g0 * step[0] + g1 * step[1]
     return step, slope
 
 
@@ -382,11 +366,7 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
     per-row-beta sandwich call covers every (table, beta) estimate.
     Returns one list of :class:`FitResult` per table.
     """
-    betas = [_check_beta(b) for b in betas]
-    if not betas:
-        raise ValueError("betas must be non-empty")
-    if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be sorted ascending")
+    betas = _check_betas(betas)
     if not all(table.has_interior_cell() for table in tables):
         raise NoInteriorData(
             "every cell is all-failure or all-survival; the estimate "

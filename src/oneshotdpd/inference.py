@@ -17,6 +17,7 @@ with scipy's functions of the same names to a few units in the last place.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import TYPE_CHECKING
@@ -289,19 +290,25 @@ def approximate_power(
     alternative should pass ``abs_effect=True`` to use |m' alpha - d|.  A
     zero departure returns ``level`` exactly (not an error).  For strong
     alternatives the raw one-sided expression overshoots 1 (it tends to 2);
-    the returned probability is truncated at 1.
+    the returned probability is truncated at 1.  A device count beyond the
+    double range raises :class:`~oneshotdpd.errors.NumericalOverflow`.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if devices < 1:
         raise ValueError("devices must be >= 1")
+    if not devices <= sys.float_info.max:
+        raise NumericalOverflow("device count beyond the double range")
     variance = _checked_variance(params_star, plan, beta, hyp)
     effect = hyp.effect(params_star)
     if abs_effect:
         effect = abs(effect)
     z_crit = -ndtri(level / 2.0)
-    shift = np.sqrt(devices / variance) * effect
-    return min(2.0 * ndtr(-(z_crit - shift)), 1.0)
+    # near the top of the double range the ratio overflows, its root not
+    ratio = devices / variance
+    root = (math.sqrt(ratio) if math.isfinite(ratio)
+            else math.sqrt(devices) / math.sqrt(variance))
+    return min(2.0 * ndtr(-(z_crit - root * effect)), 1.0)
 
 
 def required_devices(
@@ -315,8 +322,8 @@ def required_devices(
     """Smallest per-cell device count whose approximate power reaches target.
 
     Computed as floor(m' Sigma m (z_{level/2} - Phi^-1(1 - target/2))^2 /
-    (m' alpha - d)^2) + 1; the squared denominator is what inverting the
-    power approximation requires.  Round trip:
+    (m' alpha - d)^2) + 1, dividing by the effect twice so that its square
+    cannot underflow.  Round trip:
     ``approximate_power(K) >= target > approximate_power(K - 1)`` for
     moderate K; rounding breaks it at some K above 1e13 on ``table1``.
     """
@@ -335,7 +342,7 @@ def required_devices(
     variance = _checked_variance(params_star, plan, beta, hyp)
     z_crit = -ndtri(level / 2.0)
     gap = z_crit - ndtri(1.0 - target_power / 2.0)
-    k_real = variance * gap**2 / effect**2
+    k_real = variance * gap**2 / effect / effect
     if not np.isfinite(k_real):
         raise NumericalOverflow("required device count overflows")
     return max(int(np.floor(k_real)) + 1, 1)

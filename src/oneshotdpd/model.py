@@ -123,10 +123,6 @@ class TestPlan:
     def n_cells(self) -> int:
         return self.temps.size * self.times.size
 
-    @property
-    def is_balanced(self) -> bool:
-        return bool(np.all(self.devices == self.devices.flat[0]))
-
     @functools.cached_property
     def mean_devices(self) -> float:
         """Mean cell size; equals the common K for balanced plans."""

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergence import _check_betas
 from .estimator import _fit_rows
 from .inference import LinearHypothesis, _z_rows, ndtri
 from .model import FailureTable, ModelParams, TestPlan, _integral, cell_probs
@@ -105,12 +106,7 @@ class SimulationSpec:
     level: float = 0.05
 
     def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
-        if not betas:
-            raise ValueError("betas must be non-empty")
-        if not all(np.isfinite(b) and b >= 0 for b in betas):
-            raise ValueError("betas must be finite and >= 0")
-        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "betas", _check_betas(self.betas))
         replications = _integral(self.replications, "replications")
         if replications < 1:
             raise ValueError("replications must be >= 1")

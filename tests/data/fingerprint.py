@@ -8,7 +8,11 @@ Each line reads ``<sha256>  <name>``.  The names cover:
   CSV it writes;
 * ``study/...``: ``rmse_study``, ``level_power_study`` and
   ``contamination_sweep`` reports, clean and contaminated, on 50-device
-  and 3-device cells; a digest covers ``to_json`` and ``to_rows``.
+  and 3-device cells; a digest covers ``to_json`` and ``to_rows``;
+* ``solver/...``: the six ``_fit_rows`` outputs, along the betas
+  0:0.2:1,2, for seeded random tables on small and large, wide, unbalanced
+  and extreme plans (stresses and times near the ends of the double
+  range), where many fits stall or hit the iteration cap.
 
 The calls run in a temporary directory that holds copies of the bundled
 CSVs and the spec files, so the ``--input`` and ``--spec`` paths echoed in
@@ -34,6 +38,8 @@ from oneshotdpd import (ContaminationScheme, LinearHypothesis, ModelParams,
                         level_power_study, rmse_study)
 from oneshotdpd.cli import main
 from oneshotdpd.datasets import dataset_path
+from oneshotdpd.estimator import _fit_rows
+from oneshotdpd.io import parse_betas
 
 FIT = ["--input", "table1.csv"]
 TEST = ["--m", "0,1", "--d", "0.05"]
@@ -164,6 +170,37 @@ def study_specs():
             hypothesis)
 
 
+def solver_plans():
+    temps, times = [35.0, 45.0, 55.0], [10.0, 20.0, 30.0]
+    for k in (2, 3, 5, 10, 50):
+        yield f"table1_k{k}", TestPlan(temps, times, np.full((3, 3), k))
+    yield "wide", TestPlan([-1e3, 0.0, 1e3], [1e-3, 1.0, 1e3],
+                           np.full((3, 3), 10))
+    yield "unbalanced", TestPlan([35.0, 55.0], times,
+                                 [[3, 20, 7], [15, 2, 40]])
+    for name, w, t in [
+            ("stress_1e308", [-1e308, 0.0, 1e308], times),
+            ("stress_1e150", [-1e150, 0.0, 1e150], times),
+            ("time_1e300", temps, [1e300, 2e300, 3e300]),
+            ("time_1e_300", temps, [1e-300, 2e-300, 3e-300]),
+            ("stress_gap_5e_324", [0.0, 5e-324, 1e-323], times),
+            ("stress_1e308_time_1e300", [-1e308, 1e308], [1e300, 2e300]),
+            ("stress_1e150_time_1e_300", [-1e150, 1e150], [1e-300, 1.0])]:
+        yield name, TestPlan(w, t, np.full((len(w), len(t)), 10))
+
+
+def solver_digests():
+    rng = np.random.default_rng(2026)
+    betas = parse_betas("0:0.2:1,2")
+    for name, plan in solver_plans():
+        counts = rng.integers(0, plan.devices + 1, (8,) + plan.shape)
+        interior = ((counts > 0) & (counts < plan.devices)).any(axis=(1, 2))
+        digest = hashlib.sha256()
+        for out in _fit_rows(counts[interior] / plan.devices, plan, betas):
+            digest.update(np.ascontiguousarray(out).tobytes())
+        yield digest.hexdigest(), f"solver/{name}"
+
+
 def report_digest(report) -> str:
     data = report.to_json() + repr(report.to_rows(x_value=0.5))
     return hashlib.sha256(data.encode()).hexdigest()
@@ -179,6 +216,7 @@ def main_fingerprint():
             for report, s in zip(reports, strengths):
                 lines.append((report_digest(report),
                               f"study/{name}_sweep_{s}"))
+    lines.extend(solver_digests())
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)

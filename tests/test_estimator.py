@@ -303,6 +303,52 @@ class TestDataStarts:
                                    atol=EQUIVARIANCE_TOL)
 
 
+class TestNewtonExits:
+    """Whichever way a row leaves the solver, its reports describe the
+    estimate it returns."""
+
+    def cases(self):
+        """(plan, fractions) on the table1 design at small K, where many
+        fits stall or hit the cap, and on plans at the edge of the double
+        range."""
+        rng = np.random.default_rng(41)
+        plans = [TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                          np.full((3, 3), k)) for k in (2, 3, 4, 10)]
+        plans += [TestPlan([35.0, 45.0, 55.0], [1e300, 2e300],
+                           np.full((3, 2), 10)),
+                  TestPlan([-1e308, 0.0, 1e308], [10.0, 20.0, 30.0],
+                           np.full((3, 3), 10))]
+        for plan in plans:
+            counts = rng.integers(0, plan.devices + 1, (60,) + plan.shape)
+            interior = (counts > 0) & (counts < plan.devices)
+            yield plan, counts[interior.any(axis=(1, 2))] / plan.devices
+
+    def test_reports_are_those_of_the_returned_estimate(self):
+        capped = 0
+        for plan, r in self.cases():
+            data = estimator._CellData(plan)
+            cells = r.reshape(len(r), -1).T.copy()
+            start = _data_starts(r, plan)
+            for beta in (0.0, 0.4, 1.0):
+                theta, fval, grad_norm, iterations, clamped = \
+                    estimator._newton(start, r, data, beta)
+                at = theta.T.copy()
+                gh, cl = estimator._grad_hess_theta(at, cells, data, beta)
+                # exact, with NaN equal to NaN
+                np.testing.assert_array_equal(
+                    grad_norm, np.abs(gh[:2]).max(axis=0), strict=True)
+                np.testing.assert_array_equal(
+                    fval, estimator._objective_theta(at, cells, data, beta),
+                    strict=True)
+                assert not (cl & ~clamped).any()
+                assert iterations.max() <= estimator._MAX_ITERS
+                capped += int((iterations == estimator._MAX_ITERS).sum())
+                # warm starts from converged fits, as in fit_path
+                start = np.where((grad_norm <= estimator._GRAD_TOL)[:, None],
+                                 theta, start)
+        assert capped > 0
+
+
 class TestFitPath:
     def test_single_element_equals_fit(self, table1):
         path = fit_path(table1, [0.3])

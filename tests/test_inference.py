@@ -331,6 +331,17 @@ class TestPower:
                                   hyp, 10**6, 0.05, abs_effect=True)
         assert value == 1.0
 
+    @pytest.mark.parametrize("devices", [10**400, float("inf")],
+                             ids=["int_1e400", "inf"])
+    def test_device_count_beyond_double_range_is_typed_error(self, plan1,
+                                                             devices):
+        # at the null point an infinite count returned NaN
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
+        for alpha1 in (0.05, 0.06):
+            with pytest.raises(NumericalOverflow, match="device count"):
+                approximate_power(ModelParams(0.004, alpha1), plan1, 0.5,
+                                  hyp, devices, 0.05)
+
     def test_independent_high_precision_evaluation(self, plan1):
         # separate formula path: mpmath normal distribution plus the naive
         # loop matrices
@@ -390,6 +401,22 @@ class TestRequiredDevices:
         hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.0)
         with pytest.raises(NumericalOverflow, match="device count"):
             required_devices(ModelParams(0.004, 1e-160), plan1, 0.5, hyp,
+                             0.8, 0.05)
+
+    def test_round_trip_at_tiny_effect(self, plan1):
+        # K near 6.6e306: K / (m' Sigma m) leaves the double range, and a
+        # squared effect of 1e-308 would lose digits to subnormal rounding
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.0)
+        params = ModelParams(0.004, 1e-154)
+        k = required_devices(params, plan1, 0.5, hyp, 0.8, 0.05)
+        assert 1e306 < k < 1e307
+        power = approximate_power(params, plan1, 0.5, hyp, k, 0.05)
+        assert power == pytest.approx(0.8, abs=1e-12)
+
+    def test_effect_squared_underflowing_to_zero_is_typed_error(self, plan1):
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.0)
+        with pytest.raises(NumericalOverflow, match="device count"):
+            required_devices(ModelParams(0.004, 1e-200), plan1, 0.5, hyp,
                              0.8, 0.05)
 
     def test_target_at_most_level_rejected(self, plan1):

@@ -421,6 +421,35 @@ class TestCli:
         assert doc["errors"][0]["code"] == "NumericalOverflow"
         assert doc["results"] == {}
 
+    def samplesize_at(self, alpha1, capsys):
+        return self.run(
+            ["samplesize", "--input", str(dataset_path("table1")),
+             "--alpha-star", f"0.004,{alpha1}", "--beta", "0.5", "--m",
+             "0,1", "--d", "0", "--target-power", "0.8"], capsys)
+
+    def test_samplesize_tiny_effect_reaches_target(self, capsys):
+        code, out = self.samplesize_at("1e-154", capsys)
+        assert code == 0
+        results = _strict_json(out)["results"]
+        assert 1e306 < results["required_devices"] < 1e307
+        assert results["achieved_power"] == pytest.approx(0.8, abs=1e-12)
+
+    def test_samplesize_effect_squared_underflow_is_typed_error(self,
+                                                                capsys):
+        code, out = self.samplesize_at("1e-200", capsys)
+        assert code == 3
+        assert _strict_json(out)["errors"][0]["code"] == "NumericalOverflow"
+
+    def test_power_device_count_beyond_double_range(self, capsys):
+        code, out = self.run(
+            ["power", "--input", str(dataset_path("table1")),
+             "--alpha-star", "0.004,0.06", "--beta", "0.5", "--m", "0,1",
+             "--d", "0.05", "--devices", "1" + "0" * 400], capsys)
+        assert code == 3
+        doc = _strict_json(out)
+        assert doc["errors"][0]["code"] == "NumericalOverflow"
+        assert doc["results"] == {}
+
     @pytest.mark.parametrize("values", [[None], [[0.5]]])
     def test_simulate_sweep_strength_not_number_refused(self, values,
                                                         tmp_path, capsys):
@@ -605,6 +634,26 @@ class TestCli:
                                "--output", str(out)], capsys)
         assert code == 2
         assert _strict_json(text)["errors"][0]["code"] == "ParseError"
+        assert not out.exists()
+
+    def test_simulate_descending_betas_refused(self, tmp_path, capsys):
+        spec = {
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05],
+            "betas": [1, 0],
+            "replications": 3,
+            "seed": 1,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "study.csv"
+        code, text = self.run(["simulate", "--spec", str(spec_path),
+                               "--output", str(out)], capsys)
+        assert code == 2
+        error = _strict_json(text)["errors"][0]
+        assert error["code"] == "ParseError"
+        assert "ascending" in error["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [7.9, True, "7"])

@@ -185,6 +185,17 @@ class TestGenerateTable:
                 mode="alpha1_shift", value=0.06))
 
 
+    def test_betas_must_ascend(self, plan1):
+        # as in fit_path: warm starts run along the betas, so a descending
+        # tuple would change the study's numbers
+        with pytest.raises(ValueError, match="ascending"):
+            base_spec(plan1, betas=(1.0, 0.5, 0.0))
+        assert base_spec(plan1, betas=(0.0, 0.5, 0.5)).betas == \
+            (0.0, 0.5, 0.5)
+        with pytest.raises(ValueError, match="non-empty"):
+            base_spec(plan1, betas=())
+
+
 class TestStudies:
     def test_report_shape_and_bookkeeping(self, plan1):
         plan = plan_with_k(plan1, 20)
