@@ -69,26 +69,25 @@ def _check_finite_options(args) -> None:
 
 
 def _hypothesis_from(args) -> LinearHypothesis:
-    m = _parse_floats(args.m, expect=2)
-    try:
-        return LinearHypothesis(m=np.array(m), d=args.d)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return LinearHypothesis(m=np.array(_parse_floats(args.m, expect=2)),
+                            d=args.d)
 
 
 def _params_from(text: str) -> ModelParams:
-    a0, a1 = _parse_floats(text, expect=2)
-    try:
-        return ModelParams(a0, a1)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return ModelParams(*_parse_floats(text, expect=2))
+
+
+def _design_from(args) -> tuple:
+    """Plan, alternative and hypothesis of ``power`` and ``samplesize``."""
+    return (read_failure_csv(args.input).plan, _params_from(args.alpha_star),
+            _hypothesis_from(args))
 
 
 def _predictions(params: ModelParams, w0: float | None, mission_times) -> dict:
     out = {}
     if w0 is not None:
         out["mean_lifetime"] = mean_lifetime(params, w0)
-        if mission_times:
+        if mission_times is not None:
             out["reliability"] = {
                 repr(t): reliability(params, w0, t) for t in mission_times
             }
@@ -103,7 +102,7 @@ def _fit_entry(result, w0, mission_times) -> dict:
 
 def _fits_document(args, table, betas) -> dict:
     """The ``fit-path`` document; ``fit`` is the path of its one beta."""
-    mission = _parse_floats(args.mission_times) if args.mission_times else []
+    mission = _parse_floats(args.mission_times) if args.mission_times else None
     results = fit_path(table, betas)
     return {
         "results": {
@@ -126,15 +125,8 @@ def _cmd_reliability(args) -> dict:
     params = _params_from(args.params)
     mission = _parse_floats(args.mission_times)
     return {
-        "results": {
-            "alpha0": params.alpha0,
-            "alpha1": params.alpha1,
-            "w0": args.w0,
-            "mean_lifetime": mean_lifetime(params, args.w0),
-            "reliability": {
-                repr(t): reliability(params, args.w0, t) for t in mission
-            },
-        },
+        "results": {"alpha0": params.alpha0, "alpha1": params.alpha1,
+                    "w0": args.w0, **_predictions(params, args.w0, mission)},
         "diagnostics": {},
     }
 
@@ -157,9 +149,7 @@ def _cmd_ztest(args) -> dict:
 
 
 def _cmd_power(args) -> dict:
-    plan = read_failure_csv(args.input).plan
-    params = _params_from(args.alpha_star)
-    hyp = _hypothesis_from(args)
+    plan, params, hyp = _design_from(args)
     power = approximate_power(
         params, plan, args.beta, hyp, args.devices, args.level,
         abs_effect=args.abs_effect,
@@ -171,9 +161,7 @@ def _cmd_power(args) -> dict:
 
 
 def _cmd_samplesize(args) -> dict:
-    plan = read_failure_csv(args.input).plan
-    params = _params_from(args.alpha_star)
-    hyp = _hypothesis_from(args)
+    plan, params, hyp = _design_from(args)
     devices = required_devices(
         params, plan, args.beta, hyp, args.target_power, args.level
     )
@@ -235,7 +223,11 @@ def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:
             devices = np.full((len(temps), len(times)), devices)
         plan = TestPlan(temps=temps, times=times, devices=devices)
         true_params = ModelParams(*doc["true_params"])
-        cont_doc = doc.get("contamination") or {"mode": "none"}
+        cont_doc = doc.get("contamination")
+        cont_doc = {} if cont_doc is None else cont_doc
+        if not isinstance(cont_doc, dict):
+            raise ParseError(
+                f"contamination must be an object, got {cont_doc!r}")
         contamination = ContaminationScheme(
             mode=cont_doc.get("mode", "none"),
             cell=tuple(cont_doc.get("cell", (0, 0))),
@@ -456,33 +448,24 @@ def _config_echo(args) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _build_parser().parse_args(argv)
-    except ParseError as exc:
-        # usage errors: the raw arguments stand in for the argument echo
-        _emit({"config": {"argv": argv}, "results": {}, "diagnostics": {},
-               "errors": [{"code": exc.code, "message": str(exc)}]}, None)
-        return _PARSE_EXIT
-    payload = {"config": _config_echo(args), "results": {}, "diagnostics": {},
+    # a usage error leaves args None: the raw arguments stand in for the
+    # argument echo and the document goes to stdout
+    args, status = None, 0
+    payload = {"config": {"argv": argv}, "results": {}, "diagnostics": {},
                "errors": []}
     try:
+        args = _build_parser().parse_args(argv)
+        payload["config"] = _config_echo(args)
         _check_finite_options(args)
-        body = args.handler(args)
-    except ParseError as exc:
-        payload["errors"] = [{"code": exc.code, "message": str(exc)}]
-        _emit(payload, args)
-        return _PARSE_EXIT
-    except OneShotError as exc:
-        payload["errors"] = [{"code": exc.code, "message": str(exc)}]
-        _emit(payload, args)
-        return _COMPUTE_EXIT
-    except ValueError as exc:
-        payload["errors"] = [{"code": "ParseError", "message": str(exc)}]
-        _emit(payload, args)
-        return _PARSE_EXIT
-    payload.update(body)
+        payload.update(args.handler(args))
+    except (OneShotError, ValueError) as exc:
+        # a library ValueError is a refused input, as a ParseError is
+        parse = isinstance(exc, (ParseError, ValueError))
+        status = _PARSE_EXIT if parse else _COMPUTE_EXIT
+        payload["errors"] = [{"code": "ParseError" if parse else exc.code,
+                              "message": str(exc)}]
     _emit(payload, args)
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,6 +61,11 @@ class MultiOutcomeTable:
         sacrificed = _int_array(sacrificed, "sacrificed")
         died_natural = _int_array(died_natural, "died_natural")
         died_tumour = _int_array(died_tumour, "died_tumour")
+        # the int64 sum below wraps; Python ints give the exact totals
+        exact = sum(c.astype(object)
+                    for c in (sacrificed, died_natural, died_tumour))
+        if np.any(exact >= 2**63):
+            raise ValueError("a per-cell device total overflows int64")
         plan = TestPlan(
             temps=temps,
             times=times,

@@ -36,6 +36,10 @@ def _check_beta(beta: float) -> float:
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be a finite real >= 0, got {beta}")
+    # the beta > 0 cell terms carry (1 + beta) / beta: from 1e-300 up it
+    # stays 1e8 below the double range, so the cell sums stay finite
+    if 0.0 < beta < 1e-300:
+        raise ValueError(f"beta must be 0 or at least 1e-300, got {beta}")
     return beta
 
 

@@ -181,8 +181,9 @@ def _data_starts(r: np.ndarray, plan: TestPlan) -> np.ndarray:
     """
     K = plan.devices
     w = plan.temps
-    z = np.log(-np.log1p(-(r * K + 0.5) / (K + 1))) - np.log(plan.times)
-    weight = K / K.sum()
+    # float sums: an int64 K + 1 or total may wrap
+    z = np.log(-np.log1p(-(r * K + 0.5) / (K + 1.0))) - np.log(plan.times)
+    weight = K / K.sum(dtype=float)
     z_mean = np.sum(weight * z, axis=(1, 2))
     theta = np.zeros((len(r), 2))
     if len(w) > 1:

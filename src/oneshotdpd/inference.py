@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergence import _bracket, _cell_sums, _plan_columns, _power
+from .divergence import (_bracket, _cell_sums, _check_beta, _plan_columns,
+                         _power)
 from .errors import (DegenerateVariance, InfeasibleDesign, NumericalOverflow,
                      SingularInformation)
 from .model import ModelParams, TestPlan, _cells, _plan_rates
@@ -44,6 +45,13 @@ def ndtr(x: float) -> float:
 def ndtri(p: float) -> float:
     """Standard normal quantile function, the inverse of :func:`ndtr`."""
     return _STD_NORMAL.inv_cdf(p)
+
+
+def _critical_value(level: float) -> float:
+    """The two-sided critical value z_{level/2} of a test at ``level``."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    return -ndtri(level / 2.0)
 
 
 @dataclass(frozen=True)
@@ -99,9 +107,7 @@ class ZTestResult:
 
     def reject_at(self, level: float) -> bool:
         """Two-sided decision |Z| > z_{level/2}."""
-        if not 0.0 < level < 1.0:
-            raise ValueError("level must be in (0, 1)")
-        return bool(abs(self.statistic) > -ndtri(level / 2.0))
+        return bool(abs(self.statistic) > _critical_value(level))
 
 
 def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta):
@@ -141,12 +147,14 @@ def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
 
     with cells weighted by K_ij / Kbar on unbalanced plans.
     """
-    return _alpha_cell_sums(params.as_array()[None], plan, beta)[0, 0]
+    return _alpha_cell_sums(params.as_array()[None], plan,
+                            _check_beta(beta))[0, 0]
 
 
 def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
     """Score-variance matrix of the divergence fit (the sandwich "meat")."""
-    return _alpha_cell_sums(params.as_array()[None], plan, beta)[1, 0]
+    return _alpha_cell_sums(params.as_array()[None], plan,
+                            _check_beta(beta))[1, 0]
 
 
 def fisher_information(params: ModelParams, plan: TestPlan) -> np.ndarray:
@@ -205,6 +213,7 @@ def sandwich(params: ModelParams, plan: TestPlan, beta: float
     matrix cannot be inverted reliably (condition number at or above
     1e12).
     """
+    beta = _check_beta(beta)
     _plan_rates(params, plan)
     jb, kb, sigma, ok = (v[0] for v in
                          _sandwich_rows(params.as_array()[None], plan, beta))
@@ -217,7 +226,7 @@ def sandwich(params: ModelParams, plan: TestPlan, beta: float
             f"(eigenvalues {eig_min:.3e}, {eig_max:.3e})"
         )
     return SandwichCovariance(
-        j_bar=jb, k_bar=kb, sigma=sigma, at_params=params, beta=float(beta)
+        j_bar=jb, k_bar=kb, sigma=sigma, at_params=params, beta=beta
     )
 
 
@@ -293,8 +302,7 @@ def approximate_power(
     the returned probability is truncated at 1.  A device count beyond the
     double range raises :class:`~oneshotdpd.errors.NumericalOverflow`.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+    z_crit = _critical_value(level)
     if devices < 1:
         raise ValueError("devices must be >= 1")
     if not devices <= sys.float_info.max:
@@ -303,7 +311,6 @@ def approximate_power(
     effect = hyp.effect(params_star)
     if abs_effect:
         effect = abs(effect)
-    z_crit = -ndtri(level / 2.0)
     # near the top of the double range the ratio overflows, its root not
     ratio = devices / variance
     root = (math.sqrt(ratio) if math.isfinite(ratio)
@@ -327,8 +334,7 @@ def required_devices(
     ``approximate_power(K) >= target > approximate_power(K - 1)`` for
     moderate K; rounding breaks it at some K above 1e13 on ``table1``.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+    z_crit = _critical_value(level)
     if not level < target_power < 1.0:
         raise InfeasibleDesign(
             f"target power must lie in (level, 1), got {target_power}"
@@ -340,7 +346,6 @@ def required_devices(
             "reach the target power"
         )
     variance = _checked_variance(params_star, plan, beta, hyp)
-    z_crit = -ndtri(level / 2.0)
     gap = z_crit - ndtri(1.0 - target_power / 2.0)
     k_real = variance * gap**2 / effect / effect
     if not np.isfinite(k_real):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .divergence import _check_betas
 from .estimator import _fit_rows
-from .inference import LinearHypothesis, _z_rows, ndtri
+from .inference import LinearHypothesis, _critical_value, _z_rows
 from .model import FailureTable, ModelParams, TestPlan, _integral, cell_probs
 
 _MODES = ("none", "alpha0_shift", "alpha1_shift")
@@ -125,8 +125,7 @@ class SimulationSpec:
             F[i, j] = cell_probs(shifted, self.plan)[0][i, j]
         F.setflags(write=False)
         object.__setattr__(self, "failure_probs", F)
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
+        _critical_value(self.level)
 
     def to_dict(self) -> dict:
         return {
@@ -303,7 +302,7 @@ def _study(spec: SimulationSpec, workers: int) -> SimulationReport:
     alpha, stat = _replication_fits(spec)
     testing = spec.hypothesis is not None
     truth = spec.true_params.as_array()
-    z_crit = -ndtri(spec.level / 2.0)
+    z_crit = _critical_value(spec.level)
     names = _VALUE_FIELDS[3:] if testing else _VALUE_FIELDS[:3]
     used, values = [], []
     for b_idx in range(len(spec.betas)):

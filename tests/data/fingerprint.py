@@ -91,6 +91,8 @@ CALLS = {
                             "--betas", "0,0.5,1"],
     "reliability": ["reliability", "--params", "0.004,0.05", "--w0", "25",
                     "--mission-times", "10,20,30"],
+    "reliability_empty_mission": ["reliability", "--params", "0.004,0.05",
+                                  "--w0", "25", "--mission-times", ""],
     "ztest": ["ztest", *FIT, "--beta", "0.5", *TEST],
     "power": ["power", *FIT, "--alpha-star", "0.004,0.06", "--beta", "0.5",
               *TEST, "--devices", "50", "--abs-effect"],
@@ -120,6 +122,16 @@ CALLS = {
     "fit_path_bad_betas_and_mission": ["fit-path", *FIT, "--betas", "1:0:2",
                                        "--mission-times", "x"],
     "ztest_bad_m": ["ztest", *FIT, "--beta", "0.5", "--m", "1", "--d", "0"],
+    "ztest_zero_m": ["ztest", *FIT, "--beta", "0.5", "--m", "0,0", "--d",
+                     "0.05"],
+    "ztest_level_1": ["ztest", *FIT, "--beta", "0.5", *TEST, "--level", "1"],
+    "power_zero_alpha0": ["power", *FIT, "--alpha-star=0,0.05", "--beta",
+                          "0.5", *TEST, "--devices", "50"],
+    "power_level_0": ["power", *FIT, "--alpha-star", "0.004,0.06", "--beta",
+                      "0.5", *TEST, "--devices", "50", "--level", "0"],
+    "samplesize_level_1_5": ["samplesize", *FIT, "--alpha-star",
+                             "0.004,0.06", "--beta", "0.5", *TEST,
+                             "--target-power", "0.8", "--level", "1.5"],
     "simulate_rmse_with_hypothesis": ["simulate", "--spec",
                                       "rmse_hypothesis.json", "--output",
                                       "out.csv"],

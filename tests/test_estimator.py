@@ -96,6 +96,13 @@ class TestEstimatingEquations:
         )
         assert info["clamped"]
 
+    def test_cap_on_overflowing_equations(self, table1):
+        # F is 1 to the last bit in every cell, so F^(b-1) + S^(b-1) is
+        # huge and both components pass the 1e30 cap
+        assert estimating_equations(
+            table1, ModelParams(1.0, 20.0), 0.5, full_output=True
+        ) == ((1e30, 1e30), {"clamped": True})
+
 
 class TestFit:
     @pytest.mark.parametrize("beta", sorted(TABLE2_SPOT))
@@ -150,6 +157,17 @@ class TestFit:
         table = FailureTable(plan=plan, counts=[[3], [6]])
         with pytest.raises(NumericalOverflow):
             fit(table, 0.5)
+
+    @pytest.mark.parametrize("beta", [1e-320, 1e-308, 9.9e-301])
+    def test_beta_below_floor_refused(self, table1, beta):
+        # (1 + beta) / beta overflows the objective to -inf down there
+        with pytest.raises(ValueError, match="0 or at least 1e-300"):
+            fit(table1, beta)
+
+    def test_beta_at_floor_is_the_likelihood_fit(self, table1):
+        result = fit(table1, 1e-300)
+        assert result.converged and np.isfinite(result.objective)
+        assert result.params == fit(table1, 0.0).params
 
     def test_reparameterization_invariance(self, table1):
         # a bounded solver working directly in (alpha0, alpha1) must land on
@@ -267,6 +285,11 @@ class TestDataStarts:
               np.array([[[1 / 3], [2 / 3]]])))
     @example((TestPlan([-1e308, 1e308], [1.0], [[3], [3]]),
               np.array([[[1 / 3], [2 / 3]]])))
+    # cell sizes whose int64 total (2**64) or K + 1 wraps
+    @example((TestPlan([1.0, 2.0], [1.0, 2.0], np.full((2, 2), 2**62)),
+              np.array([[[0.25, 0.5], [0.5, 0.75]]])))
+    @example((TestPlan([1.0, 2.0], [1.0], [[2**63 - 1], [2**63 - 1]]),
+              np.array([[[0.25], [0.75]]])))
     def test_finite_for_any_fractions(self, inputs):
         plan, r = inputs
         theta = _data_starts(r, plan)

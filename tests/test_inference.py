@@ -197,6 +197,12 @@ class TestSandwich:
             result = fit(table, 0.8)
         assert result.covariance is None
 
+    @pytest.mark.parametrize("function", [sandwich, j_bar, k_bar])
+    @pytest.mark.parametrize("beta", [-2.0, 1e-320, float("nan")])
+    def test_beta_outside_domain_refused(self, plan1, function, beta):
+        with pytest.raises(ValueError, match="beta must be"):
+            function(ModelParams(0.004, 0.05), plan1, beta)
+
     def test_alpha_covariance_scaling(self, plan1):
         cov = sandwich(ModelParams(0.005, 0.05), plan1, 0.3)
         assert np.allclose(cov.alpha_covariance(25.0), cov.sigma / 25.0)

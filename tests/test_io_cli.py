@@ -122,6 +122,13 @@ class TestMultiOutcomeCsv:
         with pytest.raises(ParseError, match="row 2: column 'n_nat'"):
             read_multioutcome_csv(path)
 
+    def test_device_total_beyond_int64_named(self, tmp_path):
+        # 2**62 + 2**62 wraps to -2**63 in int64
+        path = tmp_path / "huge.csv"
+        path.write_text(f"w,t,n_sac,n_nat,n_tum\n0,12,{2**62},{2**62},0\n")
+        with pytest.raises(ParseError, match="total overflows int64"):
+            read_multioutcome_csv(path)
+
     def test_round_trip_of_bundled_file(self, ed01):
         assert ed01.plan.devices.tolist() == [[145, 830, 960],
                                               [175, 620, 625]]
@@ -473,6 +480,62 @@ class TestCli:
         assert _strict_json(text)["errors"][0]["code"] == "ParseError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, options, message", [
+        ("ztest", ["--m", "0,0"], "m must be finite and non-zero"),
+        ("power", ["--alpha-star=0,0.05"],
+         "alpha0 must be finite and > 0, got 0.0"),
+        ("ztest", ["--level", "1"], "level must be in (0, 1)"),
+        ("power", ["--level", "0"], "level must be in (0, 1)"),
+        ("samplesize", ["--level", "1.5"], "level must be in (0, 1)"),
+        ("power", ["--beta=-1"], "beta must be a finite real >= 0, got -1.0"),
+        ("samplesize", ["--beta=-0.3"],
+         "beta must be a finite real >= 0, got -0.3"),
+        ("fit", ["--beta", "1e-320"],
+         "beta must be 0 or at least 1e-300, got 1e-320"),
+    ], ids=["ztest_zero_m", "power_zero_alpha0", "ztest_level_1",
+            "power_level_0", "samplesize_level_1_5", "power_negative_beta",
+            "samplesize_negative_beta", "fit_beta_below_floor"])
+    def test_library_refusal_is_parse_error(self, command, options, message,
+                                            capsys):
+        # a valid call; the appended options override its values
+        argv = {
+            "fit": ["fit", "--beta", "0.5"],
+            "ztest": ["ztest", "--beta", "0.5", "--m", "0,1", "--d", "0.05"],
+            "power": ["power", "--alpha-star", "0.004,0.06", "--beta", "0.5",
+                      "--m", "0,1", "--d", "0.05", "--devices", "50"],
+            "samplesize": ["samplesize", "--alpha-star", "0.004,0.06",
+                           "--beta", "0.5", "--m", "0,1", "--d", "0.05",
+                           "--target-power", "0.8"],
+        }[command] + ["--input", str(dataset_path("table1")), *options]
+        code, out = self.run(argv, capsys)
+        assert code == 2
+        doc = _strict_json(out)
+        assert doc["errors"] == [{"code": "ParseError", "message": message}]
+        assert doc["results"] == {}
+
+    def test_reliability_empty_mission_times(self, capsys):
+        code, out = self.run(["reliability", "--params", "0.004,0.05",
+                              "--w0", "25", "--mission-times", ""], capsys)
+        assert code == 0
+        assert _strict_json(out)["results"]["reliability"] == {}
+
+    def test_device_total_beyond_int64_fits(self, tmp_path, capsys):
+        # at K = 2**62 the four cells total 2**64, which wraps to 0 in int64;
+        # every frequency and weight is as at K = 2**61, and so is the fit
+        fits = []
+        for k in (2**62, 2**61):
+            data = tmp_path / f"k{k}.csv"
+            data.write_text("w,t,K,n\n" + "".join(
+                f"{w},{t},{k},{n}\n" for (w, t), n in zip(
+                    [(1, 1), (1, 2), (2, 1), (2, 2)],
+                    [k // 4, k // 2, k // 2, 3 * k // 4])))
+            code, out = self.run(["fit", "--input", str(data), "--beta",
+                                  "0.5"], capsys)
+            assert code == 0
+            fits.append(_strict_json(out)["results"])
+        assert fits[0] == fits[1]
+        assert fits[0]["fits"][0]["converged"]
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("w,t,K,n\n35,10,10,12\n")
@@ -612,9 +675,12 @@ class TestCli:
         ("betas", [0.0, float("nan")]),
         # the rate at stress 45 overflows
         ("true_params", [0.004, 400.0]),
-        # malformed sweeps
+        # malformed sweeps and contaminations
         ("sweep", [1]),
         ("sweep", {"parameter": "devices", "values": 5}),
+        ("contamination", "x"),
+        ("contamination", [1]),
+        ("contamination", []),
     ])
     def test_simulate_spec_non_finite_refused(self, field, value, tmp_path,
                                               capsys):
