@@ -28,6 +28,13 @@ class Cause(enum.Enum):
     TUMOUR = 2
 
 
+def _totals(*counts) -> np.ndarray:
+    """Per-cell sums of int64 outcome counts, checked in exact ints."""
+    if np.any(sum(c.astype(object) for c in counts) >= 2**63):
+        raise ValueError("a per-cell device total overflows int64")
+    return sum(counts)
+
+
 @dataclass(frozen=True)
 class MultiOutcomeTable:
     """Per-cell outcome triples (sacrificed, died natural, died tumour).
@@ -49,7 +56,7 @@ class MultiOutcomeTable:
             if np.any(arr < 0):
                 raise ValueError(f"{name} must be non-negative")
             object.__setattr__(self, name, arr)
-        totals = self.sacrificed + self.died_natural + self.died_tumour
+        totals = _totals(self.sacrificed, self.died_natural, self.died_tumour)
         if not np.array_equal(totals, self.plan.devices):
             raise ValueError(
                 "plan.devices must equal the per-cell sum of the three outcomes"
@@ -61,15 +68,10 @@ class MultiOutcomeTable:
         sacrificed = _int_array(sacrificed, "sacrificed")
         died_natural = _int_array(died_natural, "died_natural")
         died_tumour = _int_array(died_tumour, "died_tumour")
-        # the int64 sum below wraps; Python ints give the exact totals
-        exact = sum(c.astype(object)
-                    for c in (sacrificed, died_natural, died_tumour))
-        if np.any(exact >= 2**63):
-            raise ValueError("a per-cell device total overflows int64")
         plan = TestPlan(
             temps=temps,
             times=times,
-            devices=sacrificed + died_natural + died_tumour,
+            devices=_totals(sacrificed, died_natural, died_tumour),
         )
         return cls(plan=plan, sacrificed=sacrificed,
                    died_natural=died_natural, died_tumour=died_tumour)

@@ -9,12 +9,12 @@ summation.
 The per-cell objective terms (:func:`_dpd_terms`), the ``F^p + S^p``
 bracket (:func:`_bracket`), the plan's cell columns
 (:func:`_plan_columns`) and the cell sum (:func:`_cell_sums`) are the one
-copy of that math; the solver, the estimating equations and the sandwich
-all call them.  Those three work cell-major: a per-cell array is (C, rows)
-for the C = I J cells of a plan in row-major (stress, time) order, so the
-table rows are contiguous and each elementwise step is one numpy call over
-every row.  :func:`_cell_sums` lays the cells contiguous again for the sum,
-so each row keeps the pairwise summation order of a (rows, I, J) table.
+copy of that math; :func:`dpd_objective`, the solver kernel and the
+sandwich all call them.  The last two work cell-major: a per-cell array
+is (C, rows) for the C = I J cells of a plan in row-major (stress, time)
+order, so each elementwise step is one numpy call over every row, and
+:func:`_cell_sums` lays each row's cells contiguous again, keeping the
+pairwise summation order of a (rows, I, J) table.
 """
 
 from __future__ import annotations

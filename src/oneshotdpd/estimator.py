@@ -15,10 +15,12 @@ One path engine fits rows of tables along a sorted beta grid, each row
 from its last converged estimate or else cold, with its own
 iteration, line search and stopping rule: :func:`fit` is a one-beta path,
 the causes of a two-cause study are the rows of one path, and the
-Monte-Carlo harness runs it on whole batches of tables.  The solver
-kernels are cell-major (see :mod:`oneshotdpd.divergence`): theta is
-(2, rows), and every per-cell array is (C, rows) with the table rows
-contiguous, so each step is one numpy call over all rows of a batch.
+Monte-Carlo harness runs it on whole batches of tables.  The one solver
+kernel, :func:`_eval_theta`, gives the objective, gradient and Hessian of
+every row from one evaluation of its cells.  It is cell-major (see
+:mod:`oneshotdpd.divergence`): theta is (2, rows), and every per-cell
+array is (C, rows) with the table rows contiguous, so each step is one
+numpy call over all rows of a batch.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ _EQ_CAP = 1e30
 _MAX_ITERS = 200
 _GRAD_TOL = 1e-10
 _STEP_TOL = 1e-12
+# the line search's step lengths: the full step alone, then the halvings
+# eight to a call, down to 2^-43, the last power of two at or above 1e-13
+_STEPS = np.split(np.ldexp(1.0, -np.arange(44)), range(1, 44, 8))
 
 
 @dataclass(frozen=True)
@@ -83,35 +88,20 @@ class _CellData:
         self.k_mean = plan.mean_devices
 
 
-def _cells_at(theta: np.ndarray, data: _CellData):
-    """:func:`_cells` (C, rows) at theta (2, rows).  A rate that overflows
-    gives infinite or NaN cells, which the objective reports as +inf;
-    callers evaluate this under ``np.errstate``."""
-    return _cells(np.exp(theta[0] + theta[1] * data.w), data.t)
+def _eval_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
+                beta: float):
+    """Objective, gradient and Hessian in theta coordinates at theta
+    (2, rows) from one evaluation of the cells: a (6, rows) array of
+    ``f, g0, g1, h00, h01, h11`` and the per-row clamping flags.
 
-
-def _objective_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
-                     beta: float):
-    """Objective (rows,) at theta (2, rows); NaN is reported as +inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lt, F, S, _ = _cells_at(theta, data)
-    val = _cell_sums([_dpd_terms(r, F, S, lt, beta)])[0] / data.n_cells
-    return np.where(np.isnan(val), np.inf, val)
-
-
-def _grad_hess_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
-                     beta: float):
-    """Gradient and Hessian in theta coordinates at theta (2, rows), with
-    boundary guards: a (5, rows) array of ``g0, g1, h00, h01, h11`` and the
-    per-row clamping flags.
-
-    Exponents like F^(beta-1) blow up as F -> 0 for beta < 1; F and S are
-    clamped into [1e-300, 1 - 1e-16] on that path and the clamping is
-    reported per row so callers can flag the fit.
+    A NaN objective (from a rate that overflows) is reported as +inf.
+    Exponents like F^(beta-1) blow up as F -> 0 for beta < 1, so the
+    derivatives clamp F and S into [1e-300, 1 - 1e-16] and report the
+    clamping per row so callers can flag the fit.
     """
     b = beta
     with np.errstate(all="ignore"):
-        lt, F, S, f = _cells_at(theta, data)
+        lt, F, S, f = _cells(np.exp(theta[0] + theta[1] * data.w), data.t)
         clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=0)
         Fc = np.clip(F, _F_MIN, _F_MAX)
         Sc = np.clip(S, _F_MIN, _F_MAX)
@@ -125,10 +115,11 @@ def _grad_hess_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
         curv = tf * (1.0 - lt)
         g = hp * tf
         h = hpp * tf * tf + hp * curv
-        w = data.w
-        gh = _cell_sums([g, g * w, h, h * w, h * data.w2])
-        gh /= data.n_cells
-    return gh, clamped
+        ev = _cell_sums([_dpd_terms(r, F, S, lt, beta), g, g * data.w, h,
+                         h * data.w, h * data.w2])
+        ev /= data.n_cells
+    ev[0, np.isnan(ev[0])] = np.inf
+    return ev, clamped
 
 
 def estimating_equations(
@@ -153,9 +144,9 @@ def estimating_equations(
     beta = _check_beta(beta)
     data = _CellData(table.plan)
     theta = np.array([[np.log(params.alpha0)], [params.alpha1]])
-    gh, clamped = _grad_hess_theta(theta, table.frequencies.reshape(-1, 1),
-                                   data, beta)
-    g = gh[:2, 0]
+    ev, clamped = _eval_theta(theta, table.frequencies.reshape(-1, 1),
+                              data, beta)
+    g = ev[1:3, 0]
     clamped = bool(clamped[0])
     with np.errstate(all="ignore"):
         vals = g * (data.k_mean * data.n_cells / (beta + 1.0))
@@ -209,67 +200,67 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     iteration: a Newton direction only when the Hessian is finite and
     positive definite (otherwise steepest descent), steps capped at 5,
     Armijo backtracking down to 1e-13, and the ``_GRAD_TOL``, ``_STEP_TOL``
-    and ``_MAX_ITERS`` stops.  A pass evaluates every gradient in one
-    :func:`_grad_hess_theta` call over the (2, rows) cell-major columns,
-    and a row leaves at one of two places.  One is that call: on a
-    non-finite gradient, a pass after its gradient was first within
-    ``_GRAD_TOL`` (that pass's step polishes the last digits), or once an
-    accepted step below ``_STEP_TOL`` or at pass ``_MAX_ITERS`` settled it
-    (the call then counts no iteration).  The other is a failed line
-    search, which leaves the row where it is.  Returns per-row arrays
+    and ``_MAX_ITERS`` stops.  Each point is evaluated once, by
+    :func:`_eval_theta` over the (2, rows) cell-major columns, and a row
+    keeps the values of the point it stands on.  A pass tries every row's
+    full step in one call, then the halvings of the rows that failed it
+    eight to a call, and each row keeps its largest step that passes.  A
+    row leaves at the top of a pass on a non-finite gradient, a pass after
+    its gradient was first within ``_GRAD_TOL`` (that pass's step polishes
+    the last digits), or once an accepted step below ``_STEP_TOL`` or at
+    pass ``_MAX_ITERS`` settled it (that pass counts no iteration); a
+    failed line search leaves it where it is.  Returns per-row arrays
     (theta (n, 2), objective, grad_norm, iterations, clamped).
     """
     n = len(theta0)
     theta = theta0.T.copy()
     r = r.reshape(n, -1).T.copy()
-    fval = _objective_theta(theta, r, data, beta)
-    grad_norm = np.full(n, np.inf)
+    ev, clamped = _eval_theta(theta, r, data, beta)
     iterations = np.zeros(n, dtype=int)
-    clamped = np.zeros(n, dtype=bool)
     reached = np.zeros(n, dtype=bool)
     settled = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    # the columns of the active rows are gathered with take and compress,
-    # several times faster than fancy indexing on arrays this small
+    # the columns of the active rows are gathered with take, several times
+    # faster than fancy indexing on arrays this small
     for it in range(1, _MAX_ITERS + 2):
-        th, ra = theta.take(active, axis=1), r.take(active, axis=1)
-        gh, cl = _grad_hess_theta(th, ra, data, beta)
-        clamped[active[cl]] = True
         iterations[active[~settled[active]]] = it
-        gn = np.abs(gh[:2]).max(axis=0)
-        grad_norm[active] = gn
+        gn = np.abs(ev[1:3].take(active, axis=1)).max(axis=0)
         go = np.isfinite(gn) & ~reached[active] & ~settled[active]
         reached[active[gn <= _GRAD_TOL]] = True
-        if not go.all():
-            active = active[go]
-            gh, th, ra = (v.compress(go, axis=1) for v in (gh, th, ra))
-            if active.size == 0:
-                break
-        step, slope = _direction(gh)
-        f0 = fval[active]
+        active = active[go]
+        if active.size == 0:
+            break
+        at = ev.take(active, axis=1)
+        th, ra = theta.take(active, axis=1), r.take(active, axis=1)
+        step, slope = _direction(at[1:])
+        f0 = at[0]
         # rounding allowance: near the optimum the true decrease drops below
         # double resolution of the objective; without it the search stalls
         allowance = 4e-16 * np.maximum(1.0, np.abs(f0))
-        # Armijo backtracking on the pending rows; lam keeps accepted steps
+        # Armijo backtracking; lam keeps accepted steps
         lam = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
         pending = np.arange(active.size)
-        while pending.size:
-            lam_p = lam[pending]
-            trial = (th.take(pending, axis=1)
-                     + lam_p * step.take(pending, axis=1))
-            ftrial = _objective_theta(trial, ra.take(pending, axis=1), data,
-                                      beta)
-            ok = (ftrial <= f0[pending] + 1e-4 * lam_p * slope[pending]
-                  + allowance[pending])
-            done = pending[ok]
-            accepted[done] = True
-            theta[:, active[done]] = trial.compress(ok, axis=1)
-            fval[active[done]] = ftrial[ok]
-            # a row that failed tries half its step, down to 1e-13
-            pending = pending[~ok]
-            lam[pending] *= 0.5
-            pending = pending[lam[pending] >= 1e-13]
+        for lams in _STEPS:
+            # one column per pending row and step length, row-major
+            cols = np.repeat(pending, lams.size)
+            lam_c = np.tile(lams, pending.size)
+            trial = th.take(cols, axis=1) + lam_c * step.take(cols, axis=1)
+            ev_c, cl_c = _eval_theta(trial, ra.take(cols, axis=1), data, beta)
+            ok = (ev_c[0] <= f0.take(cols) + 1e-4 * lam_c * slope.take(cols)
+                  + allowance.take(cols)).reshape(pending.size, -1)
+            # each row keeps its largest step that passes
+            hit = ok.any(axis=1)
+            pick = (np.arange(pending.size) * lams.size + ok.argmax(1))[hit]
+            done = active[pending[hit]]
+            accepted[pending[hit]] = True
+            lam[pending[hit]] = lam_c[pick]
+            theta[:, done] = trial.take(pick, axis=1)
+            ev[:, done] = ev_c.take(pick, axis=1)
+            clamped[done] |= cl_c[pick]
+            pending = pending[~hit]
+            if pending.size == 0:
+                break
         # a stalled or last step settles its row; a failed search stops it
         moved = lam * np.abs(step).max(axis=0)
         settled[active[accepted & ((moved < _STEP_TOL)
@@ -277,12 +268,12 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
         active = active[accepted]
         if active.size == 0:
             break
-    return theta.T, fval, grad_norm, iterations, clamped
+    return theta.T, ev[0], np.abs(ev[1:3]).max(axis=0), iterations, clamped
 
 
 def _direction(gh: np.ndarray):
     """Per-row search direction (2, n) and its slope g . step, from the
-    rows ``g0, g1, h00, h01, h11`` of :func:`_grad_hess_theta`.
+    rows ``g0, g1, h00, h01, h11`` of :func:`_eval_theta`.
 
     Newton when the Hessian is finite and safely positive definite and the
     step is not uphill, else steepest descent; steps are capped at 5.

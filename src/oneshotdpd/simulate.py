@@ -40,6 +40,8 @@ _MODES = ("none", "alpha0_shift", "alpha1_shift")
 # a batch's arrays grow with its rows, and a 1,024-row batch raised a
 # study's peak memory by 3.4 MB
 _BLOCK = 256
+# a study holds 24 bytes per (replication, beta) fit: 1e7 fits, 240 MB
+_MAX_FITS = 10**7
 
 
 def _check_workers(workers: int) -> None:
@@ -110,6 +112,10 @@ class SimulationSpec:
         replications = _integral(self.replications, "replications")
         if replications < 1:
             raise ValueError("replications must be >= 1")
+        if replications * len(self.betas) > _MAX_FITS:
+            raise ValueError(f"replications x betas must be at most "
+                             f"{_MAX_FITS:,} fits, got {replications} x "
+                             f"{len(self.betas)}")
         object.__setattr__(self, "replications", replications)
         seed = _integral(self.seed, "seed")
         if not 0 <= seed < 2**64:

@@ -13,8 +13,8 @@ import pytest
 from conftest import random_plan, random_table
 from oneshotdpd import FailureTable, TestPlan, estimator, fit
 from oneshotdpd.divergence import _dpd_terms
-from oneshotdpd.estimator import (_CellData, _data_starts, _fit_rows,
-                                  _grad_hess_theta, _objective_theta)
+from oneshotdpd.estimator import (_CellData, _data_starts, _eval_theta,
+                                  _fit_rows)
 from oneshotdpd.inference import _alpha_cell_sums, _sandwich_rows
 
 BETAS = (0.0, 0.3, 0.5, 1.0, 2.0)
@@ -134,13 +134,10 @@ class TestKernelsMatchReference:
             theta = theta_points(rng, plan, r)
             rows = np.resize(r, (len(theta),) + plan.shape)
             cell_major = rows.reshape(len(theta), -1).T.copy()
-            same_bytes(_objective_theta(theta.T.copy(), cell_major, data,
-                                        beta),
-                       ref_objective(theta, rows, plan, beta))
-            gh, clamped = _grad_hess_theta(theta.T.copy(), cell_major, data,
-                                           beta)
+            ev, clamped = _eval_theta(theta.T.copy(), cell_major, data, beta)
             g, H, want_clamped = ref_grad_hess(theta, rows, plan, beta)
-            same_bytes(gh, np.stack([g[:, 0], g[:, 1], H[:, 0, 0],
+            same_bytes(ev, np.stack([ref_objective(theta, rows, plan, beta),
+                                     g[:, 0], g[:, 1], H[:, 0, 0],
                                      H[:, 0, 1], H[:, 1, 1]]))
             same_bytes(clamped, want_clamped)
             clamps += int(clamped.sum())

@@ -6,6 +6,7 @@ from oneshotdpd import (
     MultiOutcomeTable,
     NoInteriorData,
     NumericalOverflow,
+    TestPlan,
     cause_table,
     combined_mean_lifetime,
     fit_cause,
@@ -57,6 +58,12 @@ class TestCauseTable:
                 temps=[0.0], times=[1.0],
                 sacrificed=[[-1]], died_natural=[[2]], died_tumour=[[1]],
             )
+
+    def test_wrapping_total_refused_at_construction(self):
+        # (2**63 - 1) * 2 + 7 wraps to 5 in int64
+        plan = TestPlan([1.0], [1.0], [[5]])
+        with pytest.raises(ValueError, match="total overflows int64"):
+            MultiOutcomeTable(plan, [[2**63 - 1]], [[2**63 - 1]], [[7]])
 
     def test_non_integral_counts_refused(self):
         with pytest.raises(ValueError, match="died_tumour must be an integer"):

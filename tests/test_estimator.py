@@ -326,6 +326,66 @@ class TestDataStarts:
                                    atol=EQUIVARIANCE_TOL)
 
 
+def ref_newton(theta0, r, data, beta, stats):
+    """The solver with its earlier line search, one halving per kernel
+    call; ``stats`` collects every accepted step length and counts the
+    searches that fail all halvings."""
+    def objective(theta, cells):
+        return estimator._eval_theta(theta, cells, data, beta)[0][0]
+
+    n = len(theta0)
+    theta = theta0.T.copy()
+    r = r.reshape(n, -1).T.copy()
+    fval = objective(theta, r)
+    grad_norm = np.full(n, np.inf)
+    iterations = np.zeros(n, dtype=int)
+    clamped = np.zeros(n, dtype=bool)
+    reached = np.zeros(n, dtype=bool)
+    settled = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for it in range(1, estimator._MAX_ITERS + 2):
+        th, ra = theta[:, active], r[:, active]
+        ev, cl = estimator._eval_theta(th, ra, data, beta)
+        gh = ev[1:]
+        clamped[active[cl]] = True
+        iterations[active[~settled[active]]] = it
+        gn = np.abs(gh[:2]).max(axis=0)
+        grad_norm[active] = gn
+        go = np.isfinite(gn) & ~reached[active] & ~settled[active]
+        reached[active[gn <= estimator._GRAD_TOL]] = True
+        active, gh, th, ra = active[go], gh[:, go], th[:, go], ra[:, go]
+        if active.size == 0:
+            break
+        step, slope = estimator._direction(gh)
+        f0 = fval[active]
+        allowance = 4e-16 * np.maximum(1.0, np.abs(f0))
+        lam = np.ones(active.size)
+        accepted = np.zeros(active.size, dtype=bool)
+        pending = np.arange(active.size)
+        while pending.size:
+            lam_p = lam[pending]
+            trial = th[:, pending] + lam_p * step[:, pending]
+            ftrial = objective(trial, ra[:, pending])
+            ok = (ftrial <= f0[pending] + 1e-4 * lam_p * slope[pending]
+                  + allowance[pending])
+            done = pending[ok]
+            accepted[done] = True
+            theta[:, active[done]] = trial[:, ok]
+            fval[active[done]] = ftrial[ok]
+            pending = pending[~ok]
+            lam[pending] *= 0.5
+            pending = pending[lam[pending] >= 1e-13]
+        stats["lam"].extend(lam[accepted])
+        stats["failed"] += int((~accepted).sum())
+        moved = lam * np.abs(step).max(axis=0)
+        settled[active[accepted & ((moved < estimator._STEP_TOL)
+                                   | (it == estimator._MAX_ITERS))]] = True
+        active = active[accepted]
+        if active.size == 0:
+            break
+    return theta.T, fval, grad_norm, iterations, clamped
+
+
 class TestNewtonExits:
     """Whichever way a row leaves the solver, its reports describe the
     estimate it returns."""
@@ -356,13 +416,11 @@ class TestNewtonExits:
                 theta, fval, grad_norm, iterations, clamped = \
                     estimator._newton(start, r, data, beta)
                 at = theta.T.copy()
-                gh, cl = estimator._grad_hess_theta(at, cells, data, beta)
+                ev, cl = estimator._eval_theta(at, cells, data, beta)
                 # exact, with NaN equal to NaN
                 np.testing.assert_array_equal(
-                    grad_norm, np.abs(gh[:2]).max(axis=0), strict=True)
-                np.testing.assert_array_equal(
-                    fval, estimator._objective_theta(at, cells, data, beta),
-                    strict=True)
+                    grad_norm, np.abs(ev[1:3]).max(axis=0), strict=True)
+                np.testing.assert_array_equal(fval, ev[0], strict=True)
                 assert not (cl & ~clamped).any()
                 assert iterations.max() <= estimator._MAX_ITERS
                 capped += int((iterations == estimator._MAX_ITERS).sum())
@@ -370,6 +428,22 @@ class TestNewtonExits:
                 start = np.where((grad_norm <= estimator._GRAD_TOL)[:, None],
                                  theta, start)
         assert capped > 0
+
+    def test_line_search_matches_one_halving_per_call(self):
+        stats = {"lam": [], "failed": 0}
+        for plan, r in self.cases():
+            data = estimator._CellData(plan)
+            start = _data_starts(r, plan)
+            for beta in (0.0, 0.4, 1.0):
+                got = estimator._newton(start, r, data, beta)
+                want = ref_newton(start, r, data, beta, stats)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+        # steps accepted in a later halving call, and searches that fail
+        # all 43 halvings, so every halving call is exercised
+        assert min(stats["lam"]) < 2.0**-8
+        assert stats["failed"] > 0
 
 
 class TestFitPath:

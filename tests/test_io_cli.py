@@ -681,6 +681,8 @@ class TestCli:
         ("contamination", "x"),
         ("contamination", [1]),
         ("contamination", []),
+        # more fits than a study may hold, refused before any allocation
+        ("replications", 10**12),
     ])
     def test_simulate_spec_non_finite_refused(self, field, value, tmp_path,
                                               capsys):

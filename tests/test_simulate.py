@@ -327,6 +327,19 @@ class TestBatchedEngine:
         level_power_study(spec)
         assert calls == [150] * 6
 
+    def test_line_search_batches_its_halvings(self, monkeypatch):
+        # one kernel call per halving made 5,317 calls on this study
+        calls = []
+        kernel = estimator._eval_theta
+
+        def spy(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(estimator, "_eval_theta", spy)
+        rmse_study(k3_spec())
+        assert len(calls) <= 1300
+
     @pytest.mark.parametrize("study", ["rmse", "level_power"])
     def test_sweep_reports_equal_direct_studies(self, plan1, study):
         hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
