@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -268,7 +269,7 @@ def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:
 
 def _cmd_simulate(args) -> dict:
     try:
-        with open(args.spec, encoding="utf-8") as handle:
+        with open(args.spec, encoding="utf-8-sig") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot open {args.spec}: {exc}") from exc
@@ -332,7 +333,13 @@ def _cmd_simulate(args) -> dict:
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as :class:`ParseError` once the usual usage
     lines are on stderr, so that :func:`main` writes its JSON document;
-    subcommand parsers inherit the class."""
+    subcommand parsers inherit the class.  Every token that starts with
+    ``-`` and a digit or ``.``, such as ``-1,1`` or ``-2.5e1``, is an
+    option's value: no option starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -7,14 +7,14 @@ maximum likelihood fit is bit-stable.  All cell sums use numpy's pairwise
 summation.
 
 The per-cell objective terms (:func:`_dpd_terms`), the ``F^p + S^p``
-bracket (:func:`_bracket`), the plan's cell columns
-(:func:`_plan_columns`) and the cell sum (:func:`_cell_sums`) are the one
-copy of that math; :func:`dpd_objective`, the solver kernel and the
-sandwich all call them.  The last two work cell-major: a per-cell array
-is (C, rows) for the C = I J cells of a plan in row-major (stress, time)
+bracket (:func:`_bracket`) and the plan's cell vectors
+(:func:`_plan_vectors`) are the one copy of that math;
+:func:`dpd_objective`, the solver kernel and the sandwich all call them.
+The last two work rows-first, as every table does: a per-cell array is
+(rows, C) for the C = I J cells of a plan in row-major (stress, time)
 order, so each elementwise step is one numpy call over every row, and
-:func:`_cell_sums` lays each row's cells contiguous again, keeping the
-pairwise summation order of a (rows, I, J) table.
+each row's cells are contiguous, summed in the pairwise order of a
+(rows, I, J) table.
 """
 
 from __future__ import annotations
@@ -111,44 +111,33 @@ def _dpd_terms(r, F, S, lt, beta: float) -> np.ndarray:
 
 
 def _power(x, p):
-    """``x ** p`` for a scalar ``p`` or one exponent per column of the
-    cell-major ``x`` (C, rows), shaped (rows,).  Columns sharing an
-    exponent are raised by it as a scalar, so each keeps the bits of its
-    own scalar evaluation (numpy takes exact paths, such as sqrt at 0.5,
-    only for scalar exponents)."""
+    """``x ** p`` for a scalar ``p`` or one exponent per row of the
+    rows-first ``x`` (rows, C), shaped (rows,).  Rows sharing an exponent
+    are raised by it as a scalar, so each keeps the bits of its own scalar
+    evaluation (numpy takes exact paths, such as sqrt at 0.5, only for
+    scalar exponents)."""
     if getattr(p, "ndim", 0) == 0:
         return x**p
     out = np.empty(x.shape)
-    for value in np.unique(p):
-        out[:, p == value] = x[:, p == value] ** value
+    for value in set(p.tolist()):
+        out[p == value] = x[p == value] ** value
     return out
 
 
 def _bracket(F, S, p):
     """The ``F^p + S^p`` factor of the estimating equations and sandwich;
-    ``p`` is a scalar or per-column (see :func:`_power`)."""
+    ``p`` is a scalar or per-row (see :func:`_power`)."""
     return _power(F, p) + _power(S, p)
 
 
-def _plan_columns(plan):
+def _plan_vectors(plan):
     """Stress ``w``, its square and time ``t`` of every cell of ``plan``,
-    as (C, 1) columns in row-major (stress, time) order.  A square that
+    as (C,) vectors in row-major (stress, time) order.  A square that
     overflows is infinite; the kernels then report non-finite sums."""
-    w = np.repeat(plan.temps, plan.times.size)[:, None]
+    w = np.repeat(plan.temps, plan.times.size)
     with np.errstate(over="ignore"):
         w2 = w * w
-    return w, w2, np.tile(plan.times, plan.temps.size)[:, None]
-
-
-def _cell_sums(terms) -> np.ndarray:
-    """Cell sums (k, rows) of the k cell-major arrays ``terms``, each
-    (C, rows).
-
-    One copy lays the stacked terms out as (k, rows, C), so each row's
-    cells are contiguous and numpy's pairwise ``sum`` adds them in the
-    order it adds a (rows, I, J) table over its cell axes.
-    """
-    return np.array(terms).transpose(0, 2, 1).copy().sum(-1)
+    return w, w2, np.tile(plan.times, plan.temps.size)
 
 
 def log_likelihood(table: FailureTable, params: ModelParams) -> float:

@@ -17,10 +17,10 @@ iteration, line search and stopping rule: :func:`fit` is a one-beta path,
 the causes of a two-cause study are the rows of one path, and the
 Monte-Carlo harness runs it on whole batches of tables.  The one solver
 kernel, :func:`_eval_theta`, gives the objective, gradient and Hessian of
-every row from one evaluation of its cells.  It is cell-major (see
-:mod:`oneshotdpd.divergence`): theta is (2, rows), and every per-cell
-array is (C, rows) with the table rows contiguous, so each step is one
-numpy call over all rows of a batch.
+every row from one evaluation of its cells.  It works rows-first, as the
+tables do (see :mod:`oneshotdpd.divergence`): theta is (rows, 2), and
+every per-cell array is (rows, C) with each row's cells contiguous, so
+each step is one numpy call over all rows of a batch.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .divergence import (_bracket, _cell_sums, _check_beta, _check_betas,
-                         _dpd_terms, _plan_columns)
+from .divergence import (_bracket, _check_beta, _check_betas, _dpd_terms,
+                         _plan_vectors)
 from .errors import NoInteriorData, NumericalOverflow
 from .model import FailureTable, ModelParams, TestPlan, _cells
 
@@ -74,16 +74,16 @@ class FitResult:
 
 
 class _CellData:
-    """Plan columns unpacked once per fit or study.
+    """Plan vectors unpacked once per fit or study.
 
-    ``w``, ``w2`` (the stress squared) and ``t`` are (C, 1) columns over
-    the C = I J cells in row-major (stress, time) order.  The kernels
-    below take theta as (2, rows) and the observed failure fractions ``r``
-    as (C, rows), one column per table, and return per-row values.
+    ``w``, ``w2`` (the stress squared) and ``t`` are (C,) vectors over the
+    C = I J cells in row-major (stress, time) order.  The kernels below
+    take theta as (rows, 2) and the observed failure fractions ``r`` as
+    (rows, C), one row per table, and return per-row values.
     """
 
     def __init__(self, plan: TestPlan):
-        self.w, self.w2, self.t = _plan_columns(plan)
+        self.w, self.w2, self.t = _plan_vectors(plan)
         self.n_cells = plan.n_cells
         self.k_mean = plan.mean_devices
 
@@ -91,7 +91,7 @@ class _CellData:
 def _eval_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
                 beta: float):
     """Objective, gradient and Hessian in theta coordinates at theta
-    (2, rows) from one evaluation of the cells: a (6, rows) array of
+    (rows, 2) from one evaluation of the cells: a (6, rows) array of
     ``f, g0, g1, h00, h01, h11`` and the per-row clamping flags.
 
     A NaN objective (from a rate that overflows) is reported as +inf.
@@ -101,8 +101,9 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
     """
     b = beta
     with np.errstate(all="ignore"):
-        lt, F, S, f = _cells(np.exp(theta[0] + theta[1] * data.w), data.t)
-        clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=0)
+        lt, F, S, f = _cells(np.exp(theta[:, :1] + theta[:, 1:] * data.w),
+                             data.t)
+        clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=1)
         Fc = np.clip(F, _F_MIN, _F_MAX)
         Sc = np.clip(S, _F_MIN, _F_MAX)
         bracket = _bracket(Fc, Sc, b - 1.0)
@@ -115,8 +116,8 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
         curv = tf * (1.0 - lt)
         g = hp * tf
         h = hpp * tf * tf + hp * curv
-        ev = _cell_sums([_dpd_terms(r, F, S, lt, beta), g, g * data.w, h,
-                         h * data.w, h * data.w2])
+        ev = np.array([_dpd_terms(r, F, S, lt, beta), g, g * data.w, h,
+                       h * data.w, h * data.w2]).sum(-1)
         ev /= data.n_cells
     ev[0, np.isnan(ev[0])] = np.inf
     return ev, clamped
@@ -143,8 +144,8 @@ def estimating_equations(
     """
     beta = _check_beta(beta)
     data = _CellData(table.plan)
-    theta = np.array([[np.log(params.alpha0)], [params.alpha1]])
-    ev, clamped = _eval_theta(theta, table.frequencies.reshape(-1, 1),
+    theta = np.array([[np.log(params.alpha0), params.alpha1]])
+    ev, clamped = _eval_theta(theta, table.frequencies.reshape(1, -1),
                               data, beta)
     g = ev[1:3, 0]
     clamped = bool(clamped[0])
@@ -201,7 +202,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     positive definite (otherwise steepest descent), steps capped at 5,
     Armijo backtracking down to 1e-13, and the ``_GRAD_TOL``, ``_STEP_TOL``
     and ``_MAX_ITERS`` stops.  Each point is evaluated once, by
-    :func:`_eval_theta` over the (2, rows) cell-major columns, and a row
+    :func:`_eval_theta` over the rows-first (rows, C) cells, and a row
     keeps the values of the point it stands on.  A pass tries every row's
     full step in one call, then the halvings of the rows that failed it
     eight to a call, and each row keeps its largest step that passes.  A
@@ -213,15 +214,15 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     (theta (n, 2), objective, grad_norm, iterations, clamped).
     """
     n = len(theta0)
-    theta = theta0.T.copy()
-    r = r.reshape(n, -1).T.copy()
+    theta = theta0.copy()
+    r = r.reshape(n, -1)
     ev, clamped = _eval_theta(theta, r, data, beta)
     iterations = np.zeros(n, dtype=int)
     reached = np.zeros(n, dtype=bool)
     settled = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    # the columns of the active rows are gathered with take, several times
-    # faster than fancy indexing on arrays this small
+    # the active rows are gathered with take, several times faster than
+    # fancy indexing on arrays this small
     for it in range(1, _MAX_ITERS + 2):
         iterations[active[~settled[active]]] = it
         gn = np.abs(ev[1:3].take(active, axis=1)).max(axis=0)
@@ -231,7 +232,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
         if active.size == 0:
             break
         at = ev.take(active, axis=1)
-        th, ra = theta.take(active, axis=1), r.take(active, axis=1)
+        th, ra = theta.take(active, axis=0), r.take(active, axis=0)
         step, slope = _direction(at[1:])
         f0 = at[0]
         # rounding allowance: near the optimum the true decrease drops below
@@ -242,11 +243,11 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
         accepted = np.zeros(active.size, dtype=bool)
         pending = np.arange(active.size)
         for lams in _STEPS:
-            # one column per pending row and step length, row-major
+            # one trial per pending row and step length, row-major
             cols = np.repeat(pending, lams.size)
             lam_c = np.tile(lams, pending.size)
-            trial = th.take(cols, axis=1) + lam_c * step.take(cols, axis=1)
-            ev_c, cl_c = _eval_theta(trial, ra.take(cols, axis=1), data, beta)
+            trial = th.take(cols, 0) + lam_c[:, None] * step.T.take(cols, 0)
+            ev_c, cl_c = _eval_theta(trial, ra.take(cols, axis=0), data, beta)
             ok = (ev_c[0] <= f0.take(cols) + 1e-4 * lam_c * slope.take(cols)
                   + allowance.take(cols)).reshape(pending.size, -1)
             # each row keeps its largest step that passes
@@ -255,7 +256,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
             done = active[pending[hit]]
             accepted[pending[hit]] = True
             lam[pending[hit]] = lam_c[pick]
-            theta[:, done] = trial.take(pick, axis=1)
+            theta[done] = trial.take(pick, axis=0)
             ev[:, done] = ev_c.take(pick, axis=1)
             clamped[done] |= cl_c[pick]
             pending = pending[~hit]
@@ -268,7 +269,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
         active = active[accepted]
         if active.size == 0:
             break
-    return theta.T, ev[0], np.abs(ev[1:3]).max(axis=0), iterations, clamped
+    return theta, ev[0], np.abs(ev[1:3]).max(axis=0), iterations, clamped
 
 
 def _direction(gh: np.ndarray):

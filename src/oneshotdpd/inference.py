@@ -24,8 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergence import (_bracket, _cell_sums, _check_beta, _plan_columns,
-                         _power)
+from .divergence import _bracket, _check_beta, _plan_vectors, _power
 from .errors import (DegenerateVariance, InfeasibleDesign, NumericalOverflow,
                      SingularInformation)
 from .model import ModelParams, TestPlan, _cells, _plan_rates
@@ -118,19 +117,19 @@ def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta):
     alpha1) coordinates and carried to (alpha0, alpha1) by the Jacobian
     diag(1/alpha0, 1); each has shape (n, 2, 2).  ``beta`` is a scalar or
     holds one tuning parameter per row, shaped (n,).  The cells are
-    evaluated cell-major, (C, n), as in the solver.
+    evaluated rows-first, (n, C), as in the solver.
     """
-    w, w2, t = _plan_columns(plan)
-    weights = (plan.devices / plan.mean_devices).reshape(-1, 1)
+    w, w2, t = _plan_vectors(plan)
+    weights = (plan.devices / plan.mean_devices).ravel()
     # F or S may underflow to 0, making F^(b-1) infinite, and 1/alpha0
     # squared may overflow; callers refuse the non-finite matrices
     with np.errstate(all="ignore"):
-        _, F, S, f = _cells(alpha[:, 0] * np.exp(alpha[:, 1] * w), t)
+        _, F, S, f = _cells(alpha[:, :1] * np.exp(alpha[:, 1:] * w), t)
         tf2 = (t * f) ** 2
         j = weights * (tf2 * _bracket(F, S, beta - 1.0))
         k = weights * (tf2 * (_bracket(F, S, 2.0 * beta - 1.0)
                               - (_power(F, beta) - _power(S, beta)) ** 2))
-        sums = _cell_sums([j, j * w, j * w2, k, k * w, k * w2])
+        sums = np.array([j, j * w, j * w2, k, k * w, k * w2]).sum(-1)
         inv = 1.0 / alpha[:, 0]
         # rows (j, k) of the (0,0), (0,1), (1,0) and (1,1) entries
         out = np.stack([sums[0::3] * (inv * inv), sums[1::3] * inv,

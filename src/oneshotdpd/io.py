@@ -31,7 +31,7 @@ _MAX_BETA_POINTS = 10_000
 
 def _read_rows(path, columns):
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with handle:

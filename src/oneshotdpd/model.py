@@ -100,7 +100,8 @@ class TestPlan:
             raise ValueError("times must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(temps)):
             raise ValueError("temps must be finite")
-        if len(np.unique(temps)) != temps.size:
+        ordered = np.sort(temps)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("temps must be pairwise distinct")
         if not np.all(np.isfinite(times)) or np.any(times <= 0.0):
             raise ValueError("times must be finite and > 0")

@@ -1,7 +1,7 @@
-"""The cell-major solver and sandwich kernels against (rows, I, J) references.
+"""The rows-first solver and sandwich kernels against (rows, I, J) references.
 
-The kernels lay per-cell arrays out as (C, rows), C = I J, with the table
-rows contiguous.  The references below keep the earlier (rows, I, J)
+The kernels lay per-cell arrays out as (rows, C), C = I J, with each
+row's cells contiguous.  The references below keep the (rows, I, J)
 formulas, which sum each row over its trailing cell axes; every kernel
 output must match them byte for byte, and every row of a stacked solve or
 sandwich must match that table solved alone.
@@ -133,8 +133,8 @@ class TestKernelsMatchReference:
             data = _CellData(plan)
             theta = theta_points(rng, plan, r)
             rows = np.resize(r, (len(theta),) + plan.shape)
-            cell_major = rows.reshape(len(theta), -1).T.copy()
-            ev, clamped = _eval_theta(theta.T.copy(), cell_major, data, beta)
+            ev, clamped = _eval_theta(theta, rows.reshape(len(theta), -1),
+                                      data, beta)
             g, H, want_clamped = ref_grad_hess(theta, rows, plan, beta)
             same_bytes(ev, np.stack([ref_objective(theta, rows, plan, beta),
                                      g[:, 0], g[:, 1], H[:, 0, 0],

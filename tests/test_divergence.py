@@ -138,9 +138,9 @@ class TestLogLikelihoodIdentity:
         table = FailureTable(plan=plan, counts=[[3, 10], [10, 10]])
         params = ModelParams(5.0, 0.1)
         value = dpd_objective(table, params, 0.0)
-        # the solver kernel is cell-major: theta (2, rows), r (C, rows)
-        theta = np.array([[np.log(params.alpha0)], [params.alpha1]])
-        solver = float(_eval_theta(theta, table.frequencies.reshape(-1, 1),
+        # the solver kernel is rows-first: theta (rows, 2), r (rows, C)
+        theta = np.array([[np.log(params.alpha0), params.alpha1]])
+        solver = float(_eval_theta(theta, table.frequencies.reshape(1, -1),
                                    _CellData(table.plan), 0.0)[0][0, 0])
         assert np.isfinite(value)
         assert value == pytest.approx(solver, rel=1e-12, abs=0.0)

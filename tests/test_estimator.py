@@ -334,8 +334,8 @@ def ref_newton(theta0, r, data, beta, stats):
         return estimator._eval_theta(theta, cells, data, beta)[0][0]
 
     n = len(theta0)
-    theta = theta0.T.copy()
-    r = r.reshape(n, -1).T.copy()
+    theta = theta0.copy()
+    r = r.reshape(n, -1)
     fval = objective(theta, r)
     grad_norm = np.full(n, np.inf)
     iterations = np.zeros(n, dtype=int)
@@ -344,7 +344,7 @@ def ref_newton(theta0, r, data, beta, stats):
     settled = np.zeros(n, dtype=bool)
     active = np.arange(n)
     for it in range(1, estimator._MAX_ITERS + 2):
-        th, ra = theta[:, active], r[:, active]
+        th, ra = theta[active], r[active]
         ev, cl = estimator._eval_theta(th, ra, data, beta)
         gh = ev[1:]
         clamped[active[cl]] = True
@@ -353,7 +353,7 @@ def ref_newton(theta0, r, data, beta, stats):
         grad_norm[active] = gn
         go = np.isfinite(gn) & ~reached[active] & ~settled[active]
         reached[active[gn <= estimator._GRAD_TOL]] = True
-        active, gh, th, ra = active[go], gh[:, go], th[:, go], ra[:, go]
+        active, gh, th, ra = active[go], gh[:, go], th[go], ra[go]
         if active.size == 0:
             break
         step, slope = estimator._direction(gh)
@@ -364,13 +364,13 @@ def ref_newton(theta0, r, data, beta, stats):
         pending = np.arange(active.size)
         while pending.size:
             lam_p = lam[pending]
-            trial = th[:, pending] + lam_p * step[:, pending]
-            ftrial = objective(trial, ra[:, pending])
+            trial = th[pending] + lam_p[:, None] * step[:, pending].T
+            ftrial = objective(trial, ra[pending])
             ok = (ftrial <= f0[pending] + 1e-4 * lam_p * slope[pending]
                   + allowance[pending])
             done = pending[ok]
             accepted[done] = True
-            theta[:, active[done]] = trial[:, ok]
+            theta[active[done]] = trial[ok]
             fval[active[done]] = ftrial[ok]
             pending = pending[~ok]
             lam[pending] *= 0.5
@@ -383,7 +383,7 @@ def ref_newton(theta0, r, data, beta, stats):
         active = active[accepted]
         if active.size == 0:
             break
-    return theta.T, fval, grad_norm, iterations, clamped
+    return theta, fval, grad_norm, iterations, clamped
 
 
 class TestNewtonExits:
@@ -410,13 +410,12 @@ class TestNewtonExits:
         capped = 0
         for plan, r in self.cases():
             data = estimator._CellData(plan)
-            cells = r.reshape(len(r), -1).T.copy()
+            cells = r.reshape(len(r), -1)
             start = _data_starts(r, plan)
             for beta in (0.0, 0.4, 1.0):
                 theta, fval, grad_norm, iterations, clamped = \
                     estimator._newton(start, r, data, beta)
-                at = theta.T.copy()
-                ev, cl = estimator._eval_theta(at, cells, data, beta)
+                ev, cl = estimator._eval_theta(theta, cells, data, beta)
                 # exact, with NaN equal to NaN
                 np.testing.assert_array_equal(
                     grad_norm, np.abs(ev[1:3]).max(axis=0), strict=True)

@@ -793,6 +793,89 @@ class TestCli:
         assert code == 2
         assert _strict_json(text)["errors"][0]["code"] == "ParseError"
 
+    @pytest.mark.parametrize("argv", [
+        ["ztest", "--input", str(dataset_path("table1")), "--beta", "0",
+         "--m", "-1,1", "--d", "-1e-3"],
+        ["ztest", "--input", str(dataset_path("table1")), "--beta", "0.5",
+         "--m", "-.5,1", "--d", "-.01"],
+        ["reliability", "--params", "0.004,0.05", "--w0", "-2.5e1",
+         "--mission-times", "10"],
+    ])
+    def test_negative_values_in_both_forms(self, argv, capsys):
+        # argparse took -1,1, -1e-3 and -2.5e1 for options
+        joined = []
+        for k, token in enumerate(argv):
+            if k and argv[k - 1].startswith("--") and token.startswith("-"):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        assert len(joined) < len(argv)
+        code, spaced = self.run(argv, capsys)
+        assert code == 0
+        assert self.run(joined, capsys) == (0, spaced)
+
+    def test_byte_order_mark_is_read(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start with a BOM
+        table = tmp_path / "table1.csv"
+        table.write_bytes(dataset_path("table1").read_bytes())
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+        docs = []
+        for path in (table, marked):
+            code, out = self.run(["fit", "--input", str(path), "--beta",
+                                  "0.3"], capsys)
+            assert code == 0
+            doc = _strict_json(out)
+            del doc["config"]["input"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        spec = json.dumps({
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0], "replications": 5,
+            "seed": 2})
+        study = tmp_path / "study.csv"
+        outputs = []
+        for name, prefix in (("plain", ""), ("marked", "\ufeff")):
+            path = tmp_path / f"{name}.json"
+            path.write_text(prefix + spec, encoding="utf-8")
+            code, out = self.run(["simulate", "--spec", str(path), "--output",
+                                  str(study)], capsys)
+            assert code == 0
+            doc = _strict_json(out)
+            del doc["config"]["spec"]
+            outputs.append((doc, study.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_commands_leave_numpy_ma_out(self, tmp_path):
+        # np.unique imports numpy.ma, which costs a fresh process about
+        # 10 ms
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "study": "level_power",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0, 0.5],
+            "replications": 5, "seed": 2,
+            "hypothesis": {"m": [0, 1], "d": 0.05}}))
+        src = str(Path(io_module.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from oneshotdpd.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        commands = [
+            ["fit-path", "--input", str(dataset_path("table1")), "--betas",
+             "0,0.5"],
+            ["simulate", "--spec", str(spec), "--output",
+             str(tmp_path / "study.csv")]]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True, timeout=60)
+        assert proc.stdout.strip() == "False"
+
     def test_import_leaves_scipy_out(self):
         # import this same checkout of the package in a fresh interpreter
         src = str(Path(io_module.__file__).resolve().parents[1])
