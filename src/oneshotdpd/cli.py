@@ -319,7 +319,10 @@ def _cmd_simulate(args) -> dict:
         reports = [_study(spec, args.workers)]
         xs = [None]
 
-    write_report_csv(args.output, reports, xs)
+    try:
+        write_report_csv(args.output, reports, xs)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.output}: {exc}") from exc
     return {
         "results": {
             "csv": args.output,
@@ -334,12 +337,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as :class:`ParseError` once the usual usage
     lines are on stderr, so that :func:`main` writes its JSON document;
     subcommand parsers inherit the class.  Every token that starts with
-    ``-`` and a digit or ``.``, such as ``-1,1`` or ``-2.5e1``, is an
-    option's value: no option starts that way."""
+    ``-`` and a digit or ``.``, such as ``-1,1`` or ``-2.5e1``, and every
+    ``-inf``, ``-infinity`` or ``-nan`` in any case, is an option's value:
+    no option is spelled that way."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        self._negative_number_matcher = re.compile(
+            r"^-(?:[\d.]|(?:inf|infinity|nan)$)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -432,16 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    output = getattr(args, "output", None)
-    if output is None or getattr(args, "command", "") == "simulate":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def _config_echo(args) -> dict:
     """The parsed options; a non-finite float is echoed as its text, since
     JSON has no NaN or infinity."""
@@ -457,12 +452,18 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a usage error leaves args None: the raw arguments stand in for the
     # argument echo and the document goes to stdout
-    args, status = None, 0
+    args, status, out = None, 0, sys.stdout
     payload = {"config": {"argv": argv}, "results": {}, "diagnostics": {},
                "errors": []}
     try:
         args = _build_parser().parse_args(argv)
         payload["config"] = _config_echo(args)
+        # simulate's --output is its CSV; a JSON one is opened before the run
+        if args.output is not None and args.command != "simulate":
+            try:
+                out = open(args.output, "w", encoding="utf-8")
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.output}: {exc}") from exc
         _check_finite_options(args)
         payload.update(args.handler(args))
     except (OneShotError, ValueError) as exc:
@@ -471,7 +472,9 @@ def main(argv=None) -> int:
         status = _PARSE_EXIT if parse else _COMPUTE_EXIT
         payload["errors"] = [{"code": "ParseError" if parse else exc.code,
                               "message": str(exc)}]
-    _emit(payload, args)
+    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if out is not sys.stdout:
+        out.close()
     return status
 
 

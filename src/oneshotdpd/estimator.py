@@ -206,29 +206,25 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     keeps the values of the point it stands on.  A pass tries every row's
     full step in one call, then the halvings of the rows that failed it
     eight to a call, and each row keeps its largest step that passes.  A
-    row leaves at the top of a pass on a non-finite gradient, a pass after
-    its gradient was first within ``_GRAD_TOL`` (that pass's step polishes
-    the last digits), or once an accepted step below ``_STEP_TOL`` or at
-    pass ``_MAX_ITERS`` settled it (that pass counts no iteration); a
-    failed line search leaves it where it is.  Returns per-row arrays
-    (theta (n, 2), objective, grad_norm, iterations, clamped).
+    row leaves in the pass it stops: at its top on a non-finite gradient,
+    or after a failed line search (staying put), a step below ``_STEP_TOL``,
+    pass ``_MAX_ITERS`` or the polish step of a gradient within
+    ``_GRAD_TOL``, which counts one more iteration than the pass.  Returns
+    per-row arrays (theta, objective, grad_norm, iterations, clamped).
     """
     n = len(theta0)
     theta = theta0.copy()
     r = r.reshape(n, -1)
     ev, clamped = _eval_theta(theta, r, data, beta)
     iterations = np.zeros(n, dtype=int)
-    reached = np.zeros(n, dtype=bool)
-    settled = np.zeros(n, dtype=bool)
     active = np.arange(n)
     # the active rows are gathered with take, several times faster than
     # fancy indexing on arrays this small
-    for it in range(1, _MAX_ITERS + 2):
-        iterations[active[~settled[active]]] = it
+    for it in range(1, _MAX_ITERS + 1):
+        iterations[active] = it
         gn = np.abs(ev[1:3].take(active, axis=1)).max(axis=0)
-        go = np.isfinite(gn) & ~reached[active] & ~settled[active]
-        reached[active[gn <= _GRAD_TOL]] = True
-        active = active[go]
+        go = np.isfinite(gn)  # a non-finite gradient stops its row
+        active, polish = active[go], gn[go] <= _GRAD_TOL
         if active.size == 0:
             break
         at = ev.take(active, axis=1)
@@ -262,13 +258,12 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
             pending = pending[~hit]
             if pending.size == 0:
                 break
-        # a stalled or last step settles its row; a failed search stops it
+        # a failed search, a stalled step or the last pass stops its row;
+        # otherwise a polish step does, and counts one more iteration
         moved = lam * np.abs(step).max(axis=0)
-        settled[active[accepted & ((moved < _STEP_TOL)
-                                   | (it == _MAX_ITERS))]] = True
-        active = active[accepted]
-        if active.size == 0:
-            break
+        stop = ~accepted | (moved < _STEP_TOL) | (it == _MAX_ITERS)
+        iterations[active[polish & ~stop]] += 1
+        active = active[~(stop | polish)]
     return theta, ev[0], np.abs(ev[1:3]).max(axis=0), iterations, clamped
 
 
@@ -306,12 +301,11 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
     ``usable`` mask.
     """
     data = _CellData(plan)
-    starts = _data_starts(r, plan)
-    warm = np.full((len(r), 2), np.nan)
+    warm = _data_starts(r, plan)
     path = []
     for beta in betas:
         theta, fval, grad_norm, iterations, clamped = _newton(
-            np.where(np.isnan(warm), starts, warm), r, data, beta)
+            warm, r, data, beta)
         with np.errstate(over="ignore"):
             alpha = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
         usable = ((grad_norm <= _GRAD_TOL) & np.isfinite(alpha[:, 0])

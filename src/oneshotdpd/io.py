@@ -142,10 +142,12 @@ def parse_betas(text: str) -> list[float]:
     """Parse a tuning-parameter list like ``0:0.1:1,2,3,4``.
 
     Comma-separated items are either plain values or inclusive
-    ``start:step:stop`` grids.  The result is sorted ascending with
-    duplicates (within 1e-12) removed.
+    ``start:step:stop`` grids, which together may hold at most
+    ``_MAX_BETA_POINTS`` values, counted before duplicates go.  The result
+    is sorted ascending with duplicates (within 1e-12) removed.
     """
     values: list[float] = []
+    too_many = f"the list holds more than {_MAX_BETA_POINTS} points"
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -166,10 +168,8 @@ def parse_betas(text: str) -> list[float]:
                 )
             span = (stop - start) / step
             # checked before the grid is built; a NaN or infinite span fails too
-            if not span < _MAX_BETA_POINTS - 0.5:
-                raise ParseError(
-                    f"grid item {item!r} has more than {_MAX_BETA_POINTS} points"
-                )
+            if not len(values) + span < _MAX_BETA_POINTS - 0.5:
+                raise ParseError(too_many)
             count = int(round(span))
             grid = [start + k * step for k in range(count + 1)]
             values.extend(v for v in grid if v <= stop + 1e-9)
@@ -180,6 +180,8 @@ def parse_betas(text: str) -> list[float]:
                 raise ParseError(f"non-numeric tuning parameter {item!r}") from None
     if not values:
         raise ParseError(f"no tuning parameters in {text!r}")
+    if len(values) > _MAX_BETA_POINTS:
+        raise ParseError(too_many)
     if any(v < 0 for v in values):
         raise ParseError("tuning parameters must be >= 0")
     values.sort()

@@ -328,8 +328,10 @@ class TestDataStarts:
 
 def ref_newton(theta0, r, data, beta, stats):
     """The solver with its earlier line search, one halving per kernel
-    call; ``stats`` collects every accepted step length and counts the
-    searches that fail all halvings."""
+    call, and its earlier exit pass; ``stats`` collects every accepted
+    step length and counts the rows leaving by each exit: ``nonfinite``
+    gradient, ``failed`` search (all halvings), ``stall``, ``cap`` and
+    ``polish`` step."""
     def objective(theta, cells):
         return estimator._eval_theta(theta, cells, data, beta)[0][0]
 
@@ -352,6 +354,8 @@ def ref_newton(theta0, r, data, beta, stats):
         gn = np.abs(gh[:2]).max(axis=0)
         grad_norm[active] = gn
         go = np.isfinite(gn) & ~reached[active] & ~settled[active]
+        stats["nonfinite"] += int((~np.isfinite(gn) & ~reached[active]
+                                   & ~settled[active]).sum())
         reached[active[gn <= estimator._GRAD_TOL]] = True
         active, gh, th, ra = active[go], gh[:, go], th[go], ra[go]
         if active.size == 0:
@@ -378,6 +382,12 @@ def ref_newton(theta0, r, data, beta, stats):
         stats["lam"].extend(lam[accepted])
         stats["failed"] += int((~accepted).sum())
         moved = lam * np.abs(step).max(axis=0)
+        stall = accepted & (moved < estimator._STEP_TOL)
+        cap = accepted & ~stall & (it == estimator._MAX_ITERS)
+        stats["stall"] += int(stall.sum())
+        stats["cap"] += int(cap.sum())
+        stats["polish"] += int((accepted & ~stall & ~cap
+                                & reached[active]).sum())
         settled[active[accepted & ((moved < estimator._STEP_TOL)
                                    | (it == estimator._MAX_ITERS))]] = True
         active = active[accepted]
@@ -429,11 +439,14 @@ class TestNewtonExits:
         assert capped > 0
 
     def test_line_search_matches_one_halving_per_call(self):
-        stats = {"lam": [], "failed": 0}
+        stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
+                 "stall": 0, "cap": 0}
+        rows = 0
         for plan, r in self.cases():
             data = estimator._CellData(plan)
             start = _data_starts(r, plan)
             for beta in (0.0, 0.4, 1.0):
+                rows += len(r)
                 got = estimator._newton(start, r, data, beta)
                 want = ref_newton(start, r, data, beta, stats)
                 for g, w in zip(got, want):
@@ -442,7 +455,11 @@ class TestNewtonExits:
         # steps accepted in a later halving call, and searches that fail
         # all 43 halvings, so every halving call is exercised
         assert min(stats["lam"]) < 2.0**-8
-        assert stats["failed"] > 0
+        # every exit is taken, and each row leaves by exactly one
+        exits = [stats[k] for k in ("nonfinite", "polish", "stall", "cap",
+                                    "failed")]
+        assert min(exits) > 0
+        assert sum(exits) == rows
 
 
 class TestFitPath:

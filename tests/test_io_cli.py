@@ -161,15 +161,20 @@ class TestBetaParsing:
     def test_grid_cap_boundary(self, monkeypatch):
         monkeypatch.setattr(io_module, "_MAX_BETA_POINTS", 11)
         assert len(parse_betas("0:0.1:1")) == 11
-        with pytest.raises(ParseError, match="more than 11 points"):
-            parse_betas("0:0.1:1.1")
+        # the cap is on the whole list, duplicates counted
+        for text in ("0:0.1:1.1", "0:0.1:1,2", "2,0:0.1:1", "0:0.1:1,1"):
+            with pytest.raises(ParseError, match="more than 11 points"):
+                parse_betas(text)
 
-    @pytest.mark.parametrize("item", ["0:1e-9:1", "0:1e-320:1"])
+    @pytest.mark.parametrize("item", ["0:1e-9:1", "0:1e-320:1",
+                                      "0:1e-4:0.9999,1:1e-4:1.9999"])
     def test_huge_grid_refused_before_it_is_built(self, item, monkeypatch):
         def bounded_range(*args):
-            assert args[-1] <= io_module._MAX_BETA_POINTS, "grid was built"
+            built.append(args[-1])
+            assert sum(built) <= io_module._MAX_BETA_POINTS, "grid was built"
             return range(*args)
 
+        built = []
         monkeypatch.setattr(io_module, "range", bounded_range, raising=False)
         with pytest.raises(ParseError, match="more than"):
             parse_betas(item)
@@ -194,6 +199,19 @@ def _strict_json(text):
         raise ValueError(f"bare {token} in JSON")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def _joined(argv):
+    """``argv`` with each option's value starting with ``-`` joined to
+    its option by ``=``; at least one value is."""
+    joined = []
+    for k, token in enumerate(argv):
+        if k and argv[k - 1].startswith("--") and token.startswith("-"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert len(joined) < len(argv)
+    return joined
 
 
 class TestCli:
@@ -803,16 +821,47 @@ class TestCli:
     ])
     def test_negative_values_in_both_forms(self, argv, capsys):
         # argparse took -1,1, -1e-3 and -2.5e1 for options
-        joined = []
-        for k, token in enumerate(argv):
-            if k and argv[k - 1].startswith("--") and token.startswith("-"):
-                joined[-1] += "=" + token
-            else:
-                joined.append(token)
-        assert len(joined) < len(argv)
         code, spaced = self.run(argv, capsys)
         assert code == 0
-        assert self.run(joined, capsys) == (0, spaced)
+        assert self.run(_joined(argv), capsys) == (0, spaced)
+
+    @pytest.mark.parametrize("argv", [
+        ["ztest", "--input", str(dataset_path("table1")), "--beta", "0",
+         "--m", "0,1", "--d", "-inf"],
+        ["reliability", "--params", "0.004,0.05", "--w0", "-NaN",
+         "--mission-times", "10"],
+        ["reliability", "--params", "0.004,0.05", "--w0", "-Infinity",
+         "--mission-times", "10"],
+    ])
+    def test_non_finite_values_in_both_forms(self, argv, capsys):
+        # argparse took -inf, -NaN and -Infinity for options
+        code, spaced = self.run(argv, capsys)
+        assert code == 2
+        assert "must be finite" in _strict_json(spaced)["errors"][0]["message"]
+        assert self.run(_joined(argv), capsys) == (2, spaced)
+
+    @pytest.mark.parametrize("command, target", [
+        ("fit", "directory"), ("fit", "missing"), ("simulate", "directory")])
+    def test_unwritable_output_is_a_parse_error(self, command, target,
+                                                tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0],
+            "replications": 2, "seed": 1}))
+        argv = {"fit": ["fit", "--input", str(dataset_path("table1")),
+                        "--beta", "0.5"],
+                "simulate": ["simulate", "--spec", str(spec)]}[command]
+        output = {"directory": tmp_path,
+                  "missing": tmp_path / "missing" / "x.json"}[target]
+        code, out = self.run([*argv, "--output", str(output)], capsys)
+        assert code == 2
+        doc = _strict_json(out)
+        assert doc["results"] == {} and doc["diagnostics"] == {}
+        [error] = doc["errors"]
+        assert error["code"] == "ParseError"
+        assert error["message"].startswith(f"cannot write {output}: ")
 
     def test_byte_order_mark_is_read(self, tmp_path, capsys):
         # spreadsheet "CSV UTF-8" exports start with a BOM
