@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -41,8 +42,8 @@ from .simulate import (
     ContaminationScheme,
     SimulationSpec,
     _study,
+    _write_report_rows,
     contamination_sweep,
-    write_report_csv,
 )
 
 _PARSE_EXIT = 2
@@ -284,7 +285,36 @@ def _cmd_simulate(args) -> dict:
         raise ParseError("a level_power study requires a hypothesis")
     if generated_seed:
         print(f"generated seed: {spec.seed}", file=sys.stderr)
+    # the CSV is opened before any replication is drawn, and a run that
+    # fails removes it (a regular file only: never a device such as
+    # /dev/null)
+    try:
+        handle = open(args.output, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.output}: {exc}") from exc
+    try:
+        with handle:
+            reports, xs = _simulate_reports(spec, sweep, args.workers)
+            _write_report_rows(handle, reports, xs)
+    except BaseException as exc:
+        if os.path.isfile(args.output):
+            os.remove(args.output)
+        if isinstance(exc, OSError):
+            raise ParseError(f"cannot write {args.output}: {exc}") from exc
+        raise
+    return {
+        "results": {
+            "csv": args.output,
+            "reports": [r.to_dict() for r in reports],
+            "x_values": xs,
+        },
+        "diagnostics": {"seed": spec.seed, "workers": args.workers},
+    }
 
+
+def _simulate_reports(spec, sweep, workers: int):
+    """The reports of a ``simulate`` spec and their x values: one study,
+    or one per value of its sweep."""
     if sweep is not None:
         if not isinstance(sweep, dict):
             raise ParseError(f"sweep must be an object, got {sweep!r}")
@@ -298,7 +328,7 @@ def _cmd_simulate(args) -> dict:
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"sweep strengths must be numbers: {exc}"
                                  ) from None
-            reports, xs = contamination_sweep(spec, values, workers=args.workers)
+            reports, xs = contamination_sweep(spec, values, workers=workers)
         elif parameter == "devices":
             reports, xs = [], []
             for k in values:
@@ -309,28 +339,15 @@ def _cmd_simulate(args) -> dict:
                 except OverflowError as exc:
                     raise ParseError(f"bad simulation spec: {exc}") from exc
                 reports.append(_study(dataclasses.replace(spec, plan=plan),
-                                      args.workers))
+                                      workers))
                 xs.append(k)
         else:
             raise ParseError(
                 f"sweep parameter must be strength or devices, got {parameter!r}"
             )
     else:
-        reports = [_study(spec, args.workers)]
-        xs = [None]
-
-    try:
-        write_report_csv(args.output, reports, xs)
-    except OSError as exc:
-        raise ParseError(f"cannot write {args.output}: {exc}") from exc
-    return {
-        "results": {
-            "csv": args.output,
-            "reports": [r.to_dict() for r in reports],
-            "x_values": xs,
-        },
-        "diagnostics": {"seed": spec.seed, "workers": args.workers},
-    }
+        reports, xs = [_study(spec, workers)], [None]
+    return reports, xs
 
 
 class _ArgumentParser(argparse.ArgumentParser):

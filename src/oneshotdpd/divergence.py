@@ -6,15 +6,15 @@ Kullback-Leibler / log-likelihood branch (not a small-beta limit), so the
 maximum likelihood fit is bit-stable.  All cell sums use numpy's pairwise
 summation.
 
-The per-cell objective terms (:func:`_dpd_terms`), the ``F^p + S^p``
-bracket (:func:`_bracket`) and the plan's cell vectors
-(:func:`_plan_vectors`) are the one copy of that math;
+The per-cell objective terms (:func:`_dpd_terms`) and the ``F^p + S^p``
+bracket (:func:`_bracket`) are the one copy of that math;
 :func:`dpd_objective`, the solver kernel and the sandwich all call them.
-The last two work rows-first, as every table does: a per-cell array is
-(rows, C) for the C = I J cells of a plan in row-major (stress, time)
-order, so each elementwise step is one numpy call over every row, and
-each row's cells are contiguous, summed in the pairwise order of a
-(rows, I, J) table.
+The last two read the plan's cell vectors from
+:attr:`~oneshotdpd.model.TestPlan.cell_vectors` and work rows-first, as
+every table does: a per-cell array is (rows, C) for the C = I J cells of
+a plan in row-major (stress, time) order, so each elementwise step is one
+numpy call over every row, and each row's cells are contiguous, summed in
+the pairwise order of a (rows, I, J) table.
 """
 
 from __future__ import annotations
@@ -128,16 +128,6 @@ def _bracket(F, S, p):
     """The ``F^p + S^p`` factor of the estimating equations and sandwich;
     ``p`` is a scalar or per-row (see :func:`_power`)."""
     return _power(F, p) + _power(S, p)
-
-
-def _plan_vectors(plan):
-    """Stress ``w``, its square and time ``t`` of every cell of ``plan``,
-    as (C,) vectors in row-major (stress, time) order.  A square that
-    overflows is infinite; the kernels then report non-finite sums."""
-    w = np.repeat(plan.temps, plan.times.size)
-    with np.errstate(over="ignore"):
-        w2 = w * w
-    return w, w2, np.tile(plan.times, plan.temps.size)
 
 
 def log_likelihood(table: FailureTable, params: ModelParams) -> float:

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .divergence import (_bracket, _check_beta, _check_betas, _dpd_terms,
-                         _plan_vectors)
+from .divergence import _bracket, _check_beta, _check_betas, _dpd_terms
 from .errors import NoInteriorData, NumericalOverflow
 from .model import FailureTable, ModelParams, TestPlan, _cells
 
@@ -45,9 +44,9 @@ _EQ_CAP = 1e30
 _MAX_ITERS = 200
 _GRAD_TOL = 1e-10
 _STEP_TOL = 1e-12
-# the line search's step lengths: the full step alone, then the halvings
-# eight to a call, down to 2^-43, the last power of two at or above 1e-13
-_STEPS = np.split(np.ldexp(1.0, -np.arange(44)), range(1, 44, 8))
+# the line search's halvings of a failed full step, eight to a call, down
+# to 2^-43, the last power of two at or above 1e-13
+_STEPS = np.split(np.ldexp(1.0, -np.arange(1, 44)), range(8, 43, 8))
 
 
 @dataclass(frozen=True)
@@ -74,16 +73,16 @@ class FitResult:
 
 
 class _CellData:
-    """Plan vectors unpacked once per fit or study.
+    """The plan's cell vectors, unpacked once per fit or study.
 
-    ``w``, ``w2`` (the stress squared) and ``t`` are (C,) vectors over the
-    C = I J cells in row-major (stress, time) order.  The kernels below
+    ``w``, ``w2`` (the stress squared) and ``t`` are the (C,) vectors of
+    :attr:`~oneshotdpd.model.TestPlan.cell_vectors`.  The kernels below
     take theta as (rows, 2) and the observed failure fractions ``r`` as
     (rows, C), one row per table, and return per-row values.
     """
 
     def __init__(self, plan: TestPlan):
-        self.w, self.w2, self.t = _plan_vectors(plan)
+        self.w, self.w2, self.t, _ = plan.cell_vectors
         self.n_cells = plan.n_cells
         self.k_mean = plan.mean_devices
 
@@ -104,8 +103,8 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
         lt, F, S, f = _cells(np.exp(theta[:, :1] + theta[:, 1:] * data.w),
                              data.t)
         clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=1)
-        Fc = np.clip(F, _F_MIN, _F_MAX)
-        Sc = np.clip(S, _F_MIN, _F_MAX)
+        Fc = F.clip(_F_MIN, _F_MAX)
+        Sc = S.clip(_F_MIN, _F_MAX)
         bracket = _bracket(Fc, Sc, b - 1.0)
         resid = F - r
         hp = (b + 1.0) * resid * bracket
@@ -218,52 +217,80 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     ev, clamped = _eval_theta(theta, r, data, beta)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
-    # the active rows are gathered with take, several times faster than
-    # fancy indexing on arrays this small
     for it in range(1, _MAX_ITERS + 1):
         iterations[active] = it
-        gn = np.abs(ev[1:3].take(active, axis=1)).max(axis=0)
+        # while every row is active, a pass reads the arrays themselves;
+        # after that it gathers its rows with take, several times faster
+        # than fancy indexing on arrays this small
+        every = active.size == n
+        if every:
+            at, th, ra = ev, theta, r
+        else:
+            at = ev.take(active, axis=1)
+            th, ra = theta.take(active, axis=0), r.take(active, axis=0)
+        gn = np.abs(at[1:3]).max(axis=0)
         go = np.isfinite(gn)  # a non-finite gradient stops its row
-        active, polish = active[go], gn[go] <= _GRAD_TOL
-        if active.size == 0:
-            break
-        at = ev.take(active, axis=1)
-        th, ra = theta.take(active, axis=0), r.take(active, axis=0)
+        if not go.all():
+            every = False
+            active, at, th, ra, gn = (active[go], at[:, go], th[go], ra[go],
+                                      gn[go])
+            if active.size == 0:
+                break
+        polish = gn <= _GRAD_TOL
         step, slope = _direction(at[1:])
         f0 = at[0]
         # rounding allowance: near the optimum the true decrease drops below
         # double resolution of the objective; without it the search stalls
         allowance = 4e-16 * np.maximum(1.0, np.abs(f0))
-        # Armijo backtracking; lam keeps accepted steps
-        lam = np.ones(active.size)
-        accepted = np.zeros(active.size, dtype=bool)
-        pending = np.arange(active.size)
-        for lams in _STEPS:
-            # one trial per pending row and step length, row-major
-            cols = np.repeat(pending, lams.size)
-            lam_c = np.tile(lams, pending.size)
-            trial = th.take(cols, 0) + lam_c[:, None] * step.T.take(cols, 0)
-            ev_c, cl_c = _eval_theta(trial, ra.take(cols, axis=0), data, beta)
-            ok = (ev_c[0] <= f0.take(cols) + 1e-4 * lam_c * slope.take(cols)
-                  + allowance.take(cols)).reshape(pending.size, -1)
-            # each row keeps its largest step that passes
-            hit = ok.any(axis=1)
-            pick = (np.arange(pending.size) * lams.size + ok.argmax(1))[hit]
-            done = active[pending[hit]]
-            accepted[pending[hit]] = True
-            lam[pending[hit]] = lam_c[pick]
-            theta[done] = trial.take(pick, axis=0)
-            ev[:, done] = ev_c.take(pick, axis=1)
-            clamped[done] |= cl_c[pick]
-            pending = pending[~hit]
-            if pending.size == 0:
-                break
+        # Armijo backtracking: every row's full step in one call, then the
+        # halvings of the rows that fail it; a row's accepted point, its
+        # values and its step length overwrite those of its full step
+        new = th + step.T
+        ev_new, cl_new = _eval_theta(new, ra, data, beta)
+        accepted = ev_new[0] <= f0 + 1e-4 * slope + allowance
+        moved = np.abs(step).max(axis=0)
+        full = accepted.all()
+        if not full:
+            lam = np.ones(active.size)
+            pending = np.flatnonzero(~accepted)
+            for lams in _STEPS:
+                # one trial per pending row and step length, row-major
+                cols = np.repeat(pending, lams.size)
+                lam_c = np.tile(lams, pending.size)
+                trial = th.take(cols, 0) + lam_c[:, None] * step.T.take(cols, 0)
+                ev_c, cl_c = _eval_theta(trial, ra.take(cols, axis=0), data,
+                                         beta)
+                ok = (ev_c[0] <= f0.take(cols) + 1e-4 * lam_c * slope.take(cols)
+                      + allowance.take(cols)).reshape(pending.size, -1)
+                # each row keeps its largest step that passes
+                hit = ok.any(axis=1)
+                pick = (np.arange(pending.size) * lams.size + ok.argmax(1))[hit]
+                done = pending[hit]
+                accepted[done] = True
+                lam[done] = lam_c[pick]
+                new[done] = trial.take(pick, axis=0)
+                ev_new[:, done] = ev_c.take(pick, axis=1)
+                cl_new[done] = cl_c[pick]
+                pending = pending[~hit]
+                if pending.size == 0:
+                    break
+            moved *= lam
+        # the one place a pass records its rows' accepted points
+        if every and full:
+            theta, ev = new, ev_new
+            clamped |= cl_new
+        else:
+            done = active[accepted]
+            theta[done] = new[accepted]
+            ev[:, done] = ev_new[:, accepted]
+            clamped[done] |= cl_new[accepted]
         # a failed search, a stalled step or the last pass stops its row;
         # otherwise a polish step does, and counts one more iteration
-        moved = lam * np.abs(step).max(axis=0)
         stop = ~accepted | (moved < _STEP_TOL) | (it == _MAX_ITERS)
         iterations[active[polish & ~stop]] += 1
         active = active[~(stop | polish)]
+        if active.size == 0:
+            break
     return theta, ev[0], np.abs(ev[1:3]).max(axis=0), iterations, clamped
 
 
@@ -280,14 +307,21 @@ def _direction(gh: np.ndarray):
     with np.errstate(all="ignore"):
         det = h00 * h11 - h01 * h01
         step = np.array([-g0 * h11 + g1 * h01, g0 * h01 - g1 * h00]) / det
+        slope = g0 * step[0] + g1 * step[1]
         newton = (np.isfinite(gh[2:]).all(axis=0) & (h00 > 0.0) & (det > 0.0)
-                  & np.isfinite(step).all(axis=0)
-                  & ~(g0 * step[0] + g1 * step[1] >= 0.0))
-        step[:, ~newton] = -gh[:2, ~newton]
+                  & np.isfinite(step).all(axis=0) & ~(slope >= 0.0))
+        # the fallback and the cap change the slope; a step that neither
+        # touches keeps the one of the uphill test
+        changed = not newton.all()
+        if changed:
+            step[:, ~newton] = -gh[:2, ~newton]
         size = np.abs(step).max(axis=0)
         big = size > 5.0
-        step[:, big] *= 5.0 / size[big]
-        slope = g0 * step[0] + g1 * step[1]
+        if big.any():
+            changed = True
+            step[:, big] *= 5.0 / size[big]
+        if changed:
+            slope = g0 * step[0] + g1 * step[1]
     return step, slope
 
 

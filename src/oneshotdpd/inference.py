@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergence import _bracket, _check_beta, _plan_vectors, _power
+from .divergence import _bracket, _check_beta, _power
 from .errors import (DegenerateVariance, InfeasibleDesign, NumericalOverflow,
                      SingularInformation)
 from .model import ModelParams, TestPlan, _cells, _plan_rates
@@ -119,8 +119,7 @@ def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta):
     holds one tuning parameter per row, shaped (n,).  The cells are
     evaluated rows-first, (n, C), as in the solver.
     """
-    w, w2, t = _plan_vectors(plan)
-    weights = (plan.devices / plan.mean_devices).ravel()
+    w, w2, t, weights = plan.cell_vectors
     # F or S may underflow to 0, making F^(b-1) infinite, and 1/alpha0
     # squared may overflow; callers refuse the non-finite matrices
     with np.errstate(all="ignore"):
@@ -182,8 +181,10 @@ def _inverse_2x2(mat: np.ndarray):
         eig_min, eig_max = _eigen_range(mat)
         ok = (np.all(np.isfinite(mat), axis=(-2, -1)) & (eig_min > 0.0)
               & (eig_max / eig_min < _COND_LIMIT))
-        inverse = (np.stack([np.stack([c, -b], -1), np.stack([-b, a], -1)], -2)
-                   / (a * c - b * b)[..., None, None])
+        inverse = np.empty(mat.shape)
+        inverse[..., 0, 0], inverse[..., 1, 1] = c, a
+        inverse[..., 0, 1] = inverse[..., 1, 0] = -b
+        inverse /= (a * c - b * b)[..., None, None]
     return inverse, ok
 
 

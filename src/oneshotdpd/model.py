@@ -129,6 +129,22 @@ class TestPlan:
         """Mean cell size; equals the common K for balanced plans."""
         return float(self.devices.mean())
 
+    @functools.cached_property
+    def cell_vectors(self) -> tuple[np.ndarray, ...]:
+        """Stress ``w``, its square, time ``t`` and weight ``K_ij / Kbar``
+        of every cell, as read-only (C,) vectors over the C = I J cells in
+        row-major (stress, time) order; computed once per plan.  A square
+        that overflows is infinite; the kernels then report non-finite
+        sums."""
+        w = np.repeat(self.temps, self.times.size)
+        with np.errstate(over="ignore"):
+            w2 = w * w
+        t = np.tile(self.times, self.temps.size)
+        weights = (self.devices / self.mean_devices).ravel()
+        for v in (w, w2, t, weights):
+            v.setflags(write=False)
+        return w, w2, t, weights
+
 
 @dataclass(frozen=True)
 class FailureTable:

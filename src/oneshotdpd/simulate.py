@@ -226,15 +226,21 @@ def _csv_cell(value) -> str:
 
 def write_report_csv(path, reports, x_values=None) -> None:
     """Write plot-ready rows, one per (tuning parameter, x value)."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        _write_report_rows(handle, reports, x_values)
+
+
+def _write_report_rows(handle, reports, x_values=None) -> None:
+    """:func:`write_report_csv` into a text file opened with
+    ``newline=""``."""
     reports = list(reports)
     if x_values is None:
         x_values = [None] * len(reports)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=REPORT_CSV_COLUMNS)
-        writer.writeheader()
-        for report, x in zip(reports, x_values):
-            for row in report.to_rows(x_value=x):
-                writer.writerow({k: _csv_cell(row[k]) for k in REPORT_CSV_COLUMNS})
+    writer = csv.DictWriter(handle, fieldnames=REPORT_CSV_COLUMNS)
+    writer.writeheader()
+    for report, x in zip(reports, x_values):
+        for row in report.to_rows(x_value=x):
+            writer.writerow({k: _csv_cell(row[k]) for k in REPORT_CSV_COLUMNS})
 
 
 def _draw_counts(spec: SimulationSpec, indices, rng: np.random.Generator
@@ -245,14 +251,16 @@ def _draw_counts(spec: SimulationSpec, indices, rng: np.random.Generator
     state of a fresh ``Philox(key=[seed, i])``, so nothing one draw
     leaves behind reaches the next.
     """
-    # a fresh Philox4x64-10 stream: counter 0, empty buffer
+    # a fresh Philox4x64-10 stream: counter 0, empty buffer; setting the
+    # state copies the key, so one key array takes each index in turn
+    key = np.array([spec.seed, 0], dtype=np.uint64)
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64)},
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     counts = np.empty((len(indices),) + spec.plan.shape, dtype=np.int64)
     for row, index in enumerate(indices):
-        state["state"]["key"] = np.array([spec.seed, index], dtype=np.uint64)
+        key[1] = index
         rng.bit_generator.state = state
         counts[row] = rng.binomial(spec.plan.devices, spec.failure_probs)
     return counts

@@ -12,7 +12,11 @@ Each line reads ``<sha256>  <name>``.  The names cover:
 * ``solver/...``: the six ``_fit_rows`` outputs, along the betas
   0:0.2:1,2, for seeded random tables on small and large, wide, unbalanced
   and extreme plans (stresses and times near the ends of the double
-  range), where many fits stall or hit the iteration cap.
+  range), where many fits stall or hit the iteration cap;
+* ``inference/...``: at every estimate of those fits, usable or not, the
+  ``_sandwich_rows`` outputs (``j_bar``, ``k_bar``, ``sigma``, ``ok``)
+  and the ``_z_rows`` statistics of alpha1 = 0.05, one call per beta
+  (``_scalar``) and one call with a beta per row (``_per_row``).
 
 The calls run in a temporary directory that holds copies of the bundled
 CSVs and the spec files, so the ``--input`` and ``--spec`` paths echoed in
@@ -39,6 +43,7 @@ from oneshotdpd import (ContaminationScheme, LinearHypothesis, ModelParams,
 from oneshotdpd.cli import main
 from oneshotdpd.datasets import dataset_path
 from oneshotdpd.estimator import _fit_rows
+from oneshotdpd.inference import _sandwich_rows, _z_rows
 from oneshotdpd.io import parse_betas
 
 FIT = ["--input", "table1.csv"]
@@ -201,16 +206,38 @@ def solver_plans():
         yield name, TestPlan(w, t, np.full((len(w), len(t)), 10))
 
 
+def array_digest(arrays) -> str:
+    digest = hashlib.sha256()
+    for out in arrays:
+        digest.update(np.ascontiguousarray(out).tobytes())
+    return digest.hexdigest()
+
+
+def inference_outputs(alpha, plan, beta):
+    hyp = LinearHypothesis(np.array([0.0, 1.0]), 0.05)
+    return (*_sandwich_rows(alpha, plan, beta),
+            _z_rows(alpha, plan, beta, hyp))
+
+
 def solver_digests():
+    """The ``solver/...`` lines, then the ``inference/...`` lines."""
     rng = np.random.default_rng(2026)
     betas = parse_betas("0:0.2:1,2")
+    solver, inference = [], []
     for name, plan in solver_plans():
         counts = rng.integers(0, plan.devices + 1, (8,) + plan.shape)
         interior = ((counts > 0) & (counts < plan.devices)).any(axis=(1, 2))
-        digest = hashlib.sha256()
-        for out in _fit_rows(counts[interior] / plan.devices, plan, betas):
-            digest.update(np.ascontiguousarray(out).tobytes())
-        yield digest.hexdigest(), f"solver/{name}"
+        fits = _fit_rows(counts[interior] / plan.devices, plan, betas)
+        solver.append((array_digest(fits), f"solver/{name}"))
+        alpha = fits[0]
+        scalar = [out for b, beta in enumerate(betas)
+                  for out in inference_outputs(alpha[:, b], plan, beta)]
+        inference.append((array_digest(scalar), f"inference/{name}_scalar"))
+        per_row = inference_outputs(alpha.reshape(-1, 2), plan,
+                                    np.tile(betas, len(alpha)))
+        inference.append((array_digest(per_row),
+                          f"inference/{name}_per_row"))
+    return solver + inference
 
 
 def report_digest(report) -> str:

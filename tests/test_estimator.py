@@ -13,6 +13,7 @@ from oneshotdpd import (
     NumericalOverflow,
     TestPlan,
     cause_table,
+    cell_probs,
     dpd_objective,
     estimating_equations,
     estimator,
@@ -329,9 +330,10 @@ class TestDataStarts:
 def ref_newton(theta0, r, data, beta, stats):
     """The solver with its earlier line search, one halving per kernel
     call, and its earlier exit pass; ``stats`` collects every accepted
-    step length and counts the rows leaving by each exit: ``nonfinite``
+    step length, counts the rows leaving by each exit: ``nonfinite``
     gradient, ``failed`` search (all halvings), ``stall``, ``cap`` and
-    ``polish`` step."""
+    ``polish`` step, and counts the ``full`` passes, where every row is
+    active and takes its full step."""
     def objective(theta, cells):
         return estimator._eval_theta(theta, cells, data, beta)[0][0]
 
@@ -380,6 +382,8 @@ def ref_newton(theta0, r, data, beta, stats):
             lam[pending] *= 0.5
             pending = pending[lam[pending] >= 1e-13]
         stats["lam"].extend(lam[accepted])
+        stats["full"] += int(active.size == n and bool((lam == 1.0).all())
+                             and bool(accepted.all()))
         stats["failed"] += int((~accepted).sum())
         moved = lam * np.abs(step).max(axis=0)
         stall = accepted & (moved < estimator._STEP_TOL)
@@ -396,14 +400,105 @@ def ref_newton(theta0, r, data, beta, stats):
     return theta, fval, grad_norm, iterations, clamped
 
 
+def ref_direction(gh):
+    """The search direction as one unconditional formula: Newton where
+    the Hessian is finite and positive definite and the step is finite and
+    not uphill, else steepest descent, then every step above 5 capped."""
+    g0, g1, h00, h01, h11 = gh
+    with np.errstate(all="ignore"):
+        det = h00 * h11 - h01 * h01
+        step = np.array([-g0 * h11 + g1 * h01, g0 * h01 - g1 * h00]) / det
+        newton = (np.isfinite(gh[2:]).all(axis=0) & (h00 > 0.0) & (det > 0.0)
+                  & np.isfinite(step).all(axis=0)
+                  & ~(g0 * step[0] + g1 * step[1] >= 0.0))
+        step[:, ~newton] = -gh[:2, ~newton]
+        size = np.abs(step).max(axis=0)
+        big = size > 5.0
+        step[:, big] *= 5.0 / size[big]
+        slope = g0 * step[0] + g1 * step[1]
+    return step, slope
+
+
+class TestDirection:
+    """:func:`estimator._direction` against :func:`ref_direction`, byte
+    for byte, on every kind of (g, H) row alone and mixed."""
+
+    @staticmethod
+    def kinds(n=40):
+        rng = np.random.default_rng(20)
+        g = rng.normal(size=(2, n))
+        a = rng.normal(size=(n, 2, 2))
+        pd = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(2)
+        h = np.stack([pd[:, 0, 0], pd[:, 0, 1], pd[:, 1, 1]])
+        rows = {
+            # Newton steps within the cap
+            "newton": np.vstack([1e-2 * g, h]),
+            # Newton steps above the cap of 5
+            "capped": np.vstack([1e3 * g, h]),
+            # a zero gradient: the Newton step is not downhill
+            "flat": np.vstack([np.zeros((2, n)), h]),
+            # negative definite: the Newton step is uphill
+            "uphill": np.vstack([g, -h]),
+            # indefinite: the determinant is negative
+            "indefinite": np.vstack([g, h[0], 3.0 * np.sqrt(h[0] * h[2]),
+                                     h[2]]),
+            # singular: the determinant is exactly zero
+            "singular": np.vstack([g, np.ones(n), 2.0 * np.ones(n),
+                                   4.0 * np.ones(n)]),
+            # entries across the double range: products overflow or
+            # underflow
+            "extreme": np.vstack([g * 10.0 ** rng.uniform(-300, 300, (2, n)),
+                                  h * 10.0 ** rng.uniform(-300, 300, (3, n))]),
+        }
+        for k, bad in enumerate((np.nan, np.inf, -np.inf)):
+            worse = np.vstack([g, h])
+            worse[2 + k % 3, ::2] = bad
+            worse[2 + (k + 1) % 3, 1::3] = bad
+            rows[f"hessian_{bad}"] = worse
+        return rows
+
+    def test_matches_the_unconditional_formula(self):
+        kinds = self.kinds()
+        mixed = np.hstack(list(kinds.values()))
+        perm = np.random.default_rng(5).permutation(mixed.shape[1])
+        batches = [*kinds.values(), mixed, mixed[:, perm],
+                   *(mixed[:, [k]] for k in range(0, mixed.shape[1], 7))]
+        for gh in batches:
+            got = estimator._direction(gh.copy())
+            want = ref_direction(gh.copy())
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    def test_kinds_take_each_branch(self):
+        kinds = self.kinds()
+        for name in ("newton", "capped", "flat"):
+            step, _ = ref_direction(kinds[name])
+            size = np.abs(step).max(axis=0)
+            assert {"newton": (size < 5.0).all(),
+                    "capped": (size == 5.0).all(),
+                    "flat": (step == 0.0).all()}[name]
+        for name in ("uphill", "indefinite", "singular"):
+            # steepest descent, capped where the gradient is large
+            step, _ = ref_direction(kinds[name])
+            gh = kinds[name]
+            assert (np.sign(step) == -np.sign(gh[:2])).all()
+        g0, g1, h00, h01, h11 = kinds["extreme"]
+        with np.errstate(all="ignore"):
+            det = h00 * h11 - h01 * h01
+        assert not np.isfinite(det).all() and (det == 0.0).any()
+
+
 class TestNewtonExits:
     """Whichever way a row leaves the solver, its reports describe the
     estimate it returns."""
 
     def cases(self):
         """(plan, fractions) on the table1 design at small K, where many
-        fits stall or hit the cap, and on plans at the edge of the double
-        range."""
+        fits stall or hit the cap, on plans at the edge of the double
+        range, and on the benchmark's K = 50 design drawn from the model,
+        clean and with alpha0 shifted at cell (0, 0), where whole passes
+        take their full steps."""
         rng = np.random.default_rng(41)
         plans = [TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
                           np.full((3, 3), k)) for k in (2, 3, 4, 10)]
@@ -413,6 +508,15 @@ class TestNewtonExits:
                            np.full((3, 3), 10))]
         for plan in plans:
             counts = rng.integers(0, plan.devices + 1, (60,) + plan.shape)
+            interior = (counts > 0) & (counts < plan.devices)
+            yield plan, counts[interior.any(axis=(1, 2))] / plan.devices
+        plan = TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                        np.full((3, 3), 50))
+        clean = cell_probs(ModelParams(0.004, 0.05), plan)[0]
+        shifted = clean.copy()
+        shifted[0, 0] = cell_probs(ModelParams(0.001, 0.05), plan)[0][0, 0]
+        for probs in (clean, shifted):
+            counts = rng.binomial(plan.devices, probs, (60,) + plan.shape)
             interior = (counts > 0) & (counts < plan.devices)
             yield plan, counts[interior.any(axis=(1, 2))] / plan.devices
 
@@ -440,7 +544,7 @@ class TestNewtonExits:
 
     def test_line_search_matches_one_halving_per_call(self):
         stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
-                 "stall": 0, "cap": 0}
+                 "stall": 0, "cap": 0, "full": 0}
         rows = 0
         for plan, r in self.cases():
             data = estimator._CellData(plan)
@@ -460,6 +564,25 @@ class TestNewtonExits:
                                     "failed")]
         assert min(exits) > 0
         assert sum(exits) == rows
+        # passes where every row is active and takes its full step
+        assert stats["full"] > 0
+
+    def test_clamped_starts_keep_their_flag(self):
+        # starts at 20 and 55 times the data's alpha0 put F above
+        # 1 - 1e-16 in some cell, or every cell; the runs then walk back
+        # through unclamped points, many in passes of full steps
+        plan, clean = list(self.cases())[-2]
+        data = estimator._CellData(plan)
+        stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
+                 "stall": 0, "cap": 0, "full": 0}
+        for shift in (3.0, 4.0):
+            start = _data_starts(clean, plan) + [shift, 0.0]
+            got = estimator._newton(start, clean, data, 0.4)
+            want = ref_newton(start, clean, data, 0.4, stats)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert got[4].any()
+        assert stats["full"] > 0
 
 
 class TestFitPath:

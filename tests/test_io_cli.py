@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oneshotdpd.cli as cli_module
 import oneshotdpd.io as io_module
+import oneshotdpd.simulate as simulate_module
 from oneshotdpd import (ContaminationScheme, LinearHypothesis, ModelParams,
                         ParseError, SimulationSpec, TestPlan, fit,
                         level_power_study, rmse_study)
@@ -843,7 +845,14 @@ class TestCli:
     @pytest.mark.parametrize("command, target", [
         ("fit", "directory"), ("fit", "missing"), ("simulate", "directory")])
     def test_unwritable_output_is_a_parse_error(self, command, target,
-                                                tmp_path, capsys):
+                                                tmp_path, capsys,
+                                                monkeypatch):
+        # refused before any replication is drawn
+        def study(*args):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli_module, "_study", study)
+        monkeypatch.setattr(simulate_module, "_study", study)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "study": "rmse",
@@ -862,6 +871,26 @@ class TestCli:
         [error] = doc["errors"]
         assert error["code"] == "ParseError"
         assert error["message"].startswith(f"cannot write {output}: ")
+
+    def test_failed_run_leaves_no_csv(self, tmp_path, capsys):
+        # strength 0 runs, then strength 1 maps alpha0 to 0 and is refused
+        # after the CSV was opened
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0],
+            "contamination": {"mode": "alpha0_shift", "cell": [0, 0],
+                              "value": 0.001},
+            "replications": 2, "seed": 1,
+            "sweep": {"values": [0, 1]}}))
+        output = tmp_path / "study.csv"
+        code, out = self.run(["simulate", "--spec", str(spec), "--output",
+                              str(output)], capsys)
+        assert code == 2
+        [error] = _strict_json(out)["errors"]
+        assert "alpha0_shift requires 0 < value" in error["message"]
+        assert not output.exists()
 
     def test_byte_order_mark_is_read(self, tmp_path, capsys):
         # spreadsheet "CSV UTF-8" exports start with a BOM

@@ -63,6 +63,14 @@ def k3_spec():
         replications=300, seed=3)
 
 
+def draw_cell00(spec, n):
+    """Cell (0, 0) of the tables of replications 0 .. n-1, drawn in one
+    batch (each row equals ``generate_table``'s, see
+    ``test_rekeyed_draws_equal_fresh_streams``)."""
+    rng = np.random.Generator(np.random.Philox(0))
+    return simulate._draw_counts(spec, range(n), rng)[:, 0, 0]
+
+
 def base_spec(plan, betas=(0.0,), replications=50, seed=1234,
               contamination=None, hypothesis=None, params=(0.004, 0.05)):
     return SimulationSpec(
@@ -109,9 +117,7 @@ class TestGenerateTable:
         plan = plan_with_k(plan1, 20)
         spec = base_spec(plan, params=(0.005, 0.05), replications=1,
                          seed=99)
-        draws = np.array(
-            [generate_table(spec, i).counts[0, 0] for i in range(100000)]
-        )
+        draws = draw_cell00(spec, 100000)
         p = cdf(ModelParams(0.005, 0.05), 35.0, 10.0)
         se = np.sqrt(p * (1 - p) / (20 * draws.size))
         assert abs(draws.mean() / 20 - p) < 3 * se
@@ -127,10 +133,7 @@ class TestGenerateTable:
         )
         means = []
         for spec in (clean, shifted):
-            draws = np.array(
-                [generate_table(spec, i).counts[0, 0] for i in range(100000)]
-            )
-            means.append(draws.mean())
+            means.append(draw_cell00(spec, 100000).mean())
         p = cdf(ModelParams(0.004, 0.05), 35.0, 10.0)
         se = np.sqrt(p * (1 - p) * 20 / 100000)
         assert abs(means[0] - means[1]) < 3 * np.sqrt(2) * se
