@@ -3,8 +3,10 @@
 Every command writes a JSON document with top-level keys ``config``,
 ``results``, ``diagnostics`` and ``errors`` (the ``simulate`` command
 additionally writes a plot-ready CSV).  Exit codes: 0 on success, 2 for
-parse or configuration problems, 3 for computation errors.  Outputs carry
-no timestamps, so identical inputs (and seed) give byte-identical output.
+parse or configuration problems, 3 for computation errors, a result that
+is not a finite number included: no document carries NaN or Infinity.
+Outputs carry no timestamps, so identical inputs (and seed) give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .competing import Cause, combined_mean_lifetime, fit_causes
-from .errors import OneShotError, ParseError
+from .errors import NumericalOverflow, OneShotError, ParseError
 from .estimator import fit, fit_path
 from .inference import (
     LinearHypothesis,
@@ -482,14 +484,25 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ParseError(f"cannot write {args.output}: {exc}") from exc
         _check_finite_options(args)
-        payload.update(args.handler(args))
+        document = {**payload, **args.handler(args)}
+        try:
+            text = json.dumps(document, indent=2, sort_keys=True,
+                              allow_nan=False)
+        except ValueError:
+            # no document carries NaN or Infinity; a refused simulate run
+            # removes its CSV, as any failed run does
+            if args.command == "simulate" and os.path.isfile(args.output):
+                os.remove(args.output)
+            raise NumericalOverflow(
+                "a result is not a finite double") from None
     except (OneShotError, ValueError) as exc:
         # a library ValueError is a refused input, as a ParseError is
         parse = isinstance(exc, (ParseError, ValueError))
         status = _PARSE_EXIT if parse else _COMPUTE_EXIT
         payload["errors"] = [{"code": "ParseError" if parse else exc.code,
                               "message": str(exc)}]
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    out.write(text + "\n")
     if out is not sys.stdout:
         out.close()
     return status

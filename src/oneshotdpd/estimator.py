@@ -72,26 +72,12 @@ class FitResult:
     boundary_clamped: bool = False
 
 
-class _CellData:
-    """The plan's cell vectors, unpacked once per fit or study.
-
-    ``w``, ``w2`` (the stress squared) and ``t`` are the (C,) vectors of
-    :attr:`~oneshotdpd.model.TestPlan.cell_vectors`.  The kernels below
-    take theta as (rows, 2) and the observed failure fractions ``r`` as
-    (rows, C), one row per table, and return per-row values.
-    """
-
-    def __init__(self, plan: TestPlan):
-        self.w, self.w2, self.t, _ = plan.cell_vectors
-        self.n_cells = plan.n_cells
-        self.k_mean = plan.mean_devices
-
-
-def _eval_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
+def _eval_theta(theta: np.ndarray, r: np.ndarray, plan: TestPlan,
                 beta: float):
     """Objective, gradient and Hessian in theta coordinates at theta
-    (rows, 2) from one evaluation of the cells: a (6, rows) array of
-    ``f, g0, g1, h00, h01, h11`` and the per-row clamping flags.
+    (rows, 2) from one evaluation of the cells of ``plan``, whose observed
+    failure fractions ``r`` are (rows, C), one row per table: a (6, rows)
+    array of ``f, g0, g1, h00, h01, h11`` and the per-row clamping flags.
 
     A NaN objective (from a rate that overflows) is reported as +inf.
     Exponents like F^(beta-1) blow up as F -> 0 for beta < 1, so the
@@ -99,9 +85,9 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
     clamping per row so callers can flag the fit.
     """
     b = beta
+    w, w2, t, _ = plan.cell_vectors
     with np.errstate(all="ignore"):
-        lt, F, S, f = _cells(np.exp(theta[:, :1] + theta[:, 1:] * data.w),
-                             data.t)
+        lt, F, S, f = _cells(np.exp(theta[:, :1] + theta[:, 1:] * w), t)
         clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=1)
         Fc = F.clip(_F_MIN, _F_MAX)
         Sc = S.clip(_F_MIN, _F_MAX)
@@ -111,13 +97,13 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, data: _CellData,
         hpp = (b + 1.0) * (
             bracket + (b - 1.0) * resid * (Fc ** (b - 2.0) - Sc ** (b - 2.0))
         )
-        tf = data.t * f
+        tf = t * f
         curv = tf * (1.0 - lt)
         g = hp * tf
         h = hpp * tf * tf + hp * curv
-        ev = np.array([_dpd_terms(r, F, S, lt, beta), g, g * data.w, h,
-                       h * data.w, h * data.w2]).sum(-1)
-        ev /= data.n_cells
+        ev = np.array([_dpd_terms(r, F, S, lt, beta), g, g * w, h, h * w,
+                       h * w2]).sum(-1)
+        ev /= plan.n_cells
     ev[0, np.isnan(ev[0])] = np.inf
     return ev, clamped
 
@@ -142,14 +128,14 @@ def estimating_equations(
     ``full_output=True`` to receive a dict with the ``clamped`` flag.
     """
     beta = _check_beta(beta)
-    data = _CellData(table.plan)
+    plan = table.plan
     theta = np.array([[np.log(params.alpha0), params.alpha1]])
-    ev, clamped = _eval_theta(theta, table.frequencies.reshape(1, -1),
-                              data, beta)
+    ev, clamped = _eval_theta(theta, table.frequencies.reshape(1, -1), plan,
+                              beta)
     g = ev[1:3, 0]
     clamped = bool(clamped[0])
     with np.errstate(all="ignore"):
-        vals = g * (data.k_mean * data.n_cells / (beta + 1.0))
+        vals = g * (plan.mean_devices * plan.n_cells / (beta + 1.0))
     if np.any(np.abs(vals) > _EQ_CAP) or np.any(~np.isfinite(vals)):
         clamped = True
         vals = np.clip(np.nan_to_num(vals, nan=_EQ_CAP, posinf=_EQ_CAP,
@@ -192,7 +178,7 @@ def _data_starts(r: np.ndarray, plan: TestPlan) -> np.ndarray:
     return theta
 
 
-def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
+def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
             beta: float):
     """Safeguarded Newton from every row of theta0 (n, 2) at once.
 
@@ -214,7 +200,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
     n = len(theta0)
     theta = theta0.copy()
     r = r.reshape(n, -1)
-    ev, clamped = _eval_theta(theta, r, data, beta)
+    ev, clamped = _eval_theta(theta, r, plan, beta)
     iterations = np.zeros(n, dtype=int)
     active = np.arange(n)
     for it in range(1, _MAX_ITERS + 1):
@@ -246,7 +232,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
         # halvings of the rows that fail it; a row's accepted point, its
         # values and its step length overwrite those of its full step
         new = th + step.T
-        ev_new, cl_new = _eval_theta(new, ra, data, beta)
+        ev_new, cl_new = _eval_theta(new, ra, plan, beta)
         accepted = ev_new[0] <= f0 + 1e-4 * slope + allowance
         moved = np.abs(step).max(axis=0)
         full = accepted.all()
@@ -258,7 +244,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, data: _CellData,
                 cols = np.repeat(pending, lams.size)
                 lam_c = np.tile(lams, pending.size)
                 trial = th.take(cols, 0) + lam_c[:, None] * step.T.take(cols, 0)
-                ev_c, cl_c = _eval_theta(trial, ra.take(cols, axis=0), data,
+                ev_c, cl_c = _eval_theta(trial, ra.take(cols, axis=0), plan,
                                          beta)
                 ok = (ev_c[0] <= f0.take(cols) + 1e-4 * lam_c * slope.take(cols)
                       + allowance.take(cols)).reshape(pending.size, -1)
@@ -334,12 +320,11 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
     arrays: ``alpha``, the other :func:`_newton` outputs, and the
     ``usable`` mask.
     """
-    data = _CellData(plan)
     warm = _data_starts(r, plan)
     path = []
     for beta in betas:
         theta, fval, grad_norm, iterations, clamped = _newton(
-            warm, r, data, beta)
+            warm, r, plan, beta)
         with np.errstate(over="ignore"):
             alpha = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
         usable = ((grad_norm <= _GRAD_TOL) & np.isfinite(alpha[:, 0])

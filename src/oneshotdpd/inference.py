@@ -234,8 +234,9 @@ def _tested_variance(sigma: np.ndarray, hyp: LinearHypothesis):
     """``m' Sigma m`` for each ``sigma[..., :, :]``, and the mask of the
     values that are finite and strictly positive."""
     m0, m1 = hyp.m
-    u = m0 * sigma[..., 0, :] + m1 * sigma[..., 1, :]
+    # a large m can overflow either product; the mask drops those values
     with np.errstate(all="ignore"):
+        u = m0 * sigma[..., 0, :] + m1 * sigma[..., 1, :]
         variance = u[..., 0] * m0 + u[..., 1] * m1
     return variance, np.isfinite(variance) & (variance > 0.0)
 
@@ -274,10 +275,15 @@ def z_statistic(fit: "FitResult", plan: TestPlan, hyp: LinearHypothesis
 
     ``Sigma`` is the sandwich evaluated at the fitted parameters and ``K``
     the (mean) per-cell device count.  The two-sided p-value is
-    2 (1 - Phi(|Z|)).
+    2 (1 - Phi(|Z|)).  Raises :class:`~oneshotdpd.errors.NumericalOverflow`
+    when Z is not a finite double.
     """
     variance = _checked_variance(fit.params, plan, fit.beta, hyp)
-    z = np.sqrt(plan.mean_devices / variance) * hyp.effect(fit.params)
+    with np.errstate(all="ignore"):
+        z = np.sqrt(plan.mean_devices / variance) * hyp.effect(fit.params)
+    if not np.isfinite(z):
+        raise NumericalOverflow(
+            f"the Z statistic {float(z)!r} is not a finite double")
     p = 2.0 * ndtr(-abs(z))
     return ZTestResult(statistic=float(z), p_value=p, fit=fit)
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oneshotdpd import FailureTable, ModelParams, TestPlan
 from oneshotdpd.datasets import load_benzidine, load_ed01, load_table1
+
+# property tests run the same examples on every run
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

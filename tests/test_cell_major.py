@@ -13,8 +13,7 @@ import pytest
 from conftest import random_plan, random_table
 from oneshotdpd import FailureTable, TestPlan, estimator, fit
 from oneshotdpd.divergence import _dpd_terms
-from oneshotdpd.estimator import (_CellData, _data_starts, _eval_theta,
-                                  _fit_rows)
+from oneshotdpd.estimator import _data_starts, _eval_theta, _fit_rows
 from oneshotdpd.inference import _alpha_cell_sums, _sandwich_rows
 
 BETAS = (0.0, 0.3, 0.5, 1.0, 2.0)
@@ -130,11 +129,10 @@ class TestKernelsMatchReference:
     def test_objective_and_gradient(self, beta):
         clamps = 0
         for rng, plan, r in random_cases(17, 24):
-            data = _CellData(plan)
             theta = theta_points(rng, plan, r)
             rows = np.resize(r, (len(theta),) + plan.shape)
             ev, clamped = _eval_theta(theta, rows.reshape(len(theta), -1),
-                                      data, beta)
+                                      plan, beta)
             g, H, want_clamped = ref_grad_hess(theta, rows, plan, beta)
             same_bytes(ev, np.stack([ref_objective(theta, rows, plan, beta),
                                      g[:, 0], g[:, 1], H[:, 0, 0],

@@ -131,7 +131,7 @@ class TestLogLikelihoodIdentity:
     def test_kl_objective_matches_solver_objective(self):
         # all-failure cells at a large rate: S underflows to 0 there, so
         # log S is -inf while the exact log survival -lambda t stays finite
-        from oneshotdpd.estimator import _CellData, _eval_theta
+        from oneshotdpd.estimator import _eval_theta
 
         plan = TestPlan(temps=[35, 45], times=[10, 20],
                         devices=[[10, 10], [10, 10]])
@@ -141,7 +141,7 @@ class TestLogLikelihoodIdentity:
         # the solver kernel is rows-first: theta (rows, 2), r (rows, C)
         theta = np.array([[np.log(params.alpha0), params.alpha1]])
         solver = float(_eval_theta(theta, table.frequencies.reshape(1, -1),
-                                   _CellData(table.plan), 0.0)[0][0, 0])
+                                   table.plan, 0.0)[0][0, 0])
         assert np.isfinite(value)
         assert value == pytest.approx(solver, rel=1e-12, abs=0.0)
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.optimize import minimize
 
 from oneshotdpd import (
@@ -24,7 +24,7 @@ from oneshotdpd import (
 from oneshotdpd.estimator import _data_starts
 from oneshotdpd.io import parse_betas
 
-from conftest import random_params, random_plan, random_table
+from conftest import PROPERTY, random_params, random_plan, random_table
 
 # published estimates for the bundled 3x3 experiment
 TABLE2_SPOT = {0.0: (0.00487, 0.04732), 0.5: (0.00493, 0.04695),
@@ -129,12 +129,12 @@ class TestFit:
         assert a.iterations == b.iterations
 
     def test_objective_not_above_start(self, table1):
-        from oneshotdpd.estimator import _CellData, _newton
+        from oneshotdpd.estimator import _newton
 
         start = ModelParams(0.02, 0.01)
         theta0 = np.array([[np.log(start.alpha0), start.alpha1]])
         _, objective, *_ = _newton(theta0, table1.frequencies[None],
-                                   _CellData(table1.plan), 0.5)
+                                   table1.plan, 0.5)
         assert objective[0] <= dpd_objective(table1, start, 0.5) + 1e-12
 
     def test_no_interior_data_all_zero(self):
@@ -275,7 +275,6 @@ def start_inputs(draw, temps, times):
 EQUIVARIANCE_TOL = 1e-9
 MODERATE = start_inputs(st.integers(-20, 20).map(float),
                         st.floats(1e-3, 1e3))
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 class TestDataStarts:
@@ -327,7 +326,7 @@ class TestDataStarts:
                                    atol=EQUIVARIANCE_TOL)
 
 
-def ref_newton(theta0, r, data, beta, stats):
+def ref_newton(theta0, r, plan, beta, stats):
     """The solver with its earlier line search, one halving per kernel
     call, and its earlier exit pass; ``stats`` collects every accepted
     step length, counts the rows leaving by each exit: ``nonfinite``
@@ -335,7 +334,7 @@ def ref_newton(theta0, r, data, beta, stats):
     ``polish`` step, and counts the ``full`` passes, where every row is
     active and takes its full step."""
     def objective(theta, cells):
-        return estimator._eval_theta(theta, cells, data, beta)[0][0]
+        return estimator._eval_theta(theta, cells, plan, beta)[0][0]
 
     n = len(theta0)
     theta = theta0.copy()
@@ -349,7 +348,7 @@ def ref_newton(theta0, r, data, beta, stats):
     active = np.arange(n)
     for it in range(1, estimator._MAX_ITERS + 2):
         th, ra = theta[active], r[active]
-        ev, cl = estimator._eval_theta(th, ra, data, beta)
+        ev, cl = estimator._eval_theta(th, ra, plan, beta)
         gh = ev[1:]
         clamped[active[cl]] = True
         iterations[active[~settled[active]]] = it
@@ -523,13 +522,12 @@ class TestNewtonExits:
     def test_reports_are_those_of_the_returned_estimate(self):
         capped = 0
         for plan, r in self.cases():
-            data = estimator._CellData(plan)
             cells = r.reshape(len(r), -1)
             start = _data_starts(r, plan)
             for beta in (0.0, 0.4, 1.0):
                 theta, fval, grad_norm, iterations, clamped = \
-                    estimator._newton(start, r, data, beta)
-                ev, cl = estimator._eval_theta(theta, cells, data, beta)
+                    estimator._newton(start, r, plan, beta)
+                ev, cl = estimator._eval_theta(theta, cells, plan, beta)
                 # exact, with NaN equal to NaN
                 np.testing.assert_array_equal(
                     grad_norm, np.abs(ev[1:3]).max(axis=0), strict=True)
@@ -547,12 +545,11 @@ class TestNewtonExits:
                  "stall": 0, "cap": 0, "full": 0}
         rows = 0
         for plan, r in self.cases():
-            data = estimator._CellData(plan)
             start = _data_starts(r, plan)
             for beta in (0.0, 0.4, 1.0):
                 rows += len(r)
-                got = estimator._newton(start, r, data, beta)
-                want = ref_newton(start, r, data, beta, stats)
+                got = estimator._newton(start, r, plan, beta)
+                want = ref_newton(start, r, plan, beta, stats)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.shape == w.shape
                     assert g.tobytes() == w.tobytes()
@@ -572,13 +569,12 @@ class TestNewtonExits:
         # 1 - 1e-16 in some cell, or every cell; the runs then walk back
         # through unclamped points, many in passes of full steps
         plan, clean = list(self.cases())[-2]
-        data = estimator._CellData(plan)
         stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
                  "stall": 0, "cap": 0, "full": 0}
         for shift in (3.0, 4.0):
             start = _data_starts(clean, plan) + [shift, 0.0]
-            got = estimator._newton(start, clean, data, 0.4)
-            want = ref_newton(start, clean, data, 0.4, stats)
+            got = estimator._newton(start, clean, plan, 0.4)
+            want = ref_newton(start, clean, plan, 0.4, stats)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
             assert got[4].any()

@@ -297,6 +297,32 @@ class TestZStatistic:
             assert ndtri(p) == pytest.approx(special.ndtri(p), rel=1e-14,
                                              abs=1e-15)
 
+    def test_z_beyond_double_range_is_typed_error(self, table1):
+        # sqrt(K / m' Sigma m) is above 1, so the effect -1e308 overflows
+        result = fit(table1, 0.5)
+        hyp = LinearHypothesis(m=np.array([1.0, 10.0]), d=1e308)
+        with pytest.raises(NumericalOverflow, match="not a finite double"):
+            z_statistic(result, table1.plan, hyp)
+
+    def test_tested_variance_overflow_is_masked(self):
+        from oneshotdpd.inference import _tested_variance
+
+        a = np.random.default_rng(5).normal(size=(6, 2, 2))
+        sigma = a @ np.swapaxes(a, -1, -2)
+        # 1e308 * 10 overflows in u = m' Sigma, before the second product
+        sigma[2] = [[1.0, 0.0], [0.0, 10.0]]
+        for m0, m1 in ((0.0, 1e308), (0.5, -2.0)):
+            hyp = LinearHypothesis(m=np.array([m0, m1]), d=0.0)
+            variance, ok = _tested_variance(sigma, hyp)
+            with np.errstate(all="ignore"):
+                u = m0 * sigma[:, 0, :] + m1 * sigma[:, 1, :]
+                want = u[:, 0] * m0 + u[:, 1] * m1
+            assert variance.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(
+                ok, np.isfinite(want) & (want > 0.0), strict=True)
+            # every sigma is positive definite: only an overflow is masked
+            assert ok.all() == (m1 != 1e308)
+
     def test_hypothesis_validation(self):
         with pytest.raises(ValueError):
             LinearHypothesis(m=np.array([0.0, 0.0]), d=0.1)

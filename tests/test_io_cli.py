@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oneshotdpd.cli as cli_module
 import oneshotdpd.io as io_module
@@ -24,6 +30,8 @@ from oneshotdpd.io import (
     read_failure_csv,
     read_multioutcome_csv,
 )
+
+from conftest import PROPERTY
 
 # pinned fixture digests: the bundled tables must never drift
 DATASET_SHA256 = {
@@ -892,6 +900,51 @@ class TestCli:
         assert "alpha0_shift requires 0 < value" in error["message"]
         assert not output.exists()
 
+    def test_ztest_beyond_double_range_is_typed_error(self, capsys):
+        code, out = self.run(["ztest", "--input", str(dataset_path("table1")),
+                              "--beta", "0.5", "--m", "1,10", "--d", "1e308"],
+                             capsys)
+        assert code == 3
+        doc = _strict_json(out)
+        assert doc["errors"][0]["code"] == "NumericalOverflow"
+        assert doc["results"] == {}
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_result_is_refused(self, to_file, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(cli_module, "mean_lifetime",
+                            lambda params, w0: math.inf)
+        target = tmp_path / "doc.json"
+        argv = ["reliability", "--params", "0.005,0.05", "--w0", "25",
+                "--mission-times", "10"]
+        code, out = self.run(argv + ["--output", str(target)] * to_file,
+                             capsys)
+        assert code == 3
+        doc = _strict_json(target.read_text() if to_file else out)
+        assert doc["errors"] == [{"code": "NumericalOverflow",
+                                  "message": "a result is not a finite double"}]
+        assert doc["results"] == {} and doc["diagnostics"] == {}
+
+    def test_non_finite_simulate_document_removes_csv(self, tmp_path, capsys,
+                                                      monkeypatch):
+        to_dict = simulate_module.SimulationReport.to_dict
+        monkeypatch.setattr(simulate_module.SimulationReport, "to_dict",
+                            lambda self: {**to_dict(self), "x": math.nan})
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0],
+            "replications": 2, "seed": 1}))
+        output = tmp_path / "study.csv"
+        code, out = self.run(["simulate", "--spec", str(spec), "--output",
+                              str(output)], capsys)
+        assert code == 3
+        doc = _strict_json(out)
+        assert doc["errors"][0]["code"] == "NumericalOverflow"
+        assert doc["results"] == {}
+        assert not output.exists()
+
     def test_byte_order_mark_is_read(self, tmp_path, capsys):
         # spreadsheet "CSV UTF-8" exports start with a BOM
         table = tmp_path / "table1.csv"
@@ -989,3 +1042,178 @@ class TestCli:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["results"]["fits"][0]["converged"] is True
+
+
+# The CLI contract's grammar: a call built from ordinary values, so that
+# it reaches the computation, then up to two of its values, CSV fields or
+# spec fields replaced by an edge token: signed zeros, subnormals, the
+# double range's edge and beyond, non-finite spellings, empty, Unicode
+# digits (float() and int() read them) and int64 edges
+ORDINARY = ["0", "0.5", "1", "3", "10", "35", "0.004", "0.05", "0.8"]
+EDGES = ["-0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+         "1e308", "-1e308", "1e309", "-1e309", "nan", "-nan", "inf", "-inf",
+         "", "\u0663", "\u0661\u0660", "9223372036854775807",
+         "9223372036854775808", "-9223372036854775808",
+         "-9223372036854775809"]
+SPEC_LEAVES = [("plan", "devices"), ("plan", "temps", 0), ("plan", "times", 1),
+               ("true_params", 0), ("true_params", 1), ("betas", 1),
+               ("replications",), ("seed",), ("hypothesis", "m", 1),
+               ("hypothesis", "d"), ("hypothesis", "level"),
+               ("contamination", "value"), ("sweep", "values", 0)]
+
+
+def _json_value(token):
+    """A spec value from a token: an int or float where it parses as one
+    (so NaN and Infinity reach the spec bare), the string otherwise."""
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    return token
+
+
+@st.composite
+def cli_calls(draw):
+    """An argument list with ``{table}``, ``{multi}``, ``{spec}``,
+    ``{csv}`` and ``{json}`` standing for files, and the text of the
+    files it reads."""
+    def value():
+        return draw(st.sampled_from(ORDINARY))
+
+    def count():
+        return draw(st.sampled_from(["1", "3", "10"]))
+
+    def values(n=None):
+        n = draw(st.integers(1, 3)) if n is None else n
+        return ",".join(value() for _ in range(n))
+
+    command = draw(st.sampled_from(["fit", "fit-path", "reliability",
+                                    "ztest", "power", "samplesize",
+                                    "competing-fit", "simulate"]))
+    argv, csv, spec = [command], None, None
+    if command in ("fit", "fit-path", "ztest", "power", "samplesize"):
+        argv += ["--input", "{table}"]
+        csv = ("table", "table1")
+    if command == "fit":
+        argv += ["--beta", value()]
+    elif command == "fit-path":
+        argv += ["--betas", values()]
+    elif command == "reliability":
+        argv += ["--params", values(2), "--w0", value(), "--mission-times",
+                 values()]
+    elif command == "competing-fit":
+        argv += ["--input", "{multi}", "--betas", values()]
+        csv = ("multi", "ed01")
+    elif command == "simulate":
+        study = draw(st.sampled_from(["rmse", "level_power"]))
+        # few replications: a token there is refused, or gives at most 10
+        spec = {"study": study,
+                "plan": {"temps": [35, 45, 55], "times": [10, 20, 30],
+                         "devices": 3},
+                "true_params": [0.004, 0.05], "betas": [0, 0.5],
+                "replications": draw(st.integers(1, 3)), "seed": 3,
+                "contamination": {"mode": "alpha0_shift", "cell": [0, 0],
+                                  "value": 0.001}}
+        if study == "level_power":
+            spec["hypothesis"] = {"m": [0, 1], "d": 0.05}
+        if draw(st.booleans()):
+            spec["sweep"] = {"parameter": draw(st.sampled_from(
+                ["strength", "devices"])), "values": [0, 1]}
+        argv += ["--spec", "{spec}", "--output", "{csv}"]
+        if draw(st.booleans()):
+            argv += ["--seed", count()]
+    else:
+        argv += ["--beta", value(), "--m", values(2), "--d", value()]
+        if command != "ztest":
+            argv += ["--alpha-star", values(2)]
+        if command == "power":
+            argv += ["--devices", count()]
+        if command == "samplesize":
+            argv += ["--target-power", value()]
+        if draw(st.booleans()):
+            argv += ["--level", value()]
+    if command in ("fit", "fit-path") and draw(st.booleans()):
+        argv += ["--w0", value(), "--mission-times", values()]
+    if command != "simulate" and draw(st.booleans()):
+        argv += ["--output", "{json}"]
+    rows = None
+    if csv is not None:
+        rows = [line.split(",") for line in
+                dataset_path(csv[1]).read_text().splitlines()]
+    # the options' values; a site is mutated at one item of its list
+    values_at = [i for i, a in enumerate(argv)
+                 if i and not a.startswith(("--", "{"))]
+    sites = (["argv"] * bool(values_at) + ["csv"] * (rows is not None)
+             + ["spec"] * (spec is not None))
+    for _ in range(draw(st.integers(0, 2))):
+        token = draw(st.sampled_from(EDGES))
+        site = draw(st.sampled_from(sites))
+        if site == "argv":
+            at = draw(st.sampled_from(values_at))
+            items = argv[at].split(",")
+            items[draw(st.integers(0, len(items) - 1))] = token
+            argv[at] = ",".join(items)
+        elif site == "csv":
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, len(row) - 1))] = token
+        else:
+            *path, leaf = draw(st.sampled_from(SPEC_LEAVES))
+            node = spec
+            for key in path:
+                node = node.get(key) if isinstance(node, dict) else None
+            if node is not None:
+                node[leaf] = _json_value(token)
+    files = {}
+    if rows is not None:
+        files[csv[0]] = "\n".join(",".join(row) for row in rows) + "\n"
+    if spec is not None:
+        files["spec"] = json.dumps(spec)
+    return argv, files
+
+
+TABLE1 = dataset_path("table1").read_text()
+
+
+class TestCliContract:
+    @settings(PROPERTY, max_examples=150)
+    @given(cli_calls())
+    # a Z beyond the double range
+    @example((["ztest", "--input", "{table}", "--beta", "0.5", "--m", "1,10",
+               "--d", "1e308"], {"table": TABLE1}))
+    # m' Sigma overflows in the Z tests of a K = 3 level/power study
+    @example((["simulate", "--spec", "{spec}", "--output", "{csv}"],
+              {"spec": json.dumps({
+                  "study": "level_power",
+                  "plan": {"temps": [35, 45, 55], "times": [10, 20, 30],
+                           "devices": 3},
+                  "true_params": [0.004, 0.05], "betas": [0, 0.5, 1],
+                  "replications": 300, "seed": 3,
+                  "hypothesis": {"m": [0, 1e308], "d": 0.05}})}))
+    def test_exit_code_and_strict_json(self, call):
+        template, files = call
+        with tempfile.TemporaryDirectory() as folder:
+            paths = {name: os.path.join(folder, name)
+                     for name in ("table", "multi", "spec", "csv", "json")}
+            for name, text in files.items():
+                with open(paths[name], "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            argv = [paths[a[1:-1]] if a[1:-1] in paths and a[0] == "{"
+                    else a for a in template]
+            stdout = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert caught == []
+            assert code in (0, 2, 3)
+            text = stdout.getvalue()
+            if "{json}" in template and text == "":
+                with open(paths["json"], encoding="utf-8") as handle:
+                    text = handle.read()
+            doc = _strict_json(text)
+            assert (doc["errors"] == []) == (code == 0)
+            if template[0] == "simulate" and code != 0:
+                assert not os.path.exists(paths["csv"])
+
