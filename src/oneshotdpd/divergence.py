@@ -110,24 +110,10 @@ def _dpd_terms(r, F, S, lt, beta: float) -> np.ndarray:
         )
 
 
-def _power(x, p):
-    """``x ** p`` for a scalar ``p`` or one exponent per row of the
-    rows-first ``x`` (rows, C), shaped (rows,).  Rows sharing an exponent
-    are raised by it as a scalar, so each keeps the bits of its own scalar
-    evaluation (numpy takes exact paths, such as sqrt at 0.5, only for
-    scalar exponents)."""
-    if getattr(p, "ndim", 0) == 0:
-        return x**p
-    out = np.empty(x.shape)
-    for value in set(p.tolist()):
-        out[p == value] = x[p == value] ** value
-    return out
-
-
-def _bracket(F, S, p):
-    """The ``F^p + S^p`` factor of the estimating equations and sandwich;
-    ``p`` is a scalar or per-row (see :func:`_power`)."""
-    return _power(F, p) + _power(S, p)
+def _bracket(F, S, p: float):
+    """The ``F^p + S^p`` factor of the estimating equations and sandwich,
+    raised by one scalar exponent ``p``."""
+    return F**p + S**p
 
 
 def log_likelihood(table: FailureTable, params: ModelParams) -> float:

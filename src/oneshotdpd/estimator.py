@@ -368,8 +368,8 @@ def fit_path(table: FailureTable, betas) -> list[FitResult]:
 def _fit_tables(tables, betas) -> list[list[FitResult]]:
     """:func:`fit_path` of every table in ``tables``, which share one plan.
 
-    The tables are the rows of one :func:`_fit_rows` call, and one
-    per-row-beta sandwich call covers every (table, beta) estimate.
+    The tables are the rows of one :func:`_fit_rows` call, and each beta
+    is one sandwich call over every table's estimate, as in the studies.
     Returns one list of :class:`FitResult` per table.
     """
     betas = _check_betas(betas)
@@ -381,29 +381,30 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
     plan = tables[0].plan
     r = np.stack([table.frequencies for table in tables])
     alpha, *path, _ = _fit_rows(r, plan, betas)
-    alpha = alpha.reshape(-1, 2)
     # exp(log alpha0) leaves the double range on plans such as subnormal
     # inspection times
-    if not (np.isfinite(alpha[:, 0]) & (alpha[:, 0] > 0.0)).all():
+    if not (np.isfinite(alpha[..., 0]) & (alpha[..., 0] > 0.0)).all():
         raise NumericalOverflow(
             "the fitted alpha0 is not a positive finite double")
-    params = [ModelParams(float(a0), float(a1)) for a0, a1 in alpha]
-    beta = np.tile(betas, len(tables))
-    covariances = zip(*inference._sandwich_rows(alpha, plan, beta))
+    sandwiches = [inference._sandwich_rows(alpha[:, b], plan, beta)
+                  for b, beta in enumerate(betas)]
     results = []
-    for b, p, (jb, kb, sigma, ok), fval, grad_norm, iterations, clamped \
-            in zip(beta, params, covariances, *(v.ravel() for v in path)):
-        results.append(FitResult(
-            beta=float(b),
-            params=p,
-            objective=float(fval),
-            grad_norm=float(grad_norm),
-            iterations=int(iterations),
-            converged=bool(grad_norm <= _GRAD_TOL),
-            covariance=inference.SandwichCovariance(
-                j_bar=jb, k_bar=kb, sigma=sigma, at_params=p, beta=float(b)
-            ) if ok else None,
-            boundary_clamped=bool(clamped),
-        ))
-    n = len(betas)
-    return [results[k:k + n] for k in range(0, len(results), n)]
+    for k in range(len(tables)):
+        results.append([])
+        for b, beta in enumerate(betas):
+            p = ModelParams(float(alpha[k, b, 0]), float(alpha[k, b, 1]))
+            jb, kb, sigma, ok = (v[k] for v in sandwiches[b])
+            fval, grad_norm, iterations, clamped = (v[k, b] for v in path)
+            results[-1].append(FitResult(
+                beta=beta,
+                params=p,
+                objective=float(fval),
+                grad_norm=float(grad_norm),
+                iterations=int(iterations),
+                converged=bool(grad_norm <= _GRAD_TOL),
+                covariance=inference.SandwichCovariance(
+                    j_bar=jb, k_bar=kb, sigma=sigma, at_params=p, beta=beta
+                ) if ok else None,
+                boundary_clamped=bool(clamped),
+            ))
+    return results

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergence import _bracket, _check_beta, _power
+from .divergence import _bracket, _check_beta
 from .errors import (DegenerateVariance, InfeasibleDesign, NumericalOverflow,
                      SingularInformation)
 from .model import ModelParams, TestPlan, _cells, _plan_rates
@@ -69,8 +69,13 @@ class SandwichCovariance:
     beta: float
 
     def alpha_covariance(self, devices: float) -> np.ndarray:
-        """Approximate covariance of the estimate for ``devices`` per cell."""
-        return self.sigma / float(devices)
+        """Approximate covariance of the estimate for ``devices`` per cell,
+        a finite count > 0."""
+        devices = float(devices)
+        if not 0.0 < devices < math.inf:
+            raise ValueError(
+                f"devices must be finite and > 0, got {devices!r}")
+        return self.sigma / devices
 
 
 @dataclass(frozen=True)
@@ -109,15 +114,15 @@ class ZTestResult:
         return bool(abs(self.statistic) > _critical_value(level))
 
 
-def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta):
-    """``(j_bar, k_bar)`` at the parameter rows ``alpha`` (n, 2).
+def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta: float):
+    """``(j_bar, k_bar)`` at the parameter rows ``alpha`` (n, 2) and the
+    one tuning parameter ``beta``.
 
     Each is the cell sum of ``(K_ij/Kbar) (t f)^2`` times its factor of
     (F, S) and the (1, w) outer product, taken in theta = (log alpha0,
     alpha1) coordinates and carried to (alpha0, alpha1) by the Jacobian
-    diag(1/alpha0, 1); each has shape (n, 2, 2).  ``beta`` is a scalar or
-    holds one tuning parameter per row, shaped (n,).  The cells are
-    evaluated rows-first, (n, C), as in the solver.
+    diag(1/alpha0, 1); each has shape (n, 2, 2).  The cells are evaluated
+    rows-first, (n, C), as in the solver.
     """
     w, w2, t, weights = plan.cell_vectors
     # F or S may underflow to 0, making F^(b-1) infinite, and 1/alpha0
@@ -127,7 +132,7 @@ def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta):
         tf2 = (t * f) ** 2
         j = weights * (tf2 * _bracket(F, S, beta - 1.0))
         k = weights * (tf2 * (_bracket(F, S, 2.0 * beta - 1.0)
-                              - (_power(F, beta) - _power(S, beta)) ** 2))
+                              - (F**beta - S**beta) ** 2))
         sums = np.array([j, j * w, j * w2, k, k * w, k * w2]).sum(-1)
         inv = 1.0 / alpha[:, 0]
         # rows (j, k) of the (0,0), (0,1), (1,0) and (1,1) entries
@@ -188,13 +193,11 @@ def _inverse_2x2(mat: np.ndarray):
     return inverse, ok
 
 
-def _sandwich_rows(alpha: np.ndarray, plan: TestPlan, beta):
+def _sandwich_rows(alpha: np.ndarray, plan: TestPlan, beta: float):
     """``(j_bar, k_bar, sigma, ok)`` at each parameter row of ``alpha``
-    (n, 2), at one tuning parameter ``beta`` or at per-row ``beta`` (n,);
-    ``ok`` marks the rows whose ``j_bar`` passes the condition guard of
-    :func:`_inverse_2x2` (``sigma`` is meaningless elsewhere)."""
-    if np.ndim(beta):
-        beta = np.asarray(beta, dtype=float)
+    (n, 2) and the one tuning parameter ``beta``; ``ok`` marks the rows
+    whose ``j_bar`` passes the condition guard of :func:`_inverse_2x2`
+    (``sigma`` is meaningless elsewhere)."""
     jb, kb = _alpha_cell_sums(alpha, plan, beta)
     j_inv, ok = _inverse_2x2(jb)
     with np.errstate(all="ignore"):
@@ -243,8 +246,15 @@ def _tested_variance(sigma: np.ndarray, hyp: LinearHypothesis):
 
 def _checked_variance(params: ModelParams, plan: TestPlan, beta: float,
                       hyp: LinearHypothesis) -> float:
-    """``m' Sigma m`` of the sandwich at ``params``; strictly positive."""
+    """``m' Sigma m`` of the sandwich at ``params``; strictly positive.
+
+    Raises :class:`~oneshotdpd.errors.NumericalOverflow` when the value
+    leaves the double range and
+    :class:`~oneshotdpd.errors.DegenerateVariance` when it is not positive.
+    """
     variance, ok = _tested_variance(sandwich(params, plan, beta).sigma, hyp)
+    if not np.isfinite(variance):
+        raise NumericalOverflow("m' Sigma m overflows the double range")
     if not ok:
         raise DegenerateVariance(
             f"m' Sigma m = {float(variance)!r} is not strictly positive"

@@ -15,8 +15,7 @@ Each line reads ``<sha256>  <name>``.  The names cover:
   range), where many fits stall or hit the iteration cap;
 * ``inference/...``: at every estimate of those fits, usable or not, the
   ``_sandwich_rows`` outputs (``j_bar``, ``k_bar``, ``sigma``, ``ok``)
-  and the ``_z_rows`` statistics of alpha1 = 0.05, one call per beta
-  (``_scalar``) and one call with a beta per row (``_per_row``).
+  and the ``_z_rows`` statistics of alpha1 = 0.05, one call per beta.
 
 The calls run in a temporary directory that holds copies of the bundled
 CSVs and the spec files, so the ``--input`` and ``--spec`` paths echoed in
@@ -233,10 +232,6 @@ def solver_digests():
         scalar = [out for b, beta in enumerate(betas)
                   for out in inference_outputs(alpha[:, b], plan, beta)]
         inference.append((array_digest(scalar), f"inference/{name}_scalar"))
-        per_row = inference_outputs(alpha.reshape(-1, 2), plan,
-                                    np.tile(betas, len(alpha)))
-        inference.append((array_digest(per_row),
-                          f"inference/{name}_per_row"))
     return solver + inference
 
 

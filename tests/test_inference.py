@@ -207,39 +207,23 @@ class TestSandwich:
         cov = sandwich(ModelParams(0.005, 0.05), plan1, 0.3)
         assert np.allclose(cov.alpha_covariance(25.0), cov.sigma / 25.0)
 
-    def test_per_row_beta_matches_scalar_sandwich(self, table1):
-        # numpy raises by a scalar exponent of -1, 0.5 or 2 exactly
-        # (reciprocal, sqrt, square); the betas 0, 0.5 and 1.5 use them.
-        # Every published beta plus 1.5, rows in shuffled order, each at
-        # its own path estimate:
-        from oneshotdpd.inference import _sandwich_rows
+    @pytest.mark.parametrize("devices", [0, -5, float("nan"), float("inf")])
+    def test_alpha_covariance_refuses_device_count(self, plan1, devices):
+        cov = sandwich(ModelParams(0.005, 0.05), plan1, 0.3)
+        with pytest.raises(ValueError, match="devices must be finite"):
+            cov.alpha_covariance(devices)
 
-        betas = parse_betas("0:0.1:1,1.5,2,3,4")
-        fits = fit_path(table1, betas)
-        order = np.random.default_rng(5).permutation(2 * len(fits))
-        rows = [fits[k % len(fits)] for k in order]
-        alpha = np.array([r.params.as_array() for r in rows])
-        jb, kb, sigma, ok = _sandwich_rows(alpha, table1.plan,
-                                           np.array([r.beta for r in rows]))
-        assert ok.all()
-        for k, r in enumerate(rows):
+    def test_fit_path_covariance_matches_sandwich(self, table1):
+        # fit_path computes the sandwich with one call per beta over its
+        # estimates; numpy raises by a scalar exponent of -1, 0.5 or 2
+        # exactly (reciprocal, sqrt, square), and the betas 0, 0.5 and 1.5
+        # use them.  Every published beta plus 1.5:
+        for r in fit_path(table1, parse_betas("0:0.1:1,1.5,2,3,4")):
             cov = sandwich(r.params, table1.plan, r.beta)
-            for got, want in ((jb[k], cov.j_bar), (kb[k], cov.k_bar),
-                              (sigma[k], cov.sigma),
+            for got, want in ((r.covariance.j_bar, cov.j_bar),
+                              (r.covariance.k_bar, cov.k_bar),
                               (r.covariance.sigma, cov.sigma)):
-                assert np.array_equal(got, want)
-        # random rows, where plain pow by an exponent array differs from
-        # those exact paths in a few percent of the elements:
-        rng = np.random.default_rng(6)
-        alpha = np.column_stack([np.exp(rng.uniform(-9.0, -3.0, 300)),
-                                 rng.uniform(-0.08, 0.08, 300)])
-        beta = rng.choice([0.0, 0.3, 0.5, 1.5], 300)
-        got = _sandwich_rows(alpha, table1.plan, beta)
-        for b in np.unique(beta):
-            at = beta == b
-            want = _sandwich_rows(alpha[at], table1.plan, float(b))
-            for g, w in zip(got, want):
-                assert np.array_equal(g[at], w, equal_nan=True)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestZStatistic:
@@ -303,6 +287,23 @@ class TestZStatistic:
         hyp = LinearHypothesis(m=np.array([1.0, 10.0]), d=1e308)
         with pytest.raises(NumericalOverflow, match="not a finite double"):
             z_statistic(result, table1.plan, hyp)
+
+    @pytest.mark.parametrize("m", [(0.0, 1e308), (1e308, -1e308)])
+    @pytest.mark.parametrize("function", ["z_statistic", "approximate_power",
+                                          "required_devices"])
+    def test_overflowing_variance_is_typed_error(self, table1, function, m):
+        result = fit(table1, 0.5)
+        hyp = LinearHypothesis(m=np.array(m), d=0.0)
+        calls = {
+            "z_statistic": lambda: z_statistic(result, table1.plan, hyp),
+            "approximate_power": lambda: approximate_power(
+                result.params, table1.plan, 0.5, hyp, 10, 0.05),
+            "required_devices": lambda: required_devices(
+                result.params, table1.plan, 0.5, hyp, 0.8, 0.05),
+        }
+        with pytest.raises(NumericalOverflow,
+                           match="m' Sigma m overflows the double range"):
+            calls[function]()
 
     def test_tested_variance_overflow_is_masked(self):
         from oneshotdpd.inference import _tested_variance

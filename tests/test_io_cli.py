@@ -645,6 +645,24 @@ class TestCli:
         assert doc["errors"][0]["code"] == "NumericalOverflow"
         assert doc["results"] == {}
 
+    @pytest.mark.parametrize("argv", [
+        ["ztest", "--m", "0,1e308"],
+        ["power", "--m", "0,1e308", "--alpha-star", "0.004,0.05",
+         "--devices", "10"],
+        ["samplesize", "--m", "0,1e308", "--alpha-star", "0.004,0.05",
+         "--target-power", "0.8"],
+        ["ztest", "--m", "1e308,-1e308"]])
+    def test_overflowing_variance_is_typed_error(self, argv, capsys):
+        code, out = self.run(argv[:1] + [
+            "--input", str(dataset_path("table1")), "--beta", "0.5", "--d",
+            "0"] + argv[1:], capsys)
+        assert code == 3
+        doc = _strict_json(out)
+        assert doc["errors"] == [{
+            "code": "NumericalOverflow",
+            "message": "m' Sigma m overflows the double range"}]
+        assert doc["results"] == {}
+
     @pytest.mark.parametrize("params", ["0.005,1000", "0.005,-1000"])
     def test_reliability_overflow_is_typed_error(self, params, capsys):
         # the rate overflows (1000) or its reciprocal does (-1000)

@@ -19,7 +19,7 @@ from oneshotdpd import (
     LinearHypothesis,
     rmse_study,
 )
-from oneshotdpd.inference import ndtri
+from oneshotdpd.inference import _critical_value, _z_rows, ndtri
 from oneshotdpd.io import parse_betas
 
 # per-(replication, beta) alpha0, alpha1 and Z of the golden specs,
@@ -442,3 +442,64 @@ class TestReportSerialization:
         parsed = json.loads(report.to_json())
         assert parsed["rmse_alpha0"][0] == report.rmse_alpha0[0]
         assert parsed["spec"]["seed"] == 13
+
+
+class TestExactOracle:
+    """A level study against the exact distribution of its tables.
+
+    With K = 2 in each of the six cells there are 3^6 = 729 count tables,
+    so every table's Z statistic and its product-binomial probability are
+    known exactly, and a study's counts are binomial draws whose mean and
+    standard error are known too.
+    """
+
+    PLAN = TestPlan([35.0, 55.0], [10.0, 20.0, 30.0], np.full((2, 3), 2))
+    TRUTH = ModelParams(0.004, 0.05)
+    HYP = LinearHypothesis(np.array([0.0, 1.0]), 0.05)
+    BETAS = (0.0, 0.5, 1.0)
+
+    def enumerate_tables(self):
+        """Every table (729, 2, 3), its probability and its Z per beta
+        (NaN where the fit or the test is dropped)."""
+        import math
+
+        counts = np.indices((3,) * 6).reshape(6, -1).T.reshape(-1, 2, 3)
+        F, S, _ = cell_probs(self.TRUTH, self.PLAN)
+        comb = np.array([math.comb(2, n) for n in range(3)])
+        prob = np.prod(comb[counts] * F**counts * S ** (2 - counts),
+                       axis=(1, 2))
+        z = np.full((len(counts), len(self.BETAS)), np.nan)
+        interior = np.flatnonzero(((counts > 0) & (counts < 2)).any(
+            axis=(1, 2)))
+        est, *_, usable = estimator._fit_rows(counts[interior] / 2.0,
+                                              self.PLAN, self.BETAS)
+        for b, beta in enumerate(self.BETAS):
+            ok = usable[:, b]
+            z[interior[ok], b] = _z_rows(est[ok, b], self.PLAN, beta,
+                                         self.HYP)
+        return counts, prob, z
+
+    def test_study_matches_exact_distribution(self):
+        counts, prob, z = self.enumerate_tables()
+        assert prob.sum() == pytest.approx(1.0, rel=1e-12)
+        n = 1000
+        spec = SimulationSpec(self.PLAN, self.TRUTH, ContaminationScheme(),
+                              self.BETAS, n, 7, self.HYP)
+        _, stat = simulate._replication_fits(spec)
+        drawn = simulate._draw_counts(
+            spec, range(n), np.random.Generator(np.random.Philox(0)))
+        # a table's index among the 729 is its counts read in base 3
+        index = drawn.reshape(n, -1) @ 3 ** np.arange(5, -1, -1)
+        assert (counts[index] == drawn).all()
+        # (a) each replication's Z is its table's, byte for byte
+        assert stat.tobytes() == z[index].tobytes()
+        # (b) the study's counts lie within 4 binomial SEs of their means
+        z_crit = _critical_value(spec.level)
+        for b in range(len(self.BETAS)):
+            usable = ~np.isnan(z[:, b])
+            rejects = np.abs(z[:, b]) > z_crit
+            for p, got in ((prob[usable].sum(),
+                            np.count_nonzero(~np.isnan(stat[:, b]))),
+                           (prob[rejects].sum(),
+                            np.count_nonzero(np.abs(stat[:, b]) > z_crit))):
+                assert abs(got - n * p) <= 4.0 * np.sqrt(n * p * (1 - p))
