@@ -188,41 +188,24 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
     Armijo backtracking down to 1e-13, and the ``_GRAD_TOL``, ``_STEP_TOL``
     and ``_MAX_ITERS`` stops.  Each point is evaluated once, by
     :func:`_eval_theta` over the rows-first (rows, C) cells, and a row
-    keeps the values of the point it stands on.  A pass tries every row's
-    full step in one call, then the halvings of the rows that failed it
-    eight to a call, and each row keeps its largest step that passes.  A
-    row leaves in the pass it stops: at its top on a non-finite gradient,
-    or after a failed line search (staying put), a step below ``_STEP_TOL``,
-    pass ``_MAX_ITERS`` or the polish step of a gradient within
-    ``_GRAD_TOL``, which counts one more iteration than the pass.  Returns
-    per-row arrays (theta, objective, grad_norm, iterations, clamped).
+    keeps the values of the point it stands on.  A pass works on the
+    running rows: their full steps in one call, then the halvings of the
+    rows that failed it eight to a call, each row keeping its largest step
+    that passes.  A row stops on a failed search (staying put; a non-finite
+    gradient fails every trial), a step below ``_STEP_TOL``, pass
+    ``_MAX_ITERS`` or the polish step of a gradient within ``_GRAD_TOL``,
+    which counts one more iteration than the pass; its outputs are written
+    once, in the pass it stops.  Returns per-row arrays (theta, objective,
+    grad_norm, iterations, clamped).
     """
     n = len(theta0)
-    theta = theta0.copy()
-    r = r.reshape(n, -1)
-    ev, clamped = _eval_theta(theta, r, plan, beta)
-    iterations = np.zeros(n, dtype=int)
-    active = np.arange(n)
+    # the running rows: their indices, points, values, fractions and flags
+    rows, th, ra = np.arange(n), theta0, r.reshape(n, -1)
+    at, cl = _eval_theta(th, ra, plan, beta)
+    theta, ev = np.empty_like(th), np.empty_like(at)
+    iterations, clamped = np.empty(n, dtype=int), np.empty(n, dtype=bool)
     for it in range(1, _MAX_ITERS + 1):
-        iterations[active] = it
-        # while every row is active, a pass reads the arrays themselves;
-        # after that it gathers its rows with take, several times faster
-        # than fancy indexing on arrays this small
-        every = active.size == n
-        if every:
-            at, th, ra = ev, theta, r
-        else:
-            at = ev.take(active, axis=1)
-            th, ra = theta.take(active, axis=0), r.take(active, axis=0)
-        gn = np.abs(at[1:3]).max(axis=0)
-        go = np.isfinite(gn)  # a non-finite gradient stops its row
-        if not go.all():
-            every = False
-            active, at, th, ra, gn = (active[go], at[:, go], th[go], ra[go],
-                                      gn[go])
-            if active.size == 0:
-                break
-        polish = gn <= _GRAD_TOL
+        polish = np.abs(at[1:3]).max(axis=0) <= _GRAD_TOL
         step, slope = _direction(at[1:])
         f0 = at[0]
         # rounding allowance: near the optimum the true decrease drops below
@@ -235,9 +218,8 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
         ev_new, cl_new = _eval_theta(new, ra, plan, beta)
         accepted = ev_new[0] <= f0 + 1e-4 * slope + allowance
         moved = np.abs(step).max(axis=0)
-        full = accepted.all()
-        if not full:
-            lam = np.ones(active.size)
+        if not accepted.all():
+            lam = np.ones(rows.size)
             pending = np.flatnonzero(~accepted)
             for lams in _STEPS:
                 # one trial per pending row and step length, row-major
@@ -261,22 +243,28 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
                 if pending.size == 0:
                     break
             moved *= lam
-        # the one place a pass records its rows' accepted points
-        if every and full:
-            theta, ev = new, ev_new
-            clamped |= cl_new
-        else:
-            done = active[accepted]
-            theta[done] = new[accepted]
-            ev[:, done] = ev_new[:, accepted]
-            clamped[done] |= cl_new[accepted]
+            # a failed search stays put
+            new[pending], ev_new[:, pending], cl_new[pending] = (
+                th[pending], at[:, pending], False)
+        th, at, cl = new, ev_new, cl | cl_new
         # a failed search, a stalled step or the last pass stops its row;
         # otherwise a polish step does, and counts one more iteration
         stop = ~accepted | (moved < _STEP_TOL) | (it == _MAX_ITERS)
-        iterations[active[polish & ~stop]] += 1
-        active = active[~(stop | polish)]
-        if active.size == 0:
-            break
+        leave = stop | polish
+        # the one place a row's outputs are written: the pass it leaves
+        out = np.flatnonzero(leave)
+        if out.size:
+            done = rows.take(out)
+            theta[done] = th.take(out, axis=0)
+            ev[:, done] = at.take(out, axis=1)
+            clamped[done] = cl.take(out)
+            iterations[done] = it + (polish & ~stop).take(out)
+            if out.size == rows.size:
+                break
+            # take is several times faster than a mask on arrays this small
+            stay = np.flatnonzero(~leave)
+            rows, cl = rows.take(stay), cl.take(stay)
+            th, at, ra = th.take(stay, 0), at.take(stay, 1), ra.take(stay, 0)
     return theta, ev[0], np.abs(ev[1:3]).max(axis=0), iterations, clamped
 
 
@@ -380,7 +368,7 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
         )
     plan = tables[0].plan
     r = np.stack([table.frequencies for table in tables])
-    alpha, *path, _ = _fit_rows(r, plan, betas)
+    alpha, *path, usable = _fit_rows(r, plan, betas)
     # exp(log alpha0) leaves the double range on plans such as subnormal
     # inspection times
     if not (np.isfinite(alpha[..., 0]) & (alpha[..., 0] > 0.0)).all():
@@ -401,7 +389,7 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
                 objective=float(fval),
                 grad_norm=float(grad_norm),
                 iterations=int(iterations),
-                converged=bool(grad_norm <= _GRAD_TOL),
+                converged=bool(usable[k, b]),
                 covariance=inference.SandwichCovariance(
                     j_bar=jb, k_bar=kb, sigma=sigma, at_params=p, beta=beta
                 ) if ok else None,

@@ -328,9 +328,13 @@ def _study(spec: SimulationSpec, workers: int) -> SimulationReport:
             values.append(
                 (float(np.mean(np.abs(stat[kept, b_idx]) > z_crit)),))
         else:
-            sq = (alpha[kept, b_idx] - truth) ** 2
-            values.append(tuple(float(np.sqrt(np.mean(v)))
-                                for v in (sq[:, 0], sq[:, 1], sq.sum(axis=1))))
+            # errors near 1e154 square or sum beyond the double range: the
+            # report holds inf, which the CLI refuses as NumericalOverflow
+            with np.errstate(over="ignore"):
+                sq = (alpha[kept, b_idx] - truth) ** 2
+                values.append(tuple(
+                    float(np.sqrt(np.mean(v)))
+                    for v in (sq[:, 0], sq[:, 1], sq.sum(axis=1))))
     return SimulationReport(
         kind="level_power" if testing else "rmse",
         spec=spec,

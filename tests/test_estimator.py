@@ -332,7 +332,8 @@ def ref_newton(theta0, r, plan, beta, stats):
     step length, counts the rows leaving by each exit: ``nonfinite``
     gradient, ``failed`` search (all halvings), ``stall``, ``cap`` and
     ``polish`` step, and counts the ``full`` passes, where every row is
-    active and takes its full step."""
+    active and takes its full step, and the ``mixed`` passes, where a
+    row with a non-finite gradient leaves beside rows that go on."""
     def objective(theta, cells):
         return estimator._eval_theta(theta, cells, plan, beta)[0][0]
 
@@ -355,8 +356,9 @@ def ref_newton(theta0, r, plan, beta, stats):
         gn = np.abs(gh[:2]).max(axis=0)
         grad_norm[active] = gn
         go = np.isfinite(gn) & ~reached[active] & ~settled[active]
-        stats["nonfinite"] += int((~np.isfinite(gn) & ~reached[active]
-                                   & ~settled[active]).sum())
+        nonfinite = ~np.isfinite(gn) & ~reached[active] & ~settled[active]
+        stats["nonfinite"] += int(nonfinite.sum())
+        stats["mixed"] += int(nonfinite.any() and go.any())
         reached[active[gn <= estimator._GRAD_TOL]] = True
         active, gh, th, ra = active[go], gh[:, go], th[go], ra[go]
         if active.size == 0:
@@ -542,7 +544,7 @@ class TestNewtonExits:
 
     def test_line_search_matches_one_halving_per_call(self):
         stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
-                 "stall": 0, "cap": 0, "full": 0}
+                 "stall": 0, "cap": 0, "full": 0, "mixed": 0}
         rows = 0
         for plan, r in self.cases():
             start = _data_starts(r, plan)
@@ -563,6 +565,9 @@ class TestNewtonExits:
         assert sum(exits) == rows
         # passes where every row is active and takes its full step
         assert stats["full"] > 0
+        # passes where a non-finite gradient leaves, through the solver's
+        # failed search, beside rows that go on
+        assert stats["mixed"] > 0
 
     def test_clamped_starts_keep_their_flag(self):
         # starts at 20 and 55 times the data's alpha0 put F above
@@ -570,7 +575,7 @@ class TestNewtonExits:
         # through unclamped points, many in passes of full steps
         plan, clean = list(self.cases())[-2]
         stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
-                 "stall": 0, "cap": 0, "full": 0}
+                 "stall": 0, "cap": 0, "full": 0, "mixed": 0}
         for shift in (3.0, 4.0):
             start = _data_starts(clean, plan) + [shift, 0.0]
             got = estimator._newton(start, clean, plan, 0.4)

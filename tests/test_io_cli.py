@@ -1208,6 +1208,14 @@ class TestCliContract:
                   "true_params": [0.004, 0.05], "betas": [0, 0.5, 1],
                   "replications": 300, "seed": 3,
                   "hypothesis": {"m": [0, 1e308], "d": 0.05}})}))
+    # the squared errors of an rmse study at alpha0 near 4e297 overflow
+    @example((["simulate", "--spec", "{spec}", "--output", "{csv}"],
+              {"spec": json.dumps({
+                  "study": "rmse",
+                  "plan": {"temps": [35, 45, 55],
+                           "times": [1e-300, 2e-300, 3e-300], "devices": 20},
+                  "true_params": [4e297, 0.05], "betas": [0, 0.5],
+                  "replications": 20, "seed": 3})}))
     def test_exit_code_and_strict_json(self, call):
         template, files = call
         with tempfile.TemporaryDirectory() as folder:

@@ -265,6 +265,25 @@ class TestStudies:
         assert rates[0] < rates[1] < rates[2]
         assert rates[-1] > 0.9
 
+    @pytest.mark.parametrize("alpha0, time", [
+        # the errors square beyond the double range
+        (4e297, 1e-300),
+        # their squares are finite, but their sums are not
+        (1e154, 1e-157)])
+    def test_errors_beyond_the_double_range_give_inf(self, alpha0, time):
+        plan = TestPlan([35.0, 45.0, 55.0], [time, 2 * time, 3 * time],
+                        np.full((3, 3), 20))
+        spec = base_spec(plan, betas=(0.0, 0.5), replications=20, seed=3,
+                         params=(alpha0, 0.05))
+        report = rmse_study(spec)
+        assert all(report.used)
+        assert report.rmse_alpha0 == report.rmse_combined == (np.inf,) * 2
+        assert np.isfinite(report.rmse_alpha1).all()
+        swept = dataclasses.replace(spec, contamination=ContaminationScheme(
+            "alpha0_shift", (0, 0), alpha0 / 4))
+        for sweep in contamination_sweep(swept, [0.0, 0.5])[0]:
+            assert sweep.rmse_alpha0 == (np.inf,) * 2
+
     def test_study_kind_guards(self, plan1):
         hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
         with pytest.raises(ValueError):
@@ -445,22 +464,24 @@ class TestReportSerialization:
 
 
 class TestExactOracle:
-    """A level study against the exact distribution of its tables.
+    """Studies against the exact distribution of their tables.
 
     With K = 2 in each of the six cells there are 3^6 = 729 count tables,
-    so every table's Z statistic and its product-binomial probability are
-    known exactly, and a study's counts are binomial draws whose mean and
-    standard error are known too.
+    so every table's fit, its Z statistic and its product-binomial
+    probability are known exactly, and a study's counts and means are
+    draws whose mean and standard error are known too.
     """
 
     PLAN = TestPlan([35.0, 55.0], [10.0, 20.0, 30.0], np.full((2, 3), 2))
     TRUTH = ModelParams(0.004, 0.05)
     HYP = LinearHypothesis(np.array([0.0, 1.0]), 0.05)
     BETAS = (0.0, 0.5, 1.0)
+    N, SEED = 1000, 7
 
     def enumerate_tables(self):
-        """Every table (729, 2, 3), its probability and its Z per beta
-        (NaN where the fit or the test is dropped)."""
+        """Every table (729, 2, 3), its probability, its estimate (729,
+        betas, 2) and its Z per beta (729, betas), NaN where the fit or
+        the test is dropped."""
         import math
 
         counts = np.indices((3,) * 6).reshape(6, -1).T.reshape(-1, 2, 3)
@@ -468,6 +489,7 @@ class TestExactOracle:
         comb = np.array([math.comb(2, n) for n in range(3)])
         prob = np.prod(comb[counts] * F**counts * S ** (2 - counts),
                        axis=(1, 2))
+        alpha = np.full((len(counts), len(self.BETAS), 2), np.nan)
         z = np.full((len(counts), len(self.BETAS)), np.nan)
         interior = np.flatnonzero(((counts > 0) & (counts < 2)).any(
             axis=(1, 2)))
@@ -475,22 +497,28 @@ class TestExactOracle:
                                               self.PLAN, self.BETAS)
         for b, beta in enumerate(self.BETAS):
             ok = usable[:, b]
+            alpha[interior[ok], b] = est[ok, b]
             z[interior[ok], b] = _z_rows(est[ok, b], self.PLAN, beta,
                                          self.HYP)
-        return counts, prob, z
+        return counts, prob, alpha, z
+
+    def drawn_tables(self, spec, counts):
+        """The index among the 729 of each table the study draws."""
+        drawn = simulate._draw_counts(
+            spec, range(self.N), np.random.Generator(np.random.Philox(0)))
+        # a table's index among the 729 is its counts read in base 3
+        index = drawn.reshape(self.N, -1) @ 3 ** np.arange(5, -1, -1)
+        assert (counts[index] == drawn).all()
+        return index
 
     def test_study_matches_exact_distribution(self):
-        counts, prob, z = self.enumerate_tables()
+        counts, prob, _, z = self.enumerate_tables()
         assert prob.sum() == pytest.approx(1.0, rel=1e-12)
-        n = 1000
+        n = self.N
         spec = SimulationSpec(self.PLAN, self.TRUTH, ContaminationScheme(),
-                              self.BETAS, n, 7, self.HYP)
+                              self.BETAS, n, self.SEED, self.HYP)
         _, stat = simulate._replication_fits(spec)
-        drawn = simulate._draw_counts(
-            spec, range(n), np.random.Generator(np.random.Philox(0)))
-        # a table's index among the 729 is its counts read in base 3
-        index = drawn.reshape(n, -1) @ 3 ** np.arange(5, -1, -1)
-        assert (counts[index] == drawn).all()
+        index = self.drawn_tables(spec, counts)
         # (a) each replication's Z is its table's, byte for byte
         assert stat.tobytes() == z[index].tobytes()
         # (b) the study's counts lie within 4 binomial SEs of their means
@@ -503,3 +531,31 @@ class TestExactOracle:
                            (prob[rejects].sum(),
                             np.count_nonzero(np.abs(stat[:, b]) > z_crit))):
                 assert abs(got - n * p) <= 4.0 * np.sqrt(n * p * (1 - p))
+
+    def test_rmse_study_matches_exact_distribution(self):
+        counts, prob, alpha, _ = self.enumerate_tables()
+        n = self.N
+        spec = SimulationSpec(self.PLAN, self.TRUTH, ContaminationScheme(),
+                              self.BETAS, n, self.SEED)
+        est, _ = simulate._replication_fits(spec)
+        index = self.drawn_tables(spec, counts)
+        # (a) each replication's estimate is its table's, byte for byte
+        assert est.tobytes() == alpha[index].tobytes()
+        report = rmse_study(spec)
+        truth = self.TRUTH.as_array()
+        for b in range(len(self.BETAS)):
+            usable = ~np.isnan(alpha[:, b, 0])
+            p = prob[usable].sum()
+            # (b) the usable count lies within 4 binomial SEs of its mean
+            used = report.used[b]
+            assert abs(used - n * p) <= 4.0 * np.sqrt(n * p * (1 - p))
+            # (c) given `used` usable fits, each mean squared error is a
+            # mean of that many draws of e^2 conditional on a usable fit:
+            # within 4 exact SEs of E[e^2 | usable]
+            e2 = (alpha[usable, b] - truth) ** 2
+            w = prob[usable] / p
+            for k, rmse in enumerate((report.rmse_alpha0[b],
+                                      report.rmse_alpha1[b])):
+                mean = w @ e2[:, k]
+                var = w @ e2[:, k] ** 2 - mean**2
+                assert abs(rmse**2 - mean) <= 4.0 * np.sqrt(var / used)
