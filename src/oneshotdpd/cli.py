@@ -12,7 +12,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -38,14 +37,14 @@ from .io import (
     read_failure_csv,
     read_multioutcome_csv,
 )
-from .model import (ModelParams, TestPlan, _integral, mean_lifetime,
-                    reliability)
+from .model import ModelParams, TestPlan, mean_lifetime, reliability
 from .simulate import (
     ContaminationScheme,
     SimulationSpec,
+    _check_workers,
     _study,
+    _sweep_specs,
     _write_report_rows,
-    contamination_sweep,
 )
 
 _PARSE_EXIT = 2
@@ -267,10 +266,13 @@ def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad simulation spec: {exc}") from exc
-    return spec, doc.get("study", "rmse"), doc.get("sweep"), generated
+    # a missing study follows the hypothesis, so a report's spec re-runs
+    study = doc.get("study", "rmse" if hypothesis is None else "level_power")
+    return spec, study, doc.get("sweep"), generated
 
 
 def _cmd_simulate(args) -> dict:
+    _check_workers(args.workers)
     try:
         with open(args.spec, encoding="utf-8-sig") as handle:
             doc = json.load(handle)
@@ -287,16 +289,17 @@ def _cmd_simulate(args) -> dict:
         raise ParseError("a level_power study requires a hypothesis")
     if generated_seed:
         print(f"generated seed: {spec.seed}", file=sys.stderr)
-    # the CSV is opened before any replication is drawn, and a run that
-    # fails removes it (a regular file only: never a device such as
-    # /dev/null)
+    specs, xs = _run_specs(spec, sweep)
+    # the run is built and checked before the CSV is opened, and a run
+    # that fails after that removes it (a regular file only: never a
+    # device such as /dev/null)
     try:
         handle = open(args.output, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot write {args.output}: {exc}") from exc
     try:
         with handle:
-            reports, xs = _simulate_reports(spec, sweep, args.workers)
+            reports = [_study(s) for s in specs]
             _write_report_rows(handle, reports, xs)
     except BaseException as exc:
         if os.path.isfile(args.output):
@@ -314,42 +317,22 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _simulate_reports(spec, sweep, workers: int):
-    """The reports of a ``simulate`` spec and their x values: one study,
-    or one per value of its sweep."""
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ParseError(f"sweep must be an object, got {sweep!r}")
-        parameter = sweep.get("parameter", "strength")
-        values = sweep.get("values")
-        if not (isinstance(values, list) and values):
-            raise ParseError("sweep requires a non-empty values list")
-        if parameter == "strength":
-            try:
-                values = [float(v) for v in values]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"sweep strengths must be numbers: {exc}"
-                                 ) from None
-            reports, xs = contamination_sweep(spec, values, workers=workers)
-        elif parameter == "devices":
-            reports, xs = [], []
-            for k in values:
-                k = _integral(k, "devices")
-                try:
-                    plan = TestPlan(spec.plan.temps, spec.plan.times,
-                                    np.full(spec.plan.shape, k))
-                except OverflowError as exc:
-                    raise ParseError(f"bad simulation spec: {exc}") from exc
-                reports.append(_study(dataclasses.replace(spec, plan=plan),
-                                      workers))
-                xs.append(k)
-        else:
-            raise ParseError(
-                f"sweep parameter must be strength or devices, got {parameter!r}"
-            )
-    else:
-        reports, xs = [_study(spec, workers)], [None]
-    return reports, xs
+def _run_specs(spec, sweep) -> tuple:
+    """The specs a ``simulate`` run studies and their x values: the spec
+    itself, or one per value of its sweep."""
+    if sweep is None:
+        return [spec], [None]
+    if not isinstance(sweep, dict):
+        raise ParseError(f"sweep must be an object, got {sweep!r}")
+    values = sweep.get("values")
+    if not (isinstance(values, list) and values):
+        raise ParseError("sweep requires a non-empty values list")
+    try:
+        return _sweep_specs(spec, sweep.get("parameter", "strength"), values)
+    except NumericalOverflow:
+        raise
+    except OverflowError as exc:
+        raise ParseError(f"bad simulation spec: {exc}") from exc
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -13,6 +13,10 @@ behind :func:`oneshotdpd.estimator.fit_path`, with the same start rule.
 The sandwich and the Z statistic are computed once per usable fit, and
 only for level/power studies.
 
+A sweep over contamination strengths or devices per cell is built as one
+spec per value, every value checked, before its first study runs.
+``workers`` is checked once, when a study or sweep is entered.
+
 Reproducibility contract: every replication draws from its own
 Philox4x64-10 counter-based stream keyed by ``(seed, replication_index)``,
 rows are solved independently of each other, and aggregation runs in
@@ -309,10 +313,9 @@ def _replication_fits(spec: SimulationSpec):
     return alpha, stat
 
 
-def _study(spec: SimulationSpec, workers: int) -> SimulationReport:
+def _study(spec: SimulationSpec) -> SimulationReport:
     """The engine of both studies: the rejection rates of the Z test when
     the spec carries a hypothesis, else the RMSEs against the truth."""
-    _check_workers(workers)
     alpha, stat = _replication_fits(spec)
     testing = spec.hypothesis is not None
     truth = spec.true_params.as_array()
@@ -353,9 +356,10 @@ def rmse_study(spec: SimulationSpec, workers: int = 1) -> SimulationReport:
     are dropped from the averages and counted in ``failed_fits``.
     ``workers`` must be >= 1; it starts no threads (see the module notes).
     """
+    _check_workers(workers)
     if spec.hypothesis is not None:
         raise ValueError("rmse_study expects a spec without a hypothesis")
-    return _study(spec, workers)
+    return _study(spec)
 
 
 def level_power_study(spec: SimulationSpec, workers: int = 1
@@ -366,43 +370,53 @@ def level_power_study(spec: SimulationSpec, workers: int = 1
     significance level; under an alternative it estimates power.
     ``workers`` must be >= 1; it starts no threads (see the module notes).
     """
+    _check_workers(workers)
     if spec.hypothesis is None:
         raise ValueError("level_power_study requires a hypothesis in the spec")
-    return _study(spec, workers)
+    return _study(spec)
 
 
-def contamination_sweep(
-    spec: SimulationSpec,
-    strengths,
-    workers: int = 1,
-):
+def _sweep_specs(spec: SimulationSpec, parameter: str, values) -> tuple:
+    """The specs of a sweep of ``spec`` and their x values, one per value
+    of contamination strength (see :func:`contamination_sweep`) or, for
+    ``"devices"``, of devices per cell.  Every value is checked here."""
+    if parameter == "strength":
+        try:
+            xs = [float(s) for s in values]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"sweep strengths must be numbers: {exc}"
+                             ) from None
+        mode, cell = spec.contamination.mode, spec.contamination.cell
+        if mode == "none":
+            raise ValueError(
+                "sweep requires an alpha0_shift or alpha1_shift scheme")
+        ref = (spec.true_params.alpha0 if mode == "alpha0_shift"
+               else spec.true_params.alpha1)
+        schemes = [ContaminationScheme(mode, cell, (1.0 - s) * ref)
+                   if s != 0.0 else ContaminationScheme() for s in xs]
+        return [dataclasses.replace(spec, contamination=c)
+                for c in schemes], xs
+    if parameter == "devices":
+        specs, xs = [], []
+        for k in values:
+            xs.append(_integral(k, "devices"))
+            specs.append(dataclasses.replace(spec, plan=TestPlan(
+                spec.plan.temps, spec.plan.times,
+                np.full(spec.plan.shape, xs[-1]))))
+        return specs, xs
+    raise ValueError(
+        f"sweep parameter must be strength or devices, got {parameter!r}")
+
+
+def contamination_sweep(spec: SimulationSpec, strengths, workers: int = 1):
     """Run the spec's study, level/power with a hypothesis and rmse
     without, across contamination strengths.
 
     ``strengths`` are relative reductions s in [0, 1): strength s maps to a
     contaminated value (1 - s) * alpha0 (or alpha1, per the spec's mode).
-    Strength 0 means no contamination.  Returns (reports, strengths).
+    Strength 0 means no contamination.  Every strength is checked before
+    the first study runs.  Returns (reports, strengths).
     """
     _check_workers(workers)
-    base_mode = spec.contamination.mode
-    if base_mode == "none":
-        raise ValueError("sweep requires an alpha0_shift or alpha1_shift scheme")
-    reference = (
-        spec.true_params.alpha0
-        if base_mode == "alpha0_shift"
-        else spec.true_params.alpha1
-    )
-    reports = []
-    strengths = [float(s) for s in strengths]
-    for s in strengths:
-        if s == 0.0:
-            scheme = ContaminationScheme(mode="none")
-        else:
-            scheme = ContaminationScheme(
-                mode=base_mode,
-                cell=spec.contamination.cell,
-                value=(1.0 - s) * reference,
-            )
-        reports.append(_study(
-            dataclasses.replace(spec, contamination=scheme), workers))
-    return reports, strengths
+    specs, strengths = _sweep_specs(spec, "strength", strengths)
+    return [_study(s) for s in specs], strengths

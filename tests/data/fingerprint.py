@@ -83,6 +83,24 @@ SPECS = {
     "bad_study.json": {"study": "power", "plan": PLAN,
                        "true_params": [0.004, 0.05], "betas": [0],
                        "replications": 5, "seed": 1},
+    # a sweep whose later value is refused
+    "devices_fraction.json": {"study": "rmse", "plan": PLAN,
+                              "true_params": [0.004, 0.05], "betas": [0],
+                              "replications": 5, "seed": 1,
+                              "sweep": {"parameter": "devices",
+                                        "values": [3, 10.5]}},
+    "devices_beyond_int64.json": {"study": "rmse", "plan": PLAN,
+                                  "true_params": [0.004, 0.05],
+                                  "betas": [0], "replications": 5,
+                                  "seed": 1,
+                                  "sweep": {"parameter": "devices",
+                                            "values": [3, 10**29]}},
+    "strength_one.json": {"study": "rmse", "plan": PLAN,
+                          "true_params": [0.004, 0.05],
+                          "contamination": {"mode": "alpha0_shift",
+                                            "cell": [0, 0], "value": 0.001},
+                          "betas": [0], "replications": 5, "seed": 1,
+                          "sweep": {"values": [0, 1]}},
 }
 CALLS = {
     "fit": ["fit", *FIT, "--beta", "0.5"],
@@ -144,6 +162,16 @@ CALLS = {
                                        "out.csv"],
     "simulate_bad_study": ["simulate", "--spec", "bad_study.json",
                            "--output", "out.csv"],
+    "simulate_devices_fraction": ["simulate", "--spec",
+                                  "devices_fraction.json", "--output",
+                                  "out.csv"],
+    "simulate_devices_beyond_int64": ["simulate", "--spec",
+                                      "devices_beyond_int64.json",
+                                      "--output", "out.csv"],
+    "simulate_strength_one": ["simulate", "--spec", "strength_one.json",
+                              "--output", "out.csv"],
+    "simulate_workers_0": ["simulate", "--spec", "rmse.json", "--output",
+                           "out.csv", "--workers", "0"],
     # computation errors, exit 3
     "power_overflow": ["power", *FIT, "--alpha-star", "0.004,400", "--beta",
                        "0.5", *TEST, "--devices", "50"],

@@ -899,8 +899,8 @@ class TestCli:
         assert error["message"].startswith(f"cannot write {output}: ")
 
     def test_failed_run_leaves_no_csv(self, tmp_path, capsys):
-        # strength 0 runs, then strength 1 maps alpha0 to 0 and is refused
-        # after the CSV was opened
+        # strength 1 maps alpha0 to 0: the sweep is refused before its
+        # CSV is opened
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "study": "rmse",
@@ -917,6 +917,172 @@ class TestCli:
         [error] = _strict_json(out)["errors"]
         assert "alpha0_shift requires 0 < value" in error["message"]
         assert not output.exists()
+
+    @pytest.mark.parametrize("field, value, extra, message", [
+        ("sweep", {"parameter": "devices", "values": [3, 10.5]}, [],
+         "devices must be an integer, got 10.5"),
+        ("sweep", {"values": [0, 1]}, [],
+         "alpha0_shift requires 0 < value <= alpha0, got 0.0 vs "
+         "alpha0=0.004"),
+        ("sweep", {"values": [0, 10**400]}, [],
+         "sweep strengths must be numbers: int too large to convert to "
+         "float"),
+        ("replications", 2, ["--workers", "0"],
+         "workers must be >= 1, got 0"),
+    ], ids=["devices", "strength", "strength_beyond_float", "workers"])
+    def test_refused_run_keeps_existing_output(self, field, value, extra,
+                                               message, tmp_path, capsys,
+                                               monkeypatch):
+        # the whole run is checked before its CSV is opened, so a bad
+        # later sweep value runs no study and leaves the file in place
+        def study(*args):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli_module, "_study", study)
+        monkeypatch.setattr(simulate_module, "_study", study)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0],
+            "contamination": {"mode": "alpha0_shift", "cell": [0, 0],
+                              "value": 0.001},
+            "replications": 2, "seed": 1, field: value}))
+        output = tmp_path / "study.csv"
+        output.write_text("kept\n")
+        code, out = self.run(["simulate", "--spec", str(spec), "--output",
+                              str(output), *extra], capsys)
+        assert code == 2
+        assert _strict_json(out)["errors"] == [{"code": "ParseError",
+                                                "message": message}]
+        assert output.read_text() == "kept\n"
+
+    def test_study_failing_after_csv_opened_removes_it(self, tmp_path, capsys,
+                                                       monkeypatch):
+        output = tmp_path / "study.csv"
+
+        def study(spec):
+            assert output.read_text() == ""
+            raise ValueError("the study failed")
+
+        monkeypatch.setattr(cli_module, "_study", study)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0],
+            "replications": 2, "seed": 1}))
+        output.write_text("old\n")
+        code, out = self.run(["simulate", "--spec", str(spec), "--output",
+                              str(output)], capsys)
+        assert code == 2
+        assert _strict_json(out)["errors"] == [{"code": "ParseError",
+                                                "message": "the study failed"}]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("kind", ["rmse", "level_power", "devices"])
+    def test_report_spec_reruns_to_the_same_report(self, kind, tmp_path,
+                                                   capsys):
+        # a report's spec carries no study key: the kind follows from the
+        # hypothesis
+        doc = {"plan": {"temps": [35, 45, 55], "times": [10, 20],
+                        "devices": 20},
+               "true_params": [0.004, 0.05],
+               "contamination": {"mode": "alpha0_shift", "cell": [1, 0],
+                                 "value": 0.002},
+               "betas": [0.0, 0.5], "replications": 15, "seed": 4}
+        if kind == "level_power":
+            doc.update(study="level_power",
+                       hypothesis={"m": [0, 1], "d": 0.05, "level": 0.1})
+        if kind == "devices":
+            doc["sweep"] = {"parameter": "devices", "values": [3, 30]}
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(json.dumps(doc))
+        code, out = self.run(["simulate", "--spec", str(first), "--output",
+                              str(csv_a)], capsys)
+        assert code == 0
+        report = _strict_json(out)["results"]["reports"][-1]
+        again.write_text(json.dumps(report["spec"]))
+        code, out = self.run(["simulate", "--spec", str(again), "--output",
+                              str(csv_b)], capsys)
+        assert code == 0
+        assert _strict_json(out)["results"]["reports"] == [report]
+        header, *rows = csv_a.read_text().splitlines(keepends=True)
+        if kind == "devices":
+            # the re-run is one plain study: its rows have no x value
+            rows = [re.sub(r"^([^,]*),30,", r"\1,,", row)
+                    for row in rows[-2:]]
+        assert csv_b.read_text() == header + "".join(rows)
+
+    @pytest.mark.parametrize("study, hypothesis, message", [
+        ("power", None, "study must be rmse or level_power, got 'power'"),
+        ("rmse", {"m": [0, 1], "d": 0.05},
+         "an rmse study must not carry a hypothesis"),
+        ("level_power", None, "a level_power study requires a hypothesis"),
+    ])
+    def test_simulate_study_checks(self, study, hypothesis, message,
+                                   tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "study": study, "hypothesis": hypothesis,
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0],
+            "replications": 2, "seed": 1}))
+        output = tmp_path / "study.csv"
+        code, out = self.run(["simulate", "--spec", str(spec), "--output",
+                              str(output)], capsys)
+        assert code == 2
+        assert _strict_json(out)["errors"] == [{"code": "ParseError",
+                                                "message": message}]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("content", [None, "not json"],
+                             ids=["missing", "invalid"])
+    def test_simulate_unreadable_spec(self, content, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        if content is None:
+            message = (f"cannot open {spec}: [Errno 2] No such file or "
+                       f"directory: '{spec}'")
+        else:
+            spec.write_text(content)
+            message = (f"{spec}: invalid JSON: Expecting value: line 1 "
+                       f"column 1 (char 0)")
+        code, out = self.run(["simulate", "--spec", str(spec), "--output",
+                              str(tmp_path / "study.csv")], capsys)
+        assert code == 2
+        assert _strict_json(out)["errors"] == [{"code": "ParseError",
+                                                "message": message}]
+
+    def test_simulate_generated_seed_reproduces(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": [0.0, 0.5],
+            "replications": 5}))
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert main(["simulate", "--spec", str(spec), "--output",
+                     str(first)]) == 0
+        captured = capsys.readouterr()
+        seed = _strict_json(captured.out)["diagnostics"]["seed"]
+        assert captured.err == f"generated seed: {seed}\n"
+        code, _ = self.run(["simulate", "--spec", str(spec), "--output",
+                            str(again), "--seed", str(seed)], capsys)
+        assert code == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["competing-fit", "--input", str(dataset_path("ed01")), "--betas",
+          "0", "--causes", "natural,cancer"],
+         "unknown cause 'cancer' (use natural, tumour)"),
+        (["ztest", "--input", str(dataset_path("table1")), "--beta", "0.5",
+          "--m", "a,b", "--d", "0"],
+         "expected comma-separated numbers, got 'a,b'"),
+    ])
+    def test_option_refusals(self, argv, message, capsys):
+        code, out = self.run(argv, capsys)
+        assert code == 2
+        assert _strict_json(out)["errors"] == [{"code": "ParseError",
+                                                "message": message}]
 
     def test_ztest_beyond_double_range_is_typed_error(self, capsys):
         code, out = self.run(["ztest", "--input", str(dataset_path("table1")),

@@ -388,6 +388,21 @@ class TestBatchedEngine:
                                                         value=0.002)),
                 [0.5], workers=0)
 
+    def test_sweep_checks_every_strength_before_a_study(self, plan1,
+                                                        monkeypatch):
+        def study(spec):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(simulate, "_study", study)
+        spec = base_spec(plan1, replications=2, contamination=(
+            ContaminationScheme("alpha0_shift", value=0.002)))
+        with pytest.raises(ValueError, match="alpha0_shift requires 0 < "
+                                             "value <= alpha0, got 0.0"):
+            contamination_sweep(spec, [0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="sweep strengths must be "
+                                             "numbers"):
+            contamination_sweep(spec, [0.0, 10**400])
+
 
 class TestSpecSeed:
     @pytest.mark.parametrize("seed", [7.9, True, np.bool_(True), "7",
