@@ -6,10 +6,10 @@ Kullback-Leibler / log-likelihood branch (not a small-beta limit), so the
 maximum likelihood fit is bit-stable.  All cell sums use numpy's pairwise
 summation.
 
-The per-cell objective terms (:func:`_dpd_terms`) and the ``F^p + S^p``
-bracket (:func:`_bracket`) are the one copy of that math;
-:func:`dpd_objective`, the solver kernel and the sandwich all call them.
-The last two read the plan's cell vectors from
+The per-cell objective terms (:func:`_dpd_terms`) and the
+``F^(beta-1) + S^(beta-1)`` bracket (:func:`_bracket`) are the one copy of
+that math; :func:`dpd_objective`, the solver kernel and the sandwich all
+call them.  The last two read the plan's cell vectors from
 :attr:`~oneshotdpd.model.TestPlan.cell_vectors` and work rows-first, as
 every table does: a per-cell array is (rows, C) for the C = I J cells of
 a plan in row-major (stress, time) order, so each elementwise step is one
@@ -110,10 +110,10 @@ def _dpd_terms(r, F, S, lt, beta: float) -> np.ndarray:
         )
 
 
-def _bracket(F, S, p: float):
-    """The ``F^p + S^p`` factor of the estimating equations and sandwich,
-    raised by one scalar exponent ``p``."""
-    return F**p + S**p
+def _bracket(F, S, beta: float):
+    """The ``F^(beta-1) + S^(beta-1)`` factor of the estimating equations
+    and of both sandwich matrices, at the one tuning parameter ``beta``."""
+    return F ** (beta - 1.0) + S ** (beta - 1.0)
 
 
 def log_likelihood(table: FailureTable, params: ModelParams) -> float:

@@ -91,7 +91,7 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, plan: TestPlan,
         clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=1)
         Fc = F.clip(_F_MIN, _F_MAX)
         Sc = S.clip(_F_MIN, _F_MAX)
-        bracket = _bracket(Fc, Sc, b - 1.0)
+        bracket = _bracket(Fc, Sc, b)
         resid = F - r
         hp = (b + 1.0) * resid * bracket
         hpp = (b + 1.0) * (

@@ -9,6 +9,17 @@ exactly to the balanced formulas when all cells have the same size.  That
 is the sandwich of a ``K_ij``-weighted objective, but the estimator weights
 cells equally, so on unbalanced plans it understates the variance.
 
+Both matrices are cell sums of ``(K_ij/Kbar) (t f)^2`` times the (1, w)
+outer product and one factor of the bracket ``b = F^(beta-1) +
+S^(beta-1)`` that the solver uses: ``b`` for ``Jbar`` and ``F S b^2`` for
+``Kbar``.  The score variance per cell is written in the literature as
+``F^(2beta-1) + S^(2beta-1) - (F^beta - S^beta)^2``; since F + S = 1 that
+equals ``F S b^2``, which keeps full relative accuracy where the
+difference cancels, when F or S is small (highly reliable devices, or
+cells that nearly all fail).  On balanced plans ``Jbar`` in theta =
+(log alpha0, alpha1) coordinates is IJ/(1+beta) times the solver's
+Hessian at observed fractions r = F.
+
 Normal tail probabilities and quantiles come from :func:`ndtr` (``math.erfc``)
 and :func:`ndtri` (``statistics.NormalDist``, Wichura's AS241); both agree
 with scipy's functions of the same names to a few units in the last place.
@@ -27,7 +38,7 @@ import numpy as np
 from .divergence import _bracket, _check_beta
 from .errors import (DegenerateVariance, InfeasibleDesign, NumericalOverflow,
                      SingularInformation)
-from .model import ModelParams, TestPlan, _cells, _plan_rates
+from .model import ModelParams, TestPlan, _cells, _integral, _plan_rates
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import FitResult
@@ -118,21 +129,20 @@ def _alpha_cell_sums(alpha: np.ndarray, plan: TestPlan, beta: float):
     """``(j_bar, k_bar)`` at the parameter rows ``alpha`` (n, 2) and the
     one tuning parameter ``beta``.
 
-    Each is the cell sum of ``(K_ij/Kbar) (t f)^2`` times its factor of
-    (F, S) and the (1, w) outer product, taken in theta = (log alpha0,
-    alpha1) coordinates and carried to (alpha0, alpha1) by the Jacobian
-    diag(1/alpha0, 1); each has shape (n, 2, 2).  The cells are evaluated
-    rows-first, (n, C), as in the solver.
+    Each is the cell sum of ``(K_ij/Kbar) (t f)^2`` times its factor (the
+    bracket ``b = F^(beta-1) + S^(beta-1)`` for J, ``F S b^2`` for K) and
+    the (1, w) outer product in theta = (log alpha0, alpha1), carried to
+    (alpha0, alpha1) by the Jacobian diag(1/alpha0, 1); each is (n, 2, 2),
+    its cells evaluated rows-first, (n, C), as in the solver.
     """
     w, w2, t, weights = plan.cell_vectors
     # F or S may underflow to 0, making F^(b-1) infinite, and 1/alpha0
     # squared may overflow; callers refuse the non-finite matrices
     with np.errstate(all="ignore"):
         _, F, S, f = _cells(alpha[:, :1] * np.exp(alpha[:, 1:] * w), t)
-        tf2 = (t * f) ** 2
-        j = weights * (tf2 * _bracket(F, S, beta - 1.0))
-        k = weights * (tf2 * (_bracket(F, S, 2.0 * beta - 1.0)
-                              - (F**beta - S**beta) ** 2))
+        b = _bracket(F, S, beta)
+        j = weights * ((t * f) ** 2 * b)
+        k = j * (F * S * b)
         sums = np.array([j, j * w, j * w2, k, k * w, k * w2]).sum(-1)
         inv = 1.0 / alpha[:, 0]
         # rows (j, k) of the (0,0), (0,1), (1,0) and (1,1) entries
@@ -155,7 +165,17 @@ def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
 
 
 def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
-    """Score-variance matrix of the divergence fit (the sandwich "meat")."""
+    """Score-variance matrix of the divergence fit (the sandwich "meat").
+
+    Sums, over stress levels i and times j,
+
+        [[1/a0^2, w/a0], [w/a0, w^2]] * t^2 f^2 F S [F^(b-1) + S^(b-1)]^2
+
+    with cells weighted by K_ij / Kbar on unbalanced plans: :func:`j_bar`'s
+    cell term times ``F S [F^(b-1) + S^(b-1)]``.  This equals the textbook
+    ``F^(2b-1) + S^(2b-1) - (F^b - S^b)^2`` factor because F + S = 1, and
+    stays accurate where that difference cancels (F or S near 0).
+    """
     return _alpha_cell_sums(params.as_array()[None], plan,
                             _check_beta(beta))[1, 0]
 
@@ -315,10 +335,16 @@ def approximate_power(
     alternative should pass ``abs_effect=True`` to use |m' alpha - d|.  A
     zero departure returns ``level`` exactly (not an error).  For strong
     alternatives the raw one-sided expression overshoots 1 (it tends to 2);
-    the returned probability is truncated at 1.  A device count beyond the
-    double range raises :class:`~oneshotdpd.errors.NumericalOverflow`.
+    the returned probability is truncated at 1.  ``devices`` is checked as
+    every device count is: a fraction, a bool or a string raises
+    ValueError, and a whole float such as 50.0 reads as 50.  A count
+    beyond the double range raises
+    :class:`~oneshotdpd.errors.NumericalOverflow`.
     """
     z_crit = _critical_value(level)
+    # an infinite count is beyond the double range, not malformed
+    if devices != math.inf:
+        devices = _integral(devices, "devices")
     if devices < 1:
         raise ValueError("devices must be >= 1")
     if not devices <= sys.float_info.max:

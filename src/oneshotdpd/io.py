@@ -16,6 +16,7 @@ exactly.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -138,46 +139,53 @@ def read_multioutcome_csv(path) -> MultiOutcomeTable:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _list_item_numbers(item: str) -> list[float]:
+    """The finite value, or start, step and stop, of one list item."""
+    parts = item.split(":")
+    if len(parts) not in (1, 3):
+        raise ParseError(
+            f"grid item {item!r} must have the form start:step:stop"
+        )
+    try:
+        numbers = [float(p) for p in parts]
+    except ValueError:
+        kind = "tuning parameter" if len(parts) == 1 else "grid item"
+        raise ParseError(f"non-numeric {kind} {item!r}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ParseError(f"non-finite tuning parameter in {item!r}")
+    return numbers
+
+
 def parse_betas(text: str) -> list[float]:
     """Parse a tuning-parameter list like ``0:0.1:1,2,3,4``.
 
     Comma-separated items are either plain values or inclusive
     ``start:step:stop`` grids, which together may hold at most
-    ``_MAX_BETA_POINTS`` values, counted before duplicates go.  The result
-    is sorted ascending with duplicates (within 1e-12) removed.
+    ``_MAX_BETA_POINTS`` values, counted before duplicates go.  Every item
+    is read before any grid is built, and a NaN or infinite number in any
+    of them (a value, a grid bound or a step) is refused.  The result is
+    sorted ascending with duplicates (within 1e-12) removed.
     """
+    items = [(item, _list_item_numbers(item))
+             for item in map(str.strip, text.split(",")) if item]
     values: list[float] = []
     too_many = f"the list holds more than {_MAX_BETA_POINTS} points"
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
+    for item, numbers in items:
+        if len(numbers) == 1:
+            values.extend(numbers)
             continue
-        if ":" in item:
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"grid item {item!r} must have the form start:step:stop"
-                )
-            try:
-                start, step, stop = (float(p) for p in parts)
-            except ValueError:
-                raise ParseError(f"non-numeric grid item {item!r}") from None
-            if step <= 0 or stop < start:
-                raise ParseError(
-                    f"grid item {item!r} needs step > 0 and stop >= start"
-                )
-            span = (stop - start) / step
-            # checked before the grid is built; a NaN or infinite span fails too
-            if not len(values) + span < _MAX_BETA_POINTS - 0.5:
-                raise ParseError(too_many)
-            count = int(round(span))
-            grid = [start + k * step for k in range(count + 1)]
-            values.extend(v for v in grid if v <= stop + 1e-9)
-        else:
-            try:
-                values.append(float(item))
-            except ValueError:
-                raise ParseError(f"non-numeric tuning parameter {item!r}") from None
+        start, step, stop = numbers
+        if step <= 0 or stop < start:
+            raise ParseError(
+                f"grid item {item!r} needs step > 0 and stop >= start"
+            )
+        span = (stop - start) / step
+        # checked before the grid is built; an infinite span fails too
+        if not len(values) + span < _MAX_BETA_POINTS - 0.5:
+            raise ParseError(too_many)
+        count = int(round(span))
+        grid = [start + k * step for k in range(count + 1)]
+        values.extend(v for v in grid if v <= stop + 1e-9)
     if not values:
         raise ParseError(f"no tuning parameters in {text!r}")
     if len(values) > _MAX_BETA_POINTS:

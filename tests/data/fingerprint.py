@@ -15,7 +15,11 @@ Each line reads ``<sha256>  <name>``.  The names cover:
   range), where many fits stall or hit the iteration cap;
 * ``inference/...``: at every estimate of those fits, usable or not, the
   ``_sandwich_rows`` outputs (``j_bar``, ``k_bar``, ``sigma``, ``ok``)
-  and the ``_z_rows`` statistics of alpha1 = 0.05, one call per beta.
+  and the ``_z_rows`` statistics of alpha1 = 0.05, one call per beta;
+  and, along the same betas, the ``_sandwich_rows`` outputs at two fixed
+  points on the table1 design near the boundary of the cell
+  probabilities: alpha0 = 1e-9, where every F is below 1e-6, and
+  alpha0 = 0.5, where every F is within 1e-12 of 1 (alpha1 = 0.05).
 
 The calls run in a temporary directory that holds copies of the bundled
 CSVs and the spec files, so the ``--input`` and ``--spec`` paths echoed in
@@ -250,6 +254,8 @@ def solver_digests():
     """The ``solver/...`` lines, then the ``inference/...`` lines."""
     rng = np.random.default_rng(2026)
     betas = parse_betas("0:0.2:1,2")
+    table1 = TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                      np.full((3, 3), 10))
     solver, inference = [], []
     for name, plan in solver_plans():
         counts = rng.integers(0, plan.devices + 1, (8,) + plan.shape)
@@ -260,6 +266,12 @@ def solver_digests():
         scalar = [out for b, beta in enumerate(betas)
                   for out in inference_outputs(alpha[:, b], plan, beta)]
         inference.append((array_digest(scalar), f"inference/{name}_scalar"))
+    for name, alpha0 in (("1e_9", 1e-9), ("0.5", 0.5)):
+        alpha = np.array([[alpha0, 0.05]])
+        sandwiches = [out for beta in betas
+                      for out in _sandwich_rows(alpha, table1, beta)]
+        inference.append((array_digest(sandwiches),
+                          f"inference/table1_alpha0_{name}"))
     return solver + inference
 
 

@@ -74,11 +74,10 @@ def ref_alpha_cell_sums(alpha, plan, beta):
         S = np.exp(-lt)
         F = -np.expm1(-lt)
         f = lam * S
-        tf2 = (plan.times * f) ** 2
-        j = weights * (tf2 * (F ** (beta - 1.0) + S ** (beta - 1.0)))
-        k = weights * (tf2 * ((F ** (2.0 * beta - 1.0)
-                               + S ** (2.0 * beta - 1.0))
-                              - (F**beta - S**beta) ** 2))
+        bracket = F ** (beta - 1.0) + S ** (beta - 1.0)
+        j = weights * ((plan.times * f) ** 2 * bracket)
+        # F S bracket^2 = F^(2b-1) + S^(2b-1) - (F^b - S^b)^2 as F + S = 1
+        k = j * (F * S * bracket)
         jac = np.stack([1.0 / alpha[..., 0], np.ones_like(alpha[..., 0])], -1)
         outer = jac[..., :, None] * jac[..., None, :]
         return (ref_theta_sum(j, plan) * outer,

@@ -24,6 +24,7 @@ from oneshotdpd import (
     z_statistic,
 )
 
+from oneshotdpd.estimator import _eval_theta
 from oneshotdpd.io import parse_betas
 
 from conftest import random_params, random_plan
@@ -128,6 +129,70 @@ class TestInformationMatrices:
             )
             assert kb[0, 0] == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha0", [1e-12, 1e-9, 0.5, 1.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_k_bar_near_the_boundary_matches_mpmath(self, plan1, alpha0,
+                                                    beta):
+        # every F is below 1e-6 at alpha0 = 1e-9 and 1e-12, within 1e-12
+        # of 1 at 0.5 and rounds to 1 at 1.0, where the definition's
+        # difference cancels (to 0 when F is 1); bound: 1e-13 relative on
+        # each entry (all are positive)
+        mp = pytest.importorskip("mpmath")
+        assert np.all(plan1.devices == 10)
+        with mp.workdps(50):
+            a0, a1, b = (mp.mpf(v) for v in (alpha0, 0.05, beta))
+            want = np.zeros((2, 2))
+            for w in map(mp.mpf, plan1.temps):
+                for t in map(mp.mpf, plan1.times):
+                    lam = a0 * mp.exp(a1 * w)
+                    S = mp.exp(-lam * t)
+                    F = 1 - S
+                    cell = (t * lam * S) ** 2 * (
+                        F ** (2 * b - 1) + S ** (2 * b - 1)
+                        - (F**b - S**b) ** 2)
+                    grad = (1 / a0, w)
+                    want += [[float(cell * u * v) for v in grad]
+                             for u in grad]
+        got = k_bar(ModelParams(alpha0, 0.05), plan1, beta)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_variance_positive_where_every_F_rounds_to_one(self, plan1,
+                                                           beta):
+        # every F rounds to 1, where F^(2b-1) + S^(2b-1) - (F^b - S^b)^2
+        # is 0 in doubles but K is positive, so Z tests stay defined
+        params = ModelParams(5.0, 0.0)
+        assert np.all(cell_probs(params, plan1)[0] == 1.0)
+        assert np.all(np.diag(sandwich(params, plan1, beta).sigma) > 0.0)
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.01)
+        assert 0.0 < approximate_power(params, plan1, beta, hyp, 50,
+                                       0.05) < 1.0
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 1.0])
+    def test_bread_is_the_solver_hessian_at_model_fractions(self, table1,
+                                                             beta):
+        # on a balanced plan, diag(alpha0, 1) j_bar diag(alpha0, 1) is
+        # IJ / (1 + beta) times the theta Hessian of the solver's
+        # objective at r = F; bound: 1e-14 relative on each entry
+        plan = table1.plan
+        rng = np.random.default_rng(31)
+        big = TestPlan(plan.temps, plan.times, np.full((3, 3), 50))
+        truth = cell_probs(ModelParams(0.004, 0.05), big)[0]
+        tables = [table1] + [FailureTable(big, rng.binomial(50, truth))
+                             for _ in range(5)]
+        for table in tables:
+            params = fit(table, beta).params
+            F = cell_probs(params, table.plan)[0]
+            theta = np.array([[np.log(params.alpha0), params.alpha1]])
+            ev, clamped = _eval_theta(theta, F.reshape(1, -1), table.plan,
+                                      beta)
+            want = (table.plan.n_cells / (1.0 + beta)
+                    * ev[[3, 4, 4, 5], 0].reshape(2, 2))
+            scale = np.array([params.alpha0, 1.0])
+            got = j_bar(params, table.plan, beta) * np.outer(scale, scale)
+            assert not clamped[0]
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
     def test_fisher_positive_definite(self, plan1):
         info = fisher_information(ModelParams(0.005, 0.05), plan1)
         assert np.allclose(info, info.T)
@@ -215,9 +280,9 @@ class TestSandwich:
 
     def test_fit_path_covariance_matches_sandwich(self, table1):
         # fit_path computes the sandwich with one call per beta over its
-        # estimates; numpy raises by a scalar exponent of -1, 0.5 or 2
-        # exactly (reciprocal, sqrt, square), and the betas 0, 0.5 and 1.5
-        # use them.  Every published beta plus 1.5:
+        # estimates; numpy raises by a scalar exponent of -1 or 0.5
+        # exactly (reciprocal, sqrt), and the betas 0 and 1.5 use them as
+        # beta - 1.  Every published beta plus 1.5:
         for r in fit_path(table1, parse_betas("0:0.1:1,1.5,2,3,4")):
             cov = sandwich(r.params, table1.plan, r.beta)
             for got, want in ((r.covariance.j_bar, cov.j_bar),
@@ -374,6 +439,20 @@ class TestPower:
             with pytest.raises(NumericalOverflow, match="device count"):
                 approximate_power(ModelParams(0.004, alpha1), plan1, 0.5,
                                   hyp, devices, 0.05)
+
+    @pytest.mark.parametrize("devices", [2.7, True, "50", np.bool_(True)])
+    def test_device_count_must_be_an_integer(self, plan1, devices):
+        # a fraction, a bool or a string is refused, never coerced
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
+        with pytest.raises(ValueError, match="devices must be an integer"):
+            approximate_power(ModelParams(0.004, 0.06), plan1, 0.5, hyp,
+                              devices, 0.05)
+
+    def test_whole_float_device_count_reads_as_int(self, plan1):
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
+        args = (ModelParams(0.004, 0.06), plan1, 0.5, hyp)
+        assert (approximate_power(*args, 50.0, 0.05)
+                == approximate_power(*args, 50, 0.05))
 
     def test_independent_high_precision_evaluation(self, plan1):
         # separate formula path: mpmath normal distribution plus the naive

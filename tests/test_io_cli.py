@@ -189,6 +189,25 @@ class TestBetaParsing:
         with pytest.raises(ParseError, match="more than"):
             parse_betas(item)
 
+    # (text, the item the refusal names): a NaN or infinity as a value, a
+    # grid bound or a step, alone or after a valid grid
+    NON_FINITE = [("0,nan,1", "nan"), ("nan:1:2", "nan:1:2"),
+                  ("0:nan:1", "0:nan:1"), ("0:1:nan", "0:1:nan"),
+                  ("0:inf:1", "0:inf:1"), ("-inf:1:2", "-inf:1:2"),
+                  ("0:1:inf", "0:1:inf"), ("0,inf", "inf"),
+                  ("0:0.5:1,-inf", "-inf")]
+
+    @pytest.mark.parametrize("text, item", NON_FINITE)
+    def test_non_finite_number_refused_before_any_grid(self, text, item,
+                                                       monkeypatch):
+        def no_range(*args):
+            raise AssertionError("grid was built")
+
+        monkeypatch.setattr(io_module, "range", no_range, raising=False)
+        with pytest.raises(ParseError) as info:
+            parse_betas(text)
+        assert str(info.value) == f"non-finite tuning parameter in {item!r}"
+
 
 class TestJsonRoundTrip:
     def test_fit_result_exact(self, table1):
@@ -307,6 +326,29 @@ class TestCli:
         )
         assert "combined_mean_lifetimes" in entry
         assert doc["diagnostics"]["converged"] is True
+
+    @pytest.mark.parametrize("text, item", TestBetaParsing.NON_FINITE)
+    def test_non_finite_betas_exit_code(self, text, item, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "study": "rmse",
+            "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+            "true_params": [0.004, 0.05], "betas": text,
+            "replications": 3, "seed": 1}))
+        out = tmp_path / "study.csv"
+        # "--betas=" keeps argparse from reading "-inf:1:2" as an option
+        for argv in (["fit-path", "--input", str(dataset_path("table1")),
+                      f"--betas={text}"],
+                     ["competing-fit", "--input", str(dataset_path("ed01")),
+                      f"--betas={text}"],
+                     ["simulate", "--spec", str(spec), "--output",
+                      str(out)]):
+            code, text_out = self.run(argv, capsys)
+            assert code == 2
+            assert _strict_json(text_out)["errors"] == [{
+                "code": "ParseError",
+                "message": f"non-finite tuning parameter in {item!r}"}]
+        assert not out.exists()
 
     def test_competing_fit_repeated_cause_refused(self, capsys):
         code, out = self.run(
