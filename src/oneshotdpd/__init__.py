@@ -19,7 +19,7 @@ from .competing import (
     fit_cause,
     fit_causes,
 )
-from .divergence import dpd, dpd_objective, dpd_split, kl_divergence, log_likelihood
+from .divergence import dpd_objective
 from .errors import (
     DegenerateVariance,
     InfeasibleDesign,
@@ -50,16 +50,13 @@ from .inference import (
 from .model import (
     FailureTable,
     ModelParams,
-    ProbabilityVector,
     TestPlan,
     cdf,
     cell_probs,
     hazard,
     mean_lifetime,
-    observed_probs,
     pdf,
     reliability,
-    theoretical_probs,
 )
 from .simulate import (
     ContaminationScheme,
@@ -89,7 +86,6 @@ __all__ = [
     "NumericalOverflow",
     "OneShotError",
     "ParseError",
-    "ProbabilityVector",
     "SandwichCovariance",
     "SimulationReport",
     "SimulationSpec",
@@ -102,9 +98,7 @@ __all__ = [
     "cell_probs",
     "combined_mean_lifetime",
     "contamination_sweep",
-    "dpd",
     "dpd_objective",
-    "dpd_split",
     "estimating_equations",
     "fisher_information",
     "fit",
@@ -115,17 +109,13 @@ __all__ = [
     "hazard",
     "j_bar",
     "k_bar",
-    "kl_divergence",
     "level_power_study",
-    "log_likelihood",
     "mean_lifetime",
-    "observed_probs",
     "pdf",
     "reliability",
     "required_devices",
     "rmse_study",
     "sandwich",
-    "theoretical_probs",
     "write_report_csv",
     "z_statistic",
 ]

@@ -37,9 +37,8 @@ from .io import (
     read_failure_csv,
     read_multioutcome_csv,
 )
-from .model import ModelParams, TestPlan, mean_lifetime, reliability
+from .model import ModelParams, mean_lifetime, reliability
 from .simulate import (
-    ContaminationScheme,
     SimulationSpec,
     _check_workers,
     _study,
@@ -216,58 +215,22 @@ def _cmd_competing_fit(args) -> dict:
     return {"results": {"fits": rows}, "diagnostics": {"converged": converged}}
 
 
-def _spec_from_json(doc: dict, seed_override: int | None) -> tuple:
+def _spec_from_json(doc, seed_override: int | None) -> tuple:
+    """The spec, study kind and sweep of a ``simulate`` document, and
+    whether its seed was generated: ``--seed`` overrides the document's."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"simulation spec must be an object, got {doc!r}")
+    seed = doc.get("seed") if seed_override is None else seed_override
+    generated = seed is None
+    if generated:
+        seed = int(np.random.SeedSequence().entropy % 2**64)
     try:
-        plan_doc = doc["plan"]
-        devices = plan_doc["devices"]
-        temps = plan_doc["temps"]
-        times = plan_doc["times"]
-        if np.isscalar(devices):
-            devices = np.full((len(temps), len(times)), devices)
-        plan = TestPlan(temps=temps, times=times, devices=devices)
-        true_params = ModelParams(*doc["true_params"])
-        cont_doc = doc.get("contamination")
-        cont_doc = {} if cont_doc is None else cont_doc
-        if not isinstance(cont_doc, dict):
-            raise ParseError(
-                f"contamination must be an object, got {cont_doc!r}")
-        contamination = ContaminationScheme(
-            mode=cont_doc.get("mode", "none"),
-            cell=tuple(cont_doc.get("cell", (0, 0))),
-            value=cont_doc.get("value"),
-        )
-        betas = doc["betas"]
-        if isinstance(betas, str):
-            betas = parse_betas(betas)
-        hypothesis = None
-        level = 0.05
-        if doc.get("hypothesis") is not None:
-            hyp_doc = doc["hypothesis"]
-            hypothesis = LinearHypothesis(
-                m=np.array(hyp_doc["m"], dtype=float), d=float(hyp_doc["d"])
-            )
-            level = float(hyp_doc.get("level", 0.05))
-        seed = seed_override
-        if seed is None:
-            seed = doc.get("seed")
-        generated = False
-        if seed is None:
-            seed = int(np.random.SeedSequence().entropy % 2**64)
-            generated = True
-        spec = SimulationSpec(
-            plan=plan,
-            true_params=true_params,
-            contamination=contamination,
-            betas=tuple(betas),
-            replications=doc["replications"],
-            seed=seed,
-            hypothesis=hypothesis,
-            level=level,
-        )
+        spec = SimulationSpec.from_dict({**doc, "seed": seed})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad simulation spec: {exc}") from exc
     # a missing study follows the hypothesis, so a report's spec re-runs
-    study = doc.get("study", "rmse" if hypothesis is None else "level_power")
+    study = doc.get("study",
+                    "rmse" if spec.hypothesis is None else "level_power")
     return spec, study, doc.get("sweep"), generated
 
 

@@ -24,7 +24,7 @@ from .competing import MultiOutcomeTable
 from .errors import ParseError
 from .estimator import FitResult
 from .inference import SandwichCovariance
-from .model import FailureTable, ModelParams, TestPlan
+from .model import FailureTable, TestPlan
 
 # most points one start:step:stop item of a tuning-parameter list may expand to
 _MAX_BETA_POINTS = 10_000
@@ -226,28 +226,3 @@ def fit_result_to_dict(result: FitResult) -> dict:
         "boundary_clamped": result.boundary_clamped,
         "covariance": covariance_to_dict(result.covariance),
     }
-
-
-def fit_result_from_dict(data: dict) -> FitResult:
-    """Rebuild a fit result from its JSON form (numbers round-trip exactly)."""
-    params = ModelParams(data["alpha0"], data["alpha1"])
-    cov = None
-    if data.get("covariance") is not None:
-        cd = data["covariance"]
-        cov = SandwichCovariance(
-            j_bar=np.array(cd["j_bar"]),
-            k_bar=np.array(cd["k_bar"]),
-            sigma=np.array(cd["sigma"]),
-            at_params=params,
-            beta=data["beta"],
-        )
-    return FitResult(
-        beta=data["beta"],
-        params=params,
-        objective=data["objective"],
-        grad_norm=data["grad_norm"],
-        iterations=data["iterations"],
-        converged=data["converged"],
-        covariance=cov,
-        boundary_clamped=data.get("boundary_clamped", False),
-    )

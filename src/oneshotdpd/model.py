@@ -173,38 +173,6 @@ class FailureTable:
         return bool(np.any((self.counts > 0) & (self.counts < self.plan.devices)))
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Length-2IJ probability vector in cell order.
-
-    Entries alternate (failure, survival) for cells enumerated row-major
-    over (stress, time).  Consecutive pairs sum to 1/(I*J) and the whole
-    vector sums to 1; both are checked at construction to 1e-12.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = _frozen_array(self.entries, float)
-        if entries.ndim != 1 or entries.size % 2 != 0 or entries.size == 0:
-            raise ValueError("entries must be a 1-d array of even positive length")
-        if np.any(entries < -1e-15) or np.any(entries > 1.0 + 1e-15):
-            raise ValueError("entries must lie in [0, 1]")
-        if abs(entries.sum() - 1.0) > 1e-12:
-            raise ValueError("entries must sum to 1 within 1e-12")
-        cell_mass = 2.0 / entries.size
-        pair_sums = entries[0::2] + entries[1::2]
-        if np.max(np.abs(pair_sums - cell_mass)) > 1e-12:
-            raise ValueError("each (failure, survival) pair must sum to 1/(I*J)")
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
 # ----------------------------------------------------------------------
 # Model functions
 # ----------------------------------------------------------------------
@@ -310,28 +278,3 @@ def cell_probs(params: ModelParams, plan: TestPlan):
     exceeds the double range.
     """
     return _plan_cells(params, plan)[1:]
-
-
-def theoretical_probs(params: ModelParams, plan: TestPlan) -> ProbabilityVector:
-    """Model probability vector (F_ij/IJ, (1-F_ij)/IJ) in cell order."""
-    F, S, _ = cell_probs(params, plan)
-    n_cells = plan.n_cells
-    entries = np.empty(2 * n_cells)
-    entries[0::2] = F.ravel() / n_cells
-    entries[1::2] = S.ravel() / n_cells
-    return ProbabilityVector(entries)
-
-
-def observed_probs(table: FailureTable) -> ProbabilityVector:
-    """Empirical probability vector (n_ij/(IJ K_ij), (K_ij-n_ij)/(IJ K_ij)).
-
-    With a constant cell size K this is the usual n_ij/(IJK) layout; the
-    per-cell form keeps each (failure, survival) pair summing to 1/(I*J)
-    for unbalanced plans as well.
-    """
-    n_cells = table.plan.n_cells
-    freq = table.frequencies
-    entries = np.empty(2 * n_cells)
-    entries[0::2] = freq.ravel() / n_cells
-    entries[1::2] = (1.0 - freq).ravel() / n_cells
-    return ProbabilityVector(entries)

@@ -30,13 +30,16 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergence import _check_betas
+from .errors import ParseError
 from .estimator import _fit_rows
 from .inference import LinearHypothesis, _critical_value, _z_rows
+from .io import parse_betas
 from .model import FailureTable, ModelParams, TestPlan, _integral, cell_probs
 
 _MODES = ("none", "alpha0_shift", "alpha1_shift")
@@ -51,6 +54,16 @@ _MAX_FITS = 10**7
 def _check_workers(workers: int) -> None:
     if not workers >= 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _numbers(value, name: str):
+    """``value`` if it is a number or a list of numbers; a bool or a
+    string is refused with ValueError instead of being read as one."""
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in items):
+        raise ValueError(f"{name} takes numbers only, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -136,6 +149,53 @@ class SimulationSpec:
         F.setflags(write=False)
         object.__setattr__(self, "failure_probs", F)
         _critical_value(self.level)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> SimulationSpec:
+        """The spec that :meth:`to_dict` wrote as ``doc``: its exact inverse.
+
+        A document may also give one ``devices`` count for every cell,
+        leave ``contamination`` out (or null), give ``betas`` as a list
+        string such as ``"0:0.1:1,2"`` (see :func:`~oneshotdpd.io.parse_betas`)
+        and leave the hypothesis's ``level`` out for 0.05.  Every
+        real-valued field takes JSON numbers only: a bool or a string is
+        refused, as the integer fields refuse them.  A bad document raises
+        KeyError, TypeError, ValueError, ParseError or, for rates that
+        overflow, NumericalOverflow.
+        """
+        plan_doc = doc["plan"]
+        devices = plan_doc["devices"]
+        temps = _numbers(plan_doc["temps"], "temps")
+        times = _numbers(plan_doc["times"], "times")
+        if np.isscalar(devices):
+            devices = np.full((len(temps), len(times)), devices)
+        plan = TestPlan(temps=temps, times=times, devices=devices)
+        true_params = ModelParams(*_numbers(doc["true_params"], "true_params"))
+        cont_doc = doc.get("contamination")
+        cont_doc = {} if cont_doc is None else cont_doc
+        if not isinstance(cont_doc, dict):
+            raise ParseError(
+                f"contamination must be an object, got {cont_doc!r}")
+        value = cont_doc.get("value")
+        if value is not None:
+            _numbers(value, "contamination value")
+        contamination = ContaminationScheme(
+            mode=cont_doc.get("mode", "none"),
+            cell=tuple(cont_doc.get("cell", (0, 0))), value=value)
+        betas = doc["betas"]
+        betas = (parse_betas(betas) if isinstance(betas, str)
+                 else _numbers(betas, "betas"))
+        hypothesis, level = None, 0.05
+        hyp_doc = doc.get("hypothesis")
+        if hyp_doc is not None:
+            hypothesis = LinearHypothesis(
+                m=np.array(_numbers(hyp_doc["m"], "m"), dtype=float),
+                d=float(_numbers(hyp_doc["d"], "d")))
+            level = float(_numbers(hyp_doc.get("level", 0.05), "level"))
+        return cls(plan=plan, true_params=true_params,
+                   contamination=contamination, betas=tuple(betas),
+                   replications=doc["replications"], seed=doc["seed"],
+                   hypothesis=hypothesis, level=level)
 
     def to_dict(self) -> dict:
         return {

@@ -1,0 +1,181 @@
+"""Reference oracles: the paper's vector-form definitions.
+
+The minimum DPD estimator is defined through the density power divergence
+between the 2IJ-point observed and model probability vectors.  The package
+minimises an equivalent per-cell objective
+(:func:`oneshotdpd.divergence.dpd_objective`, built on
+``divergence._dpd_terms``); the definitions here state the divergence
+directly, so the tests can check that both have the same minimiser, and
+the beta = 0 branch against the binomial log-likelihood.  A JSON fit
+result is rebuilt by :func:`fit_result_from_dict` to check that the CLI's
+numbers round-trip exactly.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from oneshotdpd.divergence import _check_beta
+from oneshotdpd.estimator import FitResult
+from oneshotdpd.inference import SandwichCovariance
+from oneshotdpd.model import (FailureTable, ModelParams, TestPlan,
+                              _frozen_array, _plan_cells, cell_probs)
+
+
+@dataclass(frozen=True)
+class ProbabilityVector:
+    """Length-2IJ probability vector in cell order.
+
+    Entries alternate (failure, survival) for cells enumerated row-major
+    over (stress, time).  Consecutive pairs sum to 1/(I*J) and the whole
+    vector sums to 1; both are checked at construction to 1e-12.
+    """
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        entries = _frozen_array(self.entries, float)
+        if entries.ndim != 1 or entries.size % 2 != 0 or entries.size == 0:
+            raise ValueError("entries must be a 1-d array of even positive length")
+        if np.any(entries < -1e-15) or np.any(entries > 1.0 + 1e-15):
+            raise ValueError("entries must lie in [0, 1]")
+        if abs(entries.sum() - 1.0) > 1e-12:
+            raise ValueError("entries must sum to 1 within 1e-12")
+        cell_mass = 2.0 / entries.size
+        pair_sums = entries[0::2] + entries[1::2]
+        if np.max(np.abs(pair_sums - cell_mass)) > 1e-12:
+            raise ValueError("each (failure, survival) pair must sum to 1/(I*J)")
+        object.__setattr__(self, "entries", entries)
+
+
+def theoretical_probs(params: ModelParams, plan: TestPlan) -> ProbabilityVector:
+    """Model probability vector (F_ij/IJ, (1-F_ij)/IJ) in cell order."""
+    F, S, _ = cell_probs(params, plan)
+    n_cells = plan.n_cells
+    entries = np.empty(2 * n_cells)
+    entries[0::2] = F.ravel() / n_cells
+    entries[1::2] = S.ravel() / n_cells
+    return ProbabilityVector(entries)
+
+
+def observed_probs(table: FailureTable) -> ProbabilityVector:
+    """Empirical probability vector (n_ij/(IJ K_ij), (K_ij-n_ij)/(IJ K_ij)).
+
+    With a constant cell size K this is the usual n_ij/(IJK) layout; the
+    per-cell form keeps each (failure, survival) pair summing to 1/(I*J)
+    for unbalanced plans as well.
+    """
+    n_cells = table.plan.n_cells
+    freq = table.frequencies
+    entries = np.empty(2 * n_cells)
+    entries[0::2] = freq.ravel() / n_cells
+    entries[1::2] = (1.0 - freq).ravel() / n_cells
+    return ProbabilityVector(entries)
+
+
+def _pair(p, q):
+    """Entry arrays of two probability vectors of the same length."""
+    p, q = (np.asarray(getattr(v, "entries", v), dtype=float) for v in (p, q))
+    if p.shape != q.shape:
+        raise ValueError("p and q must have the same length")
+    return p, q
+
+
+def kl_divergence(p, q) -> float:
+    """Kullback-Leibler divergence sum(p * log(p / q)).
+
+    Uses the 0 * log 0 = 0 convention.  Where q is zero but p is not, the
+    divergence is +inf (returned, not raised).
+    """
+    p, q = _pair(p, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
+    return float(np.sum(terms))
+
+
+def dpd(p, q, beta: float) -> float:
+    """Density power divergence between probability vectors ``p`` and ``q``.
+
+    For ``beta > 0`` this is ``sum(q^(1+b) - (1 + 1/b) q^b p + p^(1+b)/b)``;
+    at ``beta = 0`` it continuously becomes the Kullback-Leibler divergence.
+
+    Parameters
+    ----------
+    p, q : ProbabilityVector or array-like
+        Vectors of matching length on the simplex.
+    beta : float
+        Non-negative tuning parameter.
+    """
+    beta = _check_beta(beta)
+    if beta == 0.0:
+        return kl_divergence(p, q)
+    p, q = _pair(p, q)
+    terms = (
+        q ** (beta + 1.0)
+        - (1.0 + 1.0 / beta) * q**beta * p
+        + p ** (beta + 1.0) / beta
+    )
+    return float(np.sum(terms))
+
+
+def dpd_split(table: FailureTable, params: ModelParams, beta: float):
+    """Failure-entry and survival-entry parts of the vector divergence.
+
+    Splits ``dpd(observed_probs(table), theoretical_probs(params, ...), beta)``
+    into the partial sum over failure entries and the partial sum over
+    survival entries; the two parts add back to the full divergence.
+    Requires ``beta > 0`` (the log branch at 0 does not split this way).
+    """
+    beta = _check_beta(beta)
+    if beta == 0.0:
+        raise ValueError("dpd_split requires beta > 0; use log_likelihood or "
+                         "kl_divergence for the beta = 0 branch")
+    F, S, _ = cell_probs(params, table.plan)
+    n_cells = table.plan.n_cells
+    r = table.frequencies
+    return (dpd(r / n_cells, F / n_cells, beta),
+            dpd((1.0 - r) / n_cells, S / n_cells, beta))
+
+
+def log_likelihood(table: FailureTable, params: ModelParams) -> float:
+    """Binomial log-likelihood of the failure table under ``params``.
+
+    Cells with zero counts on one side contribute nothing from that side.
+    Data impossible under ``params`` (failures where the failure probability
+    is exactly 0) give -inf.  Survivor terms use log survival = -lambda t
+    evaluated exactly, so enormous rates give a finite, very negative value
+    instead of overflowing through log(1 - F).
+    """
+    lt, F, _, _ = _plan_cells(params, table.plan)
+    n = table.counts
+    K = table.plan.devices
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fail_terms = np.where(n > 0, n * np.log(F), 0.0)
+        surv_terms = np.where(n < K, -(K - n) * lt, 0.0)
+    total = float(np.sum(fail_terms) + np.sum(surv_terms))
+    return total if not np.isnan(total) else -np.inf
+
+
+def fit_result_from_dict(data: dict) -> FitResult:
+    """Rebuild a fit result from its JSON form (numbers round-trip exactly)."""
+    params = ModelParams(data["alpha0"], data["alpha1"])
+    cov = None
+    if data.get("covariance") is not None:
+        cd = data["covariance"]
+        cov = SandwichCovariance(
+            j_bar=np.array(cd["j_bar"]),
+            k_bar=np.array(cd["k_bar"]),
+            sigma=np.array(cd["sigma"]),
+            at_params=params,
+            beta=data["beta"],
+        )
+    return FitResult(
+        beta=data["beta"],
+        params=params,
+        objective=data["objective"],
+        grad_norm=data["grad_norm"],
+        iterations=data["iterations"],
+        converged=data["converged"],
+        covariance=cov,
+        boundary_clamped=data.get("boundary_clamped", False),
+    )

@@ -6,17 +6,19 @@ from oneshotdpd import (
     ModelParams,
     TestPlan,
     cdf,
-    dpd,
     dpd_objective,
-    dpd_split,
     estimating_equations,
+)
+
+from conftest import random_params
+from oracles import (
+    dpd,
+    dpd_split,
     kl_divergence,
     log_likelihood,
     observed_probs,
     theoretical_probs,
 )
-
-from conftest import random_params
 
 
 def random_simplex_pair(rng, size):

@@ -24,7 +24,6 @@ from oneshotdpd import (ContaminationScheme, LinearHypothesis, ModelParams,
 from oneshotdpd.cli import _build_parser, _cmd_simulate, main
 from oneshotdpd.datasets import dataset_path
 from oneshotdpd.io import (
-    fit_result_from_dict,
     fit_result_to_dict,
     parse_betas,
     read_failure_csv,
@@ -32,6 +31,7 @@ from oneshotdpd.io import (
 )
 
 from conftest import PROPERTY
+from oracles import fit_result_from_dict
 
 # pinned fixture digests: the bundled tables must never drift
 DATASET_SHA256 = {
@@ -771,6 +771,19 @@ class TestCli:
         ("contamination", []),
         # more fits than a study may hold, refused before any allocation
         ("replications", 10**12),
+        # a JSON string or boolean is not a number
+        ("hypothesis", {"m": [0.0, 1.0], "d": "0.05"}),
+        ("hypothesis", {"m": [0.0, 1.0], "d": True}),
+        ("hypothesis", {"m": [False, True], "d": 0.05}),
+        ("hypothesis", {"m": ["0", "1"], "d": 0.05}),
+        ("hypothesis", {"m": [0.0, 1.0], "d": 0.05, "level": "0.1"}),
+        ("plan", {"temps": ["35", "45"], "times": [10, 20], "devices": 10}),
+        ("plan", {"temps": [35, 45], "times": [10, True], "devices": 10}),
+        ("betas", [False, True]),
+        ("true_params", [True, 0.05]),
+        ("contamination", {"mode": "alpha1_shift", "cell": [0, 0],
+                           "value": False}),
+        ("contamination", {"mode": "none", "value": "x"}),
     ])
     def test_simulate_spec_non_finite_refused(self, field, value, tmp_path,
                                               capsys):
@@ -790,6 +803,21 @@ class TestCli:
                                "--output", str(out)], capsys)
         assert code == 2
         assert _strict_json(text)["errors"][0]["code"] == "ParseError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, got", [([1, 2], "[1, 2]"),
+                                          (None, "None"), ("x", "'x'")])
+    def test_simulate_spec_must_be_an_object(self, doc, got, tmp_path,
+                                             capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "study.csv"
+        code, text = self.run(["simulate", "--spec", str(spec), "--output",
+                               str(out)], capsys)
+        assert code == 2
+        assert _strict_json(text)["errors"] == [{
+            "code": "ParseError",
+            "message": f"simulation spec must be an object, got {got}"}]
         assert not out.exists()
 
     def test_simulate_descending_betas_refused(self, tmp_path, capsys):

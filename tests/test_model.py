@@ -8,22 +8,24 @@ from oneshotdpd import (
     FailureTable,
     ModelParams,
     NumericalOverflow,
-    ProbabilityVector,
     SimulationSpec,
     TestPlan,
     cdf,
     cell_probs,
     dpd_objective,
     hazard,
-    log_likelihood,
     mean_lifetime,
-    observed_probs,
     pdf,
     reliability,
-    theoretical_probs,
 )
 
 from conftest import random_params, random_plan, random_table
+from oracles import (
+    ProbabilityVector,
+    log_likelihood,
+    observed_probs,
+    theoretical_probs,
+)
 
 # high-precision reference values (30-digit evaluation of the closed forms)
 HAZARD_005_35 = 0.0287730133800286521843324985242

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oneshotdpd import estimator, simulate
 from oneshotdpd import (
@@ -21,6 +23,8 @@ from oneshotdpd import (
 )
 from oneshotdpd.inference import _critical_value, _z_rows, ndtri
 from oneshotdpd.io import parse_betas
+
+from conftest import PROPERTY
 
 # per-(replication, beta) alpha0, alpha1 and Z of the golden specs,
 # recorded one replication at a time through the public API: fit_path of
@@ -468,14 +472,62 @@ class TestReportSerialization:
         assert float(first[2]) == report.rmse_alpha0[0]
 
     def test_json_round_trip_is_exact(self, plan1):
-        import json
-
         plan = plan_with_k(plan1, 20)
         report = rmse_study(base_spec(plan, betas=(0.3,), replications=20,
                                       seed=13))
         parsed = json.loads(report.to_json())
         assert parsed["rmse_alpha0"][0] == report.rmse_alpha0[0]
         assert parsed["spec"]["seed"] == 13
+
+
+@st.composite
+def specs(draw):
+    """Specs on balanced and unbalanced plans, in every contamination
+    mode, with and without a hypothesis."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    temps = draw(st.lists(st.floats(-50.0, 80.0), min_size=shape[0],
+                          max_size=shape[0], unique=True))
+    times = draw(st.lists(st.floats(0.1, 100.0), min_size=shape[1],
+                          max_size=shape[1]))
+    n_cells = shape[0] * shape[1]
+    counts = st.integers(1, 500)
+    if draw(st.booleans()):
+        devices = np.full(shape, draw(counts))
+    else:
+        devices = np.reshape(draw(st.lists(counts, min_size=n_cells,
+                                           max_size=n_cells)), shape)
+    truth = ModelParams(draw(st.floats(1e-5, 0.05)),
+                        draw(st.floats(-0.05, 0.05)))
+    mode = draw(st.sampled_from(["none", "alpha0_shift", "alpha1_shift"]))
+    cell = (draw(st.integers(0, shape[0] - 1)),
+            draw(st.integers(0, shape[1] - 1)))
+    value = {"none": None,
+             "alpha0_shift": truth.alpha0 * draw(st.floats(0.01, 1.0)),
+             "alpha1_shift": truth.alpha1 - draw(st.floats(0.0, 0.05))}[mode]
+    betas = sorted(draw(st.lists(st.one_of(st.just(0.0),
+                                           st.floats(0.01, 3.0)),
+                                 min_size=1, max_size=4)))
+    hypothesis, level = None, 0.05
+    if draw(st.booleans()):
+        m = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+                 .filter(any))
+        hypothesis = LinearHypothesis(np.array(m), draw(st.floats(-1.0, 1.0)))
+        level = draw(st.floats(0.001, 0.5))
+    return SimulationSpec(
+        TestPlan(temps, times, devices), truth,
+        ContaminationScheme(mode, cell, value),
+        tuple(betas), draw(st.integers(1, 1000)),
+        draw(st.integers(0, 2**64 - 1)), hypothesis, level)
+
+
+class TestSpecCodec:
+    @PROPERTY
+    @given(specs())
+    def test_from_dict_inverts_to_dict(self, spec):
+        # compared as dicts: == on the specs' plan arrays is ambiguous
+        doc = spec.to_dict()
+        assert SimulationSpec.from_dict(
+            json.loads(json.dumps(doc))).to_dict() == doc
 
 
 class TestExactOracle:
