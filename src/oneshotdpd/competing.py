@@ -90,7 +90,12 @@ class CauseFit:
 
 
 def cause_table(data: MultiOutcomeTable, cause: Cause) -> FailureTable:
-    """Failure table for one cause: its deaths out of all animals per cell."""
+    """Failure table for one cause: its deaths out of all animals per cell.
+
+    Raises ``ValueError`` when ``cause`` is not a :class:`Cause` member.
+    """
+    if not isinstance(cause, Cause):
+        raise ValueError(f"cause must be a Cause member, got {cause!r}")
     counts = data.died_natural if cause is Cause.NATURAL else data.died_tumour
     return FailureTable(plan=data.plan, counts=counts)
 
@@ -105,9 +110,10 @@ def fit_causes(
     The causes share ``data.plan``, so they are fitted together as the rows
     of one warm-started path (see :func:`~oneshotdpd.estimator.fit_path`).
     Returns, per beta, one :class:`CauseFit` per cause in ``causes`` order.
-    Raises :class:`~oneshotdpd.errors.NoInteriorData` when a cause has no
-    cell with a count strictly between 0 and its size, and otherwise as
-    :func:`~oneshotdpd.estimator.fit` does.
+    Raises ``ValueError`` when a cause is not a :class:`Cause` member (see
+    :func:`cause_table`), :class:`~oneshotdpd.errors.NoInteriorData` when
+    a cause has no cell with a count strictly between 0 and its size, and
+    otherwise as :func:`~oneshotdpd.estimator.fit` does.
     """
     causes = list(causes)
     if not causes:

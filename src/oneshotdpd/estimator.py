@@ -195,8 +195,9 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
     gradient fails every trial), a step below ``_STEP_TOL``, pass
     ``_MAX_ITERS`` or the polish step of a gradient within ``_GRAD_TOL``,
     which counts one more iteration than the pass; its outputs are written
-    once, in the pass it stops.  Returns per-row arrays (theta, objective,
-    grad_norm, iterations, clamped).
+    once, in the pass it stops.  Returns per-row arrays by name: theta,
+    objective, grad_norm, iterations, boundary_clamped and converged, the
+    one convergence decision: a final gradient within ``_GRAD_TOL``.
     """
     n = len(theta0)
     # the running rows: their indices, points, values, fractions and flags
@@ -265,7 +266,10 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
             stay = np.flatnonzero(~leave)
             rows, cl = rows.take(stay), cl.take(stay)
             th, at, ra = th.take(stay, 0), at.take(stay, 1), ra.take(stay, 0)
-    return theta, ev[0], np.abs(ev[1:3]).max(axis=0), iterations, clamped
+    grad_norm = np.abs(ev[1:3]).max(axis=0)
+    return {"theta": theta, "objective": ev[0], "grad_norm": grad_norm,
+            "iterations": iterations, "boundary_clamped": clamped,
+            "converged": grad_norm <= _GRAD_TOL}
 
 
 def _direction(gh: np.ndarray):
@@ -302,26 +306,25 @@ def _direction(gh: np.ndarray):
 def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
     """Fit every table row of ``r`` (rows, I, J) along the sorted ``betas``.
 
-    A row starts from its last usable fit (converged, alpha0 = exp(theta0)
-    a positive finite double) or else from :func:`_data_starts`, and every
-    beta is one :func:`_newton` call over all rows.  Returns (row, beta)
-    arrays: ``alpha``, the other :func:`_newton` outputs, and the
-    ``usable`` mask.
+    A row starts from its last converged fit or else from
+    :func:`_data_starts`, and every beta is one :func:`_newton` call over
+    all rows.  Returns (row, beta) arrays by name: ``alpha``, then the
+    :func:`_newton` outputs, with ``converged`` kept only where alpha0 =
+    exp(theta0) is a positive finite double.
     """
     warm = _data_starts(r, plan)
     path = []
     for beta in betas:
-        theta, fval, grad_norm, iterations, clamped = _newton(
-            warm, r, plan, beta)
+        fits = _newton(warm, r, plan, beta)
+        theta = fits.pop("theta")
         with np.errstate(over="ignore"):
             alpha = np.column_stack([np.exp(theta[:, 0]), theta[:, 1]])
-        usable = ((grad_norm <= _GRAD_TOL) & np.isfinite(alpha[:, 0])
-                  & (alpha[:, 0] > 0.0))
-        warm[usable] = np.column_stack([np.log(alpha[usable, 0]),
-                                        alpha[usable, 1]])
-        path.append((alpha, fval, grad_norm, iterations, clamped, usable))
-    # (beta, row, ...) arrays viewed as (row, beta, ...)
-    return [np.array(v).swapaxes(0, 1) for v in zip(*path)]
+        ok = fits["converged"]
+        ok &= np.isfinite(alpha[:, 0]) & (alpha[:, 0] > 0.0)
+        warm[ok] = np.column_stack([np.log(alpha[ok, 0]), alpha[ok, 1]])
+        path.append({"alpha": alpha, **fits})
+    return {name: np.stack([fits[name] for fits in path], axis=1)
+            for name in path[0]}
 
 
 def fit(table: FailureTable, beta: float) -> FitResult:
@@ -368,7 +371,8 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
         )
     plan = tables[0].plan
     r = np.stack([table.frequencies for table in tables])
-    alpha, *path, usable = _fit_rows(r, plan, betas)
+    fits = _fit_rows(r, plan, betas)
+    alpha = fits.pop("alpha")
     # exp(log alpha0) leaves the double range on plans such as subnormal
     # inspection times
     if not (np.isfinite(alpha[..., 0]) & (alpha[..., 0] > 0.0)).all():
@@ -376,23 +380,19 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
             "the fitted alpha0 is not a positive finite double")
     sandwiches = [inference._sandwich_rows(alpha[:, b], plan, beta)
                   for b, beta in enumerate(betas)]
+    columns = {name: v.tolist() for name, v in fits.items()}
     results = []
     for k in range(len(tables)):
         results.append([])
         for b, beta in enumerate(betas):
-            p = ModelParams(float(alpha[k, b, 0]), float(alpha[k, b, 1]))
+            p = ModelParams(*alpha[k, b].tolist())
             jb, kb, sigma, ok = (v[k] for v in sandwiches[b])
-            fval, grad_norm, iterations, clamped = (v[k, b] for v in path)
             results[-1].append(FitResult(
                 beta=beta,
                 params=p,
-                objective=float(fval),
-                grad_norm=float(grad_norm),
-                iterations=int(iterations),
-                converged=bool(usable[k, b]),
                 covariance=inference.SandwichCovariance(
                     j_bar=jb, k_bar=kb, sigma=sigma, at_params=p, beta=beta
                 ) if ok else None,
-                boundary_clamped=bool(clamped),
+                **{name: column[k][b] for name, column in columns.items()},
             ))
     return results

@@ -158,10 +158,13 @@ def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
 
         [[1/a0^2, w/a0], [w/a0, w^2]] * t^2 f^2 [F^(b-1) + (1-F)^(b-1)]
 
-    with cells weighted by K_ij / Kbar on unbalanced plans.
+    with cells weighted by K_ij / Kbar on unbalanced plans.  Raises
+    :class:`~oneshotdpd.errors.NumericalOverflow`, as :func:`sandwich`
+    does, when a rate at a plan stress exceeds the double range.
     """
-    return _alpha_cell_sums(params.as_array()[None], plan,
-                            _check_beta(beta))[0, 0]
+    beta = _check_beta(beta)
+    _plan_rates(params, plan)
+    return _alpha_cell_sums(params.as_array()[None], plan, beta)[0, 0]
 
 
 def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
@@ -174,17 +177,20 @@ def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
     with cells weighted by K_ij / Kbar on unbalanced plans: :func:`j_bar`'s
     cell term times ``F S [F^(b-1) + S^(b-1)]``.  This equals the textbook
     ``F^(2b-1) + S^(2b-1) - (F^b - S^b)^2`` factor because F + S = 1, and
-    stays accurate where that difference cancels (F or S near 0).
+    stays accurate where that difference cancels (F or S near 0).  Raises
+    as :func:`j_bar` does.
     """
-    return _alpha_cell_sums(params.as_array()[None], plan,
-                            _check_beta(beta))[1, 0]
+    beta = _check_beta(beta)
+    _plan_rates(params, plan)
+    return _alpha_cell_sums(params.as_array()[None], plan, beta)[1, 0]
 
 
 def fisher_information(params: ModelParams, plan: TestPlan) -> np.ndarray:
     """Per-device Fisher information matrix of the binomial model.
 
     Equals ``j_bar(params, plan, 0) / (I*J)`` for every plan (the cell
-    weighting carries over on unbalanced plans).
+    weighting carries over on unbalanced plans).  Raises as :func:`j_bar`
+    does.
     """
     return j_bar(params, plan, 0.0) / plan.n_cells
 

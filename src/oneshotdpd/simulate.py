@@ -333,10 +333,13 @@ def _draw_counts(spec: SimulationSpec, indices, rng: np.random.Generator
 def generate_table(spec: SimulationSpec, replication_index: int
                    ) -> FailureTable:
     """Draw one table from the Philox stream keyed by (seed,
-    replication_index)."""
+    replication_index).  The index, like the seed, must be an integer in
+    [0, 2**64); anything else raises ValueError."""
+    index = _integral(replication_index, "replication_index")
+    if not 0 <= index < 2**64:
+        raise ValueError("replication_index must fit in 64 bits")
     rng = np.random.Generator(np.random.Philox(0))
-    return FailureTable(spec.plan,
-                        _draw_counts(spec, [replication_index], rng)[0])
+    return FailureTable(spec.plan, _draw_counts(spec, [index], rng)[0])
 
 
 def _replication_fits(spec: SimulationSpec):
@@ -360,10 +363,10 @@ def _replication_fits(spec: SimulationSpec):
         reps = lo + np.flatnonzero(interior)
         if reps.size == 0:
             continue
-        est, *_, usable = _fit_rows(counts[interior] / devices, spec.plan,
-                                    spec.betas)
+        fits = _fit_rows(counts[interior] / devices, spec.plan, spec.betas)
+        est = fits["alpha"]
         for b, beta in enumerate(spec.betas):
-            ok = usable[:, b]
+            ok = fits["converged"][:, b]
             alpha[reps[ok], b] = est[ok, b]
             if spec.hypothesis is not None:
                 stat[reps[ok], b] = _z_rows(est[ok, b], spec.plan, beta,

@@ -261,8 +261,8 @@ def solver_digests():
         counts = rng.integers(0, plan.devices + 1, (8,) + plan.shape)
         interior = ((counts > 0) & (counts < plan.devices)).any(axis=(1, 2))
         fits = _fit_rows(counts[interior] / plan.devices, plan, betas)
-        solver.append((array_digest(fits), f"solver/{name}"))
-        alpha = fits[0]
+        solver.append((array_digest(fits.values()), f"solver/{name}"))
+        alpha = fits["alpha"]
         scalar = [out for b, beta in enumerate(betas)
                   for out in inference_outputs(alpha[:, b], plan, beta)]
         inference.append((array_digest(scalar), f"inference/{name}_scalar"))

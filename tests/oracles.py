@@ -8,9 +8,12 @@ minimises an equivalent per-cell objective
 directly, so the tests can check that both have the same minimiser, and
 the beta = 0 branch against the binomial log-likelihood.  A JSON fit
 result is rebuilt by :func:`fit_result_from_dict` to check that the CLI's
-numbers round-trip exactly.
+numbers round-trip exactly.  :func:`certify` proves, in interval
+arithmetic, that a reported fit has a strict local minimiser of the
+solver's objective next to it.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,3 +182,64 @@ def fit_result_from_dict(data: dict) -> FitResult:
         covariance=cov,
         boundary_clamped=data.get("boundary_clamped", False),
     )
+
+
+def _theta_derivatives(iv, r, plan: TestPlan, beta: float, th0, th1):
+    """The solver's theta gradient and Hessian, ``g0, g1, h00, h01, h11``
+    of ``estimator._eval_theta`` without its clamping, over the intervals
+    ``(th0, th1)``: written out cell by cell in ``mpmath.iv``."""
+    b = iv.mpf(beta)
+    sums = [iv.mpf(0)] * 5
+    cells = itertools.product(plan.temps.tolist(), plan.times.tolist())
+    for (w, t), frac in zip(cells, np.ravel(r).tolist()):
+        lt = iv.exp(th0 + th1 * w) * t
+        S = iv.exp(-lt)
+        F = -iv.expm1(-lt)
+        tf = lt * S
+        resid = F - frac
+        bracket = F ** (b - 1) + S ** (b - 1)
+        hp = (b + 1) * resid * bracket
+        hpp = (b + 1) * (bracket
+                         + (b - 1) * resid * (F ** (b - 2) - S ** (b - 2)))
+        g = hp * tf
+        h = hpp * tf * tf + hp * tf * (1 - lt)
+        for k, term in enumerate((g, g * w, h, h * w, h * w * w)):
+            sums[k] += term
+    return [total / plan.n_cells for total in sums]
+
+
+def certify(r, plan: TestPlan, beta: float, theta, radius: float):
+    """A Krawczyk (1969) certificate for the fit ``theta`` = (log alpha0,
+    alpha1) of the failure fractions ``r`` (I, J) on ``plan``.
+
+    Over the box X of half-width ``radius`` about x = ``theta``, in 80-bit
+    interval arithmetic, with Y a float inverse of the midpoint of the
+    interval Hessian H(X): when the Krawczyk image
+
+        K(X) = x - Y g(x) + (I - Y H(X)) (X - x)
+
+    lies inside X, the gradient g has exactly one zero in X, and when
+    H(X) is positive definite (h00 > 0 and det > 0 over X) that zero is a
+    strict local minimiser of the solver's objective.  Returns K(X), the
+    pair of intervals that encloses it, or None when either test fails.
+    """
+    from mpmath import iv
+
+    prec, iv.prec = iv.prec, 80
+    try:
+        x = [iv.mpf(float(v)) for v in theta]
+        X = [v + iv.mpf([-radius, radius]) for v in x]
+        g = _theta_derivatives(iv, r, plan, beta, *x)[:2]
+        h00, h01, h11 = _theta_derivatives(iv, r, plan, beta, *X)[2:]
+        if not (h00.a > 0 and (h00 * h11 - h01 * h01).a > 0):
+            return None
+        H = [[h00, h01], [h01, h11]]
+        Y = np.linalg.inv([[float(h.mid) for h in row] for row in H]).tolist()
+        K = [x[i] - (Y[i][0] * g[0] + Y[i][1] * g[1])
+             + sum(((i == j) - Y[i][0] * H[0][j] - Y[i][1] * H[1][j])
+                   * (X[j] - x[j]) for j in range(2))
+             for i in range(2)]
+        inside = all(X[i].a < K[i].a and K[i].b < X[i].b for i in range(2))
+        return K if inside else None
+    finally:
+        iv.prec = prec

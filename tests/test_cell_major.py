@@ -154,9 +154,10 @@ class TestRowsAreIndependent:
             stacked = _fit_rows(r, plan, BETAS)
             for k in range(len(r)):
                 alone = _fit_rows(r[k:k + 1], plan, BETAS)
-                for got, want in zip(stacked, alone):
-                    same_bytes(got[k:k + 1], want)
-            alpha, usable = stacked[0], stacked[-1]
+                assert list(stacked) == list(alone)
+                for name, got in stacked.items():
+                    same_bytes(got[k:k + 1], alone[name])
+            alpha, usable = stacked["alpha"], stacked["converged"]
             for b, beta in enumerate(BETAS):
                 rows = alpha[usable[:, b], b]
                 jb, kb, sigma, ok = _sandwich_rows(rows, plan, beta)

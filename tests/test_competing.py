@@ -46,6 +46,16 @@ class TestCauseTable:
         tab = cause_table(ed01, Cause.NATURAL)
         assert tab.counts.tolist() == [[22, 42, 200], [49, 54, 64]]
 
+    @pytest.mark.parametrize("cause", ["natural", 1, None])
+    def test_cause_must_be_a_member(self, ed01, cause):
+        # anything else would fit the tumour counts under its own label
+        with pytest.raises(ValueError, match="Cause member"):
+            cause_table(ed01, cause)
+        with pytest.raises(ValueError, match="Cause member"):
+            fit_cause(ed01, cause, 0.5)
+        with pytest.raises(ValueError, match="Cause member"):
+            fit_causes(ed01, [0.5], [Cause.NATURAL, cause])
+
     def test_benzidine_zero_cause_cells_allowed(self, benzidine):
         tab = cause_table(benzidine, Cause.TUMOUR)
         assert tab.counts[0, 0] == 0

@@ -21,10 +21,13 @@ from oneshotdpd import (
     fit_cause,
     fit_path,
 )
+from oneshotdpd import simulate
 from oneshotdpd.estimator import _data_starts
 from oneshotdpd.io import parse_betas
 
 from conftest import PROPERTY, random_params, random_plan, random_table
+from oracles import certify
+from test_simulate import k3_spec
 
 # published estimates for the bundled 3x3 experiment
 TABLE2_SPOT = {0.0: (0.00487, 0.04732), 0.5: (0.00493, 0.04695),
@@ -133,8 +136,8 @@ class TestFit:
 
         start = ModelParams(0.02, 0.01)
         theta0 = np.array([[np.log(start.alpha0), start.alpha1]])
-        _, objective, *_ = _newton(theta0, table1.frequencies[None],
-                                   table1.plan, 0.5)
+        objective = _newton(theta0, table1.frequencies[None], table1.plan,
+                            0.5)["objective"]
         assert objective[0] <= dpd_objective(table1, start, 0.5) + 1e-12
 
     def test_no_interior_data_all_zero(self):
@@ -324,6 +327,11 @@ class TestDataStarts:
         got = _data_starts(r, recoded)
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=EQUIVARIANCE_TOL)
+
+
+# the solver's outputs by name, in ref_newton's positional order
+NEWTON_OUTPUTS = ("theta", "objective", "grad_norm", "iterations",
+                  "boundary_clamped")
 
 
 def ref_newton(theta0, r, plan, beta, stats):
@@ -527,8 +535,12 @@ class TestNewtonExits:
             cells = r.reshape(len(r), -1)
             start = _data_starts(r, plan)
             for beta in (0.0, 0.4, 1.0):
-                theta, fval, grad_norm, iterations, clamped = \
-                    estimator._newton(start, r, plan, beta)
+                got = estimator._newton(start, r, plan, beta)
+                theta, fval, grad_norm, iterations, clamped = (
+                    got[name] for name in NEWTON_OUTPUTS)
+                # the solver's one convergence decision
+                np.testing.assert_array_equal(
+                    got["converged"], grad_norm <= estimator._GRAD_TOL)
                 ev, cl = estimator._eval_theta(theta, cells, plan, beta)
                 # exact, with NaN equal to NaN
                 np.testing.assert_array_equal(
@@ -552,7 +564,7 @@ class TestNewtonExits:
                 rows += len(r)
                 got = estimator._newton(start, r, plan, beta)
                 want = ref_newton(start, r, plan, beta, stats)
-                for g, w in zip(got, want):
+                for g, w in zip((got[name] for name in NEWTON_OUTPUTS), want):
                     assert g.dtype == w.dtype and g.shape == w.shape
                     assert g.tobytes() == w.tobytes()
         # steps accepted in a later halving call, and searches that fail
@@ -580,9 +592,9 @@ class TestNewtonExits:
             start = _data_starts(clean, plan) + [shift, 0.0]
             got = estimator._newton(start, clean, plan, 0.4)
             want = ref_newton(start, clean, plan, 0.4, stats)
-            for g, w in zip(got, want):
+            for g, w in zip((got[name] for name in NEWTON_OUTPUTS), want):
                 assert g.tobytes() == w.tobytes()
-            assert got[4].any()
+            assert got["boundary_clamped"].any()
         assert stats["full"] > 0
 
 
@@ -697,3 +709,66 @@ class TestMpmathOracle:
             for got, want in ((result.params.alpha0, alpha0),
                               (result.params.alpha1, alpha1)):
                 assert abs((got - want) / want) <= 1e-13, (got, want)
+
+
+def theta_of(alpha):
+    return np.log(alpha[0]), alpha[1]
+
+
+class TestIntervalCertificate:
+    """Proof, not agreement: :func:`oracles.certify` encloses a strict
+    local minimiser of the solver's objective in a box about each
+    reported fit, and refuses points next to which there is none."""
+
+    # the beta = 1 fits of k3_spec's replications 24, 30 and 129 (counts,
+    # alpha): the objective falls towards its limit at infinity, along
+    # which the solver stops
+    AT_INFINITY = [
+        ([[0, 0, 0], [0, 1, 2], [3, 2, 2]],
+         (2.0894287348804527e-28, 1.333401129986736)),
+        ([[0, 0, 0], [0, 3, 0], [3, 2, 2]],
+         (3.2208890575610415e-28, 1.3199723995064114)),
+        ([[0, 0, 0], [1, 3, 1], [3, 3, 3]],
+         (4.110910323423028e-30, 1.4345575175854297)),
+    ]
+    # table1's least-squares data start (alpha), which the solver reports
+    # converged at beta = 200 although no minimiser lies near it
+    DATA_START = (0.005914697682234518, 0.04160971462543034)
+
+    def test_published_table1_fits_certify(self, table1):
+        for result in fit_path(table1, parse_betas("0:0.1:1,2,3,4")):
+            alpha = result.params.as_array()
+            assert certify(table1.frequencies, table1.plan, result.beta,
+                           theta_of(alpha), 1e-8) is not None, result.beta
+
+    def test_points_without_a_minimiser_are_refused(self, table1):
+        k3_plan = k3_spec().plan
+        points = [(np.array(counts) / 3, k3_plan, 1.0, alpha)
+                  for counts, alpha in self.AT_INFINITY]
+        points.append((table1.frequencies, table1.plan, 200.0,
+                       self.DATA_START))
+        for r, plan, beta, alpha in points:
+            for radius in (1e-12, 1e-9, 1e-6, 1e-3, 0.1):
+                assert certify(r, plan, beta, theta_of(alpha),
+                               radius) is None, (alpha, radius)
+
+    def test_other_usable_k3_fits_certify(self):
+        # the first 64 of k3_spec's 300 replications, as its study fits
+        # them: a certificate takes about 10 ms
+        spec = k3_spec()
+        devices = spec.plan.devices
+        counts = simulate._draw_counts(
+            spec, range(64), np.random.Generator(np.random.Philox(0)))
+        counts = counts[((counts > 0) & (counts < devices)).any(axis=(1, 2))]
+        fits = estimator._fit_rows(counts / devices, spec.plan, spec.betas)
+        b = spec.betas.index(1.0)
+        at_infinity = [c for c, _ in self.AT_INFINITY]
+        checked = 0
+        for table, alpha, usable in zip(counts.tolist(),
+                                        fits["alpha"][:, b].tolist(),
+                                        fits["converged"][:, b]):
+            if usable and table not in at_infinity:
+                checked += 1
+                assert certify(np.array(table) / devices, spec.plan, 1.0,
+                               theta_of(alpha), 1e-8) is not None, table
+        assert checked >= 50

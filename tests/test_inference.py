@@ -248,6 +248,12 @@ class TestSandwich:
         with pytest.raises(NumericalOverflow):
             sandwich(params, plan1, 0.5)
         with pytest.raises(NumericalOverflow):
+            j_bar(params, plan1, 0.5)
+        with pytest.raises(NumericalOverflow):
+            k_bar(params, plan1, 0.5)
+        with pytest.raises(NumericalOverflow):
+            fisher_information(params, plan1)
+        with pytest.raises(NumericalOverflow):
             approximate_power(params, plan1, 0.5, hyp, 50, 0.05)
         with pytest.raises(NumericalOverflow):
             required_devices(params, plan1, 0.5, hyp, 0.8, 0.05)

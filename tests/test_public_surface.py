@@ -2,11 +2,15 @@
 function or class in its modules serves the package."""
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import oneshotdpd
+from oneshotdpd.estimator import FitResult
 
 PACKAGE = Path(oneshotdpd.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -36,3 +40,25 @@ def test_every_public_definition_is_exported_or_used():
               and node.name not in oneshotdpd.__all__
               and node.name not in used]
     assert unused == []
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark's tracer wraps each (module, function) of its SPANS and
+    # COUNTERS by name and reads fields of every fit's result, so a rename
+    # would fail the benchmark run, not a test; read without importing it
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    names = ("SPANS", "COUNTERS")
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) in names}
+    assert set(tables) == set(names)
+    missing = [f"{module}.{name}"
+               for module, name, _ in tables["SPANS"] + tables["COUNTERS"]
+               if not callable(getattr(importlib.import_module(
+                   f"oneshotdpd.{module}"), name, None))]
+    assert missing == []
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "result"}
+    assert read == {"iterations", "converged", "boundary_clamped"}
+    assert read <= {field.name for field in dataclasses.fields(FitResult)}

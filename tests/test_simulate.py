@@ -97,6 +97,14 @@ class TestGenerateTable:
         c = generate_table(spec, 4)
         assert not np.array_equal(a.counts, c.counts)
 
+    @pytest.mark.parametrize("index", [2.5, True, "2", -1, 2**64])
+    def test_index_is_checked_as_the_seed_is(self, plan1, index):
+        # coerced, the first three would draw replications 2, 1 and 2;
+        # the last two would reach numpy's bare OverflowError
+        spec = base_spec(plan1)
+        with pytest.raises(ValueError, match="replication_index"):
+            generate_table(spec, index)
+
     @pytest.mark.parametrize("seed", [0, 2017, 2**64 - 1])
     def test_rekeyed_draws_equal_fresh_streams(self, plan1, seed):
         # one generator re-keyed for each replication, visited in shuffled
@@ -560,10 +568,11 @@ class TestExactOracle:
         z = np.full((len(counts), len(self.BETAS)), np.nan)
         interior = np.flatnonzero(((counts > 0) & (counts < 2)).any(
             axis=(1, 2)))
-        est, *_, usable = estimator._fit_rows(counts[interior] / 2.0,
-                                              self.PLAN, self.BETAS)
+        fits = estimator._fit_rows(counts[interior] / 2.0, self.PLAN,
+                                   self.BETAS)
+        est = fits["alpha"]
         for b, beta in enumerate(self.BETAS):
-            ok = usable[:, b]
+            ok = fits["converged"][:, b]
             alpha[interior[ok], b] = est[ok, b]
             z[interior[ok], b] = _z_rows(est[ok, b], self.PLAN, beta,
                                          self.HYP)
