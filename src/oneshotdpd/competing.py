@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimator import FitResult, _fit_tables
 from .model import (FailureTable, TestPlan, _frozen_array, _int_array,
-                    hazard, mean_lifetime)
+                    _mean_life, hazard, mean_lifetime)
 
 
 class Cause(enum.Enum):
@@ -136,10 +136,13 @@ def combined_mean_lifetime(fits, w: float) -> float:
     """Expected time to the first event among independent exponential causes.
 
     Equals ``1 / sum_r hazard_r(w)``, the harmonic combination of the
-    per-cause mean lifetimes.
+    per-cause mean lifetimes.  Raises
+    :class:`~oneshotdpd.errors.NumericalOverflow`, as
+    :func:`~oneshotdpd.model.mean_lifetime` does, when a rate or their sum
+    exceeds the double range, or when the sum underflows so far that its
+    reciprocal does.
     """
     fits = list(fits)
     if not fits:
         raise ValueError("at least one cause fit is required")
-    total_rate = sum(hazard(cf.fit.params, w) for cf in fits)
-    return 1.0 / total_rate
+    return _mean_life(sum(hazard(cf.fit.params, w) for cf in fits), w)

@@ -88,5 +88,5 @@ def dpd_objective(table: FailureTable, params: ModelParams, beta: float) -> floa
     """
     beta = _check_beta(beta)
     lt, F, S, _ = _plan_cells(params, table.plan)
-    terms = _dpd_terms(table.frequencies, F, S, lt, beta)
+    terms = _dpd_terms(table.frequencies.ravel(), F, S, lt, beta)
     return float(np.sum(terms) / table.plan.n_cells)

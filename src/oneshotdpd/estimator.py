@@ -32,11 +32,10 @@ import numpy as np
 from . import inference
 from .divergence import _bracket, _check_beta, _check_betas, _dpd_terms
 from .errors import NoInteriorData, NumericalOverflow
-from .model import FailureTable, ModelParams, TestPlan, _cells
+from .model import FailureTable, ModelParams, TestPlan, _cells, _plan_cells
 
 _F_MIN = 1e-300
 _F_MAX = 1.0 - 1e-16
-_EQ_CAP = 1e30
 
 # Newton stops: the iteration cap, the max-abs gradient and the max-abs
 # step, both in (log alpha0, alpha1); a fit converged when its final
@@ -122,27 +121,28 @@ def estimating_equations(
 
     where Kbar is the mean cell size, so a balanced plan gives exactly
     sum (K F - n) f t [...].  This is the solver's theta gradient scaled by
-    ``IJ Kbar / (b+1)``, so both components vanish at the estimate.  The
-    near-boundary exponents are evaluated with F clamped into
-    [1e-300, 1 - 1e-16] and the results capped at 1e30 in magnitude; pass
-    ``full_output=True`` to receive a dict with the ``clamped`` flag.
+    ``IJ Kbar / (b+1)``, so both components vanish at the estimate, and it
+    is returned exactly.  The near-boundary exponents are evaluated with F
+    and S clamped into [1e-300, 1 - 1e-16]; pass ``full_output=True`` to
+    receive a dict whose ``clamped`` flag reports that clamp.
+
+    Raises :class:`~oneshotdpd.errors.NumericalOverflow` when a rate at a
+    plan stress exceeds the double range, as :func:`dpd_objective` does,
+    or when a component does.
     """
     beta = _check_beta(beta)
     plan = table.plan
+    _plan_cells(params, plan)
     theta = np.array([[np.log(params.alpha0), params.alpha1]])
     ev, clamped = _eval_theta(theta, table.frequencies.reshape(1, -1), plan,
                               beta)
-    g = ev[1:3, 0]
-    clamped = bool(clamped[0])
     with np.errstate(all="ignore"):
-        vals = g * (plan.mean_devices * plan.n_cells / (beta + 1.0))
-    if np.any(np.abs(vals) > _EQ_CAP) or np.any(~np.isfinite(vals)):
-        clamped = True
-        vals = np.clip(np.nan_to_num(vals, nan=_EQ_CAP, posinf=_EQ_CAP,
-                                     neginf=-_EQ_CAP), -_EQ_CAP, _EQ_CAP)
+        vals = ev[1:3, 0] * (plan.mean_devices * plan.n_cells / (beta + 1.0))
+    if not np.isfinite(vals).all():
+        raise NumericalOverflow("estimating equations overflow")
     out = (float(vals[0]), float(vals[1]))
     if full_output:
-        return out, {"clamped": clamped}
+        return out, {"clamped": bool(clamped[0])}
     return out
 
 

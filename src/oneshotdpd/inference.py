@@ -38,7 +38,7 @@ import numpy as np
 from .divergence import _bracket, _check_beta
 from .errors import (DegenerateVariance, InfeasibleDesign, NumericalOverflow,
                      SingularInformation)
-from .model import ModelParams, TestPlan, _cells, _integral, _plan_rates
+from .model import ModelParams, TestPlan, _cells, _integral, _plan_cells
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import FitResult
@@ -163,7 +163,7 @@ def j_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
     does, when a rate at a plan stress exceeds the double range.
     """
     beta = _check_beta(beta)
-    _plan_rates(params, plan)
+    _plan_cells(params, plan)
     return _alpha_cell_sums(params.as_array()[None], plan, beta)[0, 0]
 
 
@@ -181,7 +181,7 @@ def k_bar(params: ModelParams, plan: TestPlan, beta: float) -> np.ndarray:
     as :func:`j_bar` does.
     """
     beta = _check_beta(beta)
-    _plan_rates(params, plan)
+    _plan_cells(params, plan)
     return _alpha_cell_sums(params.as_array()[None], plan, beta)[1, 0]
 
 
@@ -243,7 +243,7 @@ def sandwich(params: ModelParams, plan: TestPlan, beta: float
     1e12).
     """
     beta = _check_beta(beta)
-    _plan_rates(params, plan)
+    _plan_cells(params, plan)
     jb, kb, sigma, ok = (v[0] for v in
                          _sandwich_rows(params.as_array()[None], plan, beta))
     if not np.all(np.isfinite(jb)):

@@ -46,6 +46,12 @@ def _read_rows(path, columns):
             )
         rows = []
         for line_no, row in enumerate(reader, start=2):
+            # DictReader files the values beyond the header under None
+            if None in row:
+                raise ParseError(
+                    f"{path} row {line_no}: more values than the "
+                    f"{len(columns)} header columns"
+                )
             parsed = {}
             for col in columns:
                 raw = row.get(col)

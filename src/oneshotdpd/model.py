@@ -220,7 +220,15 @@ def mean_lifetime(params: ModelParams, w: float) -> float:
     Raises :class:`~oneshotdpd.errors.NumericalOverflow` when the rate
     underflows so far that its reciprocal exceeds the double range.
     """
-    rate = hazard(params, w)
+    return _mean_life(hazard(params, w), w)
+
+
+def _mean_life(rate: float, w: float) -> float:
+    """``1 / rate`` for a failure rate ``rate`` at stress ``w``; raises
+    :class:`~oneshotdpd.errors.NumericalOverflow` when the rate or its
+    reciprocal is beyond the double range."""
+    if math.isinf(rate):
+        raise NumericalOverflow(f"failure rate at stress {w!r} overflows")
     life = 1.0 / rate if rate != 0.0 else math.inf
     if math.isinf(life):
         raise NumericalOverflow(f"mean lifetime at stress {w!r} overflows")
@@ -240,28 +248,22 @@ def _cells(lam, t):
     return lt, -np.expm1(neg), S, lam * S
 
 
-def _plan_rates(params: ModelParams, plan: TestPlan) -> np.ndarray:
-    """Failure rates (I, 1) at the plan's stresses.
+def _plan_cells(params: ModelParams, plan: TestPlan):
+    """:func:`_cells` at ``params`` over :attr:`TestPlan.cell_vectors`,
+    as (C,) vectors in row-major (stress, time) order: the one evaluation
+    of a plan at a single parameter point.
 
     Raises :class:`~oneshotdpd.errors.NumericalOverflow`, as :func:`hazard`
-    does, when a rate exceeds the double range.
+    does, at the first stress whose rate exceeds the double range.  A
+    finite rate whose ``lambda t`` overflows gives F = 1, S = 0 and f = 0.
     """
+    w, _, t, _ = plan.cell_vectors
     with np.errstate(over="ignore"):
-        lam = params.alpha0 * np.exp(params.alpha1 * plan.temps)[:, None]
-    if not np.isfinite(lam).all():
-        w = float(plan.temps[np.argmin(np.isfinite(lam[:, 0]))])
-        raise NumericalOverflow(f"failure rate at stress {w!r} overflows")
-    return lam
-
-
-def _plan_cells(params: ModelParams, plan: TestPlan):
-    """:func:`_cells` over the I x J plan grid at ``params``.
-
-    Raises as :func:`_plan_rates` does.  A finite rate whose ``lambda t``
-    overflows gives F = 1, S = 0 and f = 0.
-    """
-    with np.errstate(over="ignore"):
-        return _cells(_plan_rates(params, plan), plan.times)
+        lam = params.alpha0 * np.exp(params.alpha1 * w)
+        if not np.isfinite(lam).all():
+            w = float(w[np.argmin(np.isfinite(lam))])
+            raise NumericalOverflow(f"failure rate at stress {w!r} overflows")
+        return _cells(lam, t)
 
 
 def cell_probs(params: ModelParams, plan: TestPlan):
@@ -274,7 +276,8 @@ def cell_probs(params: ModelParams, plan: TestPlan):
         ``S = 1 - F`` computed on its own exact path (``exp(-lambda t)``),
         and ``f`` the lifetime density at the inspection time.
 
+    They are evaluated on :attr:`TestPlan.cell_vectors`, then reshaped.
     Raises :class:`~oneshotdpd.errors.NumericalOverflow` when a rate
     exceeds the double range.
     """
-    return _plan_cells(params, plan)[1:]
+    return tuple(v.reshape(plan.shape) for v in _plan_cells(params, plan)[1:])

@@ -112,7 +112,10 @@ class SimulationSpec:
 
     ``failure_probs`` (derived, read-only) holds each cell's failure
     probability in a draw: the contaminated cell's under the shifted
-    parameters, every other cell's under the true ones.
+    parameters, every other cell's under the true ones.  ``level`` is the
+    hypothesis's test level, so a spec without a hypothesis keeps the
+    default 0.05 (ValueError otherwise): :meth:`to_dict` writes the level
+    inside the hypothesis.
     """
 
     plan: TestPlan
@@ -149,6 +152,9 @@ class SimulationSpec:
         F.setflags(write=False)
         object.__setattr__(self, "failure_probs", F)
         _critical_value(self.level)
+        if self.hypothesis is None and self.level != 0.05:
+            raise ValueError(
+                f"level {self.level!r} requires a hypothesis to test")
 
     @classmethod
     def from_dict(cls, doc: dict) -> SimulationSpec:
@@ -289,17 +295,23 @@ def _csv_cell(value) -> str:
 
 
 def write_report_csv(path, reports, x_values=None) -> None:
-    """Write plot-ready rows, one per (tuning parameter, x value)."""
+    """Write plot-ready rows, one per (tuning parameter, x value).
+
+    ``x_values``, when given, holds one x value per report; a different
+    count raises ValueError before ``path`` is opened.
+    """
+    reports = list(reports)
+    x_values = [None] * len(reports) if x_values is None else list(x_values)
+    if len(x_values) != len(reports):
+        raise ValueError(f"x_values must hold one value per report, got "
+                         f"{len(x_values)} for {len(reports)}")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         _write_report_rows(handle, reports, x_values)
 
 
-def _write_report_rows(handle, reports, x_values=None) -> None:
-    """:func:`write_report_csv` into a text file opened with
-    ``newline=""``."""
-    reports = list(reports)
-    if x_values is None:
-        x_values = [None] * len(reports)
+def _write_report_rows(handle, reports, x_values) -> None:
+    """:func:`write_report_csv` of ``reports``, each paired with its x
+    value, into a text file opened with ``newline=""``."""
     writer = csv.DictWriter(handle, fieldnames=REPORT_CSV_COLUMNS)
     writer.writeheader()
     for report, x in zip(reports, x_values):

@@ -19,7 +19,16 @@ Each line reads ``<sha256>  <name>``.  The names cover:
   and, along the same betas, the ``_sandwich_rows`` outputs at two fixed
   points on the table1 design near the boundary of the cell
   probabilities: alpha0 = 1e-9, where every F is below 1e-6, and
-  alpha0 = 0.5, where every F is within 1e-12 of 1 (alpha1 = 0.05).
+  alpha0 = 0.5, where every F is within 1e-12 of 1 (alpha1 = 0.05);
+* ``point/...``: the public functions of one parameter point
+  (``cell_probs``, ``dpd_objective``, ``estimating_equations`` with
+  ``full_output=True``, ``j_bar``, ``k_bar``, ``fisher_information`` and
+  ``sandwich``), one line per function, table and point, along the betas
+  0, 0.5 and 1: on ``table1`` and the unbalanced table below at a central
+  point, the two near-boundary points above and alpha = (1, 20), whose
+  rates overflow from stress 45 on; and on a plan with stresses 0 and
+  1e35 at alpha = (0.5, 1e-36).  A digest covers each value, or the
+  exception's type and message.
 
 The calls run in a temporary directory that holds copies of the bundled
 CSVs and the spec files, so the ``--input`` and ``--spec`` paths echoed in
@@ -40,11 +49,14 @@ import tempfile
 
 import numpy as np
 
-from oneshotdpd import (ContaminationScheme, LinearHypothesis, ModelParams,
-                        SimulationSpec, TestPlan, contamination_sweep,
-                        level_power_study, rmse_study)
+from oneshotdpd import (ContaminationScheme, FailureTable, LinearHypothesis,
+                        ModelParams, OneShotError, SandwichCovariance,
+                        SimulationSpec, TestPlan, cell_probs,
+                        contamination_sweep, dpd_objective,
+                        estimating_equations, fisher_information, j_bar,
+                        k_bar, level_power_study, rmse_study, sandwich)
 from oneshotdpd.cli import main
-from oneshotdpd.datasets import dataset_path
+from oneshotdpd.datasets import dataset_path, load_table1
 from oneshotdpd.estimator import _fit_rows
 from oneshotdpd.inference import _sandwich_rows, _z_rows
 from oneshotdpd.io import parse_betas
@@ -275,6 +287,65 @@ def solver_digests():
     return solver + inference
 
 
+def point_repr(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype}{value.shape}{value.tobytes().hex()}"
+    if isinstance(value, SandwichCovariance):
+        value = (value.j_bar, value.k_bar, value.sigma,
+                 value.at_params.as_array(), value.beta)
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(map(point_repr, value)) + ")"
+    return repr(value)
+
+
+def point_call(function, *args, **kwargs) -> str:
+    try:
+        return point_repr(function(*args, **kwargs))
+    except (OneShotError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def point_digests():
+    """The ``point/...`` lines."""
+    values = np.array([line.split(",") for line in UNBALANCED.split()[1:]],
+                      dtype=float)
+    unbalanced = FailureTable(
+        TestPlan(values[::3, 0], values[:3, 1], values[:, 2].reshape(3, 3)),
+        values[:, 3].reshape(3, 3))
+    far = TestPlan([0.0, 1e35], [1.0, 2.0], np.full((2, 2), 10))
+    points = {"central": ModelParams(0.004, 0.05),
+              "alpha0_1e_9": ModelParams(1e-9, 0.05),
+              "alpha0_0.5": ModelParams(0.5, 0.05),
+              "overflow": ModelParams(1.0, 20.0)}
+    cases = [(f"{name}_{point}", table, params)
+             for name, table in (("table1", load_table1()),
+                                 ("unbalanced", unbalanced))
+             for point, params in points.items()]
+    cases.append(("stress_1e35", FailureTable(far, [[1, 3], [5, 7]]),
+                  ModelParams(0.5, 1e-36)))
+    lines = []
+    for case, table, params in cases:
+        plan = table.plan
+        along_beta = {
+            "dpd_objective": lambda b: dpd_objective(table, params, b),
+            "estimating_equations": lambda b: estimating_equations(
+                table, params, b, full_output=True),
+            "j_bar": lambda b: j_bar(params, plan, b),
+            "k_bar": lambda b: k_bar(params, plan, b),
+            "sandwich": lambda b: sandwich(params, plan, b)}
+        outputs = {name: [point_call(call, b) for b in (0.0, 0.5, 1.0)]
+                   for name, call in along_beta.items()}
+        outputs["cell_probs"] = [point_call(cell_probs, params, plan)]
+        outputs["fisher_information"] = [
+            point_call(fisher_information, params, plan)]
+        for name, results in sorted(outputs.items()):
+            digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+            lines.append((digest, f"point/{name}/{case}"))
+    return lines
+
+
 def report_digest(report) -> str:
     data = report.to_json() + repr(report.to_rows(x_value=0.5))
     return hashlib.sha256(data.encode()).hexdigest()
@@ -291,6 +362,7 @@ def main_fingerprint():
                 lines.append((report_digest(report),
                               f"study/{name}_sweep_{s}"))
     lines.extend(solver_digests())
+    lines.extend(point_digests())
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)

@@ -149,9 +149,10 @@ def log_likelihood(table: FailureTable, params: ModelParams) -> float:
     evaluated exactly, so enormous rates give a finite, very negative value
     instead of overflowing through log(1 - F).
     """
-    lt, F, _, _ = _plan_cells(params, table.plan)
+    plan = table.plan
+    lt, F = (v.reshape(plan.shape) for v in _plan_cells(params, plan)[:2])
     n = table.counts
-    K = table.plan.devices
+    K = plan.devices
     with np.errstate(divide="ignore", invalid="ignore"):
         fail_terms = np.where(n > 0, n * np.log(F), 0.0)
         surv_terms = np.where(n < K, -(K - n) * lt, 0.0)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oneshotdpd import (
     Cause,
+    ModelParams,
     MultiOutcomeTable,
     NoInteriorData,
     NumericalOverflow,
@@ -246,6 +249,20 @@ class TestCombinedMeanLifetime:
         # combined value within a tenth of a percent
         combined = 1.0 / (1.0 / 162.233 + 1.0 / 426.425)
         assert combined == pytest.approx(117.447, rel=1e-3)
+
+    @pytest.mark.parametrize("params, w, message", [
+        # each rate is 1e-300 exp(-800), which underflows to 0
+        (ModelParams(1e-300, -1.0), 800.0, "mean lifetime at stress 800.0"),
+        # each rate is 1e308, and their sum overflows
+        (ModelParams(1e308, 0.0), 0.0, "failure rate at stress 0.0")],
+        ids=["sum_underflows", "sum_overflows"])
+    def test_beyond_double_range_is_typed_error(self, ed01, params, w,
+                                                message):
+        cf = fit_cause(ed01, Cause.TUMOUR, 0.4)
+        cf = dataclasses.replace(cf, fit=dataclasses.replace(cf.fit,
+                                                             params=params))
+        with pytest.raises(NumericalOverflow, match=f"^{message} overflows$"):
+            combined_mean_lifetime([cf, cf], w)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from oneshotdpd import (
     estimator,
     fit,
     fit_cause,
+    fit_causes,
     fit_path,
 )
 from oneshotdpd import simulate
@@ -100,12 +101,39 @@ class TestEstimatingEquations:
         )
         assert info["clamped"]
 
-    def test_cap_on_overflowing_equations(self, table1):
-        # F is 1 to the last bit in every cell, so F^(b-1) + S^(b-1) is
-        # huge and both components pass the 1e30 cap
-        assert estimating_equations(
-            table1, ModelParams(1.0, 20.0), 0.5, full_output=True
-        ) == ((1e30, 1e30), {"clamped": True})
+    def test_overflowing_rate_is_typed_error(self, table1):
+        # the rate at stress 45 leaves the double range: the equations
+        # refuse it as the objective does, with no capped value
+        params = ModelParams(1.0, 20.0)
+        for call in (lambda: estimating_equations(table1, params, 0.5,
+                                                  full_output=True),
+                     lambda: dpd_objective(table1, params, 0.5)):
+            with pytest.raises(NumericalOverflow, match=r"^failure rate at "
+                               r"stress 45\.0 overflows$"):
+                call()
+
+    def test_far_stress_value_is_exact(self):
+        # the stress 1e35 takes the second component far beyond 1e30,
+        # finite and with no F or S clamped
+        plan = TestPlan([0.0, 1e35], [1.0, 2.0], np.full((2, 2), 10))
+        table = FailureTable(plan, [[1, 3], [5, 7]])
+        params, beta = ModelParams(0.5, 1e-36), 0.5
+        eq, info = estimating_equations(table, params, beta, full_output=True)
+        F, S, f = cell_probs(params, plan)
+        cell = ((10 * F - table.counts) * f * plan.times
+                * (F ** (beta - 1) + S ** (beta - 1)))
+        expected = (cell.sum(), (cell * plan.temps[:, None]).sum())
+        assert eq == pytest.approx(expected, rel=1e-12)
+        assert eq[1] < -1e35 and info == {"clamped": False}
+
+    def test_overflowing_component_is_typed_error(self):
+        # every rate is finite, but the stress 1e308 takes the second
+        # component beyond the double range
+        plan = TestPlan([0.0, 1e308], [1.0, 2.0], np.full((2, 2), 10))
+        table = FailureTable(plan, [[1, 3], [5, 7]])
+        with pytest.raises(NumericalOverflow,
+                           match="^estimating equations overflow$"):
+            estimating_equations(table, ModelParams(0.5, 0.0), 0.0)
 
 
 class TestFit:
@@ -751,6 +779,21 @@ class TestIntervalCertificate:
             for radius in (1e-12, 1e-9, 1e-6, 1e-3, 0.1):
                 assert certify(r, plan, beta, theta_of(alpha),
                                radius) is None, (alpha, radius)
+
+    @pytest.mark.parametrize("name", ["ed01", "benzidine"])
+    def test_unbalanced_cause_fits_certify(self, name, request):
+        # the first certificates on unbalanced plans: every cause of the
+        # two bundled studies along 0:0.1:1
+        data = request.getfixturevalue(name)
+        checked = 0
+        for step in fit_causes(data, parse_betas("0:0.1:1")):
+            for cf in step:
+                r = cause_table(data, cf.cause).frequencies
+                alpha = cf.fit.params.as_array()
+                assert certify(r, data.plan, cf.fit.beta, theta_of(alpha),
+                               1e-8) is not None, (cf.cause, cf.fit.beta)
+                checked += 1
+        assert checked == 22
 
     def test_other_usable_k3_fits_certify(self):
         # the first 64 of k3_spec's 300 replications, as its study fits

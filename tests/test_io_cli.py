@@ -488,6 +488,25 @@ class TestCli:
         assert error["code"] == "ParseError"
         assert "row 2: column 'K'" in error["message"]
 
+    @pytest.mark.parametrize("name, argv, columns", [
+        ("table1", ["fit", "--beta", "0.5"], 4),
+        ("ed01", ["competing-fit", "--betas", "0.5"], 5)],
+        ids=["table1", "ed01"])
+    def test_row_with_extra_values_exit_code(self, name, argv, columns,
+                                             tmp_path, capsys):
+        # csv.DictReader files the values beyond the header under None,
+        # which both readers ignored
+        lines = dataset_path(name).read_text().splitlines()
+        lines[1] += ",99"
+        data = tmp_path / f"{name}.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code, out = self.run([*argv, "--input", str(data)], capsys)
+        assert code == 2
+        assert _strict_json(out)["errors"] == [{
+            "code": "ParseError",
+            "message": f"{data} row 2: more values than the {columns} "
+                       "header columns"}]
+
     def test_samplesize_beyond_double_range_is_typed_error(self, capsys):
         code, out = self.run(
             ["samplesize", "--input", str(dataset_path("table1")),

@@ -479,6 +479,18 @@ class TestReportSerialization:
         assert float(first[0]) == 0.0
         assert float(first[2]) == report.rmse_alpha0[0]
 
+    def test_csv_refuses_unpaired_x_values(self, plan1, tmp_path):
+        # zip paired the first report with the one x value and dropped
+        # the second; the refusal comes before the file is opened
+        report = rmse_study(base_spec(plan_with_k(plan1, 20), betas=(0.0, 0.5),
+                                      replications=5, seed=12))
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        for x_values in ([0.1], [0.1, 0.2, 0.3]):
+            with pytest.raises(ValueError, match="one value per report"):
+                simulate.write_report_csv(path, [report, report], x_values)
+        assert path.read_text() == "kept\n"
+
     def test_json_round_trip_is_exact(self, plan1):
         plan = plan_with_k(plan1, 20)
         report = rmse_study(base_spec(plan, betas=(0.3,), replications=20,
@@ -536,6 +548,14 @@ class TestSpecCodec:
         doc = spec.to_dict()
         assert SimulationSpec.from_dict(
             json.loads(json.dumps(doc))).to_dict() == doc
+
+    def test_level_without_hypothesis_refused(self, plan1):
+        # to_dict writes the level inside the hypothesis, so from_dict
+        # would return 0.05 for this spec
+        with pytest.raises(ValueError, match="requires a hypothesis"):
+            dataclasses.replace(base_spec(plan1), level=0.2)
+        spec = dataclasses.replace(base_spec(plan1), level=0.05)
+        assert SimulationSpec.from_dict(spec.to_dict()).level == 0.05
 
 
 class TestExactOracle:
