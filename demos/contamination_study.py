@@ -26,7 +26,7 @@ rmse_spec = od.SimulationSpec(
                                          value=truth.alpha0),
     betas=(0.0, 0.2, 0.6, 1.0), replications=500, seed=2024,
 )
-reports, xs = od.contamination_sweep(rmse_spec, strengths, workers=4)
+reports, xs = od.contamination_sweep(rmse_spec, strengths)
 od.write_report_csv(here / "contamination_rmse.csv", reports, xs)
 print("estimation error vs contamination strength (combined rmse):")
 print("strength " + "".join(f"  beta={b:<4}" for b in rmse_spec.betas))
@@ -42,7 +42,7 @@ level_spec = od.SimulationSpec(
     betas=(0.0, 0.2, 0.6, 1.0), replications=500, seed=2025,
     hypothesis=od.LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05),
 )
-reports, xs = od.contamination_sweep(level_spec, strengths, workers=4)
+reports, xs = od.contamination_sweep(level_spec, strengths)
 od.write_report_csv(here / "contamination_level.csv", reports, xs)
 print("\nempirical level of the Z-type test (nominal 0.05):")
 print("strength " + "".join(f"  beta={b:<4}" for b in level_spec.betas))

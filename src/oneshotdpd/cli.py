@@ -129,7 +129,6 @@ def _cmd_reliability(args) -> dict:
     return {
         "results": {"alpha0": params.alpha0, "alpha1": params.alpha1,
                     "w0": args.w0, **_predictions(params, args.w0, mission)},
-        "diagnostics": {},
     }
 
 
@@ -156,10 +155,7 @@ def _cmd_power(args) -> dict:
         params, plan, args.beta, hyp, args.devices, args.level,
         abs_effect=args.abs_effect,
     )
-    return {
-        "results": {"approximate_power": power, "devices": args.devices},
-        "diagnostics": {},
-    }
+    return {"results": {"approximate_power": power, "devices": args.devices}}
 
 
 def _cmd_samplesize(args) -> dict:
@@ -176,7 +172,6 @@ def _cmd_samplesize(args) -> dict:
             "achieved_power": achieved,
             "target_power": args.target_power,
         },
-        "diagnostics": {},
     }
 
 
@@ -328,75 +323,65 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, output_help="write the JSON document here instead "
-            "of stdout", output_required=False, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    # each option several commands share, declared once as (flag, kwargs)
+    output = [("--output", dict(
+        default=None, help="write the JSON document here instead of stdout"))]
+    table = [("--input", dict(required=True, help="failure CSV: w,t,K,n"))]
+    beta = [("--beta", dict(type=float, required=True,
+                            help="tuning parameter of the divergence"))]
+    betas = [("--betas", dict(required=True,
+                              help="list such as 0:0.1:1,2,3,4"))]
+    predictions = [
+        ("--w0", dict(type=float, default=None,
+                      help="normal-use stress for predictions")),
+        ("--mission-times", dict(default=None, help="comma-separated "
+                                 "times for reliability predictions"))]
+    test = [("--m", dict(required=True, help="m0,m1 of H0: m'alpha = d")),
+            ("--d", dict(type=float, required=True,
+                         help="d of H0: m'alpha = d")),
+            ("--level", dict(type=float, default=0.05,
+                             help="significance level"))]
+    alpha_star = [("--alpha-star", dict(
+        required=True, help="alpha0,alpha1 of the alternative"))]
+
+    def add(name, handler, help, *groups):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--output", default=None, required=output_required,
-                       help=output_help)
+        for flag, kwargs in (option for group in groups for option in group):
+            p.add_argument(flag, **kwargs)
         return p
 
-    p = add("fit", _cmd_fit, help="fit one tuning parameter")
-    p.add_argument("--input", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--w0", type=float, default=None,
-                   help="normal-use stress for predictions")
-    p.add_argument("--mission-times", default=None,
-                   help="comma-separated times for reliability predictions")
-
-    p = add("fit-path", _cmd_fit_path, help="fit a grid of tuning parameters")
-    p.add_argument("--input", required=True)
-    p.add_argument("--betas", required=True,
-                   help="list such as 0:0.1:1,2,3,4")
-    p.add_argument("--w0", type=float, default=None)
-    p.add_argument("--mission-times", default=None)
-
+    add("fit", _cmd_fit, "fit one tuning parameter", output, table, beta,
+        predictions)
+    add("fit-path", _cmd_fit_path, "fit a grid of tuning parameters", output,
+        table, betas, predictions)
     p = add("reliability", _cmd_reliability,
-            help="reliability and mean lifetime from given parameters")
+            "reliability and mean lifetime from given parameters", output)
     p.add_argument("--params", required=True, help="alpha0,alpha1")
     p.add_argument("--w0", type=float, required=True)
     p.add_argument("--mission-times", required=True)
-
-    p = add("ztest", _cmd_ztest, help="Z-type test of m'alpha = d")
-    p.add_argument("--input", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--m", required=True, help="m0,m1")
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--level", type=float, default=0.05)
-
-    p = add("power", _cmd_power, help="approximate power at an alternative")
-    p.add_argument("--input", required=True,
-                   help="failure CSV supplying the test plan")
-    p.add_argument("--alpha-star", required=True, help="alpha0,alpha1")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--level", type=float, default=0.05)
+    add("ztest", _cmd_ztest, "Z-type test of m'alpha = d", output, table,
+        beta, test)
+    p = add("power", _cmd_power, "approximate power at an alternative",
+            output, table, alpha_star, beta, test)
     p.add_argument("--devices", type=int, required=True)
     p.add_argument("--abs-effect", action="store_true",
                    help="use |m' alpha - d| (two-sided alternative)")
-
     p = add("samplesize", _cmd_samplesize,
-            help="devices per cell needed for a target power")
-    p.add_argument("--input", required=True)
-    p.add_argument("--alpha-star", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--level", type=float, default=0.05)
+            "devices per cell needed for a target power", output, table,
+            alpha_star, beta, test)
     p.add_argument("--target-power", type=float, required=True)
-
-    p = add("simulate", _cmd_simulate, help="Monte-Carlo study from a spec file",
-            output_help="plot-ready CSV destination", output_required=True)
+    p = add("simulate", _cmd_simulate, "Monte-Carlo study from a spec file")
+    p.add_argument("--output", required=True,
+                   help="plot-ready CSV destination")
     p.add_argument("--spec", required=True, help="JSON scenario description")
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the seed in the spec file")
     p.add_argument("--workers", type=int, default=1)
-
     p = add("competing-fit", _cmd_competing_fit,
-            help="per-cause fits for a multi-outcome table")
-    p.add_argument("--input", required=True)
-    p.add_argument("--betas", required=True)
+            "per-cause fits for a multi-outcome table", output,
+            [("--input", dict(required=True, help="multi-outcome CSV: "
+                              "w,t,n_sac,n_nat,n_tum"))], betas)
     p.add_argument("--causes", default="natural,tumour")
 
     return parser

@@ -45,7 +45,9 @@ def _read_rows(path, columns):
                 f"{path}: expected header columns {list(columns)}, got {header}"
             )
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            # the line the row ends on: DictReader skips blank lines
+            line_no = reader.line_num
             # DictReader files the values beyond the header under None
             if None in row:
                 raise ParseError(

@@ -28,7 +28,9 @@ Each line reads ``<sha256>  <name>``.  The names cover:
   point, the two near-boundary points above and alpha = (1, 20), whose
   rates overflow from stress 45 on; and on a plan with stresses 0 and
   1e35 at alpha = (0.5, 1e-36).  A digest covers each value, or the
-  exception's type and message.
+  exception's type and message;
+* ``help/...``: the stdout of ``<command> --help``, one line per
+  subcommand (``-`` spelled ``_``), with help wrapped to 80 columns.
 
 The calls run in a temporary directory that holds copies of the bundled
 CSVs and the spec files, so the ``--input`` and ``--spec`` paths echoed in
@@ -39,6 +41,7 @@ that print the same lines give byte-identical outputs on these calls:
     diff before.txt after.txt
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -46,6 +49,7 @@ import json
 import os
 import shutil
 import tempfile
+from unittest import mock
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from oneshotdpd import (ContaminationScheme, FailureTable, LinearHypothesis,
                         contamination_sweep, dpd_objective,
                         estimating_equations, fisher_information, j_bar,
                         k_bar, level_power_study, rmse_study, sandwich)
-from oneshotdpd.cli import main
+from oneshotdpd.cli import _build_parser, main
 from oneshotdpd.datasets import dataset_path, load_table1
 from oneshotdpd.estimator import _fit_rows
 from oneshotdpd.inference import _sandwich_rows, _z_rows
@@ -209,6 +213,22 @@ def cli_digest(argv) -> str:
         with open("out.csv", encoding="utf-8") as handle:
             data += handle.read()
     return hashlib.sha256(data.encode()).hexdigest()
+
+
+def help_digests():
+    """The ``help/...`` lines; argparse wraps help to the terminal width."""
+    commands = next(action.choices for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    lines = []
+    for command in commands:
+        stdout = io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+                contextlib.redirect_stdout(stdout), \
+                contextlib.suppress(SystemExit):
+            main([command, "--help"])
+        digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        lines.append((digest, f"help/{command.replace('-', '_')}"))
+    return lines
 
 
 def study_specs():
@@ -378,6 +398,7 @@ def main_fingerprint():
                 lines.append((cli_digest(argv), f"cli/{name}"))
         finally:
             os.chdir(cwd)
+    lines.extend(help_digests())
     for digest, name in lines:
         print(f"{digest}  {name}")
 

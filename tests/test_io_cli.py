@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -32,6 +33,13 @@ from oneshotdpd.io import (
 
 from conftest import PROPERTY
 from oracles import fit_result_from_dict
+
+
+def _command_parsers() -> dict:
+    """Each subcommand's parser, by name, in declaration order."""
+    return next(action.choices for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
 
 # pinned fixture digests: the bundled tables must never drift
 DATASET_SHA256 = {
@@ -142,6 +150,24 @@ class TestMultiOutcomeCsv:
     def test_round_trip_of_bundled_file(self, ed01):
         assert ed01.plan.devices.tolist() == [[145, 830, 960],
                                               [175, 620, 625]]
+
+
+@pytest.mark.parametrize("reader, header, row", [
+    (read_failure_csv, "w,t,K,n", "{w},10,{k},3"),
+    (read_multioutcome_csv, "w,t,n_sac,n_nat,n_tum", "{w},12,{k},1,2")],
+    ids=["failure", "multioutcome"])
+def test_row_number_counts_blank_lines(reader, header, row, tmp_path):
+    # csv.DictReader skips blank lines: a message names the file's line
+    path = tmp_path / "blank.csv"
+    path.write_text(f"{header}\n{row.format(w=35, k=10)}\n\n"
+                    f"{row.format(w=45, k='ten')}\n")
+    with pytest.raises(ParseError, match=r"blank\.csv row 4: non-numeric "
+                       "value 'ten'"):
+        reader(path)
+    path.write_text(f"{header}\n{row.format(w=35, k=10)}\n\n\n"
+                    f"{row.format(w=35, k=10)}\n")
+    with pytest.raises(ParseError, match=r"blank\.csv row 5: duplicate cell"):
+        reader(path)
 
 
 class TestBetaParsing:
@@ -663,12 +689,38 @@ class TestCli:
                                 "--beta", "0", "--bogus"], capsys)
         assert "--bogus" in doc["errors"][0]["message"]
 
-    @pytest.mark.parametrize("argv", [["--version"], ["fit", "--help"]])
+    @pytest.mark.parametrize("argv", [["--version"], *(
+        [command, "--help"] for command in _command_parsers())])
     def test_help_and_version_exit_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+    def test_shared_options_parse_and_read_alike(self):
+        # an option that several commands take has the same help, type,
+        # default and required flag in each; these flags mean something
+        # else in the command named
+        distinct = {("reliability", "--w0"),
+                    ("reliability", "--mission-times"),
+                    ("simulate", "--output"), ("competing-fit", "--input")}
+        taken = {}
+        for command, parser in _command_parsers().items():
+            for action in parser._actions:
+                for flag in action.option_strings:
+                    if (command, flag) not in distinct:
+                        taken.setdefault(flag, {})[command] = (
+                            action.help, action.type, action.default,
+                            action.required)
+        shared = {flag: by_command for flag, by_command in taken.items()
+                  if len(by_command) > 1}
+        assert set(shared) >= {"--output", "--input", "--beta", "--betas",
+                               "--w0", "--mission-times", "--m", "--d",
+                               "--level", "--alpha-star"}
+        assert {flag: by_command for flag, by_command in shared.items()
+                if len(set(by_command.values())) > 1} == {}
+        assert [flag for flag, by_command in shared.items()
+                if any(help is None for help, *_ in by_command.values())] == []
 
     def test_computation_error_exit_code(self, tmp_path, capsys):
         degenerate = tmp_path / "zeros.csv"

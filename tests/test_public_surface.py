@@ -4,13 +4,16 @@ function or class in its modules serves the package."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 from pathlib import Path
 
 import oneshotdpd
+from oneshotdpd.cli import main
 from oneshotdpd.estimator import FitResult
 
 PACKAGE = Path(oneshotdpd.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -62,3 +65,18 @@ def test_benchmark_entry_points_resolve():
             and isinstance(node.value, ast.Name) and node.value.id == "result"}
     assert read == {"iterations", "converged", "boundary_clamped"}
     assert read <= {field.name for field in dataclasses.fields(FitResult)}
+
+
+def test_benchmark_correctness_gates(monkeypatch, tmp_path):
+    # the gates behind the benchmark's "correct" flag: the reference-seed
+    # study's used, failed and rejection counts, and strict JSON of every
+    # call of a CLI session, fit-path matching the published table1 fits
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    run.check_reference("mc_level_power")
+    for argv in run.cli_argv_list(61, tmp_path):
+        assert main(argv) == 0
+        run.check_cli_output(argv, Path(argv[-1]).read_text(encoding="utf-8"))
