@@ -296,13 +296,15 @@ def _run_specs(spec, sweep) -> tuple:
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as :class:`ParseError` once the usual usage
     lines are on stderr, so that :func:`main` writes its JSON document;
-    subcommand parsers inherit the class.  Every token that starts with
-    ``-`` and a digit or ``.``, such as ``-1,1`` or ``-2.5e1``, and every
-    ``-inf``, ``-infinity`` or ``-nan`` in any case, is an option's value:
-    no option is spelled that way."""
+    subcommand parsers inherit the class.  An option is read only by its
+    full name: a prefix such as ``--m`` for ``--mission-times`` is a usage
+    error.  Every token that starts with ``-`` and a digit or ``.``, such
+    as ``-1,1`` or ``-2.5e1``, and every ``-inf``, ``-infinity`` or
+    ``-nan`` in any case, is an option's value: no option is spelled that
+    way."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(?:[\d.]|(?:inf|infinity|nan)$)", re.IGNORECASE)
 

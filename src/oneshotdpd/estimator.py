@@ -38,11 +38,13 @@ _F_MIN = 1e-300
 _F_MAX = 1.0 - 1e-16
 
 # Newton stops: the iteration cap, the max-abs gradient and the max-abs
-# step, both in (log alpha0, alpha1); a fit converged when its final
-# gradient is within _GRAD_TOL
+# step, both in (log alpha0, alpha1), and the max-abs Newton step below
+# which a landing point needs no polish step; a fit converged when its
+# final gradient is within _GRAD_TOL
 _MAX_ITERS = 200
 _GRAD_TOL = 1e-10
 _STEP_TOL = 1e-12
+_POLISH_TOL = 1e-14
 # the line search's halvings of a failed full step, eight to a call, down
 # to 2^-43, the last power of two at or above 1e-13
 _STEPS = np.split(np.ldexp(1.0, -np.arange(1, 44)), range(8, 43, 8))
@@ -55,10 +57,10 @@ class FitResult:
     ``grad_norm`` is the max-abs objective gradient in the internal
     coordinates at ``params``; ``converged`` is true exactly when it is at
     or below the fixed tolerance 1e-10, and ``iterations`` counts the
-    iterations of its one Newton run, the polish step included (see
-    :func:`fit`).  ``covariance`` is the model-based sandwich evaluated at
-    the estimate, or None when the information matrix was too
-    ill-conditioned.
+    iterations of its one Newton run, and one more when it ends on a
+    polish step of at least 1e-12 (see :func:`fit`).  ``covariance`` is
+    the model-based sandwich evaluated at the estimate, or None when the
+    information matrix was too ill-conditioned.
     """
 
     beta: float
@@ -191,23 +193,29 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
     keeps the values of the point it stands on.  A pass works on the
     running rows: their full steps in one call, then the halvings of the
     rows that failed it eight to a call, each row keeping its largest step
-    that passes.  A row stops on a failed search (staying put; a non-finite
-    gradient fails every trial), a step below ``_STEP_TOL``, pass
-    ``_MAX_ITERS`` or the polish step of a gradient within ``_GRAD_TOL``,
-    which counts one more iteration than the pass; its outputs are written
-    once, in the pass it stops.  Returns per-row arrays by name: theta,
-    objective, grad_norm, iterations, boundary_clamped and converged, the
-    one convergence decision: a final gradient within ``_GRAD_TOL``.
+    that passes.  Each pass ends with the :func:`_direction` of the point
+    each row lands on, which the next pass steps along.  A row stops on a
+    failed search (staying put; a non-finite gradient fails every trial),
+    a step below ``_STEP_TOL``, pass ``_MAX_ITERS``, the polish step of a
+    gradient within ``_GRAD_TOL``, which counts one more iteration than
+    the pass, or a landing point whose gradient is within ``_GRAD_TOL``
+    and whose Newton step is below ``_POLISH_TOL``, so that its polish
+    step could not move it; its outputs are written once, in the pass it
+    stops.  Returns per-row arrays by name: theta, objective, grad_norm,
+    iterations, boundary_clamped and converged, the one convergence
+    decision: a final gradient within ``_GRAD_TOL``.
     """
     n = len(theta0)
-    # the running rows: their indices, points, values, fractions and flags
+    # the running rows: their indices, points, values, fractions, flags
+    # and the direction and polish test of the point each stands on
     rows, th, ra = np.arange(n), theta0, r.reshape(n, -1)
     at, cl = _eval_theta(th, ra, plan, beta)
+    step, slope, _ = _direction(at[1:])
+    reached = np.abs(at[1:3]).max(axis=0) <= _GRAD_TOL
     theta, ev = np.empty_like(th), np.empty_like(at)
     iterations, clamped = np.empty(n, dtype=int), np.empty(n, dtype=bool)
     for it in range(1, _MAX_ITERS + 1):
-        polish = np.abs(at[1:3]).max(axis=0) <= _GRAD_TOL
-        step, slope = _direction(at[1:])
+        polish = reached
         f0 = at[0]
         # rounding allowance: near the optimum the true decrease drops below
         # double resolution of the objective; without it the search stalls
@@ -248,10 +256,14 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
             new[pending], ev_new[:, pending], cl_new[pending] = (
                 th[pending], at[:, pending], False)
         th, at, cl = new, ev_new, cl | cl_new
+        # the next pass's direction, from the values of the landing point
+        step, slope, tiny = _direction(at[1:])
+        reached = np.abs(at[1:3]).max(axis=0) <= _GRAD_TOL
         # a failed search, a stalled step or the last pass stops its row;
-        # otherwise a polish step does, and counts one more iteration
+        # otherwise a polish step does, and counts one more iteration, or a
+        # landing point whose own polish step could not move it
         stop = ~accepted | (moved < _STEP_TOL) | (it == _MAX_ITERS)
-        leave = stop | polish
+        leave = stop | polish | (reached & tiny)
         # the one place a row's outputs are written: the pass it leaves
         out = np.flatnonzero(leave)
         if out.size:
@@ -266,6 +278,8 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
             stay = np.flatnonzero(~leave)
             rows, cl = rows.take(stay), cl.take(stay)
             th, at, ra = th.take(stay, 0), at.take(stay, 1), ra.take(stay, 0)
+            step, slope = step.take(stay, 1), slope.take(stay)
+            reached = reached.take(stay)
     grad_norm = np.abs(ev[1:3]).max(axis=0)
     return {"theta": theta, "objective": ev[0], "grad_norm": grad_norm,
             "iterations": iterations, "boundary_clamped": clamped,
@@ -273,11 +287,14 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
 
 
 def _direction(gh: np.ndarray):
-    """Per-row search direction (2, n) and its slope g . step, from the
-    rows ``g0, g1, h00, h01, h11`` of :func:`_eval_theta`.
+    """Per-row search direction (2, n), its slope g . step and whether it
+    is a Newton step below ``_POLISH_TOL``, from the rows ``g0, g1, h00,
+    h01, h11`` of :func:`_eval_theta`.
 
     Newton when the Hessian is finite and safely positive definite and the
-    step is not uphill, else steepest descent; steps are capped at 5.
+    step is not uphill, else steepest descent; steps are capped at 5.  The
+    Newton step H^-1 g, and so the third output, does not change when g and
+    H are scaled together.
     """
     g0, g1, h00, h01, h11 = gh
     # an ill-scaled plan (stresses near 1e308) can overflow any product;
@@ -300,7 +317,7 @@ def _direction(gh: np.ndarray):
             step[:, big] *= 5.0 / size[big]
         if changed:
             slope = g0 * step[0] + g1 * step[1]
-    return step, slope
+    return step, slope, newton & (size < _POLISH_TOL)
 
 
 def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
@@ -334,13 +351,15 @@ def fit(table: FailureTable, beta: float) -> FitResult:
     from the least-squares line through the data's linear form.  Its
     stops are fixed: a fit converged when its max-abs gradient in
     (log alpha0, alpha1) is within 1e-10, after which the run takes one
-    more step to polish the last digits; it also stops on a step below
-    1e-12 in the same coordinates or after 200 iterations, returning the
-    best iterate with ``converged=False`` instead of raising.  Raises
+    more step to polish the last digits, unless a step landed it there
+    and the Newton step at that point is below 1e-14, too small to move
+    it; it also stops on a step below 1e-12 in the same coordinates or
+    after 200 iterations, returning the best iterate with
+    ``converged=False`` instead of raising.  Raises
     :class:`~oneshotdpd.errors.NoInteriorData` when no cell has a failure
-    count strictly between 0 and its size (the minimizer then degenerates),
-    and :class:`~oneshotdpd.errors.NumericalOverflow` when the fitted
-    ``alpha0`` is not a positive finite double.
+    count strictly between 0 and its size (the minimizer then
+    degenerates), and :class:`~oneshotdpd.errors.NumericalOverflow` when
+    the fitted ``alpha0`` is not a positive finite double.
     """
     return fit_path(table, [beta])[0]
 

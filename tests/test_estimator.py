@@ -28,7 +28,7 @@ from oneshotdpd.io import parse_betas
 
 from conftest import PROPERTY, random_params, random_plan, random_table
 from oracles import certify
-from test_simulate import k3_spec
+from test_simulate import golden_spec, k3_spec
 
 # published estimates for the bundled 3x3 experiment
 TABLE2_SPOT = {0.0: (0.00487, 0.04732), 0.5: (0.00493, 0.04695),
@@ -366,10 +366,13 @@ def ref_newton(theta0, r, plan, beta, stats):
     """The solver with its earlier line search, one halving per kernel
     call, and its earlier exit pass; ``stats`` collects every accepted
     step length, counts the rows leaving by each exit: ``nonfinite``
-    gradient, ``failed`` search (all halvings), ``stall``, ``cap`` and
-    ``polish`` step, and counts the ``full`` passes, where every row is
-    active and takes its full step, and the ``mixed`` passes, where a
-    row with a non-finite gradient leaves beside rows that go on."""
+    gradient, ``failed`` search (all halvings), ``stall``, ``cap``,
+    ``polish`` step and ``land``, a landing point whose gradient is within
+    the tolerance and whose Newton step is below ``_POLISH_TOL``, which
+    counts the iterations that reached it, and counts the ``full`` passes,
+    where every row is active and takes its full step, and the ``mixed``
+    passes, where a row with a non-finite gradient leaves beside rows that
+    go on."""
     def objective(theta, cells):
         return estimator._eval_theta(theta, cells, plan, beta)[0][0]
 
@@ -391,7 +394,12 @@ def ref_newton(theta0, r, plan, beta, stats):
         iterations[active[~settled[active]]] = it
         gn = np.abs(gh[:2]).max(axis=0)
         grad_norm[active] = gn
-        go = np.isfinite(gn) & ~reached[active] & ~settled[active]
+        land = ((it > 1) & (gn <= estimator._GRAD_TOL)
+                & estimator._direction(gh)[2] & ~reached[active]
+                & ~settled[active])
+        iterations[active[land]] = it - 1
+        stats["land"] += int(land.sum())
+        go = np.isfinite(gn) & ~reached[active] & ~settled[active] & ~land
         nonfinite = ~np.isfinite(gn) & ~reached[active] & ~settled[active]
         stats["nonfinite"] += int(nonfinite.sum())
         stats["mixed"] += int(nonfinite.any() and go.any())
@@ -399,7 +407,7 @@ def ref_newton(theta0, r, plan, beta, stats):
         active, gh, th, ra = active[go], gh[:, go], th[go], ra[go]
         if active.size == 0:
             break
-        step, slope = estimator._direction(gh)
+        step, slope, _ = estimator._direction(gh)
         f0 = fval[active]
         allowance = 4e-16 * np.maximum(1.0, np.abs(f0))
         lam = np.ones(active.size)
@@ -440,7 +448,8 @@ def ref_newton(theta0, r, plan, beta, stats):
 def ref_direction(gh):
     """The search direction as one unconditional formula: Newton where
     the Hessian is finite and positive definite and the step is finite and
-    not uphill, else steepest descent, then every step above 5 capped."""
+    not uphill, else steepest descent, then every step above 5 capped; and
+    the Newton steps below ``_POLISH_TOL``."""
     g0, g1, h00, h01, h11 = gh
     with np.errstate(all="ignore"):
         det = h00 * h11 - h01 * h01
@@ -453,7 +462,7 @@ def ref_direction(gh):
         big = size > 5.0
         step[:, big] *= 5.0 / size[big]
         slope = g0 * step[0] + g1 * step[1]
-    return step, slope
+    return step, slope, newton & (size < estimator._POLISH_TOL)
 
 
 class TestDirection:
@@ -486,6 +495,9 @@ class TestDirection:
             # underflow
             "extreme": np.vstack([g * 10.0 ** rng.uniform(-300, 300, (2, n)),
                                   h * 10.0 ** rng.uniform(-300, 300, (3, n))]),
+            # Newton steps from 1e-16 to 1e-12, on both sides of
+            # _POLISH_TOL
+            "polished": np.vstack([g * 10.0 ** rng.uniform(-16, -12, n), h]),
         }
         for k, bad in enumerate((np.nan, np.inf, -np.inf)):
             worse = np.vstack([g, h])
@@ -509,21 +521,42 @@ class TestDirection:
 
     def test_kinds_take_each_branch(self):
         kinds = self.kinds()
+        for name, gh in kinds.items():
+            step, _, tiny = ref_direction(gh)
+            size = np.abs(step).max(axis=0)
+            if name == "polished":
+                assert tiny.any() and not tiny.all()
+                assert (tiny == (size < estimator._POLISH_TOL)).all()
+            elif name != "extreme":
+                assert not tiny.any()
         for name in ("newton", "capped", "flat"):
-            step, _ = ref_direction(kinds[name])
+            step = ref_direction(kinds[name])[0]
             size = np.abs(step).max(axis=0)
             assert {"newton": (size < 5.0).all(),
                     "capped": (size == 5.0).all(),
                     "flat": (step == 0.0).all()}[name]
         for name in ("uphill", "indefinite", "singular"):
             # steepest descent, capped where the gradient is large
-            step, _ = ref_direction(kinds[name])
+            step = ref_direction(kinds[name])[0]
             gh = kinds[name]
             assert (np.sign(step) == -np.sign(gh[:2])).all()
         g0, g1, h00, h01, h11 = kinds["extreme"]
         with np.errstate(all="ignore"):
             det = h00 * h11 - h01 * h01
         assert not np.isfinite(det).all() and (det == 0.0).any()
+
+    @pytest.mark.parametrize("power", [-20, 20])
+    def test_polish_decision_does_not_depend_on_scale(self, power):
+        # g and H times 2^power leave the Newton step H^-1 g, bit for bit,
+        # and so every decision that it is below _POLISH_TOL
+        kinds = self.kinds()
+        del kinds["extreme"]
+        gh = np.hstack(list(kinds.values()))
+        step, _, tiny = estimator._direction(gh.copy())
+        scaled, _, scaled_tiny = estimator._direction(np.ldexp(gh, power))
+        assert scaled_tiny.tobytes() == tiny.tobytes()
+        assert scaled[:, tiny].tobytes() == step[:, tiny].tobytes()
+        assert 0 < tiny.sum() < kinds["polished"].shape[1]
 
 
 class TestNewtonExits:
@@ -584,7 +617,7 @@ class TestNewtonExits:
 
     def test_line_search_matches_one_halving_per_call(self):
         stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
-                 "stall": 0, "cap": 0, "full": 0, "mixed": 0}
+                 "land": 0, "stall": 0, "cap": 0, "full": 0, "mixed": 0}
         rows = 0
         for plan, r in self.cases():
             start = _data_starts(r, plan)
@@ -599,8 +632,8 @@ class TestNewtonExits:
         # all 43 halvings, so every halving call is exercised
         assert min(stats["lam"]) < 2.0**-8
         # every exit is taken, and each row leaves by exactly one
-        exits = [stats[k] for k in ("nonfinite", "polish", "stall", "cap",
-                                    "failed")]
+        exits = [stats[k] for k in ("nonfinite", "polish", "land", "stall",
+                                    "cap", "failed")]
         assert min(exits) > 0
         assert sum(exits) == rows
         # passes where every row is active and takes its full step
@@ -610,13 +643,13 @@ class TestNewtonExits:
         assert stats["mixed"] > 0
 
     def test_clamped_starts_keep_their_flag(self):
-        # starts at 20 and 55 times the data's alpha0 put F above
+        # starts at 20, 55 and 148 times the data's alpha0 put F above
         # 1 - 1e-16 in some cell, or every cell; the runs then walk back
-        # through unclamped points, many in passes of full steps
+        # through unclamped points, from 148 times in passes of full steps
         plan, clean = list(self.cases())[-2]
         stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
-                 "stall": 0, "cap": 0, "full": 0, "mixed": 0}
-        for shift in (3.0, 4.0):
+                 "land": 0, "stall": 0, "cap": 0, "full": 0, "mixed": 0}
+        for shift in (3.0, 4.0, 5.0):
             start = _data_starts(clean, plan) + [shift, 0.0]
             got = estimator._newton(start, clean, plan, 0.4)
             want = ref_newton(start, clean, plan, 0.4, stats)
@@ -658,6 +691,34 @@ class TestFitPath:
     def test_empty_rejected(self, table1):
         with pytest.raises(ValueError):
             fit_path(table1, [])
+
+
+class TestKernelCounts:
+    """The kernel calls and rows a study and a fit path cost, pinned: a
+    landing point whose Newton step is below ``_POLISH_TOL`` takes no
+    polish pass (32 calls and 1,223 rows, and 56 calls, before that
+    exit)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = [0, 0]
+        kernel = estimator._eval_theta
+
+        def counted(theta, *args):
+            counts[0] += 1
+            counts[1] += len(theta)
+            return kernel(theta, *args)
+
+        monkeypatch.setattr(estimator, "_eval_theta", counted)
+        return counts
+
+    def test_level_power_study(self, counts):
+        simulate.level_power_study(golden_spec("level_power"))
+        assert counts == [27, 1014]
+
+    def test_fit_path(self, counts, table1):
+        fit_path(table1, parse_betas("0:0.1:1,2,3,4"))
+        assert counts == [47, 47]
 
 
 def mp_minimizer(table, beta, theta, mp):

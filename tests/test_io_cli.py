@@ -689,6 +689,20 @@ class TestCli:
                                 "--beta", "0", "--bogus"], capsys)
         assert "--bogus" in doc["errors"][0]["message"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--input", str(dataset_path("table1")), "--beta", "0",
+          "--m", "0,1"], "unrecognized arguments: --m 0,1"),
+        (["power", "--input", str(dataset_path("table1")), "--alpha",
+          "0.004,0.02", "--beta", "0", "--m", "0,1", "--d", "0.05",
+          "--dev", "50", "--abs"],
+         "the following arguments are required: --alpha-star, --devices")])
+    def test_usage_error_option_prefix(self, argv, message, capsys):
+        # a prefix is not the option it begins: fit's --m is not
+        # --mission-times, and power's --alpha, --dev and --abs are not
+        # --alpha-star, --devices and --abs-effect
+        doc = self.usage_error(argv, capsys)
+        assert doc["errors"][0]["message"] == message
+
     @pytest.mark.parametrize("argv", [["--version"], *(
         [command, "--help"] for command in _command_parsers())])
     def test_help_and_version_exit_zero(self, argv, capsys):
