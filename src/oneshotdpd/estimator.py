@@ -37,14 +37,13 @@ from .model import FailureTable, ModelParams, TestPlan, _cells, _plan_cells
 _F_MIN = 1e-300
 _F_MAX = 1.0 - 1e-16
 
-# Newton stops: the iteration cap, the max-abs gradient and the max-abs
-# step, both in (log alpha0, alpha1), and the max-abs Newton step below
-# which a landing point needs no polish step; a fit converged when its
-# final gradient is within _GRAD_TOL
+# Newton stops: the cap on evaluated steps, the max-abs step in
+# (log alpha0, alpha1) below which a run has stalled, and the largest
+# change of log-rate at a plan stress that a final Newton step may make; a
+# fit converged when it took such a step, which is unit-free
 _MAX_ITERS = 200
-_GRAD_TOL = 1e-10
 _STEP_TOL = 1e-12
-_POLISH_TOL = 1e-14
+_RATE_TOL = 1e-7
 # the line search's halvings of a failed full step, eight to a call, down
 # to 2^-43, the last power of two at or above 1e-13
 _STEPS = np.split(np.ldexp(1.0, -np.arange(1, 44)), range(8, 43, 8))
@@ -54,13 +53,16 @@ _STEPS = np.split(np.ldexp(1.0, -np.arange(1, 44)), range(8, 43, 8))
 class FitResult:
     """Fitted parameters plus solver and inference diagnostics.
 
-    ``grad_norm`` is the max-abs objective gradient in the internal
-    coordinates at ``params``; ``converged`` is true exactly when it is at
-    or below the fixed tolerance 1e-10, and ``iterations`` counts the
-    iterations of its one Newton run, and one more when it ends on a
-    polish step of at least 1e-12 (see :func:`fit`).  ``covariance`` is
-    the model-based sandwich evaluated at the estimate, or None when the
-    information matrix was too ill-conditioned.
+    ``objective`` and ``grad_norm`` are evaluated at ``params``; the
+    latter is the max-abs objective gradient in the internal coordinates
+    (log alpha0, alpha1), a diagnostic in the units of the data, not the
+    stopping rule.  ``converged`` is true exactly when the run ended on a
+    final Newton step (see :func:`fit`), and ``iterations`` counts the
+    steps of its one Newton run, that final step included.
+    ``boundary_clamped`` reports a probability clamp at any point the run
+    evaluated or at ``params``.  ``covariance`` is the model-based
+    sandwich evaluated at the estimate, or None when the information
+    matrix was too ill-conditioned.
     """
 
     beta: float
@@ -186,36 +188,57 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
 
     Row k fits the fractions ``r[k]`` (n, I, J).  Each row follows its own
     iteration: a Newton direction only when the Hessian is finite and
-    positive definite (otherwise steepest descent), steps capped at 5,
-    Armijo backtracking down to 1e-13, and the ``_GRAD_TOL``, ``_STEP_TOL``
-    and ``_MAX_ITERS`` stops.  Each point is evaluated once, by
+    positive definite (otherwise steepest descent), steps capped at 5, and
+    Armijo backtracking down to 1e-13.  Each point is evaluated once, by
     :func:`_eval_theta` over the rows-first (rows, C) cells, and a row
-    keeps the values of the point it stands on.  A pass works on the
-    running rows: their full steps in one call, then the halvings of the
+    keeps the values of the point it stands on.  A pass starts with the
+    :func:`_direction` of the point each row stands on; the rows whose
+    step there is final, or that stopped in the last pass, leave, and the
+    others search: their full steps in one call, then the halvings of the
     rows that failed it eight to a call, each row keeping its largest step
-    that passes.  Each pass ends with the :func:`_direction` of the point
-    each row lands on, which the next pass steps along.  A row stops on a
-    failed search (staying put; a non-finite gradient fails every trial),
-    a step below ``_STEP_TOL``, pass ``_MAX_ITERS``, the polish step of a
-    gradient within ``_GRAD_TOL``, which counts one more iteration than
-    the pass, or a landing point whose gradient is within ``_GRAD_TOL``
-    and whose Newton step is below ``_POLISH_TOL``, so that its polish
-    step could not move it; its outputs are written once, in the pass it
-    stops.  Returns per-row arrays by name: theta, objective, grad_norm,
-    iterations, boundary_clamped and converged, the one convergence
-    decision: a final gradient within ``_GRAD_TOL``.
+    that passes.  A row converges, and only so, when its Newton step at a
+    point with a finite, positive definite Hessian moves no stress level's
+    log-rate by more than ``_RATE_TOL``: it takes that step without
+    evaluating where it lands, and counts it as one more iteration.  A
+    row stops unconverged on a failed search (staying put; a non-finite
+    gradient fails every trial), a step below ``_STEP_TOL`` or its
+    ``_MAX_ITERS``-th step, unless the point it lands on passes the step
+    test.  A row's outputs are written once, in the pass it leaves.
+    Returns per-row arrays by name: theta, iterations, boundary_clamped
+    (a clamp at any point the row evaluated) and converged; the values of
+    the returned points are not evaluated here.
     """
     n = len(theta0)
+    # a log-rate change linear in stress is largest at an end of the plan
+    ends = np.array([plan.temps.min(), plan.temps.max()])
     # the running rows: their indices, points, values, fractions, flags
-    # and the direction and polish test of the point each stands on
+    # and whether the last pass stopped them
     rows, th, ra = np.arange(n), theta0, r.reshape(n, -1)
     at, cl = _eval_theta(th, ra, plan, beta)
-    step, slope, _ = _direction(at[1:])
-    reached = np.abs(at[1:3]).max(axis=0) <= _GRAD_TOL
-    theta, ev = np.empty_like(th), np.empty_like(at)
-    iterations, clamped = np.empty(n, dtype=int), np.empty(n, dtype=bool)
-    for it in range(1, _MAX_ITERS + 1):
-        polish = reached
+    stop = np.zeros(n, dtype=bool)
+    theta = np.empty_like(th)
+    iterations = np.empty(n, dtype=int)
+    clamped, converged = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    # it counts the steps each running row has taken
+    for it in range(_MAX_ITERS + 1):
+        step, slope, final = _direction(at[1:], ends)
+        # the one place a row's outputs are written: the pass it leaves
+        leave = stop | final
+        out = np.flatnonzero(leave)
+        if out.size:
+            done, last = rows.take(out), final.take(out)
+            theta[done] = th.take(out, 0)
+            theta[done[last]] += step.T.take(out[last], 0)
+            iterations[done] = it + last
+            clamped[done] = cl.take(out)
+            converged[done] = last
+            if out.size == rows.size:
+                break
+            # take is several times faster than a mask on arrays this small
+            stay = np.flatnonzero(~leave)
+            rows, cl = rows.take(stay), cl.take(stay)
+            th, at, ra = th.take(stay, 0), at.take(stay, 1), ra.take(stay, 0)
+            step, slope = step.take(stay, 1), slope.take(stay)
         f0 = at[0]
         # rounding allowance: near the optimum the true decrease drops below
         # double resolution of the objective; without it the search stalls
@@ -256,45 +279,26 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
             new[pending], ev_new[:, pending], cl_new[pending] = (
                 th[pending], at[:, pending], False)
         th, at, cl = new, ev_new, cl | cl_new
-        # the next pass's direction, from the values of the landing point
-        step, slope, tiny = _direction(at[1:])
-        reached = np.abs(at[1:3]).max(axis=0) <= _GRAD_TOL
-        # a failed search, a stalled step or the last pass stops its row;
-        # otherwise a polish step does, and counts one more iteration, or a
-        # landing point whose own polish step could not move it
-        stop = ~accepted | (moved < _STEP_TOL) | (it == _MAX_ITERS)
-        leave = stop | polish | (reached & tiny)
-        # the one place a row's outputs are written: the pass it leaves
-        out = np.flatnonzero(leave)
-        if out.size:
-            done = rows.take(out)
-            theta[done] = th.take(out, axis=0)
-            ev[:, done] = at.take(out, axis=1)
-            clamped[done] = cl.take(out)
-            iterations[done] = it + (polish & ~stop).take(out)
-            if out.size == rows.size:
-                break
-            # take is several times faster than a mask on arrays this small
-            stay = np.flatnonzero(~leave)
-            rows, cl = rows.take(stay), cl.take(stay)
-            th, at, ra = th.take(stay, 0), at.take(stay, 1), ra.take(stay, 0)
-            step, slope = step.take(stay, 1), slope.take(stay)
-            reached = reached.take(stay)
-    grad_norm = np.abs(ev[1:3]).max(axis=0)
-    return {"theta": theta, "objective": ev[0], "grad_norm": grad_norm,
-            "iterations": iterations, "boundary_clamped": clamped,
-            "converged": grad_norm <= _GRAD_TOL}
+        # a failed search, a stalled step or the last step stops its row,
+        # which leaves in the next pass unless its step there is final
+        stop = ~accepted | (moved < _STEP_TOL) | (it + 1 == _MAX_ITERS)
+    return {"theta": theta, "iterations": iterations,
+            "boundary_clamped": clamped, "converged": converged}
 
 
-def _direction(gh: np.ndarray):
+def _direction(gh: np.ndarray, ends: np.ndarray):
     """Per-row search direction (2, n), its slope g . step and whether it
-    is a Newton step below ``_POLISH_TOL``, from the rows ``g0, g1, h00,
-    h01, h11`` of :func:`_eval_theta`.
+    is a final step, from the rows ``g0, g1, h00, h01, h11`` of
+    :func:`_eval_theta` and the plan's lowest and highest stress ``ends``.
 
     Newton when the Hessian is finite and safely positive definite and the
-    step is not uphill, else steepest descent; steps are capped at 5.  The
-    Newton step H^-1 g, and so the third output, does not change when g and
-    H are scaled together.
+    step is not uphill (a zero step is a Newton step), else steepest
+    descent; steps are capped at 5, except a final step: a Newton step
+    that moves the log-rate log alpha0 + alpha1 w at no stress w of the
+    plan by more than ``_RATE_TOL``.  That decision does not change when
+    g and H are scaled together, when stress is re-coded affinely or when
+    times are rescaled, since none of these moves the Newton step's change
+    of log-rate at a plan stress.
     """
     g0, g1, h00, h01, h11 = gh
     # an ill-scaled plan (stresses near 1e308) can overflow any product;
@@ -304,20 +308,22 @@ def _direction(gh: np.ndarray):
         step = np.array([-g0 * h11 + g1 * h01, g0 * h01 - g1 * h00]) / det
         slope = g0 * step[0] + g1 * step[1]
         newton = (np.isfinite(gh[2:]).all(axis=0) & (h00 > 0.0) & (det > 0.0)
-                  & np.isfinite(step).all(axis=0) & ~(slope >= 0.0))
+                  & np.isfinite(step).all(axis=0) & ~(slope > 0.0))
+        final = newton & (np.abs(step[0] + step[1] * ends[:, None])
+                          .max(axis=0) <= _RATE_TOL)
         # the fallback and the cap change the slope; a step that neither
         # touches keeps the one of the uphill test
         changed = not newton.all()
         if changed:
             step[:, ~newton] = -gh[:2, ~newton]
         size = np.abs(step).max(axis=0)
-        big = size > 5.0
+        big = (size > 5.0) & ~final
         if big.any():
             changed = True
             step[:, big] *= 5.0 / size[big]
         if changed:
             slope = g0 * step[0] + g1 * step[1]
-    return step, slope, newton & (size < _POLISH_TOL)
+    return step, slope, final
 
 
 def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
@@ -327,7 +333,8 @@ def _fit_rows(r: np.ndarray, plan: TestPlan, betas):
     :func:`_data_starts`, and every beta is one :func:`_newton` call over
     all rows.  Returns (row, beta) arrays by name: ``alpha``, then the
     :func:`_newton` outputs, with ``converged`` kept only where alpha0 =
-    exp(theta0) is a positive finite double.
+    exp(theta0) is a positive finite double.  No value at ``alpha`` is
+    evaluated: the studies read only ``alpha`` and ``converged``.
     """
     warm = _data_starts(r, plan)
     path = []
@@ -349,13 +356,15 @@ def fit(table: FailureTable, beta: float) -> FitResult:
 
     Deterministic given its inputs.  One safeguarded Newton run starts
     from the least-squares line through the data's linear form.  Its
-    stops are fixed: a fit converged when its max-abs gradient in
-    (log alpha0, alpha1) is within 1e-10, after which the run takes one
-    more step to polish the last digits, unless a step landed it there
-    and the Newton step at that point is below 1e-14, too small to move
-    it; it also stops on a step below 1e-12 in the same coordinates or
-    after 200 iterations, returning the best iterate with
-    ``converged=False`` instead of raising.  Raises
+    stops are fixed.  A fit converged when, at a point with a finite,
+    positive definite Hessian, the Newton step changes the log-rate
+    log alpha0 + alpha1 w at every plan stress w by at most 1e-7; the run
+    takes that step, without evaluating it, and stops.  This test does not
+    depend on the scale of the objective, an affine re-coding of stress
+    or the unit of time.  Otherwise the run stops on a failed line search,
+    a step below 1e-12 in (log alpha0, alpha1) or after 200 evaluated
+    steps, returning the last iterate with ``converged=False`` instead of
+    raising.  Raises
     :class:`~oneshotdpd.errors.NoInteriorData` when no cell has a failure
     count strictly between 0 and its size (the minimizer then
     degenerates), and :class:`~oneshotdpd.errors.NumericalOverflow` when
@@ -368,9 +377,13 @@ def fit_path(table: FailureTable, betas) -> list[FitResult]:
     """Fit a sorted grid of tuning parameters, warm-starting along the path.
 
     Each entry starts from the last converged estimate on the path, or is
-    a cold fit when there is none, as in the Monte-Carlo studies.  Warm
-    starts land on the same optimum as independent cold fits, up to the
-    step tolerance.  Raises as :func:`fit` does.
+    a cold fit when there is none, as in the Monte-Carlo studies.  Where
+    the objective has one minimiser that both runs reach, as on the
+    bundled tables, warm starts land on the cold fit's optimum to about
+    the last digits of a double; where it has several stationary points or
+    falls toward a limit at infinity, as on some tables of three-device
+    cells, a warm start can end elsewhere than a cold fit.  Raises as
+    :func:`fit` does.
     """
     return _fit_tables([table], betas)[0]
 
@@ -378,9 +391,10 @@ def fit_path(table: FailureTable, betas) -> list[FitResult]:
 def _fit_tables(tables, betas) -> list[list[FitResult]]:
     """:func:`fit_path` of every table in ``tables``, which share one plan.
 
-    The tables are the rows of one :func:`_fit_rows` call, and each beta
-    is one sandwich call over every table's estimate, as in the studies.
-    Returns one list of :class:`FitResult` per table.
+    The tables are the rows of one :func:`_fit_rows` call.  Each beta is
+    one :func:`_eval_theta` call, for the objective, gradient and clamp
+    flag at every table's estimate, and one sandwich call over them, as in
+    the studies.  Returns one list of :class:`FitResult` per table.
     """
     betas = _check_betas(betas)
     if not all(table.has_interior_cell() for table in tables):
@@ -397,6 +411,13 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
     if not (np.isfinite(alpha[..., 0]) & (alpha[..., 0] > 0.0)).all():
         raise NumericalOverflow(
             "the fitted alpha0 is not a positive finite double")
+    theta = np.stack([np.log(alpha[..., 0]), alpha[..., 1]], axis=-1)
+    ev, cl = zip(*(_eval_theta(theta[:, b], r.reshape(len(r), -1), plan,
+                               beta) for b, beta in enumerate(betas)))
+    ev = np.stack(ev, axis=-1)
+    fits["objective"] = ev[0]
+    fits["grad_norm"] = np.abs(ev[1:3]).max(axis=0)
+    fits["boundary_clamped"] |= np.stack(cl, axis=1)
     sandwiches = [inference._sandwich_rows(alpha[:, b], plan, beta)
                   for b, beta in enumerate(betas)]
     columns = {name: v.tolist() for name, v in fits.items()}

@@ -9,7 +9,7 @@ Each line reads ``<sha256>  <name>``.  The names cover:
 * ``study/...``: ``rmse_study``, ``level_power_study`` and
   ``contamination_sweep`` reports, clean and contaminated, on 50-device
   and 3-device cells; a digest covers ``to_json`` and ``to_rows``;
-* ``solver/...``: the six ``_fit_rows`` outputs, along the betas
+* ``solver/...``: the four ``_fit_rows`` outputs, along the betas
   0:0.2:1,2, for seeded random tables on small and large, wide, unbalanced
   and extreme plans (stresses and times near the ends of the double
   range), where many fits stall or hit the iteration cap;

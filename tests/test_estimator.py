@@ -24,6 +24,7 @@ from oneshotdpd import (
 )
 from oneshotdpd import simulate
 from oneshotdpd.estimator import _data_starts
+from oneshotdpd.model import _cells
 from oneshotdpd.io import parse_betas
 
 from conftest import PROPERTY, random_params, random_plan, random_table
@@ -164,9 +165,11 @@ class TestFit:
 
         start = ModelParams(0.02, 0.01)
         theta0 = np.array([[np.log(start.alpha0), start.alpha1]])
-        objective = _newton(theta0, table1.frequencies[None], table1.plan,
-                            0.5)["objective"]
-        assert objective[0] <= dpd_objective(table1, start, 0.5) + 1e-12
+        theta = _newton(theta0, table1.frequencies[None], table1.plan,
+                        0.5)["theta"][0]
+        end = ModelParams(np.exp(theta[0]), theta[1])
+        assert (dpd_objective(table1, end, 0.5)
+                <= dpd_objective(table1, start, 0.5) + 1e-12)
 
     def test_no_interior_data_all_zero(self):
         plan = TestPlan(temps=[35, 45], times=[10, 20],
@@ -358,57 +361,51 @@ class TestDataStarts:
 
 
 # the solver's outputs by name, in ref_newton's positional order
-NEWTON_OUTPUTS = ("theta", "objective", "grad_norm", "iterations",
-                  "boundary_clamped")
+NEWTON_OUTPUTS = ("theta", "iterations", "boundary_clamped", "converged")
+# table1's stresses, out of order, and their ends, which _direction takes
+TEMPS = np.array([45.0, 55.0, 35.0])
+ENDS = np.array([35.0, 55.0])
 
 
 def ref_newton(theta0, r, plan, beta, stats):
     """The solver with its earlier line search, one halving per kernel
-    call, and its earlier exit pass; ``stats`` collects every accepted
-    step length, counts the rows leaving by each exit: ``nonfinite``
-    gradient, ``failed`` search (all halvings), ``stall``, ``cap``,
-    ``polish`` step and ``land``, a landing point whose gradient is within
-    the tolerance and whose Newton step is below ``_POLISH_TOL``, which
-    counts the iterations that reached it, and counts the ``full`` passes,
-    where every row is active and takes its full step, and the ``mixed``
-    passes, where a row with a non-finite gradient leaves beside rows that
-    go on."""
-    def objective(theta, cells):
-        return estimator._eval_theta(theta, cells, plan, beta)[0][0]
-
+    call, and a row re-evaluated at the top of every pass; returns the
+    :data:`NEWTON_OUTPUTS` and the objective of the last point each row
+    evaluated.  ``stats`` collects every accepted step length, counts the
+    rows leaving by each exit: ``final`` Newton step, ``failed`` search
+    (all halvings; ``nonfinite`` of those had a non-finite gradient),
+    ``stall`` and ``cap``, and ``late``, the final steps taken from a
+    point where a stall or the cap had stopped the row; and counts the
+    ``full`` passes, where every row is active and takes its full step,
+    and the ``mixed`` passes, where a non-finite gradient fails its search
+    beside rows that go on."""
     n = len(theta0)
     theta = theta0.copy()
     r = r.reshape(n, -1)
-    fval = objective(theta, r)
-    grad_norm = np.full(n, np.inf)
+    fval = np.empty(n)
     iterations = np.zeros(n, dtype=int)
     clamped = np.zeros(n, dtype=bool)
-    reached = np.zeros(n, dtype=bool)
-    settled = np.zeros(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    stopped = np.full(n, "", dtype=object)
     active = np.arange(n)
-    for it in range(1, estimator._MAX_ITERS + 2):
-        th, ra = theta[active], r[active]
-        ev, cl = estimator._eval_theta(th, ra, plan, beta)
-        gh = ev[1:]
+    for it in range(estimator._MAX_ITERS + 1):
+        ev, cl = estimator._eval_theta(theta[active], r[active], plan, beta)
+        fval[active] = ev[0]
         clamped[active[cl]] = True
-        iterations[active[~settled[active]]] = it
-        gn = np.abs(gh[:2]).max(axis=0)
-        grad_norm[active] = gn
-        land = ((it > 1) & (gn <= estimator._GRAD_TOL)
-                & estimator._direction(gh)[2] & ~reached[active]
-                & ~settled[active])
-        iterations[active[land]] = it - 1
-        stats["land"] += int(land.sum())
-        go = np.isfinite(gn) & ~reached[active] & ~settled[active] & ~land
-        nonfinite = ~np.isfinite(gn) & ~reached[active] & ~settled[active]
-        stats["nonfinite"] += int(nonfinite.sum())
-        stats["mixed"] += int(nonfinite.any() and go.any())
-        reached[active[gn <= estimator._GRAD_TOL]] = True
-        active, gh, th, ra = active[go], gh[:, go], th[go], ra[go]
+        step, slope, final = ref_direction(ev[1:], plan.temps)
+        # a final step is taken unevaluated, and ends the run
+        theta[active[final]] += step[:, final].T
+        iterations[active[final]] += 1
+        converged[active[final]] = True
+        stats["final"] += int(final.sum())
+        stats["late"] += int((final & (stopped[active] != "")).sum())
+        for reason in ("failed", "stall", "cap"):
+            stats[reason] += int((~final & (stopped[active] == reason)).sum())
+        go = ~final & (stopped[active] == "")
+        active, ev, step, slope = active[go], ev[:, go], step[:, go], slope[go]
         if active.size == 0:
             break
-        step, slope, _ = estimator._direction(gh)
-        f0 = fval[active]
+        th, ra, f0 = theta[active], r[active], ev[0]
         allowance = 4e-16 * np.maximum(1.0, np.abs(f0))
         lam = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
@@ -416,58 +413,60 @@ def ref_newton(theta0, r, plan, beta, stats):
         while pending.size:
             lam_p = lam[pending]
             trial = th[pending] + lam_p[:, None] * step[:, pending].T
-            ftrial = objective(trial, ra[pending])
+            ftrial = estimator._eval_theta(trial, ra[pending], plan,
+                                           beta)[0][0]
             ok = (ftrial <= f0[pending] + 1e-4 * lam_p * slope[pending]
                   + allowance[pending])
-            done = pending[ok]
-            accepted[done] = True
-            theta[active[done]] = trial[ok]
-            fval[active[done]] = ftrial[ok]
+            accepted[pending[ok]] = True
+            theta[active[pending[ok]]] = trial[ok]
             pending = pending[~ok]
             lam[pending] *= 0.5
             pending = pending[lam[pending] >= 1e-13]
+        iterations[active] += 1
         stats["lam"].extend(lam[accepted])
         stats["full"] += int(active.size == n and bool((lam == 1.0).all())
                              and bool(accepted.all()))
-        stats["failed"] += int((~accepted).sum())
-        moved = lam * np.abs(step).max(axis=0)
-        stall = accepted & (moved < estimator._STEP_TOL)
-        cap = accepted & ~stall & (it == estimator._MAX_ITERS)
-        stats["stall"] += int(stall.sum())
-        stats["cap"] += int(cap.sum())
-        stats["polish"] += int((accepted & ~stall & ~cap
-                                & reached[active]).sum())
-        settled[active[accepted & ((moved < estimator._STEP_TOL)
-                                   | (it == estimator._MAX_ITERS))]] = True
-        active = active[accepted]
-        if active.size == 0:
-            break
-    return theta, fval, grad_norm, iterations, clamped
+        nonfinite = ~np.isfinite(ev[1:3]).all(axis=0)
+        stats["nonfinite"] += int(nonfinite.sum())
+        stats["mixed"] += int(nonfinite.any() and (~nonfinite).any())
+        stall = accepted & (lam * np.abs(step).max(axis=0)
+                            < estimator._STEP_TOL)
+        stopped[active[~accepted]] = "failed"
+        stopped[active[stall]] = "stall"
+        if it + 1 == estimator._MAX_ITERS:
+            stopped[active[accepted & ~stall]] = "cap"
+    return theta, iterations, clamped, converged, fval
 
 
-def ref_direction(gh):
+def ref_direction(gh, temps):
     """The search direction as one unconditional formula: Newton where
     the Hessian is finite and positive definite and the step is finite and
-    not uphill, else steepest descent, then every step above 5 capped; and
-    the Newton steps below ``_POLISH_TOL``."""
+    not uphill, else steepest descent, then every step above 5 capped but
+    a final one; and the final steps: the Newton steps that change the
+    log-rate at no stress of ``temps`` by more than ``_RATE_TOL``."""
     g0, g1, h00, h01, h11 = gh
     with np.errstate(all="ignore"):
         det = h00 * h11 - h01 * h01
         step = np.array([-g0 * h11 + g1 * h01, g0 * h01 - g1 * h00]) / det
         newton = (np.isfinite(gh[2:]).all(axis=0) & (h00 > 0.0) & (det > 0.0)
                   & np.isfinite(step).all(axis=0)
-                  & ~(g0 * step[0] + g1 * step[1] >= 0.0))
+                  & ~(g0 * step[0] + g1 * step[1] > 0.0))
+        moves = np.abs(step[0] + step[1] * np.asarray(temps)[:, None])
+        final = newton & (moves.max(axis=0) <= estimator._RATE_TOL)
         step[:, ~newton] = -gh[:2, ~newton]
         size = np.abs(step).max(axis=0)
-        big = size > 5.0
+        big = (size > 5.0) & ~final
         step[:, big] *= 5.0 / size[big]
         slope = g0 * step[0] + g1 * step[1]
-    return step, slope, newton & (size < estimator._POLISH_TOL)
+    return step, slope, final
 
 
 class TestDirection:
     """:func:`estimator._direction` against :func:`ref_direction`, byte
     for byte, on every kind of (g, H) row alone and mixed."""
+
+    # stresses 1e-9 apart: a final step can exceed the cap of 5
+    NARROW = np.array([1e-9, 0.0])
 
     @staticmethod
     def kinds(n=40):
@@ -481,7 +480,7 @@ class TestDirection:
             "newton": np.vstack([1e-2 * g, h]),
             # Newton steps above the cap of 5
             "capped": np.vstack([1e3 * g, h]),
-            # a zero gradient: the Newton step is not downhill
+            # a zero gradient: a zero Newton step, which is final
             "flat": np.vstack([np.zeros((2, n)), h]),
             # negative definite: the Newton step is uphill
             "uphill": np.vstack([g, -h]),
@@ -495,9 +494,13 @@ class TestDirection:
             # underflow
             "extreme": np.vstack([g * 10.0 ** rng.uniform(-300, 300, (2, n)),
                                   h * 10.0 ** rng.uniform(-300, 300, (3, n))]),
-            # Newton steps from 1e-16 to 1e-12, on both sides of
-            # _POLISH_TOL
-            "polished": np.vstack([g * 10.0 ** rng.uniform(-16, -12, n), h]),
+            # Newton steps of about 1e-12 to 1e-6, moving table1's
+            # log-rates by amounts on both sides of _RATE_TOL
+            "final": np.vstack([g * 10.0 ** rng.uniform(-12, -6, n), h]),
+            # H = I and the Newton step (0, -10 u), u in [1, 2]: final only
+            # on stresses 1e-9 apart, where it exceeds the cap
+            "final_big": np.vstack([np.zeros(n), 10.0 * rng.uniform(1, 2, n),
+                                    np.ones(n), np.zeros(n), np.ones(n)]),
         }
         for k, bad in enumerate((np.nan, np.inf, -np.inf)):
             worse = np.vstack([g, h])
@@ -512,56 +515,91 @@ class TestDirection:
         perm = np.random.default_rng(5).permutation(mixed.shape[1])
         batches = [*kinds.values(), mixed, mixed[:, perm],
                    *(mixed[:, [k]] for k in range(0, mixed.shape[1], 7))]
-        for gh in batches:
-            got = estimator._direction(gh.copy())
-            want = ref_direction(gh.copy())
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+        for temps in (TEMPS, self.NARROW):
+            ends = np.array([temps.min(), temps.max()])
+            for gh in batches:
+                got = estimator._direction(gh.copy(), ends)
+                want = ref_direction(gh.copy(), temps)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
 
     def test_kinds_take_each_branch(self):
         kinds = self.kinds()
         for name, gh in kinds.items():
-            step, _, tiny = ref_direction(gh)
-            size = np.abs(step).max(axis=0)
-            if name == "polished":
-                assert tiny.any() and not tiny.all()
-                assert (tiny == (size < estimator._POLISH_TOL)).all()
+            step, _, final = ref_direction(gh, TEMPS)
+            moves = np.abs(step[0] + step[1] * TEMPS[:, None]).max(axis=0)
+            if name == "final":
+                assert final.any() and not final.all()
+                assert (final == (moves <= estimator._RATE_TOL)).all()
             elif name != "extreme":
-                assert not tiny.any()
+                # a zero gradient is the only other final kind
+                assert (final == (name == "flat")).all()
         for name in ("newton", "capped", "flat"):
-            step = ref_direction(kinds[name])[0]
+            step = ref_direction(kinds[name], TEMPS)[0]
             size = np.abs(step).max(axis=0)
             assert {"newton": (size < 5.0).all(),
                     "capped": (size == 5.0).all(),
                     "flat": (step == 0.0).all()}[name]
         for name in ("uphill", "indefinite", "singular"):
             # steepest descent, capped where the gradient is large
-            step = ref_direction(kinds[name])[0]
+            step = ref_direction(kinds[name], TEMPS)[0]
             gh = kinds[name]
             assert (np.sign(step) == -np.sign(gh[:2])).all()
+        # a final step above the cap is taken whole
+        step, _, final = ref_direction(kinds["final_big"], self.NARROW)
+        assert final.all() and (np.abs(step[1]) > 10.0 - 1e-12).all()
         g0, g1, h00, h01, h11 = kinds["extreme"]
         with np.errstate(all="ignore"):
             det = h00 * h11 - h01 * h01
         assert not np.isfinite(det).all() and (det == 0.0).any()
 
-    @pytest.mark.parametrize("power", [-20, 20])
-    def test_polish_decision_does_not_depend_on_scale(self, power):
-        # g and H times 2^power leave the Newton step H^-1 g, bit for bit,
-        # and so every decision that it is below _POLISH_TOL
+    def gh_and_decision(self):
         kinds = self.kinds()
-        del kinds["extreme"]
+        del kinds["extreme"], kinds["final_big"]
         gh = np.hstack(list(kinds.values()))
-        step, _, tiny = estimator._direction(gh.copy())
-        scaled, _, scaled_tiny = estimator._direction(np.ldexp(gh, power))
-        assert scaled_tiny.tobytes() == tiny.tobytes()
-        assert scaled[:, tiny].tobytes() == step[:, tiny].tobytes()
-        assert 0 < tiny.sum() < kinds["polished"].shape[1]
+        step, _, final = estimator._direction(gh.copy(), ENDS)
+        assert 0 < final.sum() < gh.shape[1]
+        return gh, step, final
+
+    @pytest.mark.parametrize("power", [-20, 20])
+    def test_final_decision_does_not_depend_on_scale(self, power):
+        # g and H times 2^power leave the Newton step H^-1 g, bit for bit,
+        # and so every final-step decision
+        gh, step, final = self.gh_and_decision()
+        scaled, _, scaled_final = estimator._direction(np.ldexp(gh, power),
+                                                       ENDS)
+        assert scaled_final.tobytes() == final.tobytes()
+        assert scaled[:, final].tobytes() == step[:, final].tobytes()
+
+    def test_final_decision_does_not_depend_on_stress_unit(self):
+        # stress in Fahrenheit, w' = 1.8 w + 32, is theta = M theta' with
+        # M = [[1, 32], [0, 1.8]]; then g' = M^T g and H' = M^T H M, whose
+        # Newton step M^-1 delta moves each log-rate as delta did, up to
+        # rounding: rows whose largest move lies within 1e-6 relative of
+        # _RATE_TOL are left out
+        gh, step, final = self.gh_and_decision()
+        g0, g1, h00, h01, h11 = gh
+        fahrenheit = np.array([g0, 32.0 * g0 + 1.8 * g1, h00,
+                               32.0 * h00 + 1.8 * h01,
+                               1024.0 * h00 + 115.2 * h01 + 3.24 * h11])
+        _, _, got = estimator._direction(fahrenheit, 1.8 * ENDS + 32.0)
+        with np.errstate(all="ignore"):
+            moves = np.abs(step[0] + step[1] * ENDS[:, None]).max(axis=0)
+        near = np.abs(moves / estimator._RATE_TOL - 1.0) <= 1e-6
+        assert not near.all()
+        np.testing.assert_array_equal(got[~near], final[~near])
+
+
+def new_stats():
+    return {"lam": [], "final": 0, "late": 0, "failed": 0, "nonfinite": 0,
+            "stall": 0, "cap": 0, "full": 0, "mixed": 0}
 
 
 class TestNewtonExits:
-    """Whichever way a row leaves the solver, its reports describe the
-    estimate it returns."""
+    """Whichever way a row leaves the solver, it leaves once, with the
+    outputs of :func:`ref_newton`, and its reports describe the estimate
+    it returns."""
 
     def cases(self):
         """(plan, fractions) on the table1 design at small K, where many
@@ -591,33 +629,34 @@ class TestNewtonExits:
             yield plan, counts[interior.any(axis=(1, 2))] / plan.devices
 
     def test_reports_are_those_of_the_returned_estimate(self):
+        # a FitResult's objective, gradient and clamp flag are evaluated
+        # at its params, whichever way its run left
         capped = 0
         for plan, r in self.cases():
-            cells = r.reshape(len(r), -1)
-            start = _data_starts(r, plan)
-            for beta in (0.0, 0.4, 1.0):
-                got = estimator._newton(start, r, plan, beta)
-                theta, fval, grad_norm, iterations, clamped = (
-                    got[name] for name in NEWTON_OUTPUTS)
-                # the solver's one convergence decision
-                np.testing.assert_array_equal(
-                    got["converged"], grad_norm <= estimator._GRAD_TOL)
-                ev, cl = estimator._eval_theta(theta, cells, plan, beta)
-                # exact, with NaN equal to NaN
-                np.testing.assert_array_equal(
-                    grad_norm, np.abs(ev[1:3]).max(axis=0), strict=True)
-                np.testing.assert_array_equal(fval, ev[0], strict=True)
-                assert not (cl & ~clamped).any()
-                assert iterations.max() <= estimator._MAX_ITERS
-                capped += int((iterations == estimator._MAX_ITERS).sum())
-                # warm starts from converged fits, as in fit_path
-                start = np.where((grad_norm <= estimator._GRAD_TOL)[:, None],
-                                 theta, start)
+            tables = [FailureTable(plan, np.rint(rk * plan.devices)
+                                   .astype(int)) for rk in r]
+            paths = estimator._fit_tables(tables, [0.0, 0.4, 1.0])
+            for table, path in zip(tables, paths):
+                for result in path:
+                    theta = np.array([theta_of(result.params.as_array())])
+                    ev, cl = estimator._eval_theta(
+                        theta, table.frequencies.reshape(1, -1), plan,
+                        result.beta)
+                    # exact, with NaN equal to NaN
+                    np.testing.assert_array_equal(
+                        result.grad_norm, np.abs(ev[1:3]).max(), strict=True)
+                    np.testing.assert_array_equal(result.objective, ev[0, 0],
+                                                  strict=True)
+                    assert result.boundary_clamped or not cl[0]
+                    # the final step is the one iteration not evaluated
+                    assert (result.iterations - result.converged
+                            <= estimator._MAX_ITERS)
+                    assert result.iterations >= 1
+                    capped += result.iterations == estimator._MAX_ITERS
         assert capped > 0
 
     def test_line_search_matches_one_halving_per_call(self):
-        stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
-                 "land": 0, "stall": 0, "cap": 0, "full": 0, "mixed": 0}
+        stats = new_stats()
         rows = 0
         for plan, r in self.cases():
             start = _data_starts(r, plan)
@@ -628,27 +667,28 @@ class TestNewtonExits:
                 for g, w in zip((got[name] for name in NEWTON_OUTPUTS), want):
                     assert g.dtype == w.dtype and g.shape == w.shape
                     assert g.tobytes() == w.tobytes()
+                # warm starts from converged fits, as in fit_path
+                start = np.where(got["converged"][:, None], got["theta"],
+                                 start)
         # steps accepted in a later halving call, and searches that fail
         # all 43 halvings, so every halving call is exercised
         assert min(stats["lam"]) < 2.0**-8
         # every exit is taken, and each row leaves by exactly one
-        exits = [stats[k] for k in ("nonfinite", "polish", "land", "stall",
-                                    "cap", "failed")]
+        exits = [stats[k] for k in ("final", "failed", "stall", "cap")]
         assert min(exits) > 0
         assert sum(exits) == rows
         # passes where every row is active and takes its full step
         assert stats["full"] > 0
-        # passes where a non-finite gradient leaves, through the solver's
-        # failed search, beside rows that go on
-        assert stats["mixed"] > 0
+        # passes where a non-finite gradient fails its search beside rows
+        # that go on
+        assert stats["nonfinite"] > 0 and stats["mixed"] > 0
 
     def test_clamped_starts_keep_their_flag(self):
         # starts at 20, 55 and 148 times the data's alpha0 put F above
         # 1 - 1e-16 in some cell, or every cell; the runs then walk back
         # through unclamped points, from 148 times in passes of full steps
         plan, clean = list(self.cases())[-2]
-        stats = {"lam": [], "failed": 0, "nonfinite": 0, "polish": 0,
-                 "land": 0, "stall": 0, "cap": 0, "full": 0, "mixed": 0}
+        stats = new_stats()
         for shift in (3.0, 4.0, 5.0):
             start = _data_starts(clean, plan) + [shift, 0.0]
             got = estimator._newton(start, clean, plan, 0.4)
@@ -657,6 +697,94 @@ class TestNewtonExits:
                 assert g.tobytes() == w.tobytes()
             assert got["boundary_clamped"].any()
         assert stats["full"] > 0
+
+    def test_zero_gradient_start_converges(self):
+        # fractions equal to the model's F at the start, as the kernel
+        # computes them, make the gradient exactly zero there: the zero
+        # Newton step is final; counted as uphill, it would fall back to a
+        # zero steepest-descent step, stall and leave unconverged
+        plan = TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                        np.full((3, 3), 50))
+        w, _, t, _ = plan.cell_vectors
+        theta0 = np.array([[np.log(0.004), 0.05], [np.log(0.002), 0.06]])
+        r = _cells(np.exp(theta0[:, :1] + theta0[:, 1:] * w), t)[1]
+        for beta in (0.0, 0.5):
+            assert not estimator._eval_theta(theta0, r, plan, beta)[0][1:3].any()
+            got = estimator._newton(theta0, r, plan, beta)
+            assert got["converged"].all()
+            assert (got["iterations"] == 1).all()
+            assert (got["theta"] == theta0).all()
+
+
+class TestStepConvergence:
+    """A fit converges on its Newton step, not on an absolute gradient, so
+    no fit is reported converged where the objective has no minimiser."""
+
+    def test_table1_at_large_beta(self, table1):
+        # the gradient test reported the data start at 150 and 200, and
+        # the beta = 0 estimate on the path [0, 200], as converged
+        results = [fit(table1, 150.0), fit(table1, 200.0),
+                   fit_path(table1, [0.0, 200.0])[1]]
+        for result in results:
+            if result.converged:
+                assert certify(table1.frequencies, table1.plan, result.beta,
+                               theta_of(result.params.as_array()),
+                               1e-8) is not None, result.beta
+
+    def test_converged_table1_fits_certify(self, table1):
+        # a box of half-width 1e-10: at beta = 60 the Hessian varies too
+        # fast over one of 1e-9 for the Krawczyk test
+        for beta in (0.0, 0.5, 1.0, 60.0):
+            result = fit(table1, beta)
+            assert result.converged
+            assert certify(table1.frequencies, table1.plan, beta,
+                           theta_of(result.params.as_array()),
+                           1e-10) is not None, beta
+
+    def test_far_starts_converge_only_on_the_minimiser(self):
+        # 40 K = 50 model draws at beta 0.4, started 10 below and above the
+        # data start in log alpha0: the gradient test reported 34 and 40
+        # of them converged away from the minimiser; a converged row lies
+        # within 1e-8 of the fit from the data start
+        plan = TestPlan([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                        np.full((3, 3), 50))
+        probs = cell_probs(ModelParams(0.004, 0.05), plan)[0]
+        r = np.random.default_rng(3).binomial(50, probs, (40, 3, 3)) / 50
+        start = _data_starts(r, plan)
+        best = estimator._newton(start, r, plan, 0.4)
+        assert best["converged"].all()
+        for shift in (-10.0, 10.0):
+            got = estimator._newton(start + [shift, 0.0], r, plan, 0.4)
+            ok = got["converged"]
+            np.testing.assert_allclose(got["theta"][ok], best["theta"][ok],
+                                       rtol=0.0, atol=1e-8)
+
+    def test_final_step_keeps_the_objective_at_stress_1e150(self):
+        # stresses -1e150, 0 and 1e150, the fingerprint's plan on which a
+        # polish step of the gradient test left a raw gradient of 4e133:
+        # a converged fit's objective lies within 1e-13 max(1, |f|) of that
+        # of the last point its run evaluated
+        plan = TestPlan([-1e150, 0.0, 1e150], [10.0, 20.0, 30.0],
+                        np.full((3, 3), 10))
+        counts = np.random.default_rng(2026).integers(0, 11, (40, 3, 3))
+        r = counts[((counts > 0) & (counts < 10)).any(axis=(1, 2))] / 10
+        start = _data_starts(r, plan)
+        stats = new_stats()
+        converged = 0
+        for beta in parse_betas("0:0.2:1,2"):
+            got = estimator._newton(start, r, plan, beta)
+            *want, last = ref_newton(start, r, plan, beta, stats)
+            for g, w in zip((got[name] for name in NEWTON_OUTPUTS), want):
+                assert g.tobytes() == w.tobytes()
+            ok = got["converged"]
+            ev, _ = estimator._eval_theta(got["theta"][ok],
+                                          r.reshape(len(r), -1)[ok], plan,
+                                          beta)
+            allowance = 1e-13 * np.maximum(1.0, np.abs(last[ok]))
+            assert (np.abs(ev[0] - last[ok]) <= allowance).all()
+            converged += int(ok.sum())
+            start = np.where(ok[:, None], got["theta"], start)
+        assert converged > 0
 
 
 class TestFitPath:
@@ -695,9 +823,10 @@ class TestFitPath:
 
 class TestKernelCounts:
     """The kernel calls and rows a study and a fit path cost, pinned: a
-    landing point whose Newton step is below ``_POLISH_TOL`` takes no
-    polish pass (32 calls and 1,223 rows, and 56 calls, before that
-    exit)."""
+    run takes its final Newton step without evaluating it (27 calls and
+    1,014 rows, and 47 calls, when a landing point's gradient decided),
+    and :func:`fit_path` then evaluates its estimates, one call per beta
+    (14 of the path's 48)."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -714,11 +843,16 @@ class TestKernelCounts:
 
     def test_level_power_study(self, counts):
         simulate.level_power_study(golden_spec("level_power"))
-        assert counts == [27, 1014]
+        assert counts == [21, 774]
 
     def test_fit_path(self, counts, table1):
         fit_path(table1, parse_betas("0:0.1:1,2,3,4"))
-        assert counts == [47, 47]
+        assert counts == [48, 48]
+
+    def test_fit_rows(self, counts, table1):
+        estimator._fit_rows(table1.frequencies[None], table1.plan,
+                            parse_betas("0:0.1:1,2,3,4"))
+        assert counts == [34, 34]
 
 
 def mp_minimizer(table, beta, theta, mp):
@@ -820,8 +954,8 @@ class TestIntervalCertificate:
         ([[0, 0, 0], [1, 3, 1], [3, 3, 3]],
          (4.110910323423028e-30, 1.4345575175854297)),
     ]
-    # table1's least-squares data start (alpha), which the solver reports
-    # converged at beta = 200 although no minimiser lies near it
+    # table1's least-squares data start (alpha), which a gradient test
+    # reported converged at beta = 200 although no minimiser lies near it
     DATA_START = (0.005914697682234518, 0.04160971462543034)
 
     def test_published_table1_fits_certify(self, table1):
