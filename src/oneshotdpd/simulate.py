@@ -1,10 +1,12 @@
 """Monte-Carlo harness for contamination studies.
 
-Tables are drawn cell by cell from the binomial model; one designated cell
-may instead be generated under shifted parameters, mimicking an outlying
-cell that the fitted model does not describe.  Studies report, per tuning
-parameter, either the root mean squared estimation error against the clean
-truth or the rejection proportion of the two-sided Z-type test.
+Tables are drawn from the binomial model, every replication of a batch in
+one array pass that reproduces numpy's ``Generator.binomial`` bit for bit
+(see :func:`_draw_counts`); one designated cell may instead be generated
+under shifted parameters, mimicking an outlying cell that the fitted model
+does not describe.  Studies report, per tuning parameter, either the root
+mean squared estimation error against the clean truth or the rejection
+proportion of the two-sided Z-type test.
 
 Studies are batched: replications are drawn and fitted in solve batches
 of up to 256, so a study of that size makes one Newton, sandwich and Z
@@ -19,7 +21,8 @@ spec per value, every value checked, before its first study runs.
 
 Reproducibility contract: every replication draws from its own
 Philox4x64-10 counter-based stream keyed by ``(seed, replication_index)``,
-rows are solved independently of each other, and aggregation runs in
+its table is the one ``Generator.binomial`` draws from that stream, rows
+are solved independently of each other, and aggregation runs in
 replication order, so a report depends only on the specification and seed,
 never on the batch size or the ``workers`` argument.  ``workers``
 is kept for callers; studies run in the calling thread.
@@ -29,7 +32,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -52,7 +57,7 @@ _MAX_FITS = 10**7
 
 
 def _check_workers(workers: int) -> None:
-    if not workers >= 1:
+    if _integral(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
@@ -203,6 +208,12 @@ class SimulationSpec:
                    replications=doc["replications"], seed=doc["seed"],
                    hypothesis=hypothesis, level=level)
 
+    @functools.cached_property
+    def _inversion(self) -> _Inversion | None:
+        """:func:`_inversion_set_up` of the spec's cells, built on its
+        first draw."""
+        return _inversion_set_up(self.plan.devices, self.failure_probs)
+
     def to_dict(self) -> dict:
         return {
             "plan": {
@@ -319,27 +330,121 @@ def _write_report_rows(handle, reports, x_values) -> None:
             writer.writerow({k: _csv_cell(row[k]) for k in REPORT_CSV_COLUMNS})
 
 
+# numpy's Generator.binomial draws a cell with n min(p, 1 - p) <= 30 by
+# inversion, from one uniform unless the draw passes its bound, and a
+# larger one by BTPE (Kachitvichyanukul & Schmeiser 1988)
+_INVERSION_MAX_NP = 30.0
+
+
+@dataclass(frozen=True)
+class _Inversion:
+    """numpy's inversion set-up for the cells of a plan that draw.
+
+    ``live`` holds the flat indices of the cells with p > 0 (numpy draws
+    nothing for the others), ``devices`` their n, ``flipped`` those drawn
+    as n - X at 1 - p (p > 0.5), ``bound`` each cell's largest X before a
+    redraw, and ``px`` (width, live) the probability px[x] of X = x up to
+    each bound, 0 beyond it.
+    """
+
+    live: np.ndarray
+    devices: np.ndarray
+    flipped: np.ndarray
+    bound: np.ndarray
+    px: np.ndarray
+
+
+def _inversion_set_up(devices: np.ndarray, probs: np.ndarray
+                      ) -> _Inversion | None:
+    """The set-up numpy's ``random_binomial`` and
+    ``random_binomial_inversion`` (numpy/random/src/distributions/
+    distributions.c) compute for each cell, in the same double operations
+    and libm calls; None when a cell draws by BTPE."""
+    n_all, p_all = devices.ravel(), probs.ravel()
+    live = np.flatnonzero(p_all > 0.0)
+    bounds, columns = [], []
+    for n, p in zip(n_all[live].tolist(), p_all[live].tolist()):
+        if p > 0.5:
+            p = 1.0 - p
+        if p * n > _INVERSION_MAX_NP:
+            return None
+        q = 1.0 - p
+        mean = n * p
+        bounds.append(int(min(n, mean + 10.0 * math.sqrt(mean * q + 1.0))))
+        column = [math.exp(n * math.log(q))]
+        for x in range(1, bounds[-1] + 1):
+            column.append((n - x + 1) * p * column[-1] / (x * q))
+        columns.append(column)
+    px = np.zeros((max(bounds, default=-1) + 1, live.size))
+    for j, column in enumerate(columns):
+        px[:len(column), j] = column
+    return _Inversion(live, n_all[live], p_all[live] > 0.5,
+                      np.array(bounds, dtype=np.int64), px)
+
+
+def _invert(inversion: _Inversion, uniforms: np.ndarray):
+    """numpy's inversion of ``uniforms`` (rows, live), stepped for every
+    draw at once: the X of each draw, and a mask of the rows in which a
+    draw passes its bound, where numpy would redraw from later uniforms.
+
+    numpy walks ``while U > px: X += 1; U -= px``; here every draw
+    subtracts every step's px, since U > px exactly when U - px > 0 and
+    a finished draw, at or below 0, stays there.
+    """
+    u = uniforms.copy()
+    x = np.zeros(u.shape, dtype=np.int64)
+    for px in inversion.px:
+        u -= px
+        going = u > 0.0
+        if not going.any():
+            break
+        x += going
+    return x, (x > inversion.bound).any(axis=1)
+
+
 def _draw_counts(spec: SimulationSpec, indices, rng: np.random.Generator
                  ) -> np.ndarray:
     """Failure counts (len(indices), I, J) of the replications ``indices``.
 
     ``rng``, a Philox generator, is re-keyed for each replication i to the
     state of a fresh ``Philox(key=[seed, i])``, so nothing one draw
-    leaves behind reaches the next.
+    leaves behind reaches the next.  Each row equals that stream's
+    ``Generator.binomial(devices, failure_probs)`` bit for bit.  When
+    every cell draws by inversion, a row's uniforms are its stream's first
+    raw words, one per live cell, and all rows are inverted at once; a row
+    that numpy would redraw, and every row of a plan with a BTPE cell,
+    takes the per-row ``rng.binomial`` call instead.
     """
     # a fresh Philox4x64-10 stream: counter 0, empty buffer; setting the
-    # state copies the key, so one key array takes each index in turn
-    key = np.array([spec.seed, 0], dtype=np.uint64)
+    # state copies the key, so one key list takes each index in turn (the
+    # setter reads lists of ints faster than uint64 arrays)
+    key = [spec.seed, 0]
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    counts = np.empty((len(indices),) + spec.plan.shape, dtype=np.int64)
-    for row, index in enumerate(indices):
-        key[1] = index
-        rng.bit_generator.state = state
-        counts[row] = rng.binomial(spec.plan.devices, spec.failure_probs)
-    return counts
+    bitgen = rng.bit_generator
+    counts = np.zeros((len(indices), spec.plan.n_cells), dtype=np.int64)
+    inversion = spec._inversion
+    per_row = range(len(indices))
+    if inversion is not None:
+        m = inversion.live.size
+        raw = np.empty((len(indices), m), dtype=np.uint64)
+        for row, index in enumerate(indices):
+            key[1] = index
+            bitgen.state = state
+            raw[row] = bitgen.random_raw(m)
+        # numpy's next_double: the top 53 bits, scaled to [0, 1)
+        x, redraw = _invert(inversion, (raw >> 11) * 2.0**-53)
+        counts[:, inversion.live] = np.where(inversion.flipped,
+                                             inversion.devices - x, x)
+        per_row = np.flatnonzero(redraw)
+    for row in per_row:
+        key[1] = indices[row]
+        bitgen.state = state
+        counts[row] = rng.binomial(spec.plan.devices,
+                                   spec.failure_probs).ravel()
+    return counts.reshape((len(indices),) + spec.plan.shape)
 
 
 def generate_table(spec: SimulationSpec, replication_index: int

@@ -10,10 +10,12 @@ the beta = 0 branch against the binomial log-likelihood.  A JSON fit
 result is rebuilt by :func:`fit_result_from_dict` to check that the CLI's
 numbers round-trip exactly.  :func:`certify` proves, in interval
 arithmetic, that a reported fit has a strict local minimiser of the
-solver's objective next to it.
+solver's objective next to it.  :func:`numpy_binomial` is numpy's own
+binomial draw, line by line, for the simulated tables.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,3 +246,43 @@ def certify(r, plan: TestPlan, beta: float, theta, radius: float):
         return K if inside else None
     finally:
         iv.prec = prec
+
+
+def numpy_binomial(n: int, p: float, next_double) -> int:
+    """One draw of numpy's ``random_binomial``, transcribed from
+    ``numpy/random/src/distributions/distributions.c`` (numpy 2.x) for the
+    cells it draws by inversion, ``random_binomial_inversion``
+    (Kachitvichyanukul & Schmeiser 1988); ``next_double()`` gives each
+    uniform the bit generator would.  The BTPE branch, taken when
+    n min(p, 1 - p) > 30, is not transcribed: it raises
+    NotImplementedError."""
+    if n == 0 or p == 0.0:
+        return 0
+    if p <= 0.5:
+        if p * n <= 30.0:
+            return _binomial_inversion(n, p, next_double)
+        raise NotImplementedError("numpy draws this cell by BTPE")
+    q = 1.0 - p
+    if q * n <= 30.0:
+        return n - _binomial_inversion(n, q, next_double)
+    raise NotImplementedError("numpy draws this cell by BTPE")
+
+
+def _binomial_inversion(n: int, p: float, next_double) -> int:
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    np_ = n * p
+    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    x = 0
+    px = qn
+    u = next_double()
+    while u > px:
+        x += 1
+        if x > bound:
+            x = 0
+            px = qn
+            u = next_double()
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return x

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,7 +30,7 @@ from oneshotdpd.io import parse_betas
 
 from conftest import PROPERTY, random_params, random_plan, random_table
 from oracles import certify
-from test_simulate import golden_spec, k3_spec
+from test_simulate import branch_spec, fresh_draws, golden_spec, k3_spec
 
 # published estimates for the bundled 3x3 experiment
 TABLE2_SPOT = {0.0: (0.00487, 0.04732), 0.5: (0.00493, 0.04695),
@@ -853,6 +854,48 @@ class TestKernelCounts:
         estimator._fit_rows(table1.frequencies[None], table1.plan,
                             parse_betas("0:0.1:1,2,3,4"))
         assert counts == [34, 34]
+
+
+class TestBinomialCalls:
+    """The per-row ``Generator.binomial`` calls a study's draws make,
+    pinned: none when every cell draws by inversion, one per row on a
+    plan with a BTPE cell, and one for each row numpy would redraw."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        class Counted(np.random.Generator):
+            def binomial(self, *args, **kwargs):
+                calls.append(args)
+                return super().binomial(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counted)
+        return calls
+
+    def test_level_power_study(self, calls):
+        simulate.level_power_study(golden_spec("level_power"))
+        assert len(calls) == 0
+
+    def test_btpe_plan(self, calls):
+        simulate.rmse_study(dataclasses.replace(branch_spec("btpe"),
+                                                replications=7))
+        assert len(calls) == 7
+
+    def test_forced_redraw(self, calls, monkeypatch):
+        invert = simulate._invert
+
+        def redraw_row_3(inversion, uniforms):
+            x, redraw = invert(inversion, uniforms)
+            x[3], redraw[3] = -1, True
+            return x, redraw
+
+        monkeypatch.setattr(simulate, "_invert", redraw_row_3)
+        spec = golden_spec("level_power")
+        counts = simulate._draw_counts(
+            spec, range(10), np.random.Generator(np.random.Philox(0)))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(counts, fresh_draws(spec, range(10)))
 
 
 def mp_minimizer(table, beta, theta, mp):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from oneshotdpd import (
 from oneshotdpd.inference import _critical_value, _z_rows, ndtri
 from oneshotdpd.io import parse_betas
 
+import oracles
 from conftest import PROPERTY
 
 # per-(replication, beta) alpha0, alpha1 and Z of the golden specs,
@@ -73,6 +75,14 @@ def draw_cell00(spec, n):
     ``test_rekeyed_draws_equal_fresh_streams``)."""
     rng = np.random.Generator(np.random.Philox(0))
     return simulate._draw_counts(spec, range(n), rng)[:, 0, 0]
+
+
+def fresh_draws(spec, indices):
+    """The tables of replications ``indices``, each drawn with numpy's own
+    ``Generator.binomial`` from a fresh ``Philox(key=[seed, i])``."""
+    return np.array([np.random.Generator(np.random.Philox(
+        key=np.array([spec.seed, i], dtype=np.uint64))).binomial(
+            spec.plan.devices, spec.failure_probs) for i in indices])
 
 
 def base_spec(plan, betas=(0.0,), replications=50, seed=1234,
@@ -400,6 +410,31 @@ class TestBatchedEngine:
                                                         value=0.002)),
                 [0.5], workers=0)
 
+    @staticmethod
+    def run_with_workers(plan, study, workers):
+        spec = base_spec(plan, replications=2, contamination=(
+            ContaminationScheme("alpha0_shift", value=0.002)))
+        if study == "rmse":
+            return rmse_study(spec, workers=workers).to_json()
+        if study == "level_power":
+            return level_power_study(dataclasses.replace(
+                spec, hypothesis=LinearHypothesis(np.array([0.0, 1.0]), 0.05)),
+                workers=workers).to_json()
+        return contamination_sweep(spec, [0.5], workers=workers)[0][0].to_json()
+
+    @pytest.mark.parametrize("study", ["rmse", "level_power", "sweep"])
+    @pytest.mark.parametrize("workers", [True, 1.5, "2"])
+    def test_workers_checked_as_a_count(self, plan1, study, workers):
+        # read as numbers, True and 1.5 would pass ">= 1" and "2" would
+        # raise a bare TypeError
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            self.run_with_workers(plan1, study, workers)
+
+    @pytest.mark.parametrize("study", ["rmse", "level_power", "sweep"])
+    def test_whole_float_workers_accepted(self, plan1, study):
+        assert self.run_with_workers(plan1, study, np.float64(2.0)) == \
+            self.run_with_workers(plan1, study, 1)
+
     def test_sweep_checks_every_strength_before_a_study(self, plan1,
                                                         monkeypatch):
         def study(spec):
@@ -556,6 +591,119 @@ class TestSpecCodec:
             dataclasses.replace(base_spec(plan1), level=0.2)
         spec = dataclasses.replace(base_spec(plan1), level=0.05)
         assert SimulationSpec.from_dict(spec.to_dict()).level == 0.05
+
+
+def branch_spec(case):
+    """A spec whose cells take one branch of numpy's ``random_binomial``."""
+    temps, times, devices, params = {
+        # rates underflow at stress 100: F = 1e-300, 1e-297, 0, 0
+        "p0": ([0.0, 100.0], [1.0, 1000.0], 20, (1e-300, -10.0)),
+        # F = 1 at stress 0, drawn as K - X with X from 1 - F = 0
+        "p1": ([-1000.0, 0.0], [1.0, 2.0], 40, (1e3, 0.01)),
+        # F = 0.5 (kept) and 0.75 (flipped): K F = 30 exactly, inversion
+        "half": ([0.0, 1.0], [1.0, 2.0], 60, (math.log(2.0), 0.0)),
+        # one cell with K F = 61 x 0.5 = 30.5: BTPE
+        "btpe": ([0.0, 1.0], [1.0, 2.0], [[61, 60], [60, 60]],
+                 (math.log(2.0), 0.0)),
+        # 1 to 150 devices, every K min(F, 1 - F) between 0.2 and 28.4
+        "unbalanced": ([35.0, 45.0, 55.0], [10.0, 20.0, 30.0],
+                       [[1, 70, 3], [90, 2, 60], [7, 90, 150]],
+                       (0.004, 0.05)),
+    }[case]
+    plan = TestPlan(temps, times, np.broadcast_to(devices, (len(temps),
+                                                            len(times))))
+    return base_spec(plan, seed=29, params=params)
+
+
+class TestNumpyDraws:
+    """Every row of :func:`simulate._draw_counts` is numpy's
+    ``Generator.binomial`` of a fresh stream, bit for bit, on every branch
+    of numpy's ``random_binomial``; the lock-step inversion equals a
+    transcription of numpy's loop on any uniforms, the ones sampling never
+    reaches included."""
+
+    @PROPERTY
+    @given(specs(), st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                             max_size=8))
+    def test_rows_equal_numpy(self, spec, indices):
+        got = simulate._draw_counts(spec, indices,
+                                    np.random.Generator(np.random.Philox(0)))
+        np.testing.assert_array_equal(got, fresh_draws(spec, indices))
+
+    @pytest.mark.parametrize("case", ["p0", "p1", "half", "btpe",
+                                      "unbalanced"])
+    def test_branch_equals_numpy(self, case):
+        spec = branch_spec(case)
+        F, n = spec.failure_probs, spec.plan.devices
+        inversion = spec._inversion
+        if case == "btpe":
+            assert inversion is None
+        else:
+            assert inversion.live.size == np.count_nonzero(F)
+            assert (n * np.minimum(F, 1.0 - F)).max() <= 30.0
+        if case == "p0":
+            assert inversion.live.size == 2
+        if case == "p1":
+            assert (F == 1.0).sum() == 2
+        if case == "half":
+            assert (n * F == 30.0).sum() == 2
+            assert not inversion.flipped[F.ravel() == 0.5].any()
+        indices = range(300)
+        got = simulate._draw_counts(spec, indices,
+                                    np.random.Generator(np.random.Philox(0)))
+        np.testing.assert_array_equal(got, fresh_draws(spec, indices))
+
+    @pytest.mark.parametrize("case", ["half", "unbalanced", "p1"])
+    def test_oracle_draws_what_numpy_draws(self, case):
+        spec = branch_spec(case)
+        for i in range(40):
+            bitgen = np.random.Philox(
+                key=np.array([spec.seed, i], dtype=np.uint64))
+
+            def next_double():
+                return (int(bitgen.random_raw()) >> 11) * 2.0**-53
+
+            got = [oracles.numpy_binomial(n, p, next_double) for n, p in zip(
+                spec.plan.devices.ravel().tolist(),
+                spec.failure_probs.ravel().tolist())]
+            assert got == fresh_draws(spec, [i])[0].ravel().tolist()
+
+    def test_lock_step_equals_oracle_on_injected_uniforms(self):
+        spec = golden_spec("level_power")
+        inversion = spec._inversion
+        n = inversion.devices.tolist()
+        p = spec.failure_probs.ravel()[inversion.live].tolist()
+        top = 1.0 - 2.0**-53
+        # every cell at once at the ends of [0, 1) and exactly at, or one
+        # ulp above, each cell's px[0] = P(X = 0); then each cell at, and
+        # one ulp either side of, its table's partial sums, where a wrong
+        # px entry moves a draw; then random rows
+        edges = [0.0, 2.0**-53, top, *inversion.px[0],
+                 *np.nextafter(inversion.px[0], 1.0)]
+        sums = np.minimum(np.cumsum(inversion.px, axis=0), top)
+        uniforms = np.vstack([np.full((len(edges), len(n)),
+                                      np.array(edges)[:, None]),
+                              sums, np.nextafter(sums, 0.0),
+                              np.minimum(np.nextafter(sums, 1.0), top),
+                              np.random.default_rng(5).random((200, len(n)))])
+        x, redraw = simulate._invert(inversion, uniforms)
+        counts = np.where(inversion.flipped, inversion.devices - x, x)
+        for row, us in enumerate(uniforms.tolist()):
+            redrawn = False
+            for j, u in enumerate(us):
+                used = []
+
+                def next_double(u=u):
+                    used.append(u)
+                    return u if len(used) == 1 else 0.5
+
+                want = oracles.numpy_binomial(n[j], p[j], next_double)
+                if len(used) == 1:
+                    assert counts[row, j] == want, (row, j)
+                redrawn |= len(used) > 1
+            assert redraw[row] == redrawn, row
+        # the top uniform outlasts some cell's px table: numpy redraws it
+        assert redraw[edges.index(top)]
 
 
 class TestExactOracle:
