@@ -105,6 +105,9 @@ def _fit_entry(result, w0, mission_times) -> dict:
 def _fits_document(args, table, betas) -> dict:
     """The ``fit-path`` document; ``fit`` is the path of its one beta."""
     mission = _parse_floats(args.mission_times) if args.mission_times else None
+    if args.mission_times is not None and args.w0 is None:
+        raise ParseError("--mission-times requires --w0, the stress of the "
+                         "reliability predictions")
     results = fit_path(table, betas)
     return {
         "results": {

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .divergence import _bracket, _check_beta, _check_betas, _dpd_terms
+from .divergence import (_bracket, _check_beta, _check_betas, _data_terms,
+                         _dpd_terms)
 from .errors import NoInteriorData, NumericalOverflow
 from .model import FailureTable, ModelParams, TestPlan, _cells, _plan_cells
 
@@ -53,9 +54,12 @@ _STEPS = np.split(np.ldexp(1.0, -np.arange(1, 44)), range(8, 43, 8))
 class FitResult:
     """Fitted parameters plus solver and inference diagnostics.
 
-    ``objective`` and ``grad_norm`` are evaluated at ``params``; the
-    latter is the max-abs objective gradient in the internal coordinates
-    (log alpha0, alpha1), a diagnostic in the units of the data, not the
+    ``objective`` and ``grad_norm`` are evaluated at ``params``.  The
+    former is :func:`~oneshotdpd.divergence.dpd_objective`, the per-cell
+    mean of the density power divergence: >= 0, 0 for data the model
+    reproduces exactly, and comparable across ``beta``.  The latter is
+    the max-abs objective gradient in the internal coordinates (log
+    alpha0, alpha1), a diagnostic in the units of the data, not the
     stopping rule.  ``converged`` is true exactly when the run ended on a
     final Newton step (see :func:`fit`), and ``iterations`` counts the
     steps of its one Newton run, that final step included.
@@ -82,7 +86,10 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, plan: TestPlan,
     failure fractions ``r`` are (rows, C), one row per table: a (6, rows)
     array of ``f, g0, g1, h00, h01, h11`` and the per-row clamping flags.
 
-    A NaN objective (from a rate that overflows) is reported as +inf.
+    ``f`` is the model part of the objective alone
+    (:func:`~oneshotdpd.divergence._dpd_terms`): its data part is the same
+    at every point of a row, so the solver never evaluates it.  A point
+    whose objective is undefined (a rate that overflows) has ``f = +inf``.
     Exponents like F^(beta-1) blow up as F -> 0 for beta < 1, so the
     derivatives clamp F and S into [1e-300, 1 - 1e-16] and report the
     clamping per row so callers can flag the fit.
@@ -107,7 +114,6 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, plan: TestPlan,
         ev = np.array([_dpd_terms(r, F, S, lt, beta), g, g * w, h, h * w,
                        h * w2]).sum(-1)
         ev /= plan.n_cells
-    ev[0, np.isnan(ev[0])] = np.inf
     return ev, clamped
 
 
@@ -394,7 +400,8 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
     The tables are the rows of one :func:`_fit_rows` call.  Each beta is
     one :func:`_eval_theta` call, for the objective, gradient and clamp
     flag at every table's estimate, and one sandwich call over them, as in
-    the studies.  Returns one list of :class:`FitResult` per table.
+    the studies; the objective's data part is added here.  Returns one
+    list of :class:`FitResult` per table.
     """
     betas = _check_betas(betas)
     if not all(table.has_interior_cell() for table in tables):
@@ -412,10 +419,13 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
         raise NumericalOverflow(
             "the fitted alpha0 is not a positive finite double")
     theta = np.stack([np.log(alpha[..., 0]), alpha[..., 1]], axis=-1)
-    ev, cl = zip(*(_eval_theta(theta[:, b], r.reshape(len(r), -1), plan,
-                               beta) for b, beta in enumerate(betas)))
+    r = r.reshape(len(r), -1)
+    ev, cl = zip(*(_eval_theta(theta[:, b], r, plan, beta)
+                   for b, beta in enumerate(betas)))
     ev = np.stack(ev, axis=-1)
-    fits["objective"] = ev[0]
+    data = np.stack([np.sum(_data_terms(r, beta), axis=-1)
+                     for beta in betas], axis=-1)
+    fits["objective"] = ev[0] + data / plan.n_cells
     fits["grad_norm"] = np.abs(ev[1:3]).max(axis=0)
     fits["boundary_clamped"] |= np.stack(cl, axis=1)
     sandwiches = [inference._sandwich_rows(alpha[:, b], plan, beta)

@@ -39,6 +39,15 @@ that print the same lines give byte-identical outputs on these calls:
 
     PYTHONPATH=src python tests/data/fingerprint.py > after.txt
     diff before.txt after.txt
+
+``--values FILE`` also writes the values behind each digest, one JSON
+line per name, and ``--compare A B`` reads two such files and prints per
+name ``identical``, or the first text, integer, flag or error that
+changed and the largest absolute and relative move of its floats:
+
+    PYTHONPATH=src python tests/data/fingerprint.py --values after.jsonl
+    PYTHONPATH=src python tests/data/fingerprint.py \\
+        --compare before.jsonl after.jsonl
 """
 
 import argparse
@@ -47,6 +56,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 from unittest import mock
@@ -201,21 +211,21 @@ CALLS = {
 }
 
 
-def cli_digest(argv) -> str:
+def cli_values(argv) -> dict:
     if os.path.exists("out.csv"):
         os.remove("out.csv")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    data = f"exit {code}\n{stdout.getvalue()}"
+    parts = [f"exit {code}\n", stdout.getvalue()]
     if argv[0] == "simulate" and os.path.exists("out.csv"):
         with open("out.csv", encoding="utf-8") as handle:
-            data += handle.read()
-    return hashlib.sha256(data.encode()).hexdigest()
+            parts.append(handle.read())
+    return {"text": parts}
 
 
-def help_digests():
+def help_lines():
     """The ``help/...`` lines; argparse wraps help to the terminal width."""
     commands = next(action.choices for action in _build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
@@ -226,8 +236,8 @@ def help_digests():
                 contextlib.redirect_stdout(stdout), \
                 contextlib.suppress(SystemExit):
             main([command, "--help"])
-        digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-        lines.append((digest, f"help/{command.replace('-', '_')}"))
+        lines.append((f"help/{command.replace('-', '_')}",
+                      {"text": [stdout.getvalue()]}))
     return lines
 
 
@@ -269,20 +279,13 @@ def solver_plans():
         yield name, TestPlan(w, t, np.full((len(w), len(t)), 10))
 
 
-def array_digest(arrays) -> str:
-    digest = hashlib.sha256()
-    for out in arrays:
-        digest.update(np.ascontiguousarray(out).tobytes())
-    return digest.hexdigest()
-
-
 def inference_outputs(alpha, plan, beta):
     hyp = LinearHypothesis(np.array([0.0, 1.0]), 0.05)
     return (*_sandwich_rows(alpha, plan, beta),
             _z_rows(alpha, plan, beta, hyp))
 
 
-def solver_digests():
+def solver_lines():
     """The ``solver/...`` lines, then the ``inference/...`` lines."""
     rng = np.random.default_rng(2026)
     betas = parse_betas("0:0.2:1,2")
@@ -293,41 +296,50 @@ def solver_digests():
         counts = rng.integers(0, plan.devices + 1, (8,) + plan.shape)
         interior = ((counts > 0) & (counts < plan.devices)).any(axis=(1, 2))
         fits = _fit_rows(counts[interior] / plan.devices, plan, betas)
-        solver.append((array_digest(fits.values()), f"solver/{name}"))
+        solver.append((f"solver/{name}", {"arrays": list(fits.values())}))
         alpha = fits["alpha"]
         scalar = [out for b, beta in enumerate(betas)
                   for out in inference_outputs(alpha[:, b], plan, beta)]
-        inference.append((array_digest(scalar), f"inference/{name}_scalar"))
+        inference.append((f"inference/{name}_scalar", {"arrays": scalar}))
     for name, alpha0 in (("1e_9", 1e-9), ("0.5", 0.5)):
         alpha = np.array([[alpha0, 0.05]])
         sandwiches = [out for beta in betas
                       for out in _sandwich_rows(alpha, table1, beta)]
-        inference.append((array_digest(sandwiches),
-                          f"inference/table1_alpha0_{name}"))
+        inference.append((f"inference/table1_alpha0_{name}",
+                          {"arrays": sandwiches}))
     return solver + inference
 
 
-def point_repr(value) -> str:
-    if isinstance(value, np.ndarray):
-        return f"{value.dtype}{value.shape}{value.tobytes().hex()}"
+def point_value(value):
+    """A public function's output as arrays, scalars and strings nested in
+    tuples: a covariance as its fields, a dict as its items."""
     if isinstance(value, SandwichCovariance):
         value = (value.j_bar, value.k_bar, value.sigma,
                  value.at_params.as_array(), value.beta)
     if isinstance(value, dict):
         value = list(value.items())
     if isinstance(value, (tuple, list)):
+        return tuple(map(point_value, value))
+    return value
+
+
+def point_repr(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype}{value.shape}{value.tobytes().hex()}"
+    if isinstance(value, (tuple, list)):
         return "(" + ",".join(map(point_repr, value)) + ")"
     return repr(value)
 
 
-def point_call(function, *args, **kwargs) -> str:
+def point_call(function, *args, **kwargs):
+    """:func:`point_value` of the call, or ``{"error": "Type: message"}``."""
     try:
-        return point_repr(function(*args, **kwargs))
+        return point_value(function(*args, **kwargs))
     except (OneShotError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def point_digests():
+def point_lines():
     """The ``point/...`` lines."""
     values = np.array([line.split(",") for line in UNBALANCED.split()[1:]],
                       dtype=float)
@@ -361,28 +373,29 @@ def point_digests():
         outputs["fisher_information"] = [
             point_call(fisher_information, params, plan)]
         for name, results in sorted(outputs.items()):
-            digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
-            lines.append((digest, f"point/{name}/{case}"))
+            lines.append((f"point/{name}/{case}", {"points": results}))
     return lines
 
 
-def report_digest(report) -> str:
-    data = report.to_json() + repr(report.to_rows(x_value=0.5))
-    return hashlib.sha256(data.encode()).hexdigest()
+def report_values(report) -> dict:
+    return {"text": [report.to_json(), repr(report.to_rows(x_value=0.5))]}
 
 
-def main_fingerprint():
+def fingerprint_lines():
+    """Every line as ``(name, values)``; ``values`` holds one kind of
+    output: ``{"arrays": [...]}``, ``{"points": [...]}`` (each a
+    :func:`point_call` result) or ``{"text": [...]}``."""
     lines = []
     for name, spec in study_specs():
         study = rmse_study if spec.hypothesis is None else level_power_study
-        lines.append((report_digest(study(spec)), f"study/{name}"))
+        lines.append((f"study/{name}", report_values(study(spec))))
         if spec.contamination.mode != "none":
             reports, strengths = contamination_sweep(spec, [0.0, 0.3, 0.9])
             for report, s in zip(reports, strengths):
-                lines.append((report_digest(report),
-                              f"study/{name}_sweep_{s}"))
-    lines.extend(solver_digests())
-    lines.extend(point_digests())
+                lines.append((f"study/{name}_sweep_{s}",
+                              report_values(report)))
+    lines.extend(solver_lines())
+    lines.extend(point_lines())
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -395,12 +408,168 @@ def main_fingerprint():
                 with open(name, "w", encoding="utf-8") as handle:
                     json.dump(doc, handle)
             for name, argv in CALLS.items():
-                lines.append((cli_digest(argv), f"cli/{name}"))
+                lines.append((f"cli/{name}", cli_values(argv)))
         finally:
             os.chdir(cwd)
-    lines.extend(help_digests())
-    for digest, name in lines:
-        print(f"{digest}  {name}")
+    lines.extend(help_lines())
+    return lines
+
+
+def digest(values: dict) -> str:
+    """The SHA-256 of a line's values: the bytes of its arrays, the
+    :func:`point_repr` (or error) of its points joined by newlines, or its
+    text."""
+    (kind, parts), = values.items()
+    if kind == "arrays":
+        data = b"".join(np.ascontiguousarray(a).tobytes() for a in parts)
+    elif kind == "points":
+        data = "\n".join(p["error"] if isinstance(p, dict) else point_repr(p)
+                         for p in parts).encode()
+    else:
+        data = "".join(parts).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def to_json(value):
+    """``value`` for :func:`json.dumps`: an array as its dtype, shape and
+    flat values (floats print in shortest repr, a NaN as ``nan:`` and its
+    bits, which a float array's digest covers), a tuple as a list."""
+    if isinstance(value, np.ndarray):
+        flat = value.ravel()
+        values = flat.tolist()
+        if flat.dtype == np.float64:
+            bits = flat.view(np.uint64)
+            for k in np.flatnonzero(np.isnan(flat)):
+                values[k] = f"nan:{int(bits[k]):016x}"
+        return {"dtype": str(value.dtype), "shape": list(value.shape),
+                "values": values}
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    return value
+
+
+def from_json(value):
+    """The inverse of :func:`to_json`, up to tuples read back as lists."""
+    if isinstance(value, dict) and "dtype" in value:
+        flat = np.array([np.uint64(int(v[4:], 16)).view(np.float64)
+                         if isinstance(v, str) else v
+                         for v in value["values"]], dtype=value["dtype"])
+        return flat.reshape(value["shape"])
+    if isinstance(value, list):
+        return [from_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: from_json(v) for k, v in value.items()}
+    return value
+
+
+def write_values(lines, path):
+    """One JSON document per line: ``{"name": ..., <kind>: [...]}``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for name, values in lines:
+            handle.write(json.dumps({"name": name, **to_json(values)}) + "\n")
+
+
+def read_values(path) -> dict:
+    """``{name: values}`` from a :func:`write_values` file."""
+    out = {}
+    with open(path, encoding="utf-8") as handle:
+        for row in map(json.loads, handle):
+            name = row.pop("name")
+            out[name] = from_json(row)
+    return out
+
+
+# a float as Python, json and csv print one: with a point, an exponent or
+# as inf or nan; an integer in text is read as a word, like a flag
+FLOAT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?"
+                   r"|[-+]?\b(?:inf|nan|Infinity|NaN)\b")
+
+
+def flatten(value, floats, words):
+    """Append a line's floats to ``floats`` and everything else (the text
+    between floats, integers, flags, array shapes, errors) to ``words``."""
+    if isinstance(value, np.ndarray):
+        words.append(f"{value.dtype}{value.shape}")
+        flatten(value.tolist(), floats, words)
+    elif isinstance(value, dict):
+        words.append(value["error"])
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            flatten(item, floats, words)
+    elif isinstance(value, str):
+        pos = 0
+        for match in FLOAT.finditer(value):
+            words.append(value[pos:match.start()])
+            floats.append(float(match.group()))
+            pos = match.end()
+        words.append(value[pos:])
+    elif isinstance(value, float):
+        floats.append(value)
+    else:
+        words.append(repr(value))
+
+
+def compare(a: dict, b: dict) -> str:
+    """How one line's values moved from ``a`` to ``b``: ``identical``, or
+    the first text, integer, flag or error that ``changed`` and the largest
+    absolute and relative move of its floats."""
+    if digest(a) == digest(b):
+        return "identical"
+    runs = []
+    for values in (a, b):
+        floats, words = [], []
+        flatten(list(values.values()), floats, words)
+        runs.append((np.array(floats), words))
+    (x, wa), (y, wb) = runs
+    status = []
+    if wa != wb:
+        u, v = next((pair for pair in zip(wa, wb) if pair[0] != pair[1]),
+                    (f"{len(wa)} words", f"{len(wb)} words"))
+        # the first differing text, from a little before it differs
+        at = max(0, next((k for k, (p, q) in enumerate(zip(u, v)) if p != q),
+                         min(len(u), len(v))) - 20)
+        status.append(f"changed  {u[at:at + 60]!r} -> {v[at:at + 60]!r}")
+    if x.shape != y.shape:
+        status.append(f"{x.size} -> {y.size} floats")
+    else:
+        with np.errstate(invalid="ignore"):
+            moved = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+            gap = np.abs(x[moved] - y[moved])
+            rel = gap / np.maximum(np.abs(x[moved]), np.abs(y[moved]))
+        if moved.any():
+            status.append(f"moved  abs {np.nanmax(gap):.3g}  rel "
+                          f"{np.nanmax(rel):.3g}  ({moved.sum()} of {x.size} "
+                          "floats)")
+    return "; ".join(status) or "equal values in other bits"
+
+
+def compare_files(path_a, path_b):
+    a, b = read_values(path_a), read_values(path_b)
+    for name in [*a, *(n for n in b if n not in a)]:
+        if name not in b or name not in a:
+            status = f"only in {path_a if name in a else path_b}"
+        else:
+            status = compare(a[name], b[name])
+        print(f"{name}  {status}")
+
+
+def main_fingerprint(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--values", metavar="FILE",
+                        help="also write the values behind each digest")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two --values files instead")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare_files(*args.compare)
+        return
+    lines = fingerprint_lines()
+    if args.values:
+        write_values(lines, args.values)
+    for name, values in lines:
+        print(f"{digest(values)}  {name}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oneshotdpd import (
     FailureTable,
@@ -8,9 +9,12 @@ from oneshotdpd import (
     cdf,
     dpd_objective,
     estimating_equations,
+    fit,
 )
+from oneshotdpd.divergence import _box_cox, _data_terms, _dpd_terms
+from oneshotdpd.model import _cells, _plan_cells
 
-from conftest import random_params
+from conftest import PROPERTY, random_params
 from oracles import (
     dpd,
     dpd_split,
@@ -19,6 +23,43 @@ from oracles import (
     observed_probs,
     theoretical_probs,
 )
+
+
+def cell_scale(r, lt, beta):
+    """Per cell, |r E(F)| + |(1-r) E(S)| + |r E(r)| + |(1-r) E(1-r)|
+    + beta |F - r| (|E(F)| + |E(S)|): the sizes of the terms the divergence
+    cancels from, so the rounding error of a computed divergence scales
+    with it.  At beta = 0 it is |r log F| + |(1-r) lambda t| plus the
+    data's entropy."""
+    F = -np.expm1(-lt)
+    with np.errstate(all="ignore"):
+        log_F = np.where(lt > np.log(2.0), np.log1p(-np.exp(-lt)), np.log(F))
+        EF, ES = _box_cox(log_F, beta), _box_cox(-lt, beta)
+        parts = [r * EF, (1 - r) * ES, r * _box_cox(np.log(r), beta),
+                 (1 - r) * _box_cox(np.log1p(-r), beta),
+                 beta * (F - r) * (np.abs(EF) + np.abs(ES))]
+        return sum(np.abs(np.nan_to_num(part)) for part in parts)
+
+
+# the objective's rounding bound: this multiple of the cell scale
+ROUNDING = 1e-14
+
+
+def exact_divergence(r, lt, beta, digits=50):
+    """One cell's divergence at fraction r and lambda t = lt, from the
+    definition in ``mpmath``, to about ``digits`` digits."""
+    import mpmath
+
+    extra = 0 if beta == 0.0 else max(0, int(np.ceil(-np.log10(beta))))
+    with mpmath.workdps(digits + extra):
+        r, lt, b = mpmath.mpf(r), mpmath.mpf(lt), mpmath.mpf(beta)
+        F, S = -mpmath.expm1(-lt), mpmath.exp(-lt)
+        if beta == 0.0:
+            return ((r * mpmath.log(r / F) if r > 0 else 0)
+                    + ((1 - r) * mpmath.log((1 - r) / S) if r < 1 else 0))
+        return (F ** (1 + b) + S ** (1 + b)
+                - (1 + 1 / b) * (r * F**b + (1 - r) * S**b)
+                + (r ** (1 + b) + (1 - r) ** (1 + b)) / b)
 
 
 def random_simplex_pair(rng, size):
@@ -140,30 +181,53 @@ class TestLogLikelihoodIdentity:
         table = FailureTable(plan=plan, counts=[[3, 10], [10, 10]])
         params = ModelParams(5.0, 0.1)
         value = dpd_objective(table, params, 0.0)
-        # the solver kernel is rows-first: theta (rows, 2), r (rows, C)
+        # the solver kernel is rows-first: theta (rows, 2), r (rows, C);
+        # it gives the model part, to which the data part is added
         theta = np.array([[np.log(params.alpha0), params.alpha1]])
         solver = float(_eval_theta(theta, table.frequencies.reshape(1, -1),
                                    table.plan, 0.0)[0][0, 0])
+        data = np.sum(_data_terms(table.frequencies.ravel(), 0.0)) / 4
         assert np.isfinite(value)
-        assert value == pytest.approx(solver, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(solver + data, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-320])
+    def test_cells_the_model_reproduces_at_probability_0_or_1(self, beta):
+        # the rate underflows to 0 at stress 60 (F = 0) and lambda t
+        # overflows at stress 0 (S = 0): there log F or log S is -inf, and
+        # a cell whose fraction matches adds 0, as 0 log 0 = 0
+        for temps, params, counts, bad in (
+                ([0.0, 60.0], ModelParams(1e-300, -10.0), [[1], [0]],
+                 [[1], [1]]),
+                ([0.0, 1.0], ModelParams(1e300, 0.0), [[10], [10]],
+                 [[9], [10]])):
+            plan = TestPlan(temps=temps, times=[1e10], devices=[[10], [10]])
+            good = FailureTable(plan=plan, counts=counts)
+            value = dpd_objective(good, params, beta)
+            assert value == pytest.approx(kl_divergence(
+                observed_probs(good), theoretical_probs(params, plan)),
+                rel=1e-12, abs=0.0)
+            assert dpd_objective(FailureTable(plan=plan, counts=bad), params,
+                                 beta) == np.inf
 
 
 class TestObjectiveRelations:
     def test_affine_relation_to_vector_dpd(self, table1):
-        # dpd_objective - (IJ)^beta * dpd(observed, model) does not depend
-        # on the parameters
+        # the relation is an identity: dpd_objective is (IJ)^beta times
+        # the vector divergence, with no offset
         rng = np.random.default_rng(4)
         p_hat = observed_probs(table1)
-        for beta in (0.2, 0.5, 1.0, 2.0):
-            diffs = []
+        for beta in (1e-320, 1e-3, 0.2, 0.5, 1.0, 2.0, 200.0):
             for _ in range(10):
                 params = random_params(rng)
                 q = theoretical_probs(params, table1.plan)
-                diffs.append(
-                    dpd_objective(table1, params, beta)
-                    - table1.plan.n_cells**beta * dpd(p_hat, q, beta)
-                )
-            assert np.max(diffs) - np.min(diffs) <= 1e-12
+                # at beta = 200 the terms are about 1/beta and the value
+                # can be 1e-12: their rounding, not the 1e-12, binds there
+                lt = _plan_cells(params, table1.plan)[0]
+                scale = np.mean(cell_scale(table1.frequencies.ravel(), lt,
+                                           beta))
+                assert dpd_objective(table1, params, beta) == pytest.approx(
+                    table1.plan.n_cells**beta * dpd(p_hat, q, beta),
+                    rel=1e-12, abs=ROUNDING * scale)
 
     def test_beta_zero_objective_equals_vector_kl(self, table1):
         rng = np.random.default_rng(5)
@@ -205,6 +269,76 @@ class TestObjectiveRelations:
         for beta in (0.0, 0.4, 1.0):
             eq = estimating_equations(table, params, beta)
             assert np.max(np.abs(eq)) < 1e-10
+
+
+class TestAgainstMpmath:
+    """Each cell's computed divergence, model part plus data part, against
+    the definition in 50-digit ``mpmath``, within ROUNDING of its cell
+    scale."""
+
+    @staticmethod
+    def assert_cells(r, lt, beta):
+        lt_, F, S, _ = _cells(1.0, lt)
+        got = _dpd_terms(r, F, S, lt_, beta) + _data_terms(r, beta)
+        want = np.array([float(exact_divergence(rk, tk, beta))
+                         for rk, tk in zip(r, lt)])
+        bound = ROUNDING * cell_scale(r, lt, beta)
+        assert (np.abs(got - want) <= bound).all(), np.max(
+            np.abs(got - want) / bound)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-320, 1e-3, 0.5, 1.0, 200.0])
+    def test_random_cells(self, beta):
+        rng = np.random.default_rng(34)
+        K = rng.integers(1, 101, 150)
+        r = rng.integers(0, K + 1) / K
+        lt = 10.0 ** rng.uniform(-15.0, 3.5, 150)
+        lt[:6] = [5e-324, 1e-300, 40.0, 745.0, 1e5, 1e300]
+        self.assert_cells(r, lt, beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3])
+    def test_failure_probability_near_one(self, beta):
+        # F within 1e-10 of 1: log F is taken from log1p(-S), since F
+        # itself keeps only the digits above its distance from 1
+        lt = np.repeat(np.linspace(23.0, 40.0, 18), 3)
+        r = np.tile([1.0, 49 / 50, 1 / 2], 18)
+        self.assert_cells(r, lt, beta)
+
+
+@st.composite
+def exact_tables(draw):
+    """A table whose fractions the model reproduces: two stresses, with
+    alpha = (1, 0) and times -log(1 - n/K), so F = n/K in every cell up to
+    rounding."""
+    K = draw(st.integers(2, 80))
+    n = sorted(draw(st.lists(st.integers(1, K - 1), min_size=1, max_size=4,
+                             unique=True)))
+    plan = TestPlan([0.0, 1.0], -np.log1p(-np.array(n) / K),
+                    np.full((2, len(n)), K))
+    return FailureTable(plan, [n, n])
+
+
+class TestNonnegative:
+    @PROPERTY
+    @given(exact_tables(),
+           st.sampled_from([0.0, 5e-324, 1e-3, 0.3, 1.0, 2.5, 200.0])
+           | st.floats(0.0, 200.0),
+           st.floats(-3.0, 3.0), st.floats(-2.0, 2.0))
+    def test_objective_nonnegative_and_zero_at_exact_fit(
+            self, table, beta, log_a0, a1):
+        # stated before running: the computed objective lies within
+        # ROUNDING times the mean cell scale of the exact divergence, which
+        # is >= 0 everywhere and about 0 where r = F
+        def bound(params):
+            lt = _plan_cells(params, table.plan)[0]
+            r = table.frequencies.ravel()
+            return ROUNDING * np.mean(cell_scale(r, lt, beta))
+
+        exact = ModelParams(1.0, 0.0)
+        assert abs(dpd_objective(table, exact, beta)) <= bound(exact)
+        other = ModelParams(np.exp(log_a0), a1)
+        assert dpd_objective(table, other, beta) >= -bound(other)
+        result = fit(table, beta)
+        assert result.objective >= -bound(result.params)
 
 
 class TestDpdSplit:

@@ -24,6 +24,7 @@ from oneshotdpd import (
     fit_path,
 )
 from oneshotdpd import simulate
+from oneshotdpd.divergence import _data_terms
 from oneshotdpd.estimator import _data_starts
 from oneshotdpd.model import _cells
 from oneshotdpd.io import parse_betas
@@ -194,11 +195,25 @@ class TestFit:
         with pytest.raises(NumericalOverflow):
             fit(table, 0.5)
 
-    @pytest.mark.parametrize("beta", [1e-320, 1e-308, 9.9e-301])
-    def test_beta_below_floor_refused(self, table1, beta):
-        # (1 + beta) / beta overflows the objective to -inf down there
-        with pytest.raises(ValueError, match="0 or at least 1e-300"):
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-308, 9.9e-301])
+    def test_subnormal_beta_is_the_likelihood_fit(self, table1, beta):
+        # E(x) = (x^beta - 1) / beta is log x to the last bit there, and
+        # the bracket's exponents beta - 1 and beta - 2 round to -1 and -2
+        tiny, mle = fit(table1, beta), fit(table1, 0.0)
+        assert (tiny.params, tiny.objective, tiny.iterations) == (
+            mle.params, mle.objective, mle.iterations)
+
+    @pytest.mark.parametrize("beta", [True, "0.5", b"0.5"],
+                             ids=["bool", "str", "bytes"])
+    def test_beta_that_is_not_a_number_refused(self, table1, beta):
+        with pytest.raises(ValueError, match="beta must be a number"):
             fit(table1, beta)
+        with pytest.raises(ValueError, match="beta must be a number"):
+            fit_path(table1, [beta])
+
+    def test_betas_string_refused(self, table1):
+        with pytest.raises(ValueError, match="betas must be a list"):
+            fit_path(table1, "0.5")
 
     def test_beta_at_floor_is_the_likelihood_fit(self, table1):
         result = fit(table1, 1e-300)
@@ -646,7 +661,12 @@ class TestNewtonExits:
                     # exact, with NaN equal to NaN
                     np.testing.assert_array_equal(
                         result.grad_norm, np.abs(ev[1:3]).max(), strict=True)
-                    np.testing.assert_array_equal(result.objective, ev[0, 0],
+                    # the kernel gives the model part; the data part is
+                    # added once per table
+                    data = np.sum(_data_terms(table.frequencies.ravel(),
+                                              result.beta)) / plan.n_cells
+                    np.testing.assert_array_equal(result.objective,
+                                                  ev[0, 0] + data,
                                                   strict=True)
                     assert result.boundary_clamped or not cl[0]
                     # the final step is the one iteration not evaluated

@@ -269,10 +269,28 @@ class TestSandwich:
         assert result.covariance is None
 
     @pytest.mark.parametrize("function", [sandwich, j_bar, k_bar])
-    @pytest.mark.parametrize("beta", [-2.0, 1e-320, float("nan")])
+    @pytest.mark.parametrize("beta", [-2.0, "0.5", True, float("nan")],
+                             ids=["-2.0", "str", "bool", "nan"])
     def test_beta_outside_domain_refused(self, plan1, function, beta):
         with pytest.raises(ValueError, match="beta must be"):
             function(ModelParams(0.004, 0.05), plan1, beta)
+
+    def test_subnormal_beta_is_the_likelihood_inference(self, table1):
+        plan, hyp = table1.plan, LinearHypothesis(np.array([0.0, 1.0]), 0.05)
+        star = ModelParams(0.004, 0.06)
+
+        def outputs(beta):
+            result = fit(table1, beta)
+            path = fit_path(table1, [beta, 0.5])[0]
+            return [*result.params.as_array(), result.objective,
+                    *path.params.as_array(), path.objective,
+                    *sandwich(result.params, plan, beta).sigma.ravel(),
+                    z_statistic(result, plan, hyp).statistic,
+                    approximate_power(star, plan, beta, hyp, 50, 0.05),
+                    required_devices(star, plan, beta, hyp, 0.8, 0.05)]
+
+        np.testing.assert_allclose(outputs(1e-320), outputs(0.0),
+                                   rtol=1e-15, atol=0.0)
 
     def test_alpha_covariance_scaling(self, plan1):
         cov = sandwich(ModelParams(0.005, 0.05), plan1, 0.3)

@@ -605,11 +605,9 @@ class TestCli:
         ("power", ["--beta=-1"], "beta must be a finite real >= 0, got -1.0"),
         ("samplesize", ["--beta=-0.3"],
          "beta must be a finite real >= 0, got -0.3"),
-        ("fit", ["--beta", "1e-320"],
-         "beta must be 0 or at least 1e-300, got 1e-320"),
     ], ids=["ztest_zero_m", "power_zero_alpha0", "ztest_level_1",
             "power_level_0", "samplesize_level_1_5", "power_negative_beta",
-            "samplesize_negative_beta", "fit_beta_below_floor"])
+            "samplesize_negative_beta"])
     def test_library_refusal_is_parse_error(self, command, options, message,
                                             capsys):
         # a valid call; the appended options override its values
@@ -627,6 +625,30 @@ class TestCli:
         doc = _strict_json(out)
         assert doc["errors"] == [{"code": "ParseError", "message": message}]
         assert doc["results"] == {}
+
+    @pytest.mark.parametrize("command", [["fit", "--beta", "0.5"],
+                                         ["fit-path", "--betas", "0,1"]],
+                             ids=["fit", "fit_path"])
+    def test_mission_times_without_w0_refused(self, command, capsys):
+        code, out = self.run([*command, "--input",
+                              str(dataset_path("table1")),
+                              "--mission-times", "10,20"], capsys)
+        assert code == 2
+        assert _strict_json(out)["errors"] == [{
+            "code": "ParseError", "message": "--mission-times requires "
+            "--w0, the stress of the reliability predictions"}]
+
+    def test_subnormal_beta_fits_as_beta_zero(self, capsys):
+        docs = []
+        for beta in ("1e-320", "0"):
+            code, out = self.run(["fit", "--input",
+                                  str(dataset_path("table1")), "--beta",
+                                  beta], capsys)
+            assert code == 0
+            docs.append(_strict_json(out)["results"]["fits"][0])
+        assert docs[0].pop("beta") == 1e-320
+        assert docs[1].pop("beta") == 0.0
+        assert docs[0] == docs[1]
 
     def test_reliability_empty_mission_times(self, capsys):
         code, out = self.run(["reliability", "--params", "0.004,0.05",
