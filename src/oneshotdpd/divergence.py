@@ -136,7 +136,12 @@ def dpd_objective(table: FailureTable, params: ModelParams, beta: float) -> floa
     for ``beta = b >= 0``: exactly (IJ)^b times the density power
     divergence between the 2IJ-point vectors ``(r/IJ, (1-r)/IJ)`` and
     ``(F/IJ, S/IJ)``, and the Kullback-Leibler divergence between them at
-    ``b = 0``.  It is >= 0, 0 where r = F, and comparable across ``b``.
+    ``b = 0``.  It is >= 0, 0 where r = F, and comparable across ``b``,
+    and resolved to about 1e-16/b absolute, since its data part cancels a
+    model part of about 1/b per cell (at b = 200, ``table1``'s minimum of
+    7.1e-13 to about 4e-6 relative).  A fit's ``objective`` is this value
+    at log alpha0 and so matches it to rounding: 5 of ``table1``'s 31 cold
+    fits along 0:0.1:3 differ, by at most 3.7e-15 relative.
     Raises :class:`~oneshotdpd.errors.NumericalOverflow` when a rate at a
     plan stress exceeds the double range.
     """

@@ -55,9 +55,10 @@ class FitResult:
     """Fitted parameters plus solver and inference diagnostics.
 
     ``objective`` and ``grad_norm`` are evaluated at ``params``.  The
-    former is :func:`~oneshotdpd.divergence.dpd_objective`, the per-cell
-    mean of the density power divergence: >= 0, 0 for data the model
-    reproduces exactly, and comparable across ``beta``.  The latter is
+    former is :func:`~oneshotdpd.divergence.dpd_objective` there to
+    rounding, not bit for bit (see that function), the per-cell mean of
+    the density power divergence: >= 0, 0 for data the model reproduces
+    exactly, and comparable across ``beta``.  The latter is
     the max-abs objective gradient in the internal coordinates (log
     alpha0, alpha1), a diagnostic in the units of the data, not the
     stopping rule.  ``converged`` is true exactly when the run ended on a
@@ -215,8 +216,6 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
     the returned points are not evaluated here.
     """
     n = len(theta0)
-    # a log-rate change linear in stress is largest at an end of the plan
-    ends = np.array([plan.temps.min(), plan.temps.max()])
     # the running rows: their indices, points, values, fractions, flags
     # and whether the last pass stopped them
     rows, th, ra = np.arange(n), theta0, r.reshape(n, -1)
@@ -227,7 +226,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
     clamped, converged = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     # it counts the steps each running row has taken
     for it in range(_MAX_ITERS + 1):
-        step, slope, final = _direction(at[1:], ends)
+        step, slope, final = _direction(at[1:], plan.temps)
         # the one place a row's outputs are written: the pass it leaves
         leave = stop | final
         out = np.flatnonzero(leave)
@@ -292,13 +291,13 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
             "boundary_clamped": clamped, "converged": converged}
 
 
-def _direction(gh: np.ndarray, ends: np.ndarray):
+def _direction(gh: np.ndarray, temps: np.ndarray):
     """Per-row search direction (2, n), its slope g . step and whether it
     is a final step, from the rows ``g0, g1, h00, h01, h11`` of
-    :func:`_eval_theta` and the plan's lowest and highest stress ``ends``.
+    :func:`_eval_theta` and the plan's stresses ``temps``.
 
-    Newton when the Hessian is finite and safely positive definite and the
-    step is not uphill (a zero step is a Newton step), else steepest
+    Newton when H is finite with h00 > 0 and det H > 0 and the step is
+    finite and not uphill (a zero step is a Newton step), else steepest
     descent; steps are capped at 5, except a final step: a Newton step
     that moves the log-rate log alpha0 + alpha1 w at no stress w of the
     plan by more than ``_RATE_TOL``.  That decision does not change when
@@ -312,23 +311,15 @@ def _direction(gh: np.ndarray, ends: np.ndarray):
     with np.errstate(all="ignore"):
         det = h00 * h11 - h01 * h01
         step = np.array([-g0 * h11 + g1 * h01, g0 * h01 - g1 * h00]) / det
-        slope = g0 * step[0] + g1 * step[1]
         newton = (np.isfinite(gh[2:]).all(axis=0) & (h00 > 0.0) & (det > 0.0)
-                  & np.isfinite(step).all(axis=0) & ~(slope > 0.0))
-        final = newton & (np.abs(step[0] + step[1] * ends[:, None])
+                  & np.isfinite(step).all(axis=0)
+                  & ~(g0 * step[0] + g1 * step[1] > 0.0))
+        final = newton & (np.abs(step[0] + step[1] * temps[:, None])
                           .max(axis=0) <= _RATE_TOL)
-        # the fallback and the cap change the slope; a step that neither
-        # touches keeps the one of the uphill test
-        changed = not newton.all()
-        if changed:
-            step[:, ~newton] = -gh[:2, ~newton]
+        np.negative(gh[:2], out=step, where=~newton)
         size = np.abs(step).max(axis=0)
-        big = (size > 5.0) & ~final
-        if big.any():
-            changed = True
-            step[:, big] *= 5.0 / size[big]
-        if changed:
-            slope = g0 * step[0] + g1 * step[1]
+        np.multiply(step, 5.0 / size, out=step, where=(size > 5.0) & ~final)
+        slope = g0 * step[0] + g1 * step[1]
     return step, slope, final
 
 

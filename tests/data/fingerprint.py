@@ -534,15 +534,22 @@ def compare(a: dict, b: dict) -> str:
     if x.shape != y.shape:
         status.append(f"{x.size} -> {y.size} floats")
     else:
-        with np.errstate(invalid="ignore"):
-            moved = ~((x == y) | (np.isnan(x) & np.isnan(y)))
-            gap = np.abs(x[moved] - y[moved])
-            rel = gap / np.maximum(np.abs(x[moved]), np.abs(y[moved]))
-        if moved.any():
-            status.append(f"moved  abs {np.nanmax(gap):.3g}  rel "
-                          f"{np.nanmax(rel):.3g}  ({moved.sum()} of {x.size} "
-                          "floats)")
-    return "; ".join(status) or "equal values in other bits"
+        status.append(float_move(x, y))
+    return "; ".join(filter(None, status)) or "equal values in other bits"
+
+
+def float_move(x, y) -> str:
+    """The largest absolute and relative move from the floats ``x`` to
+    those of ``y``, of the same shape, or "" when no value moved (a NaN
+    stays a NaN, and -0.0 equals 0.0)."""
+    with np.errstate(invalid="ignore"):
+        moved = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+        gap = np.abs(x[moved] - y[moved])
+        rel = gap / np.maximum(np.abs(x[moved]), np.abs(y[moved]))
+    if not moved.any():
+        return ""
+    return (f"moved  abs {np.nanmax(gap):.3g}  rel {np.nanmax(rel):.3g}  "
+            f"({moved.sum()} of {x.size} floats)")
 
 
 def compare_files(path_a, path_b):

@@ -378,9 +378,8 @@ class TestDataStarts:
 
 # the solver's outputs by name, in ref_newton's positional order
 NEWTON_OUTPUTS = ("theta", "iterations", "boundary_clamped", "converged")
-# table1's stresses, out of order, and their ends, which _direction takes
+# table1's stresses, out of order
 TEMPS = np.array([45.0, 55.0, 35.0])
-ENDS = np.array([35.0, 55.0])
 
 
 def ref_newton(theta0, r, plan, beta, stats):
@@ -532,9 +531,8 @@ class TestDirection:
         batches = [*kinds.values(), mixed, mixed[:, perm],
                    *(mixed[:, [k]] for k in range(0, mixed.shape[1], 7))]
         for temps in (TEMPS, self.NARROW):
-            ends = np.array([temps.min(), temps.max()])
             for gh in batches:
-                got = estimator._direction(gh.copy(), ends)
+                got = estimator._direction(gh.copy(), temps)
                 want = ref_direction(gh.copy(), temps)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.shape == w.shape
@@ -574,7 +572,7 @@ class TestDirection:
         kinds = self.kinds()
         del kinds["extreme"], kinds["final_big"]
         gh = np.hstack(list(kinds.values()))
-        step, _, final = estimator._direction(gh.copy(), ENDS)
+        step, _, final = estimator._direction(gh.copy(), TEMPS)
         assert 0 < final.sum() < gh.shape[1]
         return gh, step, final
 
@@ -584,7 +582,7 @@ class TestDirection:
         # and so every final-step decision
         gh, step, final = self.gh_and_decision()
         scaled, _, scaled_final = estimator._direction(np.ldexp(gh, power),
-                                                       ENDS)
+                                                       TEMPS)
         assert scaled_final.tobytes() == final.tobytes()
         assert scaled[:, final].tobytes() == step[:, final].tobytes()
 
@@ -599,9 +597,9 @@ class TestDirection:
         fahrenheit = np.array([g0, 32.0 * g0 + 1.8 * g1, h00,
                                32.0 * h00 + 1.8 * h01,
                                1024.0 * h00 + 115.2 * h01 + 3.24 * h11])
-        _, _, got = estimator._direction(fahrenheit, 1.8 * ENDS + 32.0)
+        _, _, got = estimator._direction(fahrenheit, 1.8 * TEMPS + 32.0)
         with np.errstate(all="ignore"):
-            moves = np.abs(step[0] + step[1] * ENDS[:, None]).max(axis=0)
+            moves = np.abs(step[0] + step[1] * TEMPS[:, None]).max(axis=0)
         near = np.abs(moves / estimator._RATE_TOL - 1.0) <= 1e-6
         assert not near.all()
         np.testing.assert_array_equal(got[~near], final[~near])
@@ -843,11 +841,11 @@ class TestFitPath:
 
 
 class TestKernelCounts:
-    """The kernel calls and rows a study and a fit path cost, pinned: a
-    run takes its final Newton step without evaluating it (27 calls and
-    1,014 rows, and 47 calls, when a landing point's gradient decided),
-    and :func:`fit_path` then evaluates its estimates, one call per beta
-    (14 of the path's 48)."""
+    """The kernel calls and rows a study and a fit path cost, pinned, with
+    every run taking its final Newton step unevaluated: the golden
+    level/power study makes 21 calls over 774 rows; :func:`_fit_rows` on
+    ``0:0.1:1,2,3,4`` makes 34 calls, and :func:`fit_path` on that grid
+    48, the 34 and one call per beta (14) evaluating its estimates."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
