@@ -7,6 +7,13 @@ parse or configuration problems, 3 for computation errors, a result that
 is not a finite number included: no document carries NaN or Infinity.
 Outputs carry no timestamps, so identical inputs (and seed) give
 byte-identical output.
+
+Import rule: this module imports, besides the standard library and numpy,
+only ``errors``, ``io`` and ``model`` of the package.  Each command imports
+the library functions it calls when it runs, so a process compiles only
+the modules its command uses: ``reliability`` none beyond those three,
+``simulate`` alone the Monte-Carlo harness, and ``competing-fit`` alone the
+competing-risks module.
 """
 
 from __future__ import annotations
@@ -18,19 +25,12 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .competing import Cause, combined_mean_lifetime, fit_causes
 from .errors import NumericalOverflow, OneShotError, ParseError
-from .estimator import fit, fit_path
-from .inference import (
-    LinearHypothesis,
-    approximate_power,
-    required_devices,
-    z_statistic,
-)
 from .io import (
     fit_result_to_dict,
     parse_betas,
@@ -38,13 +38,9 @@ from .io import (
     read_multioutcome_csv,
 )
 from .model import ModelParams, mean_lifetime, reliability
-from .simulate import (
-    SimulationSpec,
-    _check_workers,
-    _study,
-    _sweep_specs,
-    _write_report_rows,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .inference import LinearHypothesis
 
 _PARSE_EXIT = 2
 _COMPUTE_EXIT = 3
@@ -71,6 +67,8 @@ def _check_finite_options(args) -> None:
 
 
 def _hypothesis_from(args) -> LinearHypothesis:
+    from .inference import LinearHypothesis
+
     return LinearHypothesis(m=np.array(_parse_floats(args.m, expect=2)),
                             d=args.d)
 
@@ -104,6 +102,8 @@ def _fit_entry(result, w0, mission_times) -> dict:
 
 def _fits_document(args, table, betas) -> dict:
     """The ``fit-path`` document; ``fit`` is the path of its one beta."""
+    from .estimator import fit_path
+
     mission = _parse_floats(args.mission_times) if args.mission_times else None
     if args.mission_times is not None and args.w0 is None:
         raise ParseError("--mission-times requires --w0, the stress of the "
@@ -136,6 +136,9 @@ def _cmd_reliability(args) -> dict:
 
 
 def _cmd_ztest(args) -> dict:
+    from .estimator import fit
+    from .inference import z_statistic
+
     table = read_failure_csv(args.input)
     hyp = _hypothesis_from(args)
     result = fit(table, args.beta)
@@ -153,6 +156,8 @@ def _cmd_ztest(args) -> dict:
 
 
 def _cmd_power(args) -> dict:
+    from .inference import approximate_power
+
     plan, params, hyp = _design_from(args)
     power = approximate_power(
         params, plan, args.beta, hyp, args.devices, args.level,
@@ -162,6 +167,8 @@ def _cmd_power(args) -> dict:
 
 
 def _cmd_samplesize(args) -> dict:
+    from .inference import approximate_power, required_devices
+
     plan, params, hyp = _design_from(args)
     devices = required_devices(
         params, plan, args.beta, hyp, args.target_power, args.level
@@ -179,6 +186,8 @@ def _cmd_samplesize(args) -> dict:
 
 
 def _cmd_competing_fit(args) -> dict:
+    from .competing import Cause, combined_mean_lifetime, fit_causes
+
     data = read_multioutcome_csv(args.input)
     betas = parse_betas(args.betas)
     wanted = []
@@ -216,6 +225,8 @@ def _cmd_competing_fit(args) -> dict:
 def _spec_from_json(doc, seed_override: int | None) -> tuple:
     """The spec, study kind and sweep of a ``simulate`` document, and
     whether its seed was generated: ``--seed`` overrides the document's."""
+    from .simulate import SimulationSpec
+
     if not isinstance(doc, dict):
         raise ParseError(f"simulation spec must be an object, got {doc!r}")
     seed = doc.get("seed") if seed_override is None else seed_override
@@ -233,6 +244,8 @@ def _spec_from_json(doc, seed_override: int | None) -> tuple:
 
 
 def _cmd_simulate(args) -> dict:
+    from .simulate import _check_workers, _study, _write_report_rows
+
     _check_workers(args.workers)
     try:
         with open(args.spec, encoding="utf-8-sig") as handle:
@@ -281,6 +294,8 @@ def _cmd_simulate(args) -> dict:
 def _run_specs(spec, sweep) -> tuple:
     """The specs a ``simulate`` run studies and their x values: the spec
     itself, or one per value of its sweep."""
+    from .simulate import _sweep_specs
+
     if sweep is None:
         return [spec], [None]
     if not isinstance(sweep, dict):

@@ -11,20 +11,28 @@ inspection time (both sorted ascending); each (w, t) pair must appear
 exactly once.  JSON serialization keeps full double precision (floats are
 emitted in shortest round-trip form), so re-parsing reproduces fit fields
 exactly.
+
+Import rule: this module imports only ``errors`` and ``model`` of the
+package, so a command that fits nothing (``reliability``) imports neither
+the estimator nor inference.  The other package names it uses serve
+annotations, or are imported by the one function that needs them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .competing import MultiOutcomeTable
 from .errors import ParseError
-from .estimator import FitResult
-from .inference import SandwichCovariance
 from .model import FailureTable, TestPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .competing import MultiOutcomeTable
+    from .estimator import FitResult
+    from .inference import SandwichCovariance
 
 # most points one start:step:stop item of a tuning-parameter list may expand to
 _MAX_BETA_POINTS = 10_000
@@ -131,6 +139,8 @@ def read_failure_csv(path) -> FailureTable:
 
 def read_multioutcome_csv(path) -> MultiOutcomeTable:
     """Read a ``w,t,n_sac,n_nat,n_tum`` multi-outcome table."""
+    from .competing import MultiOutcomeTable
+
     rows = _read_rows(path, ("w", "t", "n_sac", "n_nat", "n_tum"))
     temps, times, grids = _assemble_cells(
         path, rows, ("n_sac", "n_nat", "n_tum")

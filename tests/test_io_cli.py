@@ -1054,7 +1054,6 @@ class TestCli:
         def study(*args):
             raise AssertionError("the study ran")
 
-        monkeypatch.setattr(cli_module, "_study", study)
         monkeypatch.setattr(simulate_module, "_study", study)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -1115,7 +1114,6 @@ class TestCli:
         def study(*args):
             raise AssertionError("the study ran")
 
-        monkeypatch.setattr(cli_module, "_study", study)
         monkeypatch.setattr(simulate_module, "_study", study)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -1142,7 +1140,7 @@ class TestCli:
             assert output.read_text() == ""
             raise ValueError("the study failed")
 
-        monkeypatch.setattr(cli_module, "_study", study)
+        monkeypatch.setattr(simulate_module, "_study", study)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},

@@ -5,10 +5,18 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import oneshotdpd
 from oneshotdpd.cli import main
+from oneshotdpd.datasets import dataset_path
 from oneshotdpd.estimator import FitResult
 
 PACKAGE = Path(oneshotdpd.__file__).parent
@@ -20,7 +28,86 @@ def test_all_is_sorted_unique_and_resolves():
     names = oneshotdpd.__all__
     assert names == sorted(names)
     assert len(set(names)) == len(names)
-    assert [n for n in names if not hasattr(oneshotdpd, n)] == []
+    # each name is the object its defining module holds under that name
+    homes = {name: getattr(oneshotdpd, name).__module__ for name in names}
+    assert [n for n, home in homes.items()
+            if not home.startswith("oneshotdpd.")
+            or getattr(sys.modules[home], n) is not getattr(oneshotdpd, n)
+            ] == []
+
+
+def test_namespace_contract():
+    submodules = [m.name for m in pkgutil.iter_modules(oneshotdpd.__path__)]
+    assert {"cli", "datasets", "simulate"} <= set(submodules)
+    assert [m for m in submodules if getattr(oneshotdpd, m)
+            is not importlib.import_module(f"oneshotdpd.{m}")] == []
+    assert set(oneshotdpd.__all__) | set(submodules) <= set(dir(oneshotdpd))
+    star = {}
+    exec("from oneshotdpd import *", star)
+    assert [n for n in oneshotdpd.__all__
+            if star.get(n) is not getattr(oneshotdpd, n)] == []
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        oneshotdpd.no_such_name
+
+
+def _loaded_modules(code: str, *args: str) -> set:
+    """The modules a fresh interpreter holds after running ``code``."""
+    report = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code + report, *args],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True, timeout=60)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    loaded = _loaded_modules("import oneshotdpd")
+    assert "oneshotdpd" in loaded
+    assert [m for m in loaded if m.startswith("oneshotdpd.")
+            or m.split(".")[0] == "numpy"] == []
+
+
+def _command_argv(command: str, tmp_path: Path) -> list:
+    table1 = str(dataset_path("table1"))
+    hyp = ["--beta", "0.5", "--m", "0,1", "--d", "0.05"]
+    design = ["--input", table1, "--alpha-star", "0.004,0.03", *hyp]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "plan": {"temps": [35, 45], "times": [10, 20], "devices": 10},
+        "true_params": [0.004, 0.05], "betas": [0.0],
+        "replications": 2, "seed": 1}))
+    return [command, *{
+        "fit": ["--input", table1, "--beta", "0.5"],
+        "fit-path": ["--input", table1, "--betas", "0,0.5"],
+        "reliability": ["--params", "0.005,0.05", "--w0", "25",
+                        "--mission-times", "10"],
+        "ztest": ["--input", table1, *hyp],
+        "power": [*design, "--devices", "50"],
+        "samplesize": [*design, "--target-power", "0.8"],
+        "simulate": ["--spec", str(spec), "--output",
+                     str(tmp_path / "study.csv")],
+        "competing-fit": ["--input", str(dataset_path("ed01")), "--betas",
+                          "0,0.5"],
+    }[command]]
+
+
+@pytest.mark.parametrize("command", [
+    "fit", "fit-path", "reliability", "ztest", "power", "samplesize",
+    "simulate", "competing-fit"])
+def test_command_loads_only_the_modules_it_uses(command, tmp_path):
+    argv = _command_argv(command, tmp_path)
+    loaded = _loaded_modules(
+        "import contextlib, io, json, sys\n"
+        "from oneshotdpd.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(json.loads(sys.argv[1]))\n"
+        "assert status == 0, status", json.dumps(argv))
+    package = {m.removeprefix("oneshotdpd.") for m in loaded
+               if m.startswith("oneshotdpd.")}
+    assert ("simulate" in package) == (command == "simulate")
+    assert ("competing" in package) == (command == "competing-fit")
+    if command == "reliability":
+        assert package == {"cli", "errors", "io", "model"}
 
 
 def test_every_public_definition_is_exported_or_used():
