@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FailureTable, ModelParams, _plan_cells
+from .model import FailureTable, ModelParams, _check_number, _plan_cells
 
 
 _TINY = np.finfo(float).tiny
@@ -42,8 +42,7 @@ _TINY = np.finfo(float).tiny
 def _check_beta(beta) -> float:
     """``beta`` as a float: a finite real >= 0.  A bool, a string or bytes
     is refused with ValueError instead of being read as a number."""
-    if isinstance(beta, (bool, np.bool_, str, bytes)):
-        raise ValueError(f"beta must be a number, got {beta!r}")
+    _check_number(beta, "beta")
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be a finite real >= 0, got {beta}")

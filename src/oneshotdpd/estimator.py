@@ -64,8 +64,9 @@ class FitResult:
     stopping rule.  ``converged`` is true exactly when the run ended on a
     final Newton step (see :func:`fit`), and ``iterations`` counts the
     steps of its one Newton run, that final step included.
-    ``boundary_clamped`` reports a probability clamp at any point the run
-    evaluated or at ``params``.  ``covariance`` is the model-based
+    ``boundary_clamped`` is true when some cell's F at ``params`` lies
+    outside [1e-300, 1 - 1e-16], where the solver clamps it (see
+    :func:`estimating_equations`).  ``covariance`` is the model-based
     sandwich evaluated at the estimate, or None when the information
     matrix was too ill-conditioned.
     """
@@ -85,21 +86,19 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, plan: TestPlan,
     """Objective, gradient and Hessian in theta coordinates at theta
     (rows, 2) from one evaluation of the cells of ``plan``, whose observed
     failure fractions ``r`` are (rows, C), one row per table: a (6, rows)
-    array of ``f, g0, g1, h00, h01, h11`` and the per-row clamping flags.
+    array of ``f, g0, g1, h00, h01, h11``.
 
     ``f`` is the model part of the objective alone
     (:func:`~oneshotdpd.divergence._dpd_terms`): its data part is the same
     at every point of a row, so the solver never evaluates it.  A point
     whose objective is undefined (a rate that overflows) has ``f = +inf``.
     Exponents like F^(beta-1) blow up as F -> 0 for beta < 1, so the
-    derivatives clamp F and S into [1e-300, 1 - 1e-16] and report the
-    clamping per row so callers can flag the fit.
+    derivatives clamp F and S into [1e-300, 1 - 1e-16].
     """
     b = beta
     w, w2, t, _ = plan.cell_vectors
     with np.errstate(all="ignore"):
         lt, F, S, f = _cells(np.exp(theta[:, :1] + theta[:, 1:] * w), t)
-        clamped = ((F < _F_MIN) | (F > _F_MAX)).any(axis=1)
         Fc = F.clip(_F_MIN, _F_MAX)
         Sc = S.clip(_F_MIN, _F_MAX)
         bracket = _bracket(Fc, Sc, b)
@@ -115,15 +114,14 @@ def _eval_theta(theta: np.ndarray, r: np.ndarray, plan: TestPlan,
         ev = np.array([_dpd_terms(r, F, S, lt, beta), g, g * w, h, h * w,
                        h * w2]).sum(-1)
         ev /= plan.n_cells
-    return ev, clamped
+    return ev
 
 
 def estimating_equations(
     table: FailureTable,
     params: ModelParams,
     beta: float,
-    full_output: bool = False,
-):
+) -> tuple[float, float]:
     """Left-hand sides of the stationarity system for the divergence fit.
 
     Component p sums, over cells,
@@ -134,8 +132,7 @@ def estimating_equations(
     sum (K F - n) f t [...].  This is the solver's theta gradient scaled by
     ``IJ Kbar / (b+1)``, so both components vanish at the estimate, and it
     is returned exactly.  The near-boundary exponents are evaluated with F
-    and S clamped into [1e-300, 1 - 1e-16]; pass ``full_output=True`` to
-    receive a dict whose ``clamped`` flag reports that clamp.
+    and S clamped into [1e-300, 1 - 1e-16].
 
     Raises :class:`~oneshotdpd.errors.NumericalOverflow` when a rate at a
     plan stress exceeds the double range, as :func:`dpd_objective` does,
@@ -145,16 +142,12 @@ def estimating_equations(
     plan = table.plan
     _plan_cells(params, plan)
     theta = np.array([[np.log(params.alpha0), params.alpha1]])
-    ev, clamped = _eval_theta(theta, table.frequencies.reshape(1, -1), plan,
-                              beta)
+    ev = _eval_theta(theta, table.frequencies.reshape(1, -1), plan, beta)
     with np.errstate(all="ignore"):
         vals = ev[1:3, 0] * (plan.mean_devices * plan.n_cells / (beta + 1.0))
     if not np.isfinite(vals).all():
         raise NumericalOverflow("estimating equations overflow")
-    out = (float(vals[0]), float(vals[1]))
-    if full_output:
-        return out, {"clamped": bool(clamped[0])}
-    return out
+    return (float(vals[0]), float(vals[1]))
 
 
 def _data_starts(r: np.ndarray, plan: TestPlan) -> np.ndarray:
@@ -211,19 +204,18 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
     gradient fails every trial), a step below ``_STEP_TOL`` or its
     ``_MAX_ITERS``-th step, unless the point it lands on passes the step
     test.  A row's outputs are written once, in the pass it leaves.
-    Returns per-row arrays by name: theta, iterations, boundary_clamped
-    (a clamp at any point the row evaluated) and converged; the values of
-    the returned points are not evaluated here.
+    Returns per-row arrays by name: theta, iterations and converged; the
+    values of the returned points are not evaluated here.
     """
     n = len(theta0)
-    # the running rows: their indices, points, values, fractions, flags
-    # and whether the last pass stopped them
+    # the running rows: their indices, points, values, fractions and
+    # whether the last pass stopped them
     rows, th, ra = np.arange(n), theta0, r.reshape(n, -1)
-    at, cl = _eval_theta(th, ra, plan, beta)
+    at = _eval_theta(th, ra, plan, beta)
     stop = np.zeros(n, dtype=bool)
     theta = np.empty_like(th)
     iterations = np.empty(n, dtype=int)
-    clamped, converged = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    converged = np.empty(n, dtype=bool)
     # it counts the steps each running row has taken
     for it in range(_MAX_ITERS + 1):
         step, slope, final = _direction(at[1:], plan.temps)
@@ -235,13 +227,12 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
             theta[done] = th.take(out, 0)
             theta[done[last]] += step.T.take(out[last], 0)
             iterations[done] = it + last
-            clamped[done] = cl.take(out)
             converged[done] = last
             if out.size == rows.size:
                 break
             # take is several times faster than a mask on arrays this small
             stay = np.flatnonzero(~leave)
-            rows, cl = rows.take(stay), cl.take(stay)
+            rows = rows.take(stay)
             th, at, ra = th.take(stay, 0), at.take(stay, 1), ra.take(stay, 0)
             step, slope = step.take(stay, 1), slope.take(stay)
         f0 = at[0]
@@ -252,7 +243,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
         # halvings of the rows that fail it; a row's accepted point, its
         # values and its step length overwrite those of its full step
         new = th + step.T
-        ev_new, cl_new = _eval_theta(new, ra, plan, beta)
+        ev_new = _eval_theta(new, ra, plan, beta)
         accepted = ev_new[0] <= f0 + 1e-4 * slope + allowance
         moved = np.abs(step).max(axis=0)
         if not accepted.all():
@@ -263,8 +254,7 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
                 cols = np.repeat(pending, lams.size)
                 lam_c = np.tile(lams, pending.size)
                 trial = th.take(cols, 0) + lam_c[:, None] * step.T.take(cols, 0)
-                ev_c, cl_c = _eval_theta(trial, ra.take(cols, axis=0), plan,
-                                         beta)
+                ev_c = _eval_theta(trial, ra.take(cols, axis=0), plan, beta)
                 ok = (ev_c[0] <= f0.take(cols) + 1e-4 * lam_c * slope.take(cols)
                       + allowance.take(cols)).reshape(pending.size, -1)
                 # each row keeps its largest step that passes
@@ -275,20 +265,18 @@ def _newton(theta0: np.ndarray, r: np.ndarray, plan: TestPlan,
                 lam[done] = lam_c[pick]
                 new[done] = trial.take(pick, axis=0)
                 ev_new[:, done] = ev_c.take(pick, axis=1)
-                cl_new[done] = cl_c[pick]
                 pending = pending[~hit]
                 if pending.size == 0:
                     break
             moved *= lam
             # a failed search stays put
-            new[pending], ev_new[:, pending], cl_new[pending] = (
-                th[pending], at[:, pending], False)
-        th, at, cl = new, ev_new, cl | cl_new
+            new[pending], ev_new[:, pending] = th[pending], at[:, pending]
+        th, at = new, ev_new
         # a failed search, a stalled step or the last step stops its row,
         # which leaves in the next pass unless its step there is final
         stop = ~accepted | (moved < _STEP_TOL) | (it + 1 == _MAX_ITERS)
     return {"theta": theta, "iterations": iterations,
-            "boundary_clamped": clamped, "converged": converged}
+            "converged": converged}
 
 
 def _direction(gh: np.ndarray, temps: np.ndarray):
@@ -389,10 +377,11 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
     """:func:`fit_path` of every table in ``tables``, which share one plan.
 
     The tables are the rows of one :func:`_fit_rows` call.  Each beta is
-    one :func:`_eval_theta` call, for the objective, gradient and clamp
-    flag at every table's estimate, and one sandwich call over them, as in
-    the studies; the objective's data part is added here.  Returns one
-    list of :class:`FitResult` per table.
+    one :func:`_eval_theta` call, for the objective and gradient at every
+    table's estimate, and one sandwich call over them, as in the studies;
+    the objective's data part and the clamp flag, from the cells' F at
+    each estimate, are added here.  Returns one list of
+    :class:`FitResult` per table.
     """
     betas = _check_betas(betas)
     if not all(table.has_interior_cell() for table in tables):
@@ -410,15 +399,17 @@ def _fit_tables(tables, betas) -> list[list[FitResult]]:
         raise NumericalOverflow(
             "the fitted alpha0 is not a positive finite double")
     theta = np.stack([np.log(alpha[..., 0]), alpha[..., 1]], axis=-1)
+    w, _, t, _ = plan.cell_vectors
+    with np.errstate(all="ignore"):
+        F = _cells(np.exp(theta[..., :1] + theta[..., 1:] * w), t)[1]
+    fits["boundary_clamped"] = ((F < _F_MIN) | (F > _F_MAX)).any(axis=-1)
     r = r.reshape(len(r), -1)
-    ev, cl = zip(*(_eval_theta(theta[:, b], r, plan, beta)
-                   for b, beta in enumerate(betas)))
-    ev = np.stack(ev, axis=-1)
+    ev = np.stack([_eval_theta(theta[:, b], r, plan, beta)
+                   for b, beta in enumerate(betas)], axis=-1)
     data = np.stack([np.sum(_data_terms(r, beta), axis=-1)
                      for beta in betas], axis=-1)
     fits["objective"] = ev[0] + data / plan.n_cells
     fits["grad_norm"] = np.abs(ev[1:3]).max(axis=0)
-    fits["boundary_clamped"] |= np.stack(cl, axis=1)
     sandwiches = [inference._sandwich_rows(alpha[:, b], plan, beta)
                   for b, beta in enumerate(betas)]
     columns = {name: v.tolist() for name, v in fits.items()}

@@ -38,7 +38,8 @@ import numpy as np
 from .divergence import _bracket, _check_beta
 from .errors import (DegenerateVariance, InfeasibleDesign, NumericalOverflow,
                      SingularInformation)
-from .model import ModelParams, TestPlan, _cells, _integral, _plan_cells
+from .model import (ModelParams, TestPlan, _cells, _check_number, _integral,
+                    _plan_cells)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import FitResult
@@ -82,6 +83,7 @@ class SandwichCovariance:
     def alpha_covariance(self, devices: float) -> np.ndarray:
         """Approximate covariance of the estimate for ``devices`` per cell,
         a finite count > 0."""
+        _check_number(devices, "devices")
         devices = float(devices)
         if not 0.0 < devices < math.inf:
             raise ValueError(
@@ -97,6 +99,9 @@ class LinearHypothesis:
     d: float
 
     def __post_init__(self):
+        for value in np.ravel(np.array(self.m, dtype=object)):
+            _check_number(value, "m")
+        _check_number(self.d, "d")
         m = np.asarray(self.m, dtype=float)
         if m.shape != (2,):
             raise ValueError("m must be a length-2 vector")

@@ -24,6 +24,13 @@ import numpy as np
 from .errors import NumericalOverflow
 
 
+def _check_number(value, name: str) -> None:
+    """Refuse a bool, a string or bytes with ValueError, where a number
+    is expected, instead of reading it as one."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _integral(value, name: str) -> int:
     """``value`` as an int; a bool, a string or a number that is not whole
     is refused with ValueError instead of being truncated or coerced."""
@@ -68,6 +75,8 @@ class ModelParams:
     alpha1: float
 
     def __post_init__(self):
+        _check_number(self.alpha0, "alpha0")
+        _check_number(self.alpha1, "alpha1")
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0.0):
             raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
         if not math.isfinite(self.alpha1):

@@ -9,7 +9,7 @@ Each line reads ``<sha256>  <name>``.  The names cover:
 * ``study/...``: ``rmse_study``, ``level_power_study`` and
   ``contamination_sweep`` reports, clean and contaminated, on 50-device
   and 3-device cells; a digest covers ``to_json`` and ``to_rows``;
-* ``solver/...``: the four ``_fit_rows`` outputs, along the betas
+* ``solver/...``: the three ``_fit_rows`` outputs, along the betas
   0:0.2:1,2, for seeded random tables on small and large, wide, unbalanced
   and extreme plans (stresses and times near the ends of the double
   range), where many fits stall or hit the iteration cap;
@@ -21,13 +21,13 @@ Each line reads ``<sha256>  <name>``.  The names cover:
   probabilities: alpha0 = 1e-9, where every F is below 1e-6, and
   alpha0 = 0.5, where every F is within 1e-12 of 1 (alpha1 = 0.05);
 * ``point/...``: the public functions of one parameter point
-  (``cell_probs``, ``dpd_objective``, ``estimating_equations`` with
-  ``full_output=True``, ``j_bar``, ``k_bar``, ``fisher_information`` and
-  ``sandwich``), one line per function, table and point, along the betas
-  0, 0.5 and 1: on ``table1`` and the unbalanced table below at a central
-  point, the two near-boundary points above and alpha = (1, 20), whose
-  rates overflow from stress 45 on; and on a plan with stresses 0 and
-  1e35 at alpha = (0.5, 1e-36).  A digest covers each value, or the
+  (``cell_probs``, ``dpd_objective``, ``estimating_equations``,
+  ``j_bar``, ``k_bar``, ``fisher_information`` and ``sandwich``), one
+  line per function, table and point, along the betas 0, 0.5 and 1: on
+  ``table1`` and the unbalanced table below at a central point, the two
+  near-boundary points above and alpha = (1, 20), whose rates overflow
+  from stress 45 on; and on a plan with stresses 0 and 1e35 at
+  alpha = (0.5, 1e-36).  A digest covers each value, or the
   exception's type and message;
 * ``help/...``: the stdout of ``<command> --help``, one line per
   subcommand (``-`` spelled ``_``), with help wrapped to 80 columns.
@@ -363,7 +363,7 @@ def point_lines():
         along_beta = {
             "dpd_objective": lambda b: dpd_objective(table, params, b),
             "estimating_equations": lambda b: estimating_equations(
-                table, params, b, full_output=True),
+                table, params, b),
             "j_bar": lambda b: j_bar(params, plan, b),
             "k_bar": lambda b: k_bar(params, plan, b),
             "sandwich": lambda b: sandwich(params, plan, b)}

@@ -47,7 +47,6 @@ def ref_objective(theta, r, plan, beta):
 
 def ref_grad_hess(theta, r, plan, beta):
     lt, F, S, f = ref_cells_at(theta, plan)
-    clamped = ((F < 1e-300) | (F > 1.0 - 1e-16)).any(axis=(-2, -1))
     Fc = np.clip(F, 1e-300, 1.0 - 1e-16)
     Sc = np.clip(S, 1e-300, 1.0 - 1e-16)
     b = beta
@@ -61,7 +60,7 @@ def ref_grad_hess(theta, r, plan, beta):
         curv = tf * (1.0 - lt)
         g = ref_theta_sum(hp * tf, plan)[..., 0, :]
         H = ref_theta_sum(hpp * tf * tf + hp * curv, plan)
-    return g / plan.n_cells, H / plan.n_cells, clamped
+    return g / plan.n_cells, H / plan.n_cells
 
 
 def ref_alpha_cell_sums(alpha, plan, beta):
@@ -114,18 +113,29 @@ def theta_points(rng, plan, r):
 class TestKernelsMatchReference:
     @pytest.mark.parametrize("beta", BETAS)
     def test_objective_and_gradient(self, beta):
-        clamps = 0
         for rng, plan, r in random_cases(17, 24):
             theta = theta_points(rng, plan, r)
             rows = np.resize(r, (len(theta),) + plan.shape)
-            ev, clamped = _eval_theta(theta, rows.reshape(len(theta), -1),
-                                      plan, beta)
-            g, H, want_clamped = ref_grad_hess(theta, rows, plan, beta)
+            ev = _eval_theta(theta, rows.reshape(len(theta), -1), plan, beta)
+            g, H = ref_grad_hess(theta, rows, plan, beta)
             same_bytes(ev, np.stack([ref_objective(theta, rows, plan, beta),
                                      g[:, 0], g[:, 1], H[:, 0, 0],
                                      H[:, 0, 1], H[:, 1, 1]]))
-            same_bytes(clamped, want_clamped)
-            clamps += int(clamped.sum())
+
+    def test_clamp_flag_at_the_estimate(self):
+        # a fit's flag reports whether the kernel clamps some cell's F at
+        # its estimate
+        clamps = 0
+        for _, plan, r in random_cases(17, 24):
+            tables = [FailureTable(plan, np.rint(rk * plan.devices)
+                                   .astype(int)) for rk in r]
+            for path in estimator._fit_tables(tables, BETAS):
+                alpha = np.array([result.params.as_array() for result in path])
+                theta = np.column_stack([np.log(alpha[:, 0]), alpha[:, 1]])
+                F = ref_cells_at(theta, plan)[1]
+                want = ((F < 1e-300) | (F > 1.0 - 1e-16)).any(axis=(-2, -1))
+                same_bytes([result.boundary_clamped for result in path], want)
+                clamps += int(want.sum())
         assert clamps > 0
 
     def test_sandwich_sums(self):

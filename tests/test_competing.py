@@ -71,6 +71,13 @@ class TestCauseTable:
                 temps=[0.0], times=[1.0],
                 sacrificed=[[-1]], died_natural=[[2]], died_tumour=[[1]],
             )
+        plan = TestPlan([0.0], [1.0, 2.0], [[4, 4]])
+        with pytest.raises(ValueError, match=r"died_natural must have "
+                                             r"shape \(1, 2\)"):
+            MultiOutcomeTable(plan, [[1, 1]], [[1]], [[2, 2]])
+        with pytest.raises(ValueError, match="plan.devices must equal the "
+                                             "per-cell sum"):
+            MultiOutcomeTable(plan, [[1, 1]], [[1, 1]], [[2, 1]])
 
     def test_wrapping_total_refused_at_construction(self):
         # (2**63 - 1) * 2 + 7 wraps to 5 in int64

@@ -185,7 +185,7 @@ class TestLogLikelihoodIdentity:
         # it gives the model part, to which the data part is added
         theta = np.array([[np.log(params.alpha0), params.alpha1]])
         solver = float(_eval_theta(theta, table.frequencies.reshape(1, -1),
-                                   table.plan, 0.0)[0][0, 0])
+                                   table.plan, 0.0)[0, 0])
         data = np.sum(_data_terms(table.frequencies.ravel(), 0.0)) / 4
         assert np.isfinite(value)
         assert value == pytest.approx(solver + data, rel=1e-12, abs=0.0)

@@ -97,19 +97,17 @@ class TestEstimatingEquations:
             eq = estimating_equations(table, params, beta)
             assert np.max(np.abs(eq)) < 1e-12
 
-    def test_boundary_guard_flags(self, table1):
-        # an absurd parameter point drives F to 1 in every cell
-        _, info = estimating_equations(
-            table1, ModelParams(1.0, 1.0), 0.5, full_output=True
-        )
-        assert info["clamped"]
+    def test_boundary_guard_keeps_values_finite(self, table1):
+        # an absurd parameter point drives F to 1 and S to 0 in every cell,
+        # where S^(beta-1) is infinite unless S is clamped
+        eq = estimating_equations(table1, ModelParams(1.0, 1.0), 0.5)
+        assert np.isfinite(eq).all()
 
     def test_overflowing_rate_is_typed_error(self, table1):
         # the rate at stress 45 leaves the double range: the equations
         # refuse it as the objective does, with no capped value
         params = ModelParams(1.0, 20.0)
-        for call in (lambda: estimating_equations(table1, params, 0.5,
-                                                  full_output=True),
+        for call in (lambda: estimating_equations(table1, params, 0.5),
                      lambda: dpd_objective(table1, params, 0.5)):
             with pytest.raises(NumericalOverflow, match=r"^failure rate at "
                                r"stress 45\.0 overflows$"):
@@ -121,13 +119,15 @@ class TestEstimatingEquations:
         plan = TestPlan([0.0, 1e35], [1.0, 2.0], np.full((2, 2), 10))
         table = FailureTable(plan, [[1, 3], [5, 7]])
         params, beta = ModelParams(0.5, 1e-36), 0.5
-        eq, info = estimating_equations(table, params, beta, full_output=True)
+        eq = estimating_equations(table, params, beta)
         F, S, f = cell_probs(params, plan)
         cell = ((10 * F - table.counts) * f * plan.times
                 * (F ** (beta - 1) + S ** (beta - 1)))
         expected = (cell.sum(), (cell * plan.temps[:, None]).sum())
         assert eq == pytest.approx(expected, rel=1e-12)
-        assert eq[1] < -1e35 and info == {"clamped": False}
+        assert eq[1] < -1e35
+        assert ((np.stack([F, S]) >= 1e-300)
+                & (np.stack([F, S]) <= 1.0 - 1e-16)).all()
 
     def test_overflowing_component_is_typed_error(self):
         # every rate is finite, but the stress 1e308 takes the second
@@ -377,7 +377,7 @@ class TestDataStarts:
 
 
 # the solver's outputs by name, in ref_newton's positional order
-NEWTON_OUTPUTS = ("theta", "iterations", "boundary_clamped", "converged")
+NEWTON_OUTPUTS = ("theta", "iterations", "converged")
 # table1's stresses, out of order
 TEMPS = np.array([45.0, 55.0, 35.0])
 
@@ -399,14 +399,12 @@ def ref_newton(theta0, r, plan, beta, stats):
     r = r.reshape(n, -1)
     fval = np.empty(n)
     iterations = np.zeros(n, dtype=int)
-    clamped = np.zeros(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     stopped = np.full(n, "", dtype=object)
     active = np.arange(n)
     for it in range(estimator._MAX_ITERS + 1):
-        ev, cl = estimator._eval_theta(theta[active], r[active], plan, beta)
+        ev = estimator._eval_theta(theta[active], r[active], plan, beta)
         fval[active] = ev[0]
-        clamped[active[cl]] = True
         step, slope, final = ref_direction(ev[1:], plan.temps)
         # a final step is taken unevaluated, and ends the run
         theta[active[final]] += step[:, final].T
@@ -428,8 +426,7 @@ def ref_newton(theta0, r, plan, beta, stats):
         while pending.size:
             lam_p = lam[pending]
             trial = th[pending] + lam_p[:, None] * step[:, pending].T
-            ftrial = estimator._eval_theta(trial, ra[pending], plan,
-                                           beta)[0][0]
+            ftrial = estimator._eval_theta(trial, ra[pending], plan, beta)[0]
             ok = (ftrial <= f0[pending] + 1e-4 * lam_p * slope[pending]
                   + allowance[pending])
             accepted[pending[ok]] = True
@@ -450,7 +447,7 @@ def ref_newton(theta0, r, plan, beta, stats):
         stopped[active[stall]] = "stall"
         if it + 1 == estimator._MAX_ITERS:
             stopped[active[accepted & ~stall]] = "cap"
-    return theta, iterations, clamped, converged, fval
+    return theta, iterations, converged, fval
 
 
 def ref_direction(gh, temps):
@@ -645,7 +642,7 @@ class TestNewtonExits:
     def test_reports_are_those_of_the_returned_estimate(self):
         # a FitResult's objective, gradient and clamp flag are evaluated
         # at its params, whichever way its run left
-        capped = 0
+        capped = clamped = 0
         for plan, r in self.cases():
             tables = [FailureTable(plan, np.rint(rk * plan.devices)
                                    .astype(int)) for rk in r]
@@ -653,7 +650,7 @@ class TestNewtonExits:
             for table, path in zip(tables, paths):
                 for result in path:
                     theta = np.array([theta_of(result.params.as_array())])
-                    ev, cl = estimator._eval_theta(
+                    ev = estimator._eval_theta(
                         theta, table.frequencies.reshape(1, -1), plan,
                         result.beta)
                     # exact, with NaN equal to NaN
@@ -666,13 +663,15 @@ class TestNewtonExits:
                     np.testing.assert_array_equal(result.objective,
                                                   ev[0, 0] + data,
                                                   strict=True)
-                    assert result.boundary_clamped or not cl[0]
+                    assert result.boundary_clamped == \
+                        clamped_at(theta, plan)[0]
+                    clamped += result.boundary_clamped
                     # the final step is the one iteration not evaluated
                     assert (result.iterations - result.converged
                             <= estimator._MAX_ITERS)
                     assert result.iterations >= 1
                     capped += result.iterations == estimator._MAX_ITERS
-        assert capped > 0
+        assert capped > 0 and clamped > 0
 
     def test_line_search_matches_one_halving_per_call(self):
         stats = new_stats()
@@ -702,20 +701,40 @@ class TestNewtonExits:
         # that go on
         assert stats["nonfinite"] > 0 and stats["mixed"] > 0
 
-    def test_clamped_starts_keep_their_flag(self):
+    def test_clamp_flag_does_not_depend_on_the_start(self, monkeypatch):
         # starts at 20, 55 and 148 times the data's alpha0 put F above
         # 1 - 1e-16 in some cell, or every cell; the runs then walk back
-        # through unclamped points, from 148 times in passes of full steps
+        # through unclamped points, from 148 times in passes of full steps;
+        # a converged run lands on the estimate from the data start, to
+        # 1.5e-14 in theta, and reports its clamp flag
         plan, clean = list(self.cases())[-2]
+        tables = [FailureTable(plan, np.rint(r * plan.devices).astype(int))
+                  for r in clean]
+        cold = [path[0] for path in estimator._fit_tables(tables, [0.4])]
+        assert not any(result.boundary_clamped for result in cold)
         stats = new_stats()
+        same = 0
         for shift in (3.0, 4.0, 5.0):
             start = _data_starts(clean, plan) + [shift, 0.0]
+            assert clamped_at(start, plan).any()
             got = estimator._newton(start, clean, plan, 0.4)
             want = ref_newton(start, clean, plan, 0.4, stats)
             for g, w in zip((got[name] for name in NEWTON_OUTPUTS), want):
                 assert g.tobytes() == w.tobytes()
-            assert got["boundary_clamped"].any()
+            monkeypatch.setattr(estimator, "_data_starts",
+                                lambda r, plan, start=start: start.copy())
+            paths = estimator._fit_tables(tables, [0.4])
+            for (result,), best in zip(paths, cold):
+                theta = np.array([theta_of(result.params.as_array())])
+                assert result.boundary_clamped == clamped_at(theta, plan)[0]
+                if result.converged:
+                    np.testing.assert_allclose(
+                        theta, [theta_of(best.params.as_array())], rtol=0.0,
+                        atol=1e-12)
+                    assert result.boundary_clamped == best.boundary_clamped
+                    same += 1
         assert stats["full"] > 0
+        assert same > 0
 
     def test_zero_gradient_start_converges(self):
         # fractions equal to the model's F at the start, as the kernel
@@ -728,7 +747,7 @@ class TestNewtonExits:
         theta0 = np.array([[np.log(0.004), 0.05], [np.log(0.002), 0.06]])
         r = _cells(np.exp(theta0[:, :1] + theta0[:, 1:] * w), t)[1]
         for beta in (0.0, 0.5):
-            assert not estimator._eval_theta(theta0, r, plan, beta)[0][1:3].any()
+            assert not estimator._eval_theta(theta0, r, plan, beta)[1:3].any()
             got = estimator._newton(theta0, r, plan, beta)
             assert got["converged"].all()
             assert (got["iterations"] == 1).all()
@@ -796,9 +815,8 @@ class TestStepConvergence:
             for g, w in zip((got[name] for name in NEWTON_OUTPUTS), want):
                 assert g.tobytes() == w.tobytes()
             ok = got["converged"]
-            ev, _ = estimator._eval_theta(got["theta"][ok],
-                                          r.reshape(len(r), -1)[ok], plan,
-                                          beta)
+            ev = estimator._eval_theta(got["theta"][ok],
+                                       r.reshape(len(r), -1)[ok], plan, beta)
             allowance = 1e-13 * np.maximum(1.0, np.abs(last[ok]))
             assert (np.abs(ev[0] - last[ok]) <= allowance).all()
             converged += int(ok.sum())
@@ -997,6 +1015,15 @@ class TestMpmathOracle:
 
 def theta_of(alpha):
     return np.log(alpha[0]), alpha[1]
+
+
+def clamped_at(theta, plan):
+    """Whether some cell's F at each theta (rows, 2) lies outside
+    [1e-300, 1 - 1e-16], where the solver kernel clamps it."""
+    w, _, t, _ = plan.cell_vectors
+    with np.errstate(all="ignore"):
+        F = _cells(np.exp(theta[:, :1] + theta[:, 1:] * w), t)[1]
+    return ((F < 1e-300) | (F > 1.0 - 1e-16)).any(axis=1)
 
 
 class TestIntervalCertificate:

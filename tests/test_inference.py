@@ -181,16 +181,16 @@ class TestInformationMatrices:
         tables = [table1] + [FailureTable(big, rng.binomial(50, truth))
                              for _ in range(5)]
         for table in tables:
-            params = fit(table, beta).params
+            result = fit(table, beta)
+            params = result.params
             F = cell_probs(params, table.plan)[0]
             theta = np.array([[np.log(params.alpha0), params.alpha1]])
-            ev, clamped = _eval_theta(theta, F.reshape(1, -1), table.plan,
-                                      beta)
+            ev = _eval_theta(theta, F.reshape(1, -1), table.plan, beta)
             want = (table.plan.n_cells / (1.0 + beta)
                     * ev[[3, 4, 4, 5], 0].reshape(2, 2))
             scale = np.array([params.alpha0, 1.0])
             got = j_bar(params, table.plan, beta) * np.outer(scale, scale)
-            assert not clamped[0]
+            assert not result.boundary_clamped
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     def test_fisher_positive_definite(self, plan1):
@@ -239,6 +239,11 @@ class TestSandwich:
         plan = TestPlan(temps=[35.0], times=[10.0, 20.0], devices=[[5, 5]])
         with pytest.raises(SingularInformation):
             sandwich(ModelParams(0.005, 0.05), plan, 0.5)
+
+    def test_non_finite_information_raised(self, table1):
+        # at alpha0 = 1e-200, 1 / alpha0^2 overflows in the bread
+        with pytest.raises(SingularInformation, match="non-finite entries"):
+            sandwich(ModelParams(1e-200, 0.05), table1.plan, 0.5)
 
     def test_overflowing_rate_is_typed_error(self, plan1):
         # alpha1 = 400 puts the rate at stress 35 near e^14000, beyond
@@ -296,10 +301,15 @@ class TestSandwich:
         cov = sandwich(ModelParams(0.005, 0.05), plan1, 0.3)
         assert np.allclose(cov.alpha_covariance(25.0), cov.sigma / 25.0)
 
-    @pytest.mark.parametrize("devices", [0, -5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("devices", [
+        0, -5, float("nan"), float("inf"), True, pytest.param("5", id="str"),
+        pytest.param(b"5", id="bytes")])
     def test_alpha_covariance_refuses_device_count(self, plan1, devices):
+        # a bool or a string is not read as a number
+        message = ("a number" if isinstance(devices, (bool, str, bytes))
+                   else "finite")
         cov = sandwich(ModelParams(0.005, 0.05), plan1, 0.3)
-        with pytest.raises(ValueError, match="devices must be finite"):
+        with pytest.raises(ValueError, match=f"^devices must be {message}"):
             cov.alpha_covariance(devices)
 
     def test_fit_path_covariance_matches_sandwich(self, table1):
@@ -418,6 +428,11 @@ class TestZStatistic:
             LinearHypothesis(m=np.array([0.0, 0.0]), d=0.1)
         with pytest.raises(ValueError):
             LinearHypothesis(m=np.array([1.0, 2.0, 3.0]), d=0.1)
+        # a bool or a string is not read as a number
+        for m, d in (([0.0, 1.0], True), (["0", "1"], 0.0),
+                     ([0.0, True], 0.0), ([0.0, 1.0], "0.05")):
+            with pytest.raises(ValueError, match="must be a number"):
+                LinearHypothesis(m=m, d=d)
 
 
 class TestPower:
@@ -469,6 +484,13 @@ class TestPower:
         # a fraction, a bool or a string is refused, never coerced
         hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
         with pytest.raises(ValueError, match="devices must be an integer"):
+            approximate_power(ModelParams(0.004, 0.06), plan1, 0.5, hyp,
+                              devices, 0.05)
+
+    @pytest.mark.parametrize("devices", [0, -3])
+    def test_device_count_below_one_refused(self, plan1, devices):
+        hyp = LinearHypothesis(m=np.array([0.0, 1.0]), d=0.05)
+        with pytest.raises(ValueError, match="devices must be >= 1"):
             approximate_power(ModelParams(0.004, 0.06), plan1, 0.5, hyp,
                               devices, 0.05)
 

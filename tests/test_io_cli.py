@@ -55,6 +55,10 @@ class TestBundledDatasets:
         digest = hashlib.sha256(dataset_path(name).read_bytes()).hexdigest()
         assert digest == DATASET_SHA256[name]
 
+    def test_unknown_name_refused(self):
+        with pytest.raises(FileNotFoundError, match="'nope'"):
+            dataset_path("nope")
+
     def test_table1_layout(self, table1):
         assert table1.plan.shape == (3, 3)
         assert np.all(table1.plan.devices == 10)
@@ -125,6 +129,19 @@ class TestFailureCsv:
         with pytest.raises(ParseError, match="header"):
             read_failure_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", r"bad\.csv: empty file"),
+        ("w,t,K,n\n", r"bad\.csv: no data rows"),
+        ("w,t,K,n\n35,10,10,\n", r"bad\.csv row 2: missing value in "
+                                  "column 'n'"),
+        ("w,t,K,n\n35,0,10,3\n", r"bad\.csv: times must be finite and > 0")],
+        ids=["empty", "header_only", "blank_n", "zero_time"])
+    def test_malformed_file_named(self, text, message, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_failure_csv(path)
+
 
 class TestMultiOutcomeCsv:
     def test_negative_count_rejected(self, tmp_path):
@@ -193,6 +210,8 @@ class TestBetaParsing:
             parse_betas("-0.5")
         with pytest.raises(ParseError):
             parse_betas("")
+        with pytest.raises(ParseError, match="non-numeric grid item"):
+            parse_betas("a:0.1:1")
 
     def test_grid_cap_boundary(self, monkeypatch):
         monkeypatch.setattr(io_module, "_MAX_BETA_POINTS", 11)

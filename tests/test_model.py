@@ -141,12 +141,16 @@ class TestCellOverflow:
 
 
 class TestParamsValidation:
-    @pytest.mark.parametrize("alpha0", [0.0, -0.1, math.nan, math.inf])
+    # a bool or a string is not read as a number: SimulationSpec.to_dict
+    # would write ModelParams(True, 0.05) as [true, 0.05], which
+    # from_dict refuses
+    @pytest.mark.parametrize("alpha0", [0.0, -0.1, math.nan, math.inf, True,
+                                        np.True_, "0.1", b"0.1"])
     def test_bad_alpha0(self, alpha0):
         with pytest.raises(ValueError):
             ModelParams(alpha0, 0.1)
 
-    @pytest.mark.parametrize("alpha1", [math.nan, math.inf])
+    @pytest.mark.parametrize("alpha1", [math.nan, math.inf, False, "0.1"])
     def test_bad_alpha1(self, alpha1):
         with pytest.raises(ValueError):
             ModelParams(0.1, alpha1)
@@ -168,6 +172,16 @@ class TestPlanValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TestPlan(temps=[35, 45], times=[10], devices=[[5]])
+        plan = TestPlan(temps=[35, 45], times=[10], devices=[[5], [5]])
+        with pytest.raises(ValueError, match=r"counts must have shape"):
+            FailureTable(plan=plan, counts=[[1, 2]])
+
+    @pytest.mark.parametrize("temps, message", [
+        ([], "temps must be a non-empty 1-d sequence"),
+        ([math.nan, 45.0], "temps must be finite")])
+    def test_bad_temps_rejected(self, temps, message):
+        with pytest.raises(ValueError, match=message):
+            TestPlan(temps=temps, times=[10], devices=[[5]] * len(temps))
 
     def test_counts_above_devices_rejected(self):
         plan = TestPlan(temps=[35], times=[10], devices=[[5]])

@@ -5,9 +5,11 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ from oneshotdpd.estimator import FitResult
 
 PACKAGE = Path(oneshotdpd.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = PERFBENCH / "tracer.py"
 
 
@@ -130,6 +133,52 @@ def test_every_public_definition_is_exported_or_used():
               and node.name not in oneshotdpd.__all__
               and node.name not in used]
     assert unused == []
+
+
+def test_readme_names_the_fit_fields_and_error_codes(table1):
+    # the fit-entry field dictionary holds exactly the keys the CLI writes
+    # for a fit (plus the optional predictions), its covariance row names
+    # the covariance keys, and the list of failure codes is that of the
+    # typed errors; and README passes no keyword a function lacks
+    from oneshotdpd.io import fit_result_to_dict
+
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Field dictionary for a fit entry", 1)[1]
+    table = table.split("\n\n", 2)[1]
+    names = [name for row in table.splitlines()[2:]
+             for name in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
+    entry = fit_result_to_dict(oneshotdpd.fit(table1, 0.5))
+    assert {name.split(".")[0] for name in names
+            if not name.startswith(".")} == {*entry, "reliability",
+                                              "mean_lifetime"}
+    assert {name.rsplit(".", 1)[-1] for name in names
+            if name.startswith(("covariance.", "."))} == \
+        set(entry["covariance"])
+    codes = text.split("machine-readable codes:", 1)[1].split(" (", 1)[0]
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert sorted(re.findall(r"`(\w+)`", codes)) == sorted(
+        cls.code for cls in subclasses(oneshotdpd.OneShotError))
+    # a keyword that a call of an exported name passes in the README is
+    # one of its parameters
+    passed = []
+    for match in re.finditer(r"\b(\w+)\(", text):
+        if match[1] in oneshotdpd.__all__:
+            depth, end = 1, match.end()
+            while depth and end < len(text):
+                depth += {"(": 1, ")": -1}.get(text[end], 0)
+                end += 1
+            call = text[match.end():end - 1]
+            while re.search(r"\([^()]*\)", call):
+                call = re.sub(r"\([^()]*\)", "", call)
+            passed += [(match[1], kw) for kw in re.findall(r"(\w+)=", call)]
+    assert passed
+    assert [(name, kw) for name, kw in passed if kw not in inspect.signature(
+        getattr(oneshotdpd, name)).parameters] == []
 
 
 def test_benchmark_entry_points_resolve():

@@ -449,6 +449,13 @@ class TestBatchedEngine:
         with pytest.raises(ValueError, match="sweep strengths must be "
                                              "numbers"):
             contamination_sweep(spec, [0.0, 10**400])
+        with pytest.raises(ValueError, match="sweep requires an "
+                                             "alpha0_shift or alpha1_shift"):
+            contamination_sweep(base_spec(plan1, replications=2), [0.5])
+        with pytest.raises(ValueError, match="sweep parameter must be "
+                                             "strength or devices, got "
+                                             "'noise'"):
+            simulate._sweep_specs(spec, "noise", [1])
 
 
 class TestSpecSeed:
@@ -479,6 +486,18 @@ class TestSpecIntegers:
     def test_non_integral_replications_refused(self, plan1, replications):
         with pytest.raises(ValueError, match="replications must be an int"):
             base_spec(plan1, replications=replications)
+
+    @pytest.mark.parametrize("replications", [0, -2])
+    def test_replications_below_one_refused(self, plan1, replications):
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            base_spec(plan1, replications=replications)
+
+    @pytest.mark.parametrize("cell", [(3, 0), (0, 3)])
+    def test_cell_outside_the_plan_refused(self, plan1, cell):
+        with pytest.raises(ValueError, match="contaminated cell index "
+                                             "outside the plan"):
+            base_spec(plan1, contamination=ContaminationScheme(
+                "alpha0_shift", cell, 0.001))
 
     def test_integral_replications_stored_as_int(self, plan1):
         spec = base_spec(plan1, replications=3.0)
